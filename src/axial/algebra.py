@@ -9,7 +9,7 @@ of structure constants: ``structure[i][j]`` is the coefficient tuple of
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
-from .linalg import Matrix, span_contains
+from .linalg import Echelon, Matrix, span_contains
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
 
@@ -65,11 +65,6 @@ class Algebra:
 
     def zero(self):
         return Element(self, [self.field.zero] * self.dim)
-
-    def parse_element(self, texts):
-        if len(texts) != self.dim:
-            raise DimensionMismatch(f"expected {self.dim} coefficients, got {len(texts)}")
-        return Element(self, [self.field.parse(t) for t in texts])
 
     def unit(self):
         """The identity element if one exists, else None (solved linearly)."""
@@ -188,15 +183,6 @@ class Element:
         return "El(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def multiply(x, y):
-    """Operation-contract alias for the element product."""
-    return x * y
-
-
-def left_multiplication_matrix(a):
-    return a.left_multiplication_matrix()
-
-
 class Subalgebra:
     """A multiplicatively closed span inside a parent algebra.
 
@@ -257,18 +243,14 @@ def generate_subalgebra(gens):
     if not gens:
         raise ValueError("empty generator list")
     parent = gens[0].algebra
-    field = parent.field
+    span = Echelon(parent.field)
     basis = []
     words = []
 
     def try_add(elem, word):
-        if elem.is_zero():
-            return False
-        if span_contains(field, [b.coeffs for b in basis], elem.coeffs):
-            return False
-        basis.append(elem)
-        words.append(word)
-        return True
+        if span.add(elem.coeffs):
+            basis.append(elem)
+            words.append(word)
 
     for i, g in enumerate(gens):
         if g.algebra != parent:
@@ -278,7 +260,6 @@ def generate_subalgebra(gens):
     # products of known basis members, breadth-first over word length
     frontier = list(range(len(basis)))
     while frontier:
-        new_items = []
         pairs = [
             (i, j)
             for i in range(len(basis))
@@ -288,8 +269,7 @@ def generate_subalgebra(gens):
         pairs.sort(key=lambda ij: (_word_len(words[ij[0]]) + _word_len(words[ij[1]]), ij))
         start = len(basis)
         for i, j in pairs:
-            if try_add(basis[i] * basis[j], (words[i], words[j])):
-                new_items.append(len(basis) - 1)
+            try_add(basis[i] * basis[j], (words[i], words[j]))
         frontier = list(range(start, len(basis)))
 
     # order final basis by (word length, discovery index); discovery already

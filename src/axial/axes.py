@@ -21,7 +21,7 @@ from .errors import (
     OrbitOverflow,
     SingularVandermonde,
 )
-from .linalg import Matrix, minimal_polynomial, span_contains
+from .linalg import Echelon, Matrix, minimal_polynomial
 from .fields import poly_divides, poly_is_squarefree, poly_trim
 
 __all__ = [
@@ -183,7 +183,8 @@ def check_fusion(a, lam, eigen=None):
     """Fusion verdicts by exhaustive multiplication of eigenspace bases.
 
     (a) A01 closed, (b) A01 * A_lam in A_lam, (c) A_lam * A_lam in A01,
-    (d) A0 * A0 in A0.  Membership is an exact rref solve.
+    (d) A0 * A0 in A0.  Membership is exact reduction against one echelon
+    basis per target eigenspace.
     """
     A = a.algebra
     field = A.field
@@ -199,8 +200,8 @@ def check_fusion(a, lam, eigen=None):
     a0 = eigen.space(field.zero)
 
     def contained(products, span):
-        span_coeffs = [v.coeffs for v in span]
-        return all(span_contains(field, span_coeffs, p.coeffs) for p in products)
+        ech = Echelon(field, [v.coeffs for v in span])
+        return all(ech.contains(p.coeffs) for p in products)
 
     closed_01 = contained([u * v for i, u in enumerate(a01) for v in a01[i:]], a01)
     module_rule = contained([u * w for u in a01 for w in alam], alam)

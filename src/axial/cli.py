@@ -15,7 +15,7 @@ import time
 
 from . import constructions, io
 from .axes import axis_orbit, check_axis, check_fusion, eigen_decompose, miyamoto
-from .errors import AxialError, BadLambda, OrbitOverflow, SchemaError, ScalarParseError
+from .errors import AxialError, BadLambda, FieldTooLarge, OrbitOverflow, SchemaError, ScalarParseError
 from .fields import QQ, field_from_json
 from .frobenius import radical, solve_frobenius, trace_admissibility_audit
 from .identities import BUILTIN_NAMES, builtin_identity, holds_as_identity, parse_poly
@@ -42,7 +42,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (_Usage, SchemaError, ScalarParseError, BadLambda, FileNotFoundError) as exc:
+    except (_Usage, SchemaError, ScalarParseError, BadLambda, FieldTooLarge, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AxialError as exc:

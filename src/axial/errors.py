@@ -86,6 +86,13 @@ class FieldTooSmall(AxialError):
     exhaustive enumeration exceeds the budget."""
 
 
+class FieldTooLarge(AxialError, NotImplementedError):
+    """The prime field is too large for the exhaustive root scan.
+
+    Also a NotImplementedError: the input is valid, but the operation is
+    not supported over such a field."""
+
+
 class UnknownIdentity(AxialError):
     """No catalog identity with the requested name."""
 

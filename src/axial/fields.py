@@ -20,7 +20,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ScalarParseError
+from .errors import FieldTooLarge, ScalarParseError
 
 try:  # exact rationals backed by GMP when available; plain Fraction otherwise
     from gmpy2 import mpq as _rational
@@ -92,10 +92,6 @@ def _pgcd(p, q):
     if not a:
         return ()
     return _pscale(1 / a[-1], a)
-
-
-def _pderiv(p):
-    return _ptrim([i * p[i] for i in range(1, len(p))])
 
 
 def _peval(p, x):
@@ -381,14 +377,6 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
 
-    def is_constant(self):
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        return self.num[0] if self.num else Fraction(0)
-
     def eval_at(self, x):
         """Evaluate at a Fraction point; raises ZeroDivisionError on a pole."""
         d = _peval(self.den, Fraction(x))
@@ -548,7 +536,7 @@ class PrimeField(Field):
 
     def poly_roots(self, coeffs):
         if self.p > _PRIME_SCAN_LIMIT:
-            raise NotImplementedError(f"root scan over F_{self.p} exceeds the field-size limit")
+            raise FieldTooLarge(f"root scan over F_{self.p} exceeds the field-size limit")
         roots = []
         for t in range(self.p):
             acc = 0
@@ -865,10 +853,6 @@ QQ = Rationals()
 def parse_scalar(text, field):
     """Parse exact-scalar text in the given field (canonical value)."""
     return field.parse(text)
-
-
-def format_scalar(value, field):
-    return field.format(value)
 
 
 def field_from_json(doc):

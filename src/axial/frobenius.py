@@ -1,9 +1,12 @@
 """Symmetric associative bilinear forms: solving, radicals, nilpotence audits.
 
 A form is stored as its Gram matrix on the algebra basis.  Solving for a
-form is one exact linear system in the n(n+1)/2 upper-triangle entries:
-symmetry is built into the unknowns, associativity contributes one equation
-per basis triple, and each normalization (x, x) = c contributes one more.
+form is an exact linear system in the n(n+1)/2 upper-triangle entries:
+symmetry is built into the unknowns, associativity contributes one sparse
+equation per basis triple, and each normalization (x, x) = c contributes
+one more.  The equations stream into one ``Echelon`` whose extra column
+holds the right-hand side, so it never holds more than n(n+1)/2 + 1 rows;
+the particular form and the homogeneous basis are both read from it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, FormInconsistent, SelfCheckFailed
-from .linalg import Matrix, span_contains
+from .linalg import Echelon, Matrix
 
 __all__ = [
     "BilinearForm",
@@ -76,15 +79,6 @@ class BilinearForm:
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.algebra == other.algebra and self.gram == other.gram
 
-    def restrict(self, subalgebra):
-        """Induced form on a subalgebra basis."""
-        field = self.algebra.field
-        rows = [
-            [self.value(u, v) for v in subalgebra.basis]
-            for u in subalgebra.basis
-        ]
-        return BilinearForm(subalgebra.induced, Matrix(field, rows))
-
     def __repr__(self):
         return f"BilinearForm(dim={self.algebra.dim})"
 
@@ -119,47 +113,65 @@ def solve_frobenius(A, normalize_at=(), require=False):
     inconsistent system raises FormInconsistent instead.
     """
     field = A.field
+    zero, one = field.zero, field.one
     n = A.dim
     idx, nunk = _upper_index(n)
+    # column nunk holds the right-hand side
+    ech = Echelon(field)
+    seen = set()
 
     def g_coeff(row, i, j, c):
-        if not c:
-            return
         key = idx[(i, j) if i <= j else (j, i)]
-        row[key] = row[key] + c
+        row[key] = row.get(key, zero) + c
 
-    rows, rhs = [], []
+    def add_equation(row):
+        row = {key: c for key, c in row.items() if c}
+        signature = tuple(sorted(row.items()))
+        if row and signature not in seen:
+            seen.add(signature)
+            ech.add(row)
+
+    nonzero = [[[(m, c) for m, c in enumerate(cs) if c] for cs in srow] for srow in A.structure]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                row = [field.zero] * nunk
-                for m, c in enumerate(A.structure[i][j]):
+                row = {}
+                for m, c in nonzero[i][j]:
                     g_coeff(row, m, k, c)
-                for m, c in enumerate(A.structure[j][k]):
+                for m, c in nonzero[j][k]:
                     g_coeff(row, i, m, -c)
-                if any(row):
-                    rows.append(row)
-                    rhs.append(field.zero)
+                add_equation(row)
     for x, target in normalize_at:
-        row = [field.zero] * nunk
+        row = {nunk: target}
         for i, xi in enumerate(x.coeffs):
             if not xi:
                 continue
             for j, xj in enumerate(x.coeffs):
                 if xj:
                     g_coeff(row, i, j, xi * xj)
-        rows.append(row)
-        rhs.append(target)
+        add_equation(row)
 
-    if rows:
-        m = Matrix(field, rows)
-        particular_vec = m.solve(rhs)
-        hom_vecs = m.kernel()
+    # restricted to the unknowns, the pivot rows are the reduced form of the
+    # homogeneous system (a pivot in the right-hand side column only marks
+    # the system inconsistent): free unknowns are 0 in the particular
+    # solution and each spans one homogeneous vector
+    pivot_rows = ech.rows
+    if nunk in pivot_rows:
+        particular_vec = None
     else:
-        particular_vec = [field.zero] * nunk
-        hom_vecs = Matrix.identity(field, nunk).kernel() if nunk == 0 else [
-            [field.one if t == s else field.zero for t in range(nunk)] for s in range(nunk)
-        ]
+        particular_vec = [zero] * nunk
+        for p, row in pivot_rows.items():
+            particular_vec[p] = row.get(nunk, zero)
+    hom_vecs = []
+    for free in range(nunk):
+        if free in pivot_rows:
+            continue
+        v = [zero] * nunk
+        v[free] = one
+        for p, row in pivot_rows.items():
+            if p < nunk:
+                v[p] = -row.get(free, zero)
+        hom_vecs.append(v)
 
     def unflatten(vec):
         g = [[field.zero] * n for _ in range(n)]
@@ -183,10 +195,10 @@ def radical(form):
     A = form.algebra
     vecs = form.gram.kernel()
     rad = [A.element(v) for v in vecs]
-    rad_coeffs = [r.coeffs for r in rad]
+    span = Echelon(A.field, vecs)
     for r in rad:
         for b in A.basis():
-            if not span_contains(A.field, rad_coeffs, (r * b).coeffs):
+            if not span.contains((r * b).coeffs):
                 raise SelfCheckFailed("form kernel is not an ideal")  # impossible for associative forms
     return rad
 

@@ -193,7 +193,6 @@ class GenPoly:
         if not isinstance(other, GenPoly):
             return GenPoly(self.field, {k: c * other for k, c in self.terms.items()})
         self._compat(other)
-        out = GenPoly(self.field)
         acc = {}
         for (br1, b1), c1 in self.terms.items():
             for (br2, b2), c2 in other.terms.items():

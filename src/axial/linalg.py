@@ -1,7 +1,13 @@
-"""Exact dense linear algebra over a scalar field.
+"""Exact linear algebra over a scalar field.
 
-Everything is plain Gaussian elimination on field values; no pivoting
-heuristics are needed because arithmetic is exact.
+Row reduction goes through one kernel, ``Echelon``: a fully reduced row
+basis grown one sparse row at a time.  Arithmetic is exact, so no pivoting
+heuristics are needed, and the reduced basis depends only on the span of
+the rows added.  ``Matrix.rref`` reads the canonical reduced row-echelon
+form from it, and ``kernel``, ``solve`` and ``rank`` read theirs from
+``rref``; ``span_contains``, ``span_rank``, the membership tests elsewhere
+and ``solve_frobenius`` keep an ``Echelon`` of their own.  ``Matrix`` is
+dense, and ``det`` alone runs its own Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from .errors import DimensionMismatch
 from .fields import poly_trim
 
 __all__ = [
+    "Echelon",
     "Matrix",
     "rref",
     "kernel",
@@ -17,6 +24,81 @@ __all__ = [
     "span_contains",
     "span_rank",
 ]
+
+
+def _sparse(row):
+    """{column: value} of the nonzero entries of a dense or sparse row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: v for c, v in items if v}
+
+
+def _subtract(r, f, row):
+    """r -= f * row in place, dropping entries that cancel."""
+    for c, v in row.items():
+        x = r.get(c)
+        if x is None:
+            r[c] = -(f * v)
+        else:
+            x = x - f * v
+            if x:
+                r[c] = x
+            else:
+                del r[c]
+
+
+class Echelon:
+    """Fully reduced row basis, grown one row at a time.
+
+    ``rows`` maps each pivot column to its row, stored sparse as
+    ``{column: nonzero value}``: 1 at its pivot, which is its first nonzero
+    column, and nothing in any other pivot column.  Such a basis is unique
+    for its span, so its rows in pivot order are the reduced row-echelon
+    form of every matrix whose rows were added, whatever their order.
+    Rows may be given dense (a sequence) or sparse (a dict).
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field, rows=()):
+        self.field = field
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return tuple(sorted(self.rows))
+
+    def reduce(self, row):
+        """Sparse remainder of row after clearing every pivot column."""
+        r = _sparse(row)
+        # pivot rows vanish in each other's pivot columns, so clearing one
+        # pivot column leaves the entries in the others untouched
+        for p in [c for c in r if c in self.rows]:
+            _subtract(r, r[p], self.rows[p])
+        return r
+
+    def add(self, row):
+        """Extend the basis by row; False when row is already in the span."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        p = min(r)
+        inv = self.field.one / r[p]
+        r = {c: inv * v for c, v in r.items()}
+        for other in self.rows.values():
+            f = other.get(p)
+            if f is not None:
+                _subtract(other, f, r)
+        self.rows[p] = r
+        return True
+
+    def contains(self, row):
+        return not self.reduce(row)
 
 
 class Matrix:
@@ -51,9 +133,6 @@ class Matrix:
 
     def column(self, j):
         return [r[j] for r in self.rows]
-
-    def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def __eq__(self, other):
         return (
@@ -127,29 +206,12 @@ class Matrix:
 
     def rref(self):
         """Reduced row-echelon form: (matrix, pivot columns, rank)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if rows[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = self.field.one / rows[pr][pc]
-            rows[pr] = [inv * b for b in rows[pr]]
-            for i in range(self.nrows):
-                if i != pr and rows[i][pc]:
-                    f = rows[i][pc]
-                    rows[i] = [b - f * c for b, c in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(self.field, rows), tuple(pivots), len(pivots)
+        ech = Echelon(self.field, self.rows)
+        pivots = ech.pivots
+        zero = self.field.zero
+        rows = [[ech.rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
+        rows += [[zero] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return Matrix(self.field, rows), pivots, len(pivots)
 
     def kernel(self):
         """Basis of the right null space, one vector per free column."""
@@ -245,16 +307,9 @@ def minimal_polynomial(m):
 
 
 def span_contains(field, span_vectors, target):
-    """Is target in the linear span of span_vectors? Exact rref membership."""
-    if all(not c for c in target):
-        return True
-    if not span_vectors:
-        return False
-    m = Matrix.from_columns(field, list(span_vectors))
-    return m.solve(list(target)) is not None
+    """Is target in the linear span of span_vectors?"""
+    return Echelon(field, span_vectors).contains(target)
 
 
 def span_rank(field, vectors):
-    if not vectors:
-        return 0
-    return Matrix(field, [list(v) for v in vectors]).rank()
+    return Echelon(field, vectors).rank

@@ -191,3 +191,10 @@ class TestCliPipeline:
     def test_construct_usage_errors(self):
         assert main(["construct", "two-gen"]) == 2
         assert main(["construct", "matsuo", "--lambda", "1/2"]) == 2
+
+    def test_field_too_large_for_root_scan(self, tmp_path, capsys):
+        code = main(["construct", "matsuo", "--lines", "a,b,c", "--lambda", "1/2",
+                     "--field", '{"kind":"Fp","p":2147483647}', "-o", str(tmp_path / "big.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from axial.fields import QQ, PrimeField
-from axial.linalg import Matrix, kernel, minimal_polynomial, rref
+from axial import matsuo_from_triple_system, solve_frobenius, universal_2gen
+from axial.fields import QQ, PrimeField, RationalFunctions
+from axial.linalg import Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
 
 
 def qmat(rows):
@@ -125,3 +127,232 @@ class TestMinimalPolynomial:
         mp = minimal_polynomial(m)
         # (x-1)(x-3) = x^2 - 4x + 3
         assert mp == (F7.from_int(3), F7.from_int(-4), F7.one)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the dense Gauss-Jordan elimination that
+# Matrix.rref and solve_frobenius ran before Echelon
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(m):
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        pivot_row = None
+        for i in range(pr, m.nrows):
+            if rows[i][pc]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = m.field.one / rows[pr][pc]
+        rows[pr] = [inv * b for b in rows[pr]]
+        for i in range(m.nrows):
+            if i != pr and rows[i][pc]:
+                f = rows[i][pc]
+                rows[i] = [b - f * c for b, c in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.nrows:
+            break
+    return Matrix(m.field, rows), tuple(pivots), len(pivots)
+
+
+def reference_kernel(m):
+    red, pivots, _ = reference_rref(m)
+    zero, one = m.field.zero, m.field.one
+    basis = []
+    for fc in [c for c in range(m.ncols) if c not in pivots]:
+        v = [zero] * m.ncols
+        v[fc] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = -red.rows[i][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(m, rhs):
+    aug = Matrix(m.field, [m.rows[i] + [rhs[i]] for i in range(m.nrows)])
+    red, pivots, _ = reference_rref(aug)
+    if m.ncols in pivots:
+        return None
+    x = [m.field.zero] * m.ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red.rows[i][m.ncols]
+    return x
+
+
+F7 = PrimeField(7)
+QT = RationalFunctions("t")
+
+
+def _qt_value(a, b, c):
+    t = QT.variable()
+    return (QT.from_int(a) + QT.from_int(b) * t) / (QT.one + QT.from_int(c) * t)
+
+
+# small entries with many zeros, so that ranks fall short and rows repeat
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+FIELD_VALUES = {
+    "Q": st.builds(Fraction, SMALL, st.sampled_from([1, 2, 3])),
+    "F7": st.builds(F7.from_int, SMALL),
+    "Qt": st.builds(_qt_value, SMALL, SMALL, SMALL),
+}
+FIELDS = {"Q": QQ, "F7": F7, "Qt": QT}
+
+
+@st.composite
+def matrices(draw, with_rhs=False):
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    values = FIELD_VALUES[kind]
+    rows = draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    m = Matrix(FIELDS[kind], rows)
+    if not with_rhs:
+        return m
+    return m, draw(st.lists(values, min_size=nrows, max_size=nrows))
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_rref_kernel_rank(self, m):
+        red, pivots, rank = m.rref()
+        ref, ref_pivots, ref_rank = reference_rref(m)
+        assert red.rows == ref.rows and (pivots, rank) == (ref_pivots, ref_rank)
+        assert m.kernel() == reference_kernel(m)
+        assert m.rank() == ref_rank
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(with_rhs=True))
+    def test_solve(self, m_rhs):
+        m, rhs = m_rhs
+        assert m.solve(rhs) == reference_solve(m, rhs)
+
+
+class TestEchelon:
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_order_and_format_independent(self, m, rnd):
+        ech = Echelon(m.field, m.rows)
+        shuffled = list(m.rows)
+        rnd.shuffle(shuffled)
+        sparse = [{c: v for c, v in enumerate(r) if v} for r in shuffled]
+        assert Echelon(m.field, sparse).rows == ech.rows
+        assert ech.pivots == reference_rref(m)[1] and ech.rank == len(ech.pivots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(with_rhs=True))
+    def test_add_and_contains(self, m_rhs):
+        m, target = m_rhs
+        vectors = [m.column(j) for j in range(m.ncols)]
+        ech = Echelon(m.field)
+        for v in vectors:
+            known = ech.contains(v)
+            assert ech.add(v) is not known
+            assert ech.contains(v)
+        in_span = reference_solve(Matrix.from_columns(m.field, vectors), target) is not None
+        assert ech.contains(target) is in_span
+        assert span_contains(m.field, vectors, target) is in_span
+        assert ech.add(target) is not in_span
+
+    def test_zero_rows(self):
+        ech = Echelon(QQ, [[Fraction(0)] * 3, {}])
+        assert ech.rank == 0 and ech.contains([Fraction(0)] * 3)
+        assert not ech.contains({1: Fraction(2)})
+
+
+def reference_frobenius(A, normalize_at):
+    """Particular Gram matrix (or None) and homogeneous Gram basis, from the
+    dense associativity system that solve_frobenius eliminated before."""
+    field = A.field
+    n = A.dim
+    idx = {(i, j): k for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n))}
+    nunk = len(idx)
+
+    def g_coeff(row, i, j, c):
+        if c:
+            key = idx[(i, j) if i <= j else (j, i)]
+            row[key] = row[key] + c
+
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [field.zero] * nunk
+                for m, c in enumerate(A.structure[i][j]):
+                    g_coeff(row, m, k, c)
+                for m, c in enumerate(A.structure[j][k]):
+                    g_coeff(row, i, m, -c)
+                if any(row):
+                    rows.append(row)
+                    rhs.append(field.zero)
+    for x, target in normalize_at:
+        row = [field.zero] * nunk
+        for i, xi in enumerate(x.coeffs):
+            for j, xj in enumerate(x.coeffs):
+                if xi and xj:
+                    g_coeff(row, i, j, xi * xj)
+        rows.append(row)
+        rhs.append(target)
+    m = Matrix(field, rows)
+
+    def unflatten(vec):
+        g = [[field.zero] * n for _ in range(n)]
+        for (i, j), key in idx.items():
+            g[i][j] = g[j][i] = vec[key]
+        return g
+
+    particular = reference_solve(m, rhs)
+    return (None if particular is None else unflatten(particular)), [unflatten(v) for v in reference_kernel(m)]
+
+
+def _transpositions(n):
+    """Points and lines of the Matsuo triple system of the transpositions of S_n."""
+    points = [f"t{i}{j}" for i, j in combinations(range(1, n + 1), 2)]
+    lines = [[f"t{i}{j}", f"t{j}{k}", f"t{i}{k}"] for i, j, k in combinations(range(1, n + 1), 3)]
+    return points, lines
+
+
+FROBENIUS_CASES = ("3C", "3C family", "3C inconsistent", "S4 all points", "S4 one point", "S4 over F101",
+                   "H3", "two-gen(1/2, 1/8)")
+
+
+@pytest.fixture(scope="module")
+def frobenius_cases(mats3c, h3):
+    half, one = Fraction(1, 2), QQ.one
+    c3 = mats3c
+    s4 = matsuo_from_triple_system(_transpositions(4), half)
+    F101 = PrimeField(101)
+    s4_f101 = matsuo_from_triple_system(_transpositions(4), F101.parse("1/2"), F101)
+    A3 = h3[0]
+    tg = universal_2gen(half, Fraction(1, 8))
+    a, b = tg.axes
+    return {
+        "3C": (c3.algebra, [(x, one) for x in c3.axes]),
+        "3C family": (c3.algebra, []),
+        "3C inconsistent": (c3.algebra, [(c3.axes[0], one), (c3.axes[1], one),
+                                         (c3.axes[0] + c3.axes[1], Fraction(5))]),
+        "S4 all points": (s4.algebra, [(x, one) for x in s4.axes]),
+        "S4 one point": (s4.algebra, [(s4.axes[0], one)]),
+        "S4 over F101": (s4_f101.algebra, [(x, F101.one) for x in s4_f101.axes]),
+        "H3": (A3, [(A3.basis_element(i), one) for i, name in enumerate(A3.basis_names) if name.startswith("E")]),
+        "two-gen(1/2, 1/8)": (tg.algebra, [(a, one), (b, one), (a + b, 2 + 2 * Fraction(1, 8))]),
+    }
+
+
+@pytest.mark.parametrize("case", FROBENIUS_CASES)
+def test_solve_frobenius_against_reference(frobenius_cases, case):
+    A, normalize_at = frobenius_cases[case]
+    sol = solve_frobenius(A, normalize_at)
+    particular, homogeneous = reference_frobenius(A, normalize_at)
+    assert (None if sol.particular is None else sol.particular.gram.rows) == particular
+    assert [h.rows for h in sol.homogeneous_basis] == homogeneous
+    if case == "3C inconsistent":
+        assert particular is None
+    if case == "3C family":
+        assert homogeneous
