@@ -9,6 +9,7 @@ of structure constants: ``structure[i][j]`` is the coefficient tuple of
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
+from .fields import integer_lift
 from .linalg import Echelon, Matrix, span_contains
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
@@ -52,6 +53,21 @@ class Algebra:
             ]
             for srow in struct
         ]
+        self._integer_grid = None
+
+    def integer_grid(self):
+        """Over Q, the grid lifted to integers: ``(table, d)`` where
+        ``table[i][j]`` holds the pairs ``(k, d * c)`` for the nonzero
+        coefficients c of ``b_i * b_j``.  Built on first use."""
+        if self._integer_grid is None:
+            _, d = integer_lift([c for srow in self.structure for coeffs in srow for c in coeffs])
+            table = [
+                [tuple((k, int(c.numerator) * (d // int(c.denominator))) for k, c in enumerate(coeffs) if c)
+                 for coeffs in srow]
+                for srow in self.structure
+            ]
+            self._integer_grid = (table, d)
+        return self._integer_grid
 
     def element(self, coeffs):
         return Element(self, coeffs)

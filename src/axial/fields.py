@@ -393,6 +393,15 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _FRAC_RE = re.compile(r"^([+-]?\d+)\s*/\s*([+-]?\d+)$")
 
 
+def integer_lift(values):
+    """Rationals over their least common denominator: ``(numerators, d)``
+    with ``values[k] == numerators[k] / d``."""
+    d = 1
+    for q in values:
+        d = math.lcm(d, int(q.denominator))
+    return tuple(int(q.numerator) * (d // int(q.denominator)) for q in values), d
+
+
 class Field:
     """Common interface; concrete fields are singletons per parameter."""
 

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, FormInconsistent, SelfCheckFailed
+from .fields import integer_lift
 from .linalg import Echelon, Matrix
 
 __all__ = [
@@ -37,6 +38,16 @@ class BilinearForm:
         if check:
             self._check_symmetric()
             self._check_associative()
+        self._integer_gram = None
+
+    def integer_gram(self):
+        """Over Q, the Gram matrix lifted to integers: ``(rows, d)`` with
+        entry ``(i, j)`` equal to ``rows[i][j] / d``.  Built on first use."""
+        if self._integer_gram is None:
+            n = self.algebra.dim
+            flat, d = integer_lift([c for row in self.gram.rows for c in row])
+            self._integer_gram = ([flat[i * n:(i + 1) * n] for i in range(n)], d)
+        return self._integer_gram
 
     def _check_symmetric(self):
         g = self.gram.rows

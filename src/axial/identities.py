@@ -14,6 +14,7 @@ product), but evaluation demands element-valued monomials throughout.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
+from .fields import Rationals, integer_lift
 
 __all__ = [
     "GenPoly",
@@ -416,6 +418,9 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if f.has_brackets() and form is None:
         raise MissingForm("polynomial contains bracket factors but no form was given")
 
+    if isinstance(A.field, Rationals):
+        return _evaluate_rational(f, assign_x, assign_e, form, A)
+
     # hot path: work on raw coefficient tuples with subtree and bracket caches
     field = A.field
     zero = field.zero
@@ -485,6 +490,89 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
                 if bv[k]:
                     total[k] = total[k] + c * bv[k]
     return A.element(total)
+
+
+def _evaluate_rational(f, assign_x, assign_e, form, A):
+    """``evaluate`` over Q in integer arithmetic.
+
+    Each subtree value is a vector of integer numerators over one common
+    denominator, so the inner loops multiply and add plain ints instead of
+    Fractions; the result is reduced back to field values at the end.
+    """
+    n = A.dim
+    table, grid_d = A.integer_grid()
+    cache = {}
+    for j, v in assign_x.items():
+        cache[("X", j)] = integer_lift(v.coeffs)
+    for i, v in assign_e.items():
+        cache[("E", i)] = integer_lift(v.coeffs)
+
+    def ev(t):
+        val = cache.get(t)
+        if val is not None:
+            return val
+        (x, dx), (y, dy) = ev(t[1]), ev(t[2])
+        out = [0] * n
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            row = table[i]
+            for j, yj in enumerate(y):
+                if not yj:
+                    continue
+                c = xi * yj
+                for k, s in row[j]:
+                    out[k] += c * s
+        d = dx * dy * grid_d
+        g = math.gcd(d, *out)
+        if g > 1:
+            out = [a // g for a in out]
+            d //= g
+        val = (out, d)
+        cache[t] = val
+        return val
+
+    if f.has_brackets():
+        gram, gram_d = form.integer_gram()
+    bcache = {}
+
+    def brval(t1, t2):
+        key = (t1, t2)
+        val = bcache.get(key)
+        if val is not None:
+            return val
+        (x, dx), (y, dy) = ev(t1), ev(t2)
+        acc = 0
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            gi = gram[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    acc += xi * yj * gi[j]
+        val = Fraction(acc, dx * dy * gram_d)
+        bcache[key] = val
+        return val
+
+    # the sum of the monomials, kept as integer numerators over total_d
+    total, total_d = [0] * n, 1
+    for (brackets, body), coeff in f.terms.items():
+        if body is None:
+            raise MissingForm("monomial has no element-valued body")
+        c = Fraction(coeff)
+        for t1, t2 in brackets:
+            c = c * brval(t1, t2)
+            if not c:
+                break
+        if c:
+            bv, d = ev(body)
+            d *= c.denominator
+            m = math.lcm(total_d, d)
+            st, sb = m // total_d, (m // d) * c.numerator
+            total = [a * st + b * sb for a, b in zip(total, bv)]
+            total_d = m
+    field = A.field
+    return A.element([field.from_fraction(Fraction(a, total_d)) for a in total])
 
 
 @dataclass

@@ -193,6 +193,45 @@ class TestEvaluate:
             rhs = al * evaluate(f, xs, {}) + be * evaluate(f, alt, {})
             assert lhs == rhs
 
+    def test_rational_path_matches_element_products(self, mats3c, h3):
+        # evaluate over Q runs on integer numerators; compare every catalog
+        # identity with a plain evaluation through Element products
+        def reference(f, xs, es, form, A):
+            def ev(t):
+                if t[0] == "X":
+                    return xs[t[1]]
+                if t[0] == "E":
+                    return es[t[1]]
+                return ev(t[1]) * ev(t[2])
+
+            total = A.zero()
+            for (brackets, body), coeff in f.terms.items():
+                c = coeff
+                for t1, t2 in brackets:
+                    c = c * form.value(ev(t1), ev(t2))
+                total = total + ev(body) * c
+            return total
+
+        tg = universal_2gen(HALF, Fraction(1, 8))
+        h3_alg, h3_form = h3
+        cases = [
+            (mats3c.algebra, list(mats3c.axes), mats3c.form),
+            (tg.algebra, list(tg.axes), tg.form),
+            (h3_alg, [h3_alg.basis_element(i) for i in range(3)], h3_form),
+        ]
+        rng = random.Random(5)
+        for A, pool, form in cases:
+            for name in BUILTIN_NAMES:
+                f = builtin_identity(name, QQ, HALF)
+                for _ in range(3):
+                    xs = {
+                        j: A.element([Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(A.dim)])
+                        for j in f.x_indices()
+                    }
+                    es = {i: rng.choice(pool) for i in f.e_indices()}
+                    val = evaluate(f, xs, es, form=form, algebra=A)
+                    assert val == reference(f, xs, es, form, A), name
+
     def test_errors(self, mats3c, toric):
         f = builtin_identity("primitivityFrobenius", QQ, HALF)
         a, b, _ = mats3c.axes
