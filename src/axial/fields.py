@@ -32,6 +32,9 @@ except ImportError:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
+_ONE = (Fraction(1),)
+
+
 def _ptrim(c):
     c = list(c)
     while c and c[-1] == 0:
@@ -72,9 +75,10 @@ def _pdivmod(p, q):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(_ptrim(p))
     d = len(q) - 1
+    lead = q[-1]
     quo = [Fraction(0)] * max(0, len(r) - d)
     while r and len(r) - 1 >= d:
-        c = r[-1] / q[-1]
+        c = r[-1] if lead == 1 else r[-1] / lead
         k = len(r) - 1 - d
         quo[k] = c
         for i in range(len(q)):
@@ -84,14 +88,60 @@ def _pdivmod(p, q):
     return _ptrim(quo), tuple(r)
 
 
+def _pquo(p, q):
+    """Quotient of p by q; exact when q divides p."""
+    return _pdivmod(p, q)[0]
+
+
 def _pgcd(p, q):
-    """Monic gcd over Q."""
+    """Monic gcd over Q.
+
+    A primitive remainder sequence over Z (Collins, J. ACM 14, 1967): both
+    inputs are scaled to primitive integer polynomials, each
+    pseudo-remainder is divided by its content, and only the last nonzero
+    one is made monic.
+    """
     a, b = _ptrim(p), _ptrim(q)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pscale(1 / a[-1], a)
+    if not a or not b:
+        a = a or b
+        return _pscale(1 / a[-1], a) if a else ()
+    if len(a) == 1 or len(b) == 1:
+        return _ONE
+    a, b = _pcontent_int(a)[1], _pcontent_int(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pprem_int(a, b)
+        if not r:
+            return tuple(Fraction(c, b[-1]) for c in b)
+        if len(r) == 1:
+            return _ONE
+        g = math.gcd(*r)
+        a, b = b, tuple(c // g for c in r)
+
+
+def _pprem_int(a, b):
+    """Remainder of m * a by b over Z, for some nonzero integer m.
+
+    Each step scales the running remainder only by what its leading
+    coefficient lacks of a multiple of b's, which keeps the integers small.
+    """
+    r = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    while len(r) > db:
+        lr = r[-1]
+        g = math.gcd(lr, lb)
+        m, f = lb // g, lr // g
+        if m != 1:
+            r = [m * c for c in r]
+        k = len(r) - 1 - db
+        for i in range(db):
+            r[k + i] -= f * b[i]
+        r.pop()  # its coefficient m * lr - f * lb is 0
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def _peval(p, x):
@@ -106,10 +156,8 @@ def _pcontent_int(p):
     if not p:
         return Fraction(0), ()
     den = math.lcm(*[c.denominator for c in p])
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     return Fraction(g, den), tuple(v // g for v in ints)
@@ -273,19 +321,26 @@ class Fp:
 
 
 class RatFunc:
-    """Reduced fraction of Q-polynomials with monic denominator."""
+    """Reduced fraction of Q-polynomials with monic denominator.
+
+    The operators keep that form without reducing a full product by a full
+    gcd (Henrici, J. ACM 3, 1956).  A sum over denominators b and d needs
+    gcd(b, d), and then only the gcd of the new numerator with that factor;
+    a product cancels each numerator against the other denominator first.
+    Constants and polynomials need no gcd at all.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(Fraction(1),), _reduced=False):
-        num, den = _ptrim(num), _ptrim(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
+    def __init__(self, num, den=_ONE, _reduced=False):
         if not _reduced:
+            num, den = _ptrim(num), _ptrim(den)
+            if not den:
+                raise ZeroDivisionError("rational function with zero denominator")
             g = _pgcd(num, den)
             if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
+                num = _pquo(num, g)
+                den = _pquo(den, g)
             lead = den[-1]
             if lead != 1:
                 num = _pscale(1 / lead, num)
@@ -296,11 +351,11 @@ class RatFunc:
     @staticmethod
     def const(c):
         c = Fraction(c)
-        return RatFunc((c,) if c else (), (Fraction(1),), _reduced=True)
+        return RatFunc((c,) if c else (), _ONE, _reduced=True)
 
     @staticmethod
     def var():
-        return RatFunc((Fraction(0), Fraction(1)), (Fraction(1),), _reduced=True)
+        return RatFunc((Fraction(0), Fraction(1)), _ONE, _reduced=True)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -309,11 +364,54 @@ class RatFunc:
             return RatFunc.const(other)
         return None
 
+    def _plus(self, c, d):
+        """self + c/d, for c/d in reduced form."""
+        a, b = self.num, self.den
+        if not a:
+            return RatFunc(c, d, _reduced=True)
+        if not c:
+            return self
+        if b == d:
+            num = _padd(a, c)
+            if len(b) > 1:
+                g = _pgcd(num, b)
+                if len(g) > 1:
+                    return RatFunc(_pquo(num, g), _pquo(b, g), _reduced=True)
+            return RatFunc(num, b, _reduced=True)
+        g = _pgcd(b, d)
+        if len(g) == 1:
+            # every factor of b*d divides exactly one of a*d and c*b
+            return RatFunc(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d), _reduced=True)
+        b, d = _pquo(b, g), _pquo(d, g)
+        num = _padd(_pmul(a, d), _pmul(c, b))
+        # num is prime to b*d now, so only a factor of g can cancel
+        h = _pgcd(num, g)
+        if len(h) > 1:
+            num, g = _pquo(num, h), _pquo(g, h)
+        return RatFunc(num, _pmul(_pmul(b, d), g), _reduced=True)
+
+    def _times(self, c, d):
+        """self * c/d, for c/d in reduced form."""
+        a, b = self.num, self.den
+        if not a or not c:
+            return RatFunc((), _ONE, _reduced=True)
+        if len(c) == 1 and len(d) == 1:
+            return RatFunc(_pscale(c[0], a), b, _reduced=True)
+        if len(a) == 1 and len(b) == 1:
+            return RatFunc(_pscale(a[0], c), d, _reduced=True)
+        g = _pgcd(a, d)
+        if len(g) > 1:
+            a, d = _pquo(a, g), _pquo(d, g)
+        g = _pgcd(c, b)
+        if len(g) > 1:
+            c, b = _pquo(c, g), _pquo(b, g)
+        return RatFunc(_pmul(a, c), _pmul(b, d), _reduced=True)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)), _pmul(self.den, o.den))
+        return self._plus(o.num, o.den)
 
     __radd__ = __add__
 
@@ -321,17 +419,17 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den))), _pmul(self.den, o.den))
+        return self._plus(_pneg(o.num), o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o - self
+        return NotImplemented if o is None else o._plus(_pneg(self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return self._times(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -341,7 +439,12 @@ class RatFunc:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        # the reciprocal, scaled to a monic denominator, is in reduced form
+        lead = o.num[-1]
+        if lead == 1:
+            return self._times(o.den, o.num)
+        inv = 1 / lead
+        return self._times(_pscale(inv, o.den), _pscale(inv, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -538,10 +641,8 @@ class PrimeField(Field):
         return Fp(q.numerator * pow(q.denominator, -1, self.p), self.p)
 
     def sqrt(self, a):
-        for t in range(self.p):
-            if (t * t - a.v) % self.p == 0:
-                return Fp(t, self.p)
-        return None
+        r = _sqrt_mod(a.v, self.p)
+        return None if r is None else Fp(r, self.p)
 
     def poly_roots(self, coeffs):
         if self.p > _PRIME_SCAN_LIMIT:
@@ -569,6 +670,33 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def _sqrt_mod(a, p):
+    """The least square root of a modulo the prime p, or None when a is a
+    non-residue: Euler's criterion, then Tonelli-Shanks."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    # invariant: r * r == a * t, and t has order dividing 2^(m-1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 def _is_prime(n):

@@ -116,6 +116,17 @@ class Matrix:
                 raise DimensionMismatch("ragged matrix rows")
 
     @classmethod
+    def _wrap(cls, field, rows):
+        """A matrix on rectangular row lists the caller has just built and
+        hands over: no copy and no shape check."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
+
+    @classmethod
     def identity(cls, field, n):
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
@@ -128,8 +139,8 @@ class Matrix:
     @classmethod
     def from_columns(cls, field, cols):
         if not cols:
-            return cls(field, [])
-        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
+            return cls._wrap(field, [])
+        return cls._wrap(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
 
     def column(self, j):
         return [r[j] for r in self.rows]
@@ -154,17 +165,19 @@ class Matrix:
 
     def __add__(self, other):
         self._compat(other)
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix._wrap(self.field, rows)
 
     def __sub__(self, other):
         self._compat(other)
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        rows = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix._wrap(self.field, rows)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        return Matrix._wrap(self.field, [[-a for a in r] for r in self.rows])
 
     def scaled(self, c):
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows])
+        return Matrix._wrap(self.field, [[c * a for a in r] for r in self.rows])
 
     def _compat(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -175,18 +188,16 @@ class Matrix:
             raise DimensionMismatch("inner dimensions differ")
         zero = self.field.zero
         out = []
-        for i in range(self.nrows):
-            row = []
-            ri = self.rows[i]
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = ri[k]
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
+        for ri in self.rows:
+            # row i is the sum over k of ri[k] * (row k of other), in k order
+            row = [zero] * other.ncols
+            for a, rk in zip(ri, other.rows):
+                if a:
+                    for j, b in enumerate(rk):
+                        if b:
+                            row[j] = row[j] + a * b
             out.append(row)
-        return Matrix(self.field, out)
+        return Matrix._wrap(self.field, out)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of field values."""
@@ -211,7 +222,7 @@ class Matrix:
         zero = self.field.zero
         rows = [[ech.rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
         rows += [[zero] * self.ncols for _ in range(self.nrows - len(pivots))]
-        return Matrix(self.field, rows), pivots, len(pivots)
+        return Matrix._wrap(self.field, rows), pivots, len(pivots)
 
     def kernel(self):
         """Basis of the right null space, one vector per free column."""

@@ -1,14 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from axial.errors import ScalarParseError, SchemaError
 from axial.fields import (
     QQ,
+    Fp,
     PrimeField,
     RatFunc,
     RationalFunctions,
+    _padd,
+    _pgcd,
+    _pmul,
+    _pneg,
+    _ptrim,
+    _sqrt_mod,
     field_from_json,
     parse_scalar,
 )
@@ -79,6 +86,22 @@ class TestPrimeField:
         assert F7.sqrt(F7.from_int(3)) is None  # 3 is not a QR mod 7
         roots = F7.poly_roots([F7.from_int(-1), F7.zero, F7.one])  # x^2 - 1
         assert sorted(v.v for v in roots) == [1, 6]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 97, 101])
+    def test_sqrt_is_least_root_of_a_scan(self, p):
+        for a in range(p):
+            want = next((t for t in range(p) if (t * t - a) % p == 0), None)
+            assert _sqrt_mod(a, p) == want
+            if p > 2:
+                got = PrimeField(p, allow_small=True).sqrt(Fp(a, p))
+                assert (None if got is None else got.v) == want
+
+    def test_sqrt_large_prime(self):
+        p = 2**31 - 1
+        K = PrimeField(p)
+        x = 123456789
+        assert K.sqrt(K.from_int(x * x)) == Fp(min(x, p - x), p)
+        assert K.sqrt(K.from_int(-1)) is None  # p = 3 mod 4
 
 
 class TestRationalFunctions:
@@ -187,3 +210,114 @@ def test_ratfunc_axioms(p, q):
     assert a * (a + b) == a * a + a * b
     if b:
         assert (a / b) * b == a
+
+
+# Reference rational-function arithmetic: a Euclidean gcd over Fraction
+# coefficients, and every result reduced as a full product by a full gcd.
+
+
+def reference_pdivmod(p, q):
+    r = list(_ptrim(p))
+    d = len(q) - 1
+    quo = [Fraction(0)] * max(0, len(r) - d)
+    while r and len(r) - 1 >= d:
+        c = r[-1] / q[-1]
+        k = len(r) - 1 - d
+        quo[k] = c
+        for i in range(len(q)):
+            r[k + i] -= c * q[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return _ptrim(quo), tuple(r)
+
+
+def reference_pgcd(p, q):
+    a, b = _ptrim(p), _ptrim(q)
+    while b:
+        a, b = b, reference_pdivmod(a, b)[1]
+    if not a:
+        return ()
+    return tuple(a_i / a[-1] for a_i in a)
+
+
+def reference_reduce(num, den):
+    num, den = _ptrim(num), _ptrim(den)
+    g = reference_pgcd(num, den)
+    if len(g) > 1:
+        num = reference_pdivmod(num, g)[0]
+        den = reference_pdivmod(den, g)[0]
+    lead = den[-1]
+    if lead != 1:
+        num = tuple(c / lead for c in num)
+        den = tuple(c / lead for c in den)
+    return num, den
+
+
+def reference_add(x, y):
+    return reference_reduce(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den))
+
+
+def reference_sub(x, y):
+    return reference_reduce(_padd(_pmul(x.num, y.den), _pneg(_pmul(y.num, x.den))), _pmul(x.den, y.den))
+
+
+def reference_mul(x, y):
+    return reference_reduce(_pmul(x.num, y.num), _pmul(x.den, y.den))
+
+
+def reference_div(x, y):
+    return reference_reduce(_pmul(x.num, y.den), _pmul(x.den, y.num))
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# degree 1 or 2
+factor_polys = st.builds(lambda low, lead: (*low, lead), st.lists(small_fractions, min_size=1, max_size=2),
+                         small_fractions.filter(bool))
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """Two reduced values built from one small pool of factors, so that
+    numerators and denominators share factors, zeros and constants occur,
+    denominators are often equal, and sums often cancel."""
+    factors = draw(st.lists(factor_polys, min_size=1, max_size=3))
+
+    def product(nonzero, min_factors):
+        c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(lambda q: q or not nonzero))
+        p = (c,) if c else ()
+        for f in draw(st.lists(st.sampled_from(factors), min_size=min_factors, max_size=3)):
+            p = _pmul(p, f)
+        return p
+
+    def value(min_den_factors=0):
+        num, den = product(False, 0), product(True, draw(st.integers(min_den_factors, 1)))
+        return RatFunc(*reference_reduce(num, den), _reduced=True)
+
+    mode = draw(st.sampled_from(["free", "same denominator", "difference"]))
+    if mode == "difference":  # x + y is the value drawn second, so the sum cancels
+        x = value(1)
+        return x, RatFunc(*reference_sub(value(1), x), _reduced=True)
+    x, y = value(), value()
+    if mode == "same denominator":
+        y = RatFunc(*reference_reduce(y.num, x.den), _reduced=True)
+    return x, y
+
+
+def pair(r):
+    return repr((r.num, r.den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratfunc_pairs())
+def test_ratfunc_ops_match_reference(xy):
+    x, y = xy
+    (xn, xd), (yn, yd) = (x.num, x.den), (y.num, y.den)
+    assert pair(RatFunc(_pmul(xn, yd), _pmul(xd, yd))) == repr(reference_reduce(_pmul(xn, yd), _pmul(xd, yd)))
+    assert pair(x + y) == repr(reference_add(x, y))
+    assert pair(x - y) == repr(reference_sub(x, y))
+    assert pair(1 - y) == repr(reference_sub(RatFunc.const(1), y))
+    assert pair(x * y) == repr(reference_mul(x, y))
+    if yn:
+        assert pair(x / y) == repr(reference_div(x, y))
+    for p, q in ((xn, yn), (xn, yd), (xd, yd), (_pmul(xn, yd), _pmul(xd, yn))):
+        assert repr(_pgcd(p, q)) == repr(reference_pgcd(p, q))

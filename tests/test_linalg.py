@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from axial import matsuo_from_triple_system, solve_frobenius, universal_2gen
+from axial.errors import DimensionMismatch
 from axial.fields import QQ, PrimeField, RationalFunctions
 from axial.linalg import Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
 
@@ -185,6 +186,22 @@ def reference_solve(m, rhs):
     return x
 
 
+def reference_matmul(m, other):
+    zero = m.field.zero
+    out = []
+    for i in range(m.nrows):
+        row = []
+        for j in range(other.ncols):
+            acc = zero
+            for k in range(m.ncols):
+                a = m.rows[i][k]
+                if a:
+                    acc = acc + a * other.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return Matrix(m.field, out)
+
+
 F7 = PrimeField(7)
 QT = RationalFunctions("t")
 
@@ -232,6 +249,19 @@ class TestAgainstReference:
     def test_solve(self, m_rhs):
         m, rhs = m_rhs
         assert m.solve(rhs) == reference_solve(m, rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.integers(1, 5), st.data())
+    def test_matmul(self, m, ncols, data):
+        kind = next(k for k, f in FIELDS.items() if f == m.field)
+        rows = st.lists(FIELD_VALUES[kind], min_size=ncols, max_size=ncols)
+        other = Matrix(m.field, data.draw(st.lists(rows, min_size=m.ncols, max_size=m.ncols)))
+        got, ref = m @ other, reference_matmul(m, other)
+        assert (got.nrows, got.ncols) == (ref.nrows, ref.ncols) and got.rows == ref.rows
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(3)]])
 
 
 class TestEchelon:
