@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
 from .fields import integer_lift
-from .linalg import Echelon, Matrix, span_contains
+from .linalg import Coordinates, Matrix
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
 
@@ -204,21 +204,22 @@ class Subalgebra:
 
     ``basis`` is a list of parent elements; ``words`` records, per basis
     member, the generator word that produced it; ``induced`` is the algebra
-    the basis carries by restriction.
+    the basis carries by restriction; ``coordinates`` is the
+    ``linalg.Coordinates`` of the basis coefficient vectors.
     """
 
-    def __init__(self, parent, basis, words, induced):
+    def __init__(self, parent, basis, words, induced, coordinates):
         self.parent = parent
         self.basis = basis
         self.words = words
         self.induced = induced
+        self.coordinates = coordinates
         self.dim = len(basis)
-        self._basis_matrix = Matrix.from_columns(parent.field, [list(b.coeffs) for b in basis])
 
     def coords(self, element):
         """Coordinates of a parent element in the subalgebra basis, or None."""
-        sol = self._basis_matrix.solve(list(element.coeffs))
-        return None if sol is None else self.induced.element(sol)
+        c = self.coordinates.coords(element.coeffs)
+        return None if c is None else self.induced.element(c)
 
     def embed(self, element):
         """Map an induced-algebra element back into the parent."""
@@ -229,7 +230,7 @@ class Subalgebra:
         return acc
 
     def contains(self, element):
-        return span_contains(self.parent.field, [b.coeffs for b in self.basis], element.coeffs)
+        return self.coordinates.coords(element.coeffs) is not None
 
     def __repr__(self):
         return f"Subalgebra(dim={self.dim}, words={[_word_str(w) for w in self.words]})"
@@ -259,7 +260,7 @@ def generate_subalgebra(gens):
     if not gens:
         raise ValueError("empty generator list")
     parent = gens[0].algebra
-    span = Echelon(parent.field)
+    span = Coordinates(parent.field, parent.dim)
     basis = []
     words = []
 
@@ -290,23 +291,23 @@ def generate_subalgebra(gens):
 
     # order final basis by (word length, discovery index); discovery already
     # respects it because products only grow word length
-    induced = _induced_algebra(parent, basis, words)
-    return Subalgebra(parent, basis, words, induced)
+    structure = induced_structure(basis, span)
+    if structure is None:
+        raise AsymmetricStructure("span is not multiplicatively closed")  # unreachable
+    induced = Algebra(parent.field, [_word_str(w) for w in words], structure)
+    return Subalgebra(parent, basis, words, induced, span)
 
 
-def _induced_algebra(parent, basis, words):
-    field = parent.field
-    m = Matrix.from_columns(field, [list(b.coeffs) for b in basis])
+def induced_structure(basis, coordinates):
+    """Structure grid that the elements in basis carry by restriction, read
+    from the ``Coordinates`` of their coefficient vectors; None when a
+    product leaves their span."""
     n = len(basis)
-    structure = []
+    structure = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            prod = basis[i] * basis[j]
-            sol = m.solve(list(prod.coeffs))
-            if sol is None:
-                raise AsymmetricStructure("span is not multiplicatively closed")  # unreachable
-            row.append(tuple(sol))
-        structure.append(row)
-    names = [_word_str(w) for w in words]
-    return Algebra(field, names, structure)
+        for j in range(i, n):
+            c = coordinates.coords((basis[i] * basis[j]).coeffs)
+            if c is None:
+                return None
+            structure[i][j] = structure[j][i] = tuple(c)
+    return structure

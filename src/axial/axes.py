@@ -21,8 +21,8 @@ from .errors import (
     OrbitOverflow,
     SingularVandermonde,
 )
-from .linalg import Echelon, Matrix, minimal_polynomial
-from .fields import poly_divides, poly_is_squarefree, poly_trim
+from .linalg import Coordinates, Echelon, Matrix, minimal_polynomial
+from .fields import poly_divides, poly_is_squarefree
 
 __all__ = [
     "EigenData",
@@ -127,12 +127,6 @@ class AxisReport:
         return self.is_jordan_axis and self.primitive
 
 
-def _axis_cubic(field, lam):
-    """Coefficients of x(x-1)(x-lam) = lam*x - (1+lam)*x^2 + x^3."""
-    one = field.one
-    return (field.zero, lam, -(one + lam), one)
-
-
 def check_axis(a, lam):
     """Full certification record for the candidate a at target eigenvalue lam.
 
@@ -153,9 +147,8 @@ def check_axis(a, lam):
         )
     L = a.left_multiplication_matrix()
     mp = minimal_polynomial(L)
-    semisimple = poly_is_squarefree(field, mp)
-    cubic = _axis_cubic(field, lam)
-    divides = poly_divides(field, mp, cubic)
+    semisimple = poly_is_squarefree(mp)
+    divides = poly_divides(mp, _spectrum_polynomial(field, [lam]))
 
     # L^3 - (1+lam) L^2 + lam L = 0 as matrices
     L2 = L @ L
@@ -212,26 +205,24 @@ def check_fusion(a, lam, eigen=None):
 
 def _require_axis(a, eigenvalues_s):
     """a must be idempotent with minimal polynomial dividing x(x-1)*prod(x-mu)."""
-    field = a.algebra.field
     if not is_idempotent(a):
         raise NotAnAxis("not an idempotent")
-    L = a.left_multiplication_matrix()
-    mp = minimal_polynomial(L)
-    poly = (field.zero, field.one)  # x
-    poly = _poly_mul_linear(field, poly, field.one)  # x(x-1)
-    for mu in eigenvalues_s:
-        poly = _poly_mul_linear(field, poly, mu)
-    if not poly_divides(field, mp, poly):
+    mp = minimal_polynomial(a.left_multiplication_matrix())
+    if not poly_divides(mp, _spectrum_polynomial(a.algebra.field, eigenvalues_s)):
         raise NotAnAxis("operator is not annihilated by the expected spectrum polynomial")
 
 
-def _poly_mul_linear(field, p, root):
-    """p(x) * (x - root)."""
-    out = [field.zero] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] = out[i + 1] + c
-        out[i] = out[i] - root * c
-    return poly_trim(field, out)
+def _spectrum_polynomial(field, eigenvalues_s):
+    """Coefficients of x(x-1)*prod(x-mu) over mu in S, low degree first."""
+    poly = [field.zero, field.one]  # x
+    for root in [field.one, *eigenvalues_s]:
+        # poly(x) * (x - root); the product stays monic
+        out = [field.zero] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            out[i + 1] = out[i + 1] + c
+            out[i] = out[i] - root * c
+        poly = out
+    return tuple(poly)
 
 
 @dataclass
@@ -277,40 +268,23 @@ def component_recovery(a, y, eigenvalues_s):
 
     mus = [one] + S
     t = len(mus)
-    rows = []
-    for j in range(1, t + 1):
-        rows.append([_scalar_pow(field, mu, j) for mu in mus])
-    V = Matrix(field, rows)
+    # the columns (mu, mu^2, ..., mu^t) of V are independent: the mu are
+    # distinct and nonzero
+    vander = Coordinates(field, t, [[mu ** j for j in range(1, t + 1)] for mu in mus])
     powers = []
     cur = y
     for _ in range(t):
         cur = a * cur
-        powers.append(cur)
+        powers.append(cur.coeffs)
     # solve V * (y_1, y_mu...) = (Ly, L^2 y, ...) coordinatewise
-    n = a.algebra.dim
-    comps = [a.algebra.zero() for _ in range(t)]
-    for k in range(n):
-        rhs = [p.coeffs[k] for p in powers]
-        sol = V.solve(rhs)
-        if sol is None:
-            raise SingularVandermonde("power system is singular")
-        for i in range(t):
-            vec = list(comps[i].coeffs)
-            vec[k] = sol[i]
-            comps[i] = a.algebra.element(vec)
+    per_coord = [vander.coords(rhs) for rhs in zip(*powers)]
+    comps = [a.algebra.element(c) for c in zip(*per_coord)]
     y1 = comps[0]
     by_mu = {mu: comps[i + 1] for i, mu in enumerate(S)}
     y0 = y - y1
     for c in by_mu.values():
         y0 = y0 - c
     return Components(y1=y1, y0=y0, by_eigenvalue=by_mu)
-
-
-def _scalar_pow(field, mu, j):
-    acc = field.one
-    for _ in range(j):
-        acc = acc * mu
-    return acc
 
 
 @dataclass
@@ -423,12 +397,12 @@ def seress_check(a, lam):
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
     z01 = eigen.space_01()
+    z0s = [component_recovery(a, z, [lam]).y0 for z in z01]
     for y in A.basis():
-        cy = component_recovery(a, y, [lam])
-        for z in z01:
-            cz = component_recovery(a, z, [lam])
+        y0 = component_recovery(a, y, [lam]).y0
+        for z, z0 in zip(z01, z0s):
             lhs = a * (y * z)
-            rhs = (a * y) * z + a * (cy.y0 * cz.y0)
+            rhs = (a * y) * z + a * (y0 * z0)
             if lhs != rhs:
                 return False
     return True

@@ -28,7 +28,8 @@ except ImportError:  # pragma: no cover
     _rational = Fraction
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (low degree first, no trailing 0)
+# dense univariate polynomials over Fraction (low degree first, no trailing 0);
+# _ptrim and _pdivmod use only the value operators and serve every field
 # ---------------------------------------------------------------------------
 
 
@@ -37,7 +38,7 @@ _ONE = (Fraction(1),)
 
 def _ptrim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
@@ -76,14 +77,14 @@ def _pdivmod(p, q):
     r = list(_ptrim(p))
     d = len(q) - 1
     lead = q[-1]
-    quo = [Fraction(0)] * max(0, len(r) - d)
+    quo = [0 * lead] * max(0, len(r) - d)
     while r and len(r) - 1 >= d:
         c = r[-1] if lead == 1 else r[-1] / lead
         k = len(r) - 1 - d
         quo[k] = c
         for i in range(len(q)):
             r[k + i] -= c * q[i]
-        while r and r[-1] == 0:
+        while r and not r[-1]:
             r.pop()
     return _ptrim(quo), tuple(r)
 
@@ -927,57 +928,31 @@ def _poly_str(p, var):
 
 
 # ---------------------------------------------------------------------------
-# field-generic polynomial helpers (coefficients are field values)
+# field-generic polynomial helpers (coefficients are values of any field)
 # ---------------------------------------------------------------------------
 
 
-def poly_trim(field, p):
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return tuple(p)
-
-
-def poly_divmod(field, p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(poly_trim(field, p))
-    d = len(q) - 1
-    quo = [field.zero for _ in range(max(0, len(r) - d))]
-    while r and len(r) - 1 >= d:
-        c = r[-1] / q[-1]
-        k = len(r) - 1 - d
-        quo[k] = c
-        for i in range(len(q)):
-            r[k + i] = r[k + i] - c * q[i]
-        while r and not r[-1]:
-            r.pop()
-    return poly_trim(field, quo), tuple(r)
-
-
-def poly_gcd(field, p, q):
-    a, b = poly_trim(field, p), poly_trim(field, q)
+def poly_gcd(p, q):
+    """Monic gcd by the Euclidean algorithm; ``_pgcd`` is the fast path over Q."""
+    a, b = _ptrim(p), _ptrim(q)
     while b:
-        a, b = b, poly_divmod(field, a, b)[1]
-    if not a:
-        return ()
-    inv = field.one / a[-1]
-    return tuple(inv * c for c in a)
+        a, b = b, _pdivmod(a, b)[1]
+    return _pscale(1 / a[-1], a) if a else ()
 
 
-def poly_deriv(field, p):
-    return poly_trim(field, [field.from_int(i) * p[i] for i in range(1, len(p))])
+def poly_deriv(p):
+    return _ptrim([i * p[i] for i in range(1, len(p))])
 
 
-def poly_is_squarefree(field, p):
-    return len(poly_gcd(field, p, poly_deriv(field, p))) <= 1
+def poly_is_squarefree(p):
+    return len(poly_gcd(p, poly_deriv(p))) <= 1
 
 
-def poly_divides(field, p, q):
+def poly_divides(p, q):
     """True when p divides q."""
     if not p:
         return not q
-    return not poly_divmod(field, q, p)[1]
+    return not _pdivmod(q, p)[1]
 
 
 # ---------------------------------------------------------------------------

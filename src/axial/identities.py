@@ -942,16 +942,10 @@ def builtin_identity(name, field, lam=None):
             - (sq * x2) * x1
             - cube * x2
         )
-    if name == "ax1":
-        # E1(E1(E1 x1)) = (lam+1) E1(E1 x1) - lam E1 x1; composed recovery form
+    if name in ("ax1", "semisimpleSpectrum"):
+        # E1(E1(E1 x1)) = (lam+1) E1(E1 x1) - lam E1 x1, the composed recovery
+        # form, is L(L-1)(L-lam) x1 = 0 expanded
         return E1 * (E1 * (E1 * x1)) - (lam + one) * (E1 * (E1 * x1)) + lam * (E1 * x1)
-    if name == "semisimpleSpectrum":
-        # L(L-1)(L-lam) x1 = 0, expanded
-        return (
-            E1 * (E1 * (E1 * x1))
-            - (one + lam) * (E1 * (E1 * x1))
-            + lam * (E1 * x1)
-        )
     if name == "primitivityFrobenius":
         # lam E1 x1 + (1-lam) B(E1,x1) E1 - E1(E1 x1)
         return lam * (E1 * x1) + (one - lam) * (bracket(E1, x1) * E1) - E1 * (E1 * x1)

@@ -5,17 +5,20 @@ basis grown one sparse row at a time.  Arithmetic is exact, so no pivoting
 heuristics are needed, and the reduced basis depends only on the span of
 the rows added.  ``Matrix.rref`` reads the canonical reduced row-echelon
 form from it, and ``kernel``, ``solve`` and ``rank`` read theirs from
-``rref``; ``span_contains``, ``span_rank``, the membership tests elsewhere
-and ``solve_frobenius`` keep an ``Echelon`` of their own.  ``Matrix`` is
-dense, and ``det`` alone runs its own Gaussian elimination.
+``rref``; ``det`` multiplies the pivots its rows meet on the way in.
+``Coordinates`` writes vectors in a growing independent list through one
+``Echelon``, for ``minimal_polynomial``, subalgebra coordinates and the
+component recovery in ``axes``.  ``span_contains``, ``span_rank``, the
+membership tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of
+their own.  ``Matrix`` is dense.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .fields import poly_trim
 
 __all__ = [
+    "Coordinates",
     "Echelon",
     "Matrix",
     "rref",
@@ -87,6 +90,12 @@ class Echelon:
         r = self.reduce(row)
         if not r:
             return False
+        self._insert(r)
+        return True
+
+    def _insert(self, r):
+        """Make the nonzero remainder r of reduce a basis row: scale it to 1
+        at its first column and clear that column from the other rows."""
         p = min(r)
         inv = self.field.one / r[p]
         r = {c: inv * v for c, v in r.items()}
@@ -95,10 +104,51 @@ class Echelon:
             if f is not None:
                 _subtract(other, f, r)
         self.rows[p] = r
-        return True
 
     def contains(self, row):
         return not self.reduce(row)
+
+
+class Coordinates:
+    """Coordinates in a growing independent list of vectors of length n.
+
+    Vector i is kept in one ``Echelon`` as the row (v_i | e_i), with its 1 in
+    tag column n + i.  Pivots then fall in the first n columns only, and a
+    target t reduces to (0 | -c) exactly when t = sum c_i v_i; any entry
+    left in the first n columns means t is outside the span.
+    """
+
+    __slots__ = ("n", "size", "_ech")
+
+    def __init__(self, field, n, vectors=()):
+        self.n = n
+        self.size = 0
+        self._ech = Echelon(field)
+        for v in vectors:
+            self.add(v)
+
+    def _outside(self, r):
+        return bool(r) and min(r) < self.n
+
+    def add(self, v):
+        """Append v to the list; False, adding nothing, when v is already
+        in the span."""
+        r = self._ech.reduce(v)
+        if not self._outside(r):
+            return False
+        r[self.n + self.size] = self._ech.field.one
+        self._ech._insert(r)
+        self.size += 1
+        return True
+
+    def coords(self, t):
+        """[c_0, ..., c_{size-1}] with t = sum c_i v_i, or None when t is
+        outside the span."""
+        r = self._ech.reduce(t)
+        if self._outside(r):
+            return None
+        zero = self._ech.field.zero
+        return [-r[c] if c in r else zero for c in range(self.n, self.n + self.size)]
 
 
 class Matrix:
@@ -253,29 +303,29 @@ class Matrix:
         return x
 
     def det(self):
+        """Signed product of the pivots the rows meet entering an Echelon.
+
+        Reducing row i subtracts multiples of earlier rows, and leaves it
+        zero before its pivot column p_i and in every earlier pivot column.
+        So the remainders, with columns taken in the order p_0, p_1, ...,
+        form an upper triangular matrix of the same determinant up to the
+        sign of that column permutation.
+        """
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
+        ech = Echelon(self.field)
         det = self.field.one
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
+        order = []
+        for row in self.rows:
+            r = ech.reduce(row)
+            if not r:
                 return self.field.zero
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = self.field.one / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [b - f * p for b, p in zip(rows[i], rows[c])]
-        return det
+            p = min(r)
+            det = det * r[p]
+            order.append(p)
+            ech._insert(r)
+        inversions = sum(1 for i, p in enumerate(order) for q in order[:i] if q > p)
+        return -det if inversions % 2 else det
 
     def rank(self):
         return self.rref()[2]
@@ -299,22 +349,14 @@ def minimal_polynomial(m):
     if m.nrows != m.ncols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     field = m.field
-    n = m.nrows
-    if n == 0:
-        return (field.one,)
-    powers = [Matrix.identity(field, n)]
-    flat = [[e for row in powers[0].rows for e in row]]
-    while True:
-        nxt = powers[-1] @ m
-        target = [e for row in nxt.rows for e in row]
-        coeff_matrix = Matrix.from_columns(field, flat)
-        sol = coeff_matrix.solve(target)
-        if sol is not None:
-            # M^k = sum sol_i M^i  =>  minpoly = x^k - sum sol_i x^i
-            coeffs = [-c for c in sol] + [field.one]
-            return poly_trim(field, coeffs) or (field.one,)
-        powers.append(nxt)
-        flat.append(target)
+    powers = Coordinates(field, m.nrows * m.ncols)
+    power = Matrix.identity(field, m.nrows)
+    flat = [e for row in power.rows for e in row]
+    while powers.add(flat):
+        power = power @ m
+        flat = [e for row in power.rows for e in row]
+    # M^k = sum c_i M^i  =>  minpoly = x^k - sum c_i x^i
+    return tuple(-c for c in powers.coords(flat)) + (field.one,)
 
 
 def span_contains(field, span_vectors, target):

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import generate_subalgebra
+from .algebra import Algebra, generate_subalgebra, induced_structure
 from .axes import AxisReport, check_axis, is_idempotent
 from .errors import NotAxes, SelfCheckFailed, UnsupportedShape
 from .fields import QQ, RationalFunctions
 from .frobenius import BilinearForm
-from .linalg import Matrix, span_rank
+from .linalg import Coordinates, span_rank
 
 __all__ = [
     "PairClass",
@@ -132,8 +132,6 @@ def _lift_scalar(c, Qm):
 
 
 def _lift_algebra(A, Qm):
-    from .algebra import Algebra
-
     st = [
         [tuple(_lift_scalar(c, Qm) for c in cell) for cell in row]
         for row in A.structure
@@ -175,20 +173,10 @@ def _sigma_presentation(B, lam):
     if gamma is None or sigma * a != gamma * a or sigma * b != gamma * b or sigma * sigma != gamma * sigma:
         raise UnsupportedShape("sigma does not act as one scalar on a, b and itself")
     # change to the (a, b, sigma) basis
-    from .algebra import Algebra
-
-    cols = [list(a.coeffs), list(b.coeffs), list(sigma.coeffs)]
-    basis_m = Matrix.from_columns(field, cols)
-    new_elems = [a, b, sigma]
-    st = []
-    for x in new_elems:
-        row = []
-        for y in new_elems:
-            sol = basis_m.solve(list((x * y).coeffs))
-            if sol is None:
-                raise UnsupportedShape("(a, b, sigma) do not span the subalgebra")
-            row.append(tuple(sol))
-        st.append(row)
+    new_basis = [a, b, sigma]
+    st = induced_structure(new_basis, Coordinates(field, 3, [x.coeffs for x in new_basis]))
+    if st is None:
+        raise UnsupportedShape("(a, b, sigma) do not span the subalgebra")
     return Algebra(field, ["a", "b", "s"], st), gamma
 
 

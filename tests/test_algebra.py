@@ -2,9 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from axial import QQ, Algebra, generate_subalgebra, make_algebra
+from axial import (
+    QQ,
+    Algebra,
+    generate_subalgebra,
+    jordan_symmetric_matrices,
+    make_algebra,
+    matsuo_from_triple_system,
+    toric_euf,
+)
 from axial.errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
+from axial.linalg import Matrix
+
+from test_linalg import F7, FIELD_VALUES, QT, reference_solve
 
 HALF = Fraction(1, 2)
 
@@ -146,3 +158,47 @@ class TestUnit:
         z = Fraction(0)
         A = make_algebra(QQ, 2, ["x", "y"], [[[z, z], [z, z]], [[z, z], [z, z]]])
         assert A.unit() is None
+
+
+# ---------------------------------------------------------------------------
+# differential test against the k^2 solves that built the induced structure
+# and the coordinates before Coordinates
+# ---------------------------------------------------------------------------
+
+
+def reference_induced_structure(field, basis):
+    m = Matrix.from_columns(field, [list(b.coeffs) for b in basis])
+    return [[tuple(reference_solve(m, list((x * y).coeffs))) for y in basis] for x in basis]
+
+
+def _3c(field):
+    lam = field.one / field.from_int(2)
+    return matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), lam, field).algebra
+
+
+@pytest.fixture(scope="module")
+def algebras_by_field():
+    return {
+        "Q": [_3c(QQ), toric_euf(QQ).algebra, jordan_symmetric_matrices(3)],
+        "F7": [_3c(F7), toric_euf(F7).algebra],
+        "Qt": [_3c(QT), toric_euf(QT).algebra],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subalgebra_against_reference(algebras_by_field, data):
+    kind = data.draw(st.sampled_from(sorted(algebras_by_field)))
+    A = data.draw(st.sampled_from(algebras_by_field[kind]))
+    elements = st.lists(FIELD_VALUES[kind], min_size=A.dim, max_size=A.dim).map(A.element)
+    gens = data.draw(st.lists(elements, min_size=1, max_size=2))
+    assume(not all(g.is_zero() for g in gens))
+    sub = generate_subalgebra(gens)
+    assert sub.induced.structure == reference_induced_structure(A.field, sub.basis)
+    basis_m = Matrix.from_columns(A.field, [list(b.coeffs) for b in sub.basis])
+    # a random element is mostly outside a proper subalgebra
+    for t in (data.draw(elements), gens[0] * gens[-1] + sub.basis[-1], *A.basis()):
+        ref = reference_solve(basis_m, list(t.coeffs))
+        got = sub.coords(t)
+        assert (None if got is None else list(got.coeffs)) == ref
+        assert sub.contains(t) is (ref is not None)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axial import (
     QQ,
@@ -12,6 +13,7 @@ from axial import (
     eigen_decompose,
     infer_lambda,
     is_idempotent,
+    matsuo_from_triple_system,
     miyamoto,
     seress_check,
     toric_euf,
@@ -27,6 +29,7 @@ from axial.errors import (
 from axial.linalg import Matrix, span_contains
 
 from conftest import direct_sum
+from test_linalg import F7, FIELD_VALUES, reference_solve
 
 HALF = Fraction(1, 2)
 
@@ -362,3 +365,89 @@ class TestSeress:
 
         A = make_algebra(QQ, 1, ["b"], [[[Fraction(1)]]])
         assert seress_check(A.basis_element(0), HALF)
+
+    def test_non_jordan_axes(self):
+        from axial import make_algebra
+
+        o, z, h = Fraction(1), Fraction(0), HALF
+        # a x = 0 and x x = a: A_0 * A_0 leaves A_0, and only the a(y_0 z_0)
+        # term makes a(xx) = (ax)x + a(x_0 x_0) hold
+        A = make_algebra(QQ, 2, ["a", "x"], [[[o, z], [z, z]], [[z, z], [o, z]]])
+        assert not check_fusion(A.basis_element(0), HALF).jordan_a0
+        assert seress_check(A.basis_element(0), HALF)
+        # a w = w/2, a z = 0 and w z = a break A_0 * A_lam in A_lam; with
+        # y = w the identity reads a = a(wz) = (aw)z + a(w_0 z_0) = a/2
+        structure = [
+            [[o, z, z], [z, h, z], [z, z, z]],
+            [[z, h, z], [z, z, z], [o, z, z]],
+            [[z, z, z], [o, z, z], [z, z, z]],
+        ]
+        A = make_algebra(QQ, 3, ["a", "w", "z"], structure)
+        assert check_axis(A.basis_element(0), HALF).is_axis
+        assert not seress_check(A.basis_element(0), HALF)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the per-coordinate Vandermonde solves that
+# component_recovery ran before Coordinates
+# ---------------------------------------------------------------------------
+
+
+def reference_components(a, y, S):
+    A = a.algebra
+    field = A.field
+    mus = [field.one] + list(S)
+    t = len(mus)
+
+    def power(mu, j):
+        acc = field.one
+        for _ in range(j):
+            acc = acc * mu
+        return acc
+
+    V = Matrix(field, [[power(mu, j) for mu in mus] for j in range(1, t + 1)])
+    powers = []
+    cur = y
+    for _ in range(t):
+        cur = a * cur
+        powers.append(cur)
+    comps = [[field.zero] * A.dim for _ in range(t)]
+    for k in range(A.dim):
+        sol = reference_solve(V, [p.coeffs[k] for p in powers])
+        for i in range(t):
+            comps[i][k] = sol[i]
+    comps = [A.element(c) for c in comps]
+    parts = {mu: comps[i + 1] for i, mu in enumerate(S)}
+    y0 = y - comps[0]
+    for c in parts.values():
+        y0 = y0 - c
+    return comps[0], y0, parts
+
+
+@pytest.fixture(scope="module")
+def recovery_axes(mats3c, toric, h3):
+    half7 = F7.one / F7.from_int(2)
+    m3c7 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), half7, F7)
+    _torqe, generic = toric.symbolic_family()
+    return {
+        "Q": [(mats3c.axes[0], HALF), (toric.idempotent(2), HALF), (h3[0].basis_element(0), HALF)],
+        "F7": [(m3c7.axes[1], half7), (toric_euf(F7).idempotent(3), half7)],
+        "Qt": [(generic, generic.algebra.field.from_fraction(HALF))],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_component_recovery_against_reference(recovery_axes, data):
+    kind = data.draw(st.sampled_from(sorted(recovery_axes)))
+    a, lam = data.draw(st.sampled_from(recovery_axes[kind]))
+    A, field = a.algebra, a.algebra.field
+    extra = [field.from_int(k) for k in (3, -1, 5)]
+    if kind != "F7":  # 1/3 = 5 in F7
+        extra.append(field.one / field.from_int(3))
+    S = data.draw(st.lists(st.sampled_from(extra), min_size=1, max_size=2, unique=True)) + [lam]
+    S = data.draw(st.permutations(S))
+    y = A.element(data.draw(st.lists(FIELD_VALUES[kind], min_size=A.dim, max_size=A.dim)))
+    comp = component_recovery(a, y, S)
+    y1, y0, parts = reference_components(a, y, S)
+    assert (comp.y1, comp.y0, comp.by_eigenvalue) == (y1, y0, parts)

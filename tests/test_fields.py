@@ -11,6 +11,7 @@ from axial.fields import (
     RatFunc,
     RationalFunctions,
     _padd,
+    _pdivmod,
     _pgcd,
     _pmul,
     _pneg,
@@ -18,6 +19,9 @@ from axial.fields import (
     _sqrt_mod,
     field_from_json,
     parse_scalar,
+    poly_divides,
+    poly_gcd,
+    poly_is_squarefree,
 )
 
 
@@ -321,3 +325,21 @@ def test_ratfunc_ops_match_reference(xy):
         assert pair(x / y) == repr(reference_div(x, y))
     for p, q in ((xn, yn), (xn, yd), (xd, yd), (_pmul(xn, yd), _pmul(xd, yn))):
         assert repr(_pgcd(p, q)) == repr(reference_pgcd(p, q))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctions("t")], ids=["Q", "F7", "Qt"])
+def test_generic_poly_helpers(field):
+    """The one polynomial layer serves every field, with quotients in the
+    coefficients' type."""
+    def poly(*coeffs):
+        return tuple(field.from_int(k) for k in coeffs)
+
+    quo, rem = _pdivmod(poly(0, 0, 0, 1), poly(1, 0, 1))  # x^3 = x (x^2 + 1) - x
+    assert quo == poly(0, 1) and rem == poly(0, -1)
+    assert all(type(v) is type(field.one) for v in quo + rem)
+    p = poly(-2, 1, 1)  # (x - 1)(x + 2)
+    assert poly_divides(poly(-1, 1), p) and not poly_divides(p, poly(-1, 1))
+    # gcd((x - 1)(x + 2)^2, (x - 1)(x + 5)) = x - 1
+    assert poly_gcd(poly(-4, 0, 3, 1), poly(-5, 4, 1)) == poly(-1, 1)
+    assert poly_gcd(poly(3), ()) == poly(1)
+    assert poly_is_squarefree(p) and not poly_is_squarefree(poly(2, -3, 0, 1))  # (x - 1)^2 (x + 2)

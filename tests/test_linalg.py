@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from axial import matsuo_from_triple_system, solve_frobenius, universal_2gen
 from axial.errors import DimensionMismatch
 from axial.fields import QQ, PrimeField, RationalFunctions
-from axial.linalg import Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
+from axial.linalg import Coordinates, Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
 
 
 def qmat(rows):
@@ -294,6 +294,119 @@ class TestEchelon:
         ech = Echelon(QQ, [[Fraction(0)] * 3, {}])
         assert ech.rank == 0 and ech.contains([Fraction(0)] * 3)
         assert not ech.contains({1: Fraction(2)})
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Gaussian det and the minimal polynomial that
+# re-solved the whole power system at every power, both from before
+# Coordinates
+# ---------------------------------------------------------------------------
+
+
+def reference_det(m):
+    rows = [list(r) for r in m.rows]
+    n = m.nrows
+    det = m.field.one
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return m.field.zero
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = m.field.one / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [b - f * p for b, p in zip(rows[i], rows[c])]
+    return det
+
+
+def reference_minimal_polynomial(m):
+    field, n = m.field, m.nrows
+    if n == 0:
+        return (field.one,)
+    power = Matrix.identity(field, n)
+    flat = [[e for row in power.rows for e in row]]
+    while True:
+        power = power @ m
+        target = [e for row in power.rows for e in row]
+        sol = reference_solve(Matrix.from_columns(field, flat), target)
+        if sol is not None:
+            return tuple(-c for c in sol) + (field.one,)
+        flat.append(target)
+
+
+@st.composite
+def square_matrices(draw, max_n):
+    """Square matrices, a third of them made singular by a repeated row or
+    a row that is the sum of two others."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    n = draw(st.integers(0, max_n))
+    values = FIELD_VALUES[kind]
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 3 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        rows[k] = [a + b for a, b in zip(rows[i], rows[j])]
+    elif n >= 2 and draw(st.booleans()):
+        rows[1] = list(rows[0])
+    return Matrix(FIELDS[kind], rows)
+
+
+class TestDetAndMinimalPolynomial:
+    @settings(max_examples=120, deadline=None)
+    @given(square_matrices(max_n=5), st.randoms(use_true_random=False))
+    def test_det(self, m, rnd):
+        d = m.det()
+        assert d == reference_det(m)
+        # a row swap flips the sign, so the parity of the pivot order counts
+        if m.nrows >= 2:
+            i, j = rnd.sample(range(m.nrows), 2)
+            rows = list(m.rows)
+            rows[i], rows[j] = rows[j], rows[i]
+            assert Matrix(m.field, rows).det() == -d
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices(max_n=3))
+    def test_minimal_polynomial(self, m):
+        assert minimal_polynomial(m) == reference_minimal_polynomial(m)
+
+
+class TestCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(with_rhs=True), st.data())
+    def test_against_solve(self, m_rhs, data):
+        m, target = m_rhs
+        field, n = m.field, m.nrows
+        coords = Coordinates(field, n)
+        kept = []
+
+        def ref(t):
+            if not kept:
+                return None if any(t) else []
+            return reference_solve(Matrix.from_columns(field, kept), t)
+
+        for v in (m.column(j) for j in range(m.ncols)):
+            new = ref(v) is None
+            assert coords.add(v) is new
+            if new:
+                kept.append(v)
+        assert coords.size == len(kept)
+        # a random target is mostly outside the span
+        assert coords.coords(target) == ref(target)
+        kind = next(k for k, f in FIELDS.items() if f == field)
+        c = data.draw(st.lists(FIELD_VALUES[kind], min_size=len(kept), max_size=len(kept)))
+        inside = [sum((ci * v[r] for ci, v in zip(c, kept)), field.zero) for r in range(n)]
+        assert coords.coords(inside) == c
+
+    def test_empty_and_zero(self):
+        coords = Coordinates(QQ, 2)
+        assert not coords.add([Fraction(0), Fraction(0)])
+        assert coords.coords([Fraction(0), Fraction(0)]) == []
+        assert coords.coords([Fraction(1), Fraction(0)]) is None
+        assert coords.add([Fraction(1), Fraction(2)]) and not coords.add([Fraction(2), Fraction(4)])
+        assert coords.coords([Fraction(3), Fraction(6)]) == [3]
 
 
 def reference_frobenius(A, normalize_at):

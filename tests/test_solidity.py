@@ -14,9 +14,14 @@ from axial import (
     jordan_symmetric_matrices,
     matsuo_from_triple_system,
     solid_audit,
+    toric_euf,
     universal_2gen,
 )
 from axial.errors import NotAxes, UnsupportedShape
+from axial.solidity import _sigma_presentation
+
+from test_algebra import reference_induced_structure
+from test_linalg import F7, QT
 
 HALF = Fraction(1, 2)
 
@@ -241,3 +246,33 @@ class TestHardnessProbe:
         probe = hardness_probe(B, [toric.algebra.zero()], [toric.idempotent(1)])
         assert not probe.is_hard
         assert probe.idempotent_rank == 0 and probe.axis_rank == 1
+
+
+def _sigma_cases():
+    tor, tor7, torqt = toric_euf(), toric_euf(F7), toric_euf(QT)
+    h3 = jordan_symmetric_matrices(3)
+    half7 = F7.one / F7.from_int(2)
+    cases = [((tor.idempotent(1), tor.idempotent(2)), HALF),
+             ((tor7.idempotent(1), tor7.idempotent(3)), half7),
+             ((torqt.idempotent(QT.variable()), torqt.idempotent(2)), QT.from_fraction(HALF)),
+             ((h3.basis_element(0), h3.element([HALF, HALF, 0, HALF, 0, 0])), HALF)]
+    for field, lam in ((QQ, HALF), (F7, half7)):
+        m3c = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), lam, field)
+        cases.append((m3c.axes[:2], lam))
+    for pi in (Fraction(0), Fraction(1, 8), Fraction(2)):
+        cases.append((universal_2gen(HALF, pi).axes, HALF))
+    cases.append((universal_2gen(HALF, Fraction(1, 3), field=F7).axes, half7))
+    cases.append((universal_2gen(Fraction(1, 3), Fraction(1, 6)).axes, Fraction(1, 3)))
+    return cases
+
+
+def test_sigma_presentation_against_reference():
+    """The (a, b, sigma) structure matches the k^2 solves it was built from
+    before Coordinates."""
+    for gens, lam in _sigma_cases():
+        B = generate_subalgebra(list(gens))
+        P, gamma = _sigma_presentation(B, lam)
+        a, b, ab = B.induced.basis()
+        sigma = ab - lam * a - lam * b
+        assert P.structure == reference_induced_structure(B.induced.field, [a, b, sigma])
+        assert sigma * a == gamma * a
