@@ -69,6 +69,24 @@ class Algebra:
             self._integer_grid = (table, d)
         return self._integer_grid
 
+    def product(self, x, y):
+        """The product of two coefficient tuples, as a coefficient tuple."""
+        out = [self.field.zero] * self.dim
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            row = self._sparse[i]
+            for j, yj in enumerate(y):
+                if not yj:
+                    continue
+                c = xi * yj
+                units, others = row[j]
+                for k in units:
+                    out[k] = out[k] + c
+                for k, s in others:
+                    out[k] = out[k] + c * s
+        return tuple(out)
+
     def element(self, coeffs):
         return Element(self, coeffs)
 
@@ -158,21 +176,7 @@ class Element:
             return Element(self.algebra, [a * other for a in self.coeffs])
         self._same(other)
         A = self.algebra
-        out = [A.field.zero] * A.dim
-        for i, xi in enumerate(self.coeffs):
-            if not xi:
-                continue
-            row = A._sparse[i]
-            for j, yj in enumerate(other.coeffs):
-                if not yj:
-                    continue
-                c = xi * yj
-                units, others = row[j]
-                for k in units:
-                    out[k] = out[k] + c
-                for k, s in others:
-                    out[k] = out[k] + c * s
-        return Element(A, out)
+        return Element(A, A.product(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.algebra == other.algebra and self.coeffs == other.coeffs

@@ -117,6 +117,7 @@ class AxisReport:
     fusion: FusionVerdicts | None
     miyamoto_is_automorphism: bool | None
     eigen: EigenData | None = dfield(default=None, repr=False)
+    miyamoto: MiyamotoMap | None = dfield(default=None, repr=False)
 
     @property
     def is_jordan_axis(self):
@@ -160,15 +161,16 @@ def check_axis(a, lam):
     is_axis = divides and eigen.complete
     primitive = is_axis and eigen.dim_of(field.one) == 1
     fusion = None
-    miy_auto = None
+    tau = None
     if is_axis:
         fusion = check_fusion(a, lam, eigen)
-        miy_auto = miyamoto(a, lam, _eigen=eigen).is_automorphism
+        tau = miyamoto(a, lam, _eigen=eigen)
     return AxisReport(
         element=a, lam=lam, is_idempotent=True,
         spectrum=tuple(eigen.eigenvalues), semisimple=semisimple,
         is_axis=is_axis, primitive=primitive, ax1_holds=ax1,
-        fusion=fusion, miyamoto_is_automorphism=miy_auto, eigen=eigen,
+        fusion=fusion, miyamoto_is_automorphism=None if tau is None else tau.is_automorphism,
+        eigen=eigen, miyamoto=tau,
     )
 
 
@@ -245,8 +247,14 @@ def component_recovery(a, y, eigenvalues_s):
     with matrix (mu_i^j) over mu in {1} + S, inverted exactly; y_0 is the
     remainder y - y_1 - sum y_mu.
     """
-    field = a.algebra.field
     S = list(eigenvalues_s)
+    _check_recovery_spectrum(a.algebra.field, S)
+    _require_axis(a, S)
+    return _recover_components(a, y, S)
+
+
+def _check_recovery_spectrum(field, S):
+    """The power system is solvable only for distinct eigenvalues outside {0, 1}."""
     seen = set()
     for mu in S:
         if mu == field.zero or mu == field.one:
@@ -254,8 +262,11 @@ def component_recovery(a, y, eigenvalues_s):
         if mu in seen:
             raise SingularVandermonde("repeated eigenvalue in S")
         seen.add(mu)
-    _require_axis(a, S)
 
+
+def _recover_components(a, y, S):
+    """component_recovery for an axis a already certified for the spectrum S."""
+    field = a.algebra.field
     one = field.one
     if len(S) == 1:
         lam = S[0]
@@ -359,15 +370,17 @@ def axis_orbit(axes, lam, max_size=1000):
         raise ValueError("empty axis list")
     members = []
     keys = set()
+    maps = {}
     for a in axes:
-        if not miyamoto(a, lam).is_automorphism:
+        tau = miyamoto(a, lam)
+        if not tau.is_automorphism:
             raise NotAnAxis("input Miyamoto map is not an automorphism")
         if a.coeffs not in keys:
             keys.add(a.coeffs)
             members.append(a)
+            maps[a.coeffs] = tau
     if len(members) > max_size:
         raise OrbitOverflow(f"more inputs than the cap {max_size}", partial=members)
-    maps = {}
     changed = True
     while changed:
         changed = False
@@ -396,10 +409,11 @@ def seress_check(a, lam):
     eigen = eigen_decompose(a)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
+    _check_recovery_spectrum(A.field, [lam])
     z01 = eigen.space_01()
-    z0s = [component_recovery(a, z, [lam]).y0 for z in z01]
+    z0s = [_recover_components(a, z, [lam]).y0 for z in z01]
     for y in A.basis():
-        y0 = component_recovery(a, y, [lam]).y0
+        y0 = _recover_components(a, y, [lam]).y0
         for z, z0 in zip(z01, z0s):
             lhs = a * (y * z)
             rhs = (a * y) * z + a * (y0 * z0)

@@ -42,7 +42,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (_Usage, SchemaError, ScalarParseError, BadLambda, FieldTooLarge, FileNotFoundError) as exc:
+    except (_Usage, SchemaError, ScalarParseError, BadLambda, FieldTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AxialError as exc:
@@ -95,11 +95,15 @@ def _load_algebra(args):
     return io.load_algebra(args.algebra)
 
 
-def _parse_element(A, text):
+def _parse_json(text, what):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _Usage(f"element must be a JSON array of scalar strings: {exc}") from exc
+        raise _Usage(f"{what}: {exc}") from exc
+
+
+def _parse_element(A, text):
+    doc = _parse_json(text, "element must be a JSON array of scalar strings")
     if isinstance(doc, list):
         doc = [str(x) for x in doc]
     return io.element_from_json(doc, A)
@@ -115,7 +119,7 @@ def _parse_lambda(A, text):
 def _load_form(args, A):
     if getattr(args, "form", None):
         with open(args.form) as fh:
-            return io.form_from_json(json.load(fh), A)
+            return io.form_from_json(_parse_json(fh.read(), "form file is not JSON"), A)
     return None
 
 
@@ -133,7 +137,7 @@ def _solved_normal_form(A, axes):
 
 @_timed
 def _cmd_construct(args):
-    field = field_from_json(json.loads(args.field)) if args.field else QQ
+    field = field_from_json(_parse_json(args.field, "--field is not JSON")) if args.field else QQ
     if args.kind == "toric":
         tor = constructions.toric_euf(field)
         A, extra = tor.algebra, {"form": io.form_to_json(tor.form)}
@@ -156,8 +160,8 @@ def _cmd_construct(args):
         ma = constructions.matsuo_from_triple_system(ts, field.parse(args.lam), field)
         A, extra = ma.algebra, {"form": io.form_to_json(ma.form)}
     elif args.kind == "jordan-sym":
-        if args.k is None:
-            raise _Usage("jordan-sym requires --k")
+        if args.k is None or args.k < 2:
+            raise _Usage("jordan-sym requires --k of at least 2")
         A = constructions.jordan_symmetric_matrices(args.k, field)
         extra = {"form": io.form_to_json(constructions.trace_form(A))}
     else:  # pragma: no cover - argparse restricts choices
@@ -369,7 +373,15 @@ def _cmd_orbit(args):
     A = _load_algebra(args)
     lam = _parse_lambda(A, args.lam)
     axes = [_parse_element(A, t) for t in args.axis]
-    cap = args.max_size or int(os.environ.get("AXIAL_MAX_ORBIT", "1000"))
+    cap = args.max_size
+    if cap is None:
+        text = os.environ.get("AXIAL_MAX_ORBIT", "1000")
+        try:
+            cap = int(text)
+        except ValueError:
+            raise _Usage(f"AXIAL_MAX_ORBIT must be an integer, got {text!r}") from None
+    if cap < 1:
+        raise _Usage(f"the orbit cap must be at least 1, got {cap}")
     try:
         orbit = axis_orbit(axes, lam, max_size=cap)
     except OrbitOverflow as exc:
@@ -485,7 +497,7 @@ def _build_parser():
     sp = sub.add_parser("orbit", help="Miyamoto closure of a set of axes")
     common(sp, lam=True)
     sp.add_argument("--axis", action="append", required=True, help="ELEMENT_JSON (repeatable)")
-    sp.add_argument("--max-size", type=int, help="cap (default AXIAL_MAX_ORBIT or 1000)")
+    sp.add_argument("--max-size", type=int, help="cap, at least 1 (default AXIAL_MAX_ORBIT or 1000)")
     sp.set_defaults(handler=_cmd_orbit)
 
     sp = sub.add_parser("audit-trace", help="weak trace-admissibility audit")

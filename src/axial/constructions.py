@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Algebra
-from .axes import check_axis, miyamoto
+from .axes import check_axis
 from .errors import BadLambda, InvalidTripleSystem, SelfCheckFailed
 from .fields import QQ, RationalFunctions
 from .frobenius import BilinearForm, solve_frobenius
@@ -297,7 +297,7 @@ def matsuo_from_triple_system(ts, lam, field=QQ):
         rep = check_axis(axes[i], lam)
         if not rep.is_primitive_jordan_axis:
             raise SelfCheckFailed(f"point {p} is not a primitive Jordan-type axis")
-        tau = miyamoto(axes[i], lam)
+        tau = rep.miyamoto
         for j, q in enumerate(ts.points):
             im = tau.apply(axes[j])
             if im.coeffs not in point_coeffs:

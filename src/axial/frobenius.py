@@ -30,14 +30,13 @@ __all__ = [
 
 
 class BilinearForm:
-    def __init__(self, algebra, gram, check=True):
+    def __init__(self, algebra, gram):
         self.algebra = algebra
         self.gram = gram if isinstance(gram, Matrix) else Matrix(algebra.field, gram)
         if self.gram.nrows != algebra.dim or self.gram.ncols != algebra.dim:
             raise DimensionMismatch("Gram matrix does not match the algebra dimension")
-        if check:
-            self._check_symmetric()
-            self._check_associative()
+        self._check_symmetric()
+        self._check_associative()
         self._integer_gram = None
 
     def integer_gram(self):
@@ -76,16 +75,21 @@ class BilinearForm:
                 acc = acc + c * self.gram.rows[m][k]
         return acc
 
-    def value(self, x, y):
+    def pair(self, x, y):
+        """The form on two coefficient tuples."""
         acc = self.algebra.field.zero
         g = self.gram.rows
-        for i, xi in enumerate(x.coeffs):
+        for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y.coeffs):
+            gi = g[i]
+            for j, yj in enumerate(y):
                 if yj:
-                    acc = acc + xi * yj * g[i][j]
+                    acc = acc + xi * yj * gi[j]
         return acc
+
+    def value(self, x, y):
+        return self.pair(x.coeffs, y.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.algebra == other.algebra and self.gram == other.gram

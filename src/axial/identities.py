@@ -102,6 +102,19 @@ def _bracket_key(t1, t2):
     return (t1, t2) if _tkey(t1) <= _tkey(t2) else (t2, t1)
 
 
+def _sorted_brackets(brackets):
+    return tuple(sorted(brackets, key=lambda b: (_tkey(b[0]), _tkey(b[1]))))
+
+
+def _accumulate(acc, key, c):
+    """Add c to acc[key] in place; a sum that cancels drops the key."""
+    s = acc[key] + c if key in acc else c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 # monomial key = (brackets, body); brackets a sorted tuple of bracket pairs,
 # body a tree or None
 
@@ -158,9 +171,7 @@ class GenPoly:
 
     @classmethod
     def monomial(cls, field, coeff, brackets, body):
-        if not coeff:
-            return cls(field)
-        return cls(field, {(tuple(sorted(brackets, key=lambda b: (_tkey(b[0]), _tkey(b[1])))), body): coeff})
+        return cls(field, {(_sorted_brackets(brackets), body): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -169,14 +180,10 @@ class GenPoly:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.terms)
+        acc = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, self.field.zero) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return GenPoly(self.field, out)
+            _accumulate(acc, key, c)
+        return GenPoly(self.field, acc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -204,10 +211,7 @@ class GenPoly:
                     body = b1
                 else:
                     body = _node(b1, b2)
-                brackets = tuple(sorted(br1 + br2, key=lambda b: (_tkey(b[0]), _tkey(b[1]))))
-                key = (brackets, body)
-                s = acc.get(key, self.field.zero) + c1 * c2
-                acc[key] = s
+                _accumulate(acc, (_sorted_brackets(br1 + br2), body), c1 * c2)
         return GenPoly(self.field, acc)
 
     def _compat(self, other):
@@ -283,16 +287,13 @@ def e_slot(field, i):
 def bracket(f, g):
     """Scalar bracket factor B(f, g), bilinear in both element arguments."""
     f._compat(g)
-    field = f.field
-    out = GenPoly(field)
+    acc = {}
     for (br1, b1), c1 in f.terms.items():
         for (br2, b2), c2 in g.terms.items():
             if b1 is None or b2 is None:
                 raise ValueError("bracket arguments must be element-valued")
-            key = (tuple(sorted(br1 + br2 + (_bracket_key(b1, b2),),
-                                key=lambda b: (_tkey(b[0]), _tkey(b[1])))), None)
-            out = out + GenPoly(field, {key: c1 * c2})
-    return out
+            _accumulate(acc, (_sorted_brackets(br1 + br2 + (_bracket_key(b1, b2),)), None), c1 * c2)
+    return GenPoly(f.field, acc)
 
 
 def format_poly(f):
@@ -322,16 +323,15 @@ def _substitute_choices(poly, leaf, alternatives):
     alternatives is a list of (coeff, replacement_leaf); the result is the
     multilinear expansion of substituting their formal sum.
     """
-    field = poly.field
-    out = GenPoly(field)
+    acc = {}
     for key, coeff in poly.terms.items():
         d = _mono_degree(key, leaf)
         if d == 0:
-            out = out + GenPoly(field, {key: coeff})
+            _accumulate(acc, key, coeff)
             continue
+        brackets, body = key
         for choice in itertools.product(range(len(alternatives)), repeat=d):
             feed = iter([alternatives[c][1] for c in choice])
-            brackets, body = key
             new_brs = tuple(
                 _bracket_key(_rebuild_with(a, leaf, feed), _rebuild_with(b, leaf, feed))
                 for a, b in brackets
@@ -340,8 +340,8 @@ def _substitute_choices(poly, leaf, alternatives):
             c = coeff
             for ci in choice:
                 c = alternatives[ci][0] * c
-            out = out + GenPoly.monomial(field, c, new_brs, new_body)
-    return out
+            _accumulate(acc, (_sorted_brackets(new_brs), new_body), c)
+    return GenPoly(poly.field, acc)
 
 
 def linearize_step(f, j, fresh):
@@ -359,14 +359,13 @@ def linearize_step(f, j, fresh):
     return both - f - swapped
 
 
-def full_linearize(f, j, fresh_start=None):
+def full_linearize(f, j):
     """Iterate the X_j step until every monomial is linear in X_j.
 
     Intended for polynomials homogeneous in X_j (each catalog identity is);
     the fresh indices used are returned alongside the result.
     """
-    used = f.x_indices()
-    nxt = fresh_start if fresh_start is not None else (max(used, default=0) + 1)
+    nxt = max(f.x_indices(), default=0) + 1
     introduced = []
     cur = f
     leaf = ("X", j)
@@ -421,61 +420,27 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if isinstance(A.field, Rationals):
         return _evaluate_rational(f, assign_x, assign_e, form, A)
 
-    # hot path: work on raw coefficient tuples with subtree and bracket caches
-    field = A.field
-    zero = field.zero
-    n = A.dim
-    sparse = A._sparse
-    cache = {}
-    for j, v in assign_x.items():
-        cache[("X", j)] = v.coeffs
-    for i, v in assign_e.items():
-        cache[("E", i)] = v.coeffs
+    # hot path: raw coefficient tuples with subtree and bracket caches
+    cache = {("X", j): v.coeffs for j, v in assign_x.items()}
+    cache.update((("E", i), v.coeffs) for i, v in assign_e.items())
 
     def ev(t):
         val = cache.get(t)
-        if val is not None:
-            return val
-        x, y = ev(t[1]), ev(t[2])
-        out = [zero] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = sparse[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                units, others = row[j]
-                for k in units:
-                    out[k] = out[k] + c
-                for k, s in others:
-                    out[k] = out[k] + c * s
-        val = tuple(out)
-        cache[t] = val
+        if val is None:
+            val = cache[t] = A.product(ev(t[1]), ev(t[2]))
         return val
 
-    gram = form.gram.rows if form is not None else None
     bcache = {}
 
     def brval(t1, t2):
         key = (t1, t2)
         val = bcache.get(key)
-        if val is not None:
-            return val
-        x, y = ev(t1), ev(t2)
-        acc = zero
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            gi = gram[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    acc = acc + xi * yj * gi[j]
-        bcache[key] = acc
-        return acc
+        if val is None:
+            val = bcache[key] = form.pair(ev(t1), ev(t2))
+        return val
 
-    total = [zero] * n
+    n = A.dim
+    total = [A.field.zero] * n
     for (brackets, body), coeff in f.terms.items():
         if body is None:
             raise MissingForm("monomial has no element-valued body")
@@ -582,12 +547,8 @@ class IdentityVerdict:
     method: str
 
 
-def _multideg(key, xvars):
-    return tuple(_mono_degree(key, ("X", j)) for j in xvars)
-
-
 def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200000,
-                      distinct_slots=False, _rng_seed=0):
+                      distinct_slots=False):
     """Decide whether f vanishes for all elements (X) and pool idempotents (E).
 
     Over an infinite field (and over F_p with p larger than every variable
@@ -607,6 +568,7 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200
     for p in idempotent_pool:
         if not (p * p == p):
             raise NotIdempotent("pool contains a non-idempotent")
+    e_options = _slot_assignments(idempotent_pool, evars, distinct_slots)
     xvars = f.x_indices()
     maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
 
@@ -617,85 +579,70 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200
             raise FieldTooSmall(
                 f"degree {maxdeg} >= |F| = {field.size} and exhaustion costs {cost} > {exhaustive_budget}"
             )
-        return _exhaustive_check(f, A, idempotent_pool, form, distinct_slots)
+        vectors = [A.element(v) for v in itertools.product(field.elements(), repeat=A.dim)]
+        witness = _first_nonzero(f, A, form, e_options, vectors)
+        return IdentityVerdict(holds=witness is None, witness=witness, method="exhaustive-field")
 
     # split into multihomogeneous components in the X variables
     components = {}
     for key, coeff in f.terms.items():
-        components.setdefault(_multideg(key, xvars), GenPoly(field))
-    for key, coeff in f.terms.items():
-        deg = _multideg(key, xvars)
-        components[deg] = components[deg] + GenPoly(field, {key: coeff})
+        components.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
 
     basis = A.basis()
-    for comp in components.values():
-        g = comp
+    for terms in components.values():
+        g = GenPoly(field, terms)
         for j in xvars:
             if g.degree_in_x(j) > 1:
                 g, _ = full_linearize(g, j)
-        gvars = g.x_indices()
-        for e_assign in _slot_assignments(idempotent_pool, len(evars), distinct_slots):
-            amap = dict(zip(evars, e_assign))
-            for tup in itertools.product(basis, repeat=len(gvars)):
-                xmap = dict(zip(gvars, tup))
-                val = evaluate(g, xmap, amap, form=form, algebra=A, check_idempotents=False)
-                if not val.is_zero():
-                    witness = _find_witness(f, A, idempotent_pool, form, _rng_seed, distinct_slots)
-                    return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
+        if _first_nonzero(g, A, form, e_options, basis) is not None:
+            witness = _find_witness(f, A, form, e_options, basis)
+            return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")
 
 
-def _slot_assignments(pool, n, distinct):
+def _slot_assignments(pool, evars, distinct):
+    """Every assignment of pool members to the E slots, as a list of dicts."""
     if distinct:
-        return itertools.permutations(pool, n)
-    return itertools.product(pool, repeat=n)
+        choices = itertools.permutations(pool, len(evars))
+    else:
+        choices = itertools.product(pool, repeat=len(evars))
+    return [dict(zip(evars, choice)) for choice in choices]
 
 
-def _exhaustive_check(f, A, pool, form, distinct_slots=False):
-    field = A.field
+def _first_nonzero(f, A, form, e_options, values):
+    """The first assignment, E slots outermost and X values from values, at
+    which f does not vanish, as a witness dict; None when there is none."""
     xvars = f.x_indices()
-    evars = f.e_indices()
-    scalars = list(field.elements())
-    vectors = [A.element(v) for v in itertools.product(scalars, repeat=A.dim)]
-    for e_assign in _slot_assignments(pool, len(evars), distinct_slots):
-        amap = dict(zip(evars, e_assign))
-        for tup in itertools.product(vectors, repeat=len(xvars)):
+    for amap in e_options:
+        for tup in itertools.product(values, repeat=len(xvars)):
             xmap = dict(zip(xvars, tup))
-            val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
-            if not val.is_zero():
-                return IdentityVerdict(
-                    holds=False,
-                    witness={"x": xmap, "e": amap},
-                    method="exhaustive-field",
-                )
-    return IdentityVerdict(holds=True, witness=None, method="exhaustive-field")
-
-
-def _find_witness(f, A, pool, form, seed, distinct_slots=False):
-    """A concrete falsifying assignment for f itself (not its components)."""
-    field = A.field
-    xvars = f.x_indices()
-    evars = f.e_indices()
-    basis = A.basis()
-    pools = list(pool)
-    for e_assign in _slot_assignments(pools, len(evars), distinct_slots):
-        amap = dict(zip(evars, e_assign))
-        for tup in itertools.product(basis, repeat=len(xvars)):
-            xmap = dict(zip(xvars, tup))
-            val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
-            if not val.is_zero():
+            if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
                 return {"x": xmap, "e": amap}
-    rng = random.Random(seed)
-    e_options = list(_slot_assignments(pools, len(evars), distinct_slots))
+    return None
+
+
+def _random_assignment(A, rng, xvars, evars, e_options, bound):
+    """X values with integer coordinates in [-bound, bound], drawn in xvars
+    order, then one draw of an E assignment when there are E slots."""
+    field = A.field
+    xmap = {
+        j: A.element([field.from_int(rng.randint(-bound, bound)) for _ in range(A.dim)])
+        for j in xvars
+    }
+    amap = e_options[rng.randrange(len(e_options))] if evars else {}
+    return xmap, amap
+
+
+def _find_witness(f, A, form, e_options, basis):
+    """A concrete falsifying assignment for f itself (not its components)."""
+    witness = _first_nonzero(f, A, form, e_options, basis)
+    if witness is not None:
+        return witness
+    xvars, evars = f.x_indices(), f.e_indices()
+    rng = random.Random(0)
     for attempt in range(5000):
-        bound = 3 + attempt // 500
-        xmap = {
-            j: A.element([field.from_int(rng.randint(-bound, bound)) for _ in range(A.dim)])
-            for j in xvars
-        }
-        amap = dict(zip(evars, e_options[rng.randrange(len(e_options))])) if evars else {}
-        val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
-        if not val.is_zero():
+        xmap, amap = _random_assignment(A, rng, xvars, evars, e_options, 3 + attempt // 500)
+        if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
             return {"x": xmap, "e": amap}
     return None
 
@@ -707,21 +654,14 @@ def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, co
     Substitutes elements with integer coefficients in [-coeff_range,
     coeff_range] for the X variables and pool members for the E slots.
     """
-    field = A.field
-    xvars = f.x_indices()
-    evars = f.e_indices()
+    xvars, evars = f.x_indices(), f.e_indices()
     if evars and not idempotent_pool:
         raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
-    e_options = list(_slot_assignments(list(idempotent_pool), len(evars), distinct_slots))
+    e_options = _slot_assignments(idempotent_pool, evars, distinct_slots)
     rng = random.Random(seed)
     for _ in range(samples):
-        xmap = {
-            j: A.element([field.from_int(rng.randint(-coeff_range, coeff_range)) for _ in range(A.dim)])
-            for j in xvars
-        }
-        amap = dict(zip(evars, e_options[rng.randrange(len(e_options))])) if evars else {}
-        val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
-        if not val.is_zero():
+        xmap, amap = _random_assignment(A, rng, xvars, evars, e_options, coeff_range)
+        if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
             return IdentityVerdict(holds=False, witness={"x": xmap, "e": amap}, method="sampled")
     return IdentityVerdict(holds=True, witness=None, method="sampled")
 

@@ -291,7 +291,7 @@ class SolidityReport:
         return "solid" if self.solid_jordan else ("solid-primitive-only" if self.solid else "notSolid")
 
 
-def solid_audit(A, a, b, form, lam, sample_eps=(), audit_trivial=False):
+def solid_audit(A, a, b, form, lam, sample_eps=()):
     """Audit every idempotent of <<a, b>> for primitive Jordan-type axishood.
 
     The one-parameter family (lam = 1/2) is checked once symbolically over
@@ -322,13 +322,11 @@ def solid_audit(A, a, b, form, lam, sample_eps=(), audit_trivial=False):
     witness = None
     for x in candidates:
         trivial = x.is_zero() or (unit is not None and x == unit)
-        if trivial and not audit_trivial:
+        if trivial:
             reports.append((x, None, True))
             continue
         rep = check_axis(x, lam)
-        reports.append((x, rep, trivial))
-        if trivial:
-            continue
+        reports.append((x, rep, False))
         ok_prim = rep.is_axis and rep.primitive
         ok_jordan = rep.is_primitive_jordan_axis
         if not ok_prim:

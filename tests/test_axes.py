@@ -99,6 +99,7 @@ class TestCheckAxis:
         assert rep.ax1_holds
         assert rep.fusion.all_jordan
         assert rep.miyamoto_is_automorphism
+        assert rep.miyamoto.matrix == miyamoto(mats3c.axes[0], HALF).matrix
 
     def test_toric_family_member(self, toric):
         rep = check_axis(toric.idempotent(3), HALF)
@@ -108,7 +109,7 @@ class TestCheckAxis:
         rep = check_axis(toric.e, HALF)
         assert not rep.is_idempotent
         assert not rep.is_axis and not rep.primitive and not rep.ax1_holds
-        assert rep.fusion is None and rep.miyamoto_is_automorphism is None
+        assert rep.fusion is None and rep.miyamoto_is_automorphism is None and rep.miyamoto is None
 
     def test_bad_lambda(self, mats3c):
         with pytest.raises(BadLambda):
@@ -385,6 +386,17 @@ class TestSeress:
         A = make_algebra(QQ, 3, ["a", "w", "z"], structure)
         assert check_axis(A.basis_element(0), HALF).is_axis
         assert not seress_check(A.basis_element(0), HALF)
+
+    def test_rejections(self, mats3c, toric):
+        # lam in {0, 1}: an axis with a 1/2-eigenvector fails the spectrum
+        # test, one with spectrum in {0, 1} reaches the recovery system
+        for lam in (Fraction(0), Fraction(1)):
+            with pytest.raises(NotAnAxis):
+                seress_check(mats3c.axes[0], lam)
+            with pytest.raises(SingularVandermonde):
+                seress_check(toric.u, lam)
+        with pytest.raises(NotAnAxis):
+            seress_check(toric.e, HALF)
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,28 @@ class TestCliPipeline:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+ORBIT_3C = ["orbit", "--algebra", "{alg}", "--lambda", "1/2", "--axis", '["1","0","0"]']
+USAGE_ERRORS = {
+    "field-not-json": (["construct", "toric", "--field", "notjson"], {}),
+    "form-not-json": (["radical", "--algebra", "{alg}", "--form", "{bad}"], {}),
+    "algebra-is-directory": (["check-axis", "--algebra", "{dir}", "--element", '["1","0","0"]',
+                              "--lambda", "1/2"], {}),
+    "jordan-sym-k1": (["construct", "jordan-sym", "--k", "1"], {}),
+    "env-cap-not-int": (ORBIT_3C, {"AXIAL_MAX_ORBIT": "abc"}),
+    "max-size-zero": (ORBIT_3C + ["--max-size", "0"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit2_without_traceback(case, alg3c_path, tmp_path, monkeypatch, capsys):
+    argv, env = USAGE_ERRORS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    capsys.readouterr()
+    assert main([a.format(alg=alg3c_path, bad=bad, dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from axial.errors import (
     UnboundVariable,
     UnknownIdentity,
 )
-from axial.identities import BUILTIN_NAMES, GenPoly, bracket, e_slot, x_var
+from axial.identities import BUILTIN_NAMES, GenPoly, IdentityVerdict, _mono_degree, bracket, e_slot, x_var
 
 HALF = Fraction(1, 2)
 
@@ -384,3 +385,157 @@ class TestSampledOracle:
         v = sample_identity(f, A, idempotent_pool=[a, b], form=form, samples=50,
                             distinct_slots=True)
         assert not v.holds and v.method == "sampled"
+
+
+# ---------------------------------------------------------------------------
+# the witness search as it ran before _first_nonzero and _random_assignment:
+# the identity decision, the witness search and the sampled oracle, kept as
+# references for the differential test below
+# ---------------------------------------------------------------------------
+
+
+def reference_holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False):
+    field = A.field
+    evars = f.e_indices()
+    xvars = f.x_indices()
+    maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
+    if field.size is not None and field.size <= maxdeg:
+        return reference_exhaustive_check(f, A, idempotent_pool, form, distinct_slots)
+
+    components = {}
+    for key, coeff in f.terms.items():
+        components.setdefault(reference_multideg(key, xvars), GenPoly(field))
+    for key, coeff in f.terms.items():
+        deg = reference_multideg(key, xvars)
+        components[deg] = components[deg] + GenPoly(field, {key: coeff})
+
+    basis = A.basis()
+    for comp in components.values():
+        g = comp
+        for j in xvars:
+            if g.degree_in_x(j) > 1:
+                g, _ = full_linearize(g, j)
+        gvars = g.x_indices()
+        for e_assign in reference_slot_assignments(idempotent_pool, len(evars), distinct_slots):
+            amap = dict(zip(evars, e_assign))
+            for tup in itertools.product(basis, repeat=len(gvars)):
+                xmap = dict(zip(gvars, tup))
+                val = evaluate(g, xmap, amap, form=form, algebra=A, check_idempotents=False)
+                if not val.is_zero():
+                    witness = reference_find_witness(f, A, idempotent_pool, form, 0, distinct_slots)
+                    return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
+    return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")
+
+
+def reference_multideg(key, xvars):
+    return tuple(_mono_degree(key, ("X", j)) for j in xvars)
+
+
+def reference_slot_assignments(pool, n, distinct):
+    if distinct:
+        return itertools.permutations(pool, n)
+    return itertools.product(pool, repeat=n)
+
+
+def reference_exhaustive_check(f, A, pool, form, distinct_slots=False):
+    field = A.field
+    xvars = f.x_indices()
+    evars = f.e_indices()
+    scalars = list(field.elements())
+    vectors = [A.element(v) for v in itertools.product(scalars, repeat=A.dim)]
+    for e_assign in reference_slot_assignments(pool, len(evars), distinct_slots):
+        amap = dict(zip(evars, e_assign))
+        for tup in itertools.product(vectors, repeat=len(xvars)):
+            xmap = dict(zip(xvars, tup))
+            val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+            if not val.is_zero():
+                return IdentityVerdict(
+                    holds=False,
+                    witness={"x": xmap, "e": amap},
+                    method="exhaustive-field",
+                )
+    return IdentityVerdict(holds=True, witness=None, method="exhaustive-field")
+
+
+def reference_find_witness(f, A, pool, form, seed, distinct_slots=False):
+    field = A.field
+    xvars = f.x_indices()
+    evars = f.e_indices()
+    basis = A.basis()
+    pools = list(pool)
+    for e_assign in reference_slot_assignments(pools, len(evars), distinct_slots):
+        amap = dict(zip(evars, e_assign))
+        for tup in itertools.product(basis, repeat=len(xvars)):
+            xmap = dict(zip(xvars, tup))
+            val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+            if not val.is_zero():
+                return {"x": xmap, "e": amap}
+    rng = random.Random(seed)
+    e_options = list(reference_slot_assignments(pools, len(evars), distinct_slots))
+    for attempt in range(5000):
+        bound = 3 + attempt // 500
+        xmap = {
+            j: A.element([field.from_int(rng.randint(-bound, bound)) for _ in range(A.dim)])
+            for j in xvars
+        }
+        amap = dict(zip(evars, e_options[rng.randrange(len(e_options))])) if evars else {}
+        val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+        if not val.is_zero():
+            return {"x": xmap, "e": amap}
+    return None
+
+
+def reference_sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, coeff_range=3,
+                              distinct_slots=False):
+    field = A.field
+    xvars = f.x_indices()
+    evars = f.e_indices()
+    e_options = list(reference_slot_assignments(list(idempotent_pool), len(evars), distinct_slots))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        xmap = {
+            j: A.element([field.from_int(rng.randint(-coeff_range, coeff_range)) for _ in range(A.dim)])
+            for j in xvars
+        }
+        amap = dict(zip(evars, e_options[rng.randrange(len(e_options))])) if evars else {}
+        val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+        if not val.is_zero():
+            return IdentityVerdict(holds=False, witness={"x": xmap, "e": amap}, method="sampled")
+    return IdentityVerdict(holds=True, witness=None, method="sampled")
+
+
+def test_witness_search_against_reference(mats3c, h3_pair):
+    tg = universal_2gen(HALF, Fraction(1, 8))
+    h3_alg, h3_form, a, b = h3_pair
+    cases = [
+        (mats3c.algebra, list(mats3c.axes), mats3c.form),
+        (h3_alg, [a, b], h3_form),
+        (tg.algebra, list(tg.axes), tg.form),
+    ]
+    # on H3 only the identities with E slots use the pool; the others take
+    # about 0.4 s each and run the same search as on 3C
+    checks = [
+        (f, A, pool, form, name.startswith("matsuo"))
+        for A, pool, form in cases
+        for name in BUILTIN_NAMES
+        for f in [builtin_identity(name, QQ, HALF)]
+        if A is not h3_alg or f.e_indices()
+    ]
+    # the first fails on a basis tuple; the other two vanish on every basis
+    # tuple of 3C, so their witnesses come from sampling
+    for text in ("E1*x1 - x1", "x1*x1 - x1", "E1*(x1*x1) - E1*x1"):
+        checks.append((parse_poly(text, QQ), mats3c.algebra, list(mats3c.axes), None, False))
+    F5 = PrimeField(5, allow_small=True)
+    A5 = make_algebra(F5, 1, ["b"], [[[F5.one]]])
+    for text in ("(((((x1*x1)*x1)*x1)*x1)*x1)*x1 - x1", "((((x1*x1)*x1)*x1)*x1) - x1"):
+        checks.append((parse_poly(text, F5), A5, [], None, False))
+    failures = 0
+    for f, A, pool, form, distinct in checks:
+        verdict = holds_as_identity(f, A, idempotent_pool=pool, form=form, distinct_slots=distinct)
+        assert verdict == reference_holds_as_identity(f, A, pool, form, distinct), format_poly(f)
+        failures += not verdict.holds
+        sampled = sample_identity(f, A, idempotent_pool=pool, form=form, samples=40,
+                                  distinct_slots=distinct)
+        assert sampled == reference_sample_identity(f, A, pool, form, samples=40,
+                                                    distinct_slots=distinct), format_poly(f)
+    assert failures >= 5  # the H3 Matsuo criteria, the three 3C cases and x^7 - x
