@@ -109,15 +109,18 @@ class AxisReport:
     element: Element
     lam: object
     is_idempotent: bool
-    spectrum: tuple
-    semisimple: bool
-    is_axis: bool
-    primitive: bool
-    ax1_holds: bool
-    fusion: FusionVerdicts | None
-    miyamoto_is_automorphism: bool | None
+    spectrum: tuple = ()
+    semisimple: bool = False
+    is_axis: bool = False
+    primitive: bool = False
+    ax1_holds: bool = False
+    fusion: FusionVerdicts | None = None
     eigen: EigenData | None = dfield(default=None, repr=False)
     miyamoto: MiyamotoMap | None = dfield(default=None, repr=False)
+
+    @property
+    def miyamoto_is_automorphism(self):
+        return None if self.miyamoto is None else self.miyamoto.is_automorphism
 
     @property
     def is_jordan_axis(self):
@@ -141,11 +144,7 @@ def check_axis(a, lam):
     if lam == field.zero or lam == field.one:
         raise BadLambda("the axis eigenvalue must avoid 0 and 1")
     if not is_idempotent(a):
-        return AxisReport(
-            element=a, lam=lam, is_idempotent=False, spectrum=(), semisimple=False,
-            is_axis=False, primitive=False, ax1_holds=False, fusion=None,
-            miyamoto_is_automorphism=None, eigen=None,
-        )
+        return AxisReport(element=a, lam=lam, is_idempotent=False)
     L = a.left_multiplication_matrix()
     mp = minimal_polynomial(L)
     semisimple = poly_is_squarefree(mp)
@@ -160,26 +159,22 @@ def check_axis(a, lam):
     eigen = eigen_decompose(a)
     is_axis = divides and eigen.complete
     primitive = is_axis and eigen.dim_of(field.one) == 1
-    fusion = None
-    tau = None
-    if is_axis:
-        fusion = check_fusion(a, lam, eigen)
-        tau = miyamoto(a, lam, _eigen=eigen)
+    tau = miyamoto(a, lam, _eigen=eigen) if is_axis else None
     return AxisReport(
         element=a, lam=lam, is_idempotent=True,
         spectrum=tuple(eigen.eigenvalues), semisimple=semisimple,
         is_axis=is_axis, primitive=primitive, ax1_holds=ax1,
-        fusion=fusion, miyamoto_is_automorphism=None if tau is None else tau.is_automorphism,
-        eigen=eigen, miyamoto=tau,
+        fusion=None if tau is None else tau.fusion, eigen=eigen, miyamoto=tau,
     )
 
 
 def check_fusion(a, lam, eigen=None):
-    """Fusion verdicts by exhaustive multiplication of eigenspace bases.
+    """Fusion verdicts by multiplication of eigenspace bases.
 
     (a) A01 closed, (b) A01 * A_lam in A_lam, (c) A_lam * A_lam in A01,
     (d) A0 * A0 in A0.  Membership is exact reduction against one echelon
-    basis per target eigenspace.
+    basis per target eigenspace.  a*u = mu*u for u in A_mu, so when A_1 is
+    spanned by a alone, products with it obey every rule and are skipped.
     """
     A = a.algebra
     field = A.field
@@ -190,18 +185,19 @@ def check_fusion(a, lam, eigen=None):
         raise IncompleteDecomposition(
             "fusion check requires a complete decomposition with spectrum in {0, 1, lam}"
         )
-    a01 = eigen.space_01()
-    alam = eigen.space(lam)
-    a0 = eigen.space(field.zero)
+    a0, a1, alam = eigen.space(field.zero), eigen.space(field.one), eigen.space(lam)
+    a1_checked = a1 if len(a1) > 1 else []
+    in01, in_lam, in0 = (Echelon(field, [v.coeffs for v in span]) for span in (a0 + a1, alam, a0))
 
-    def contained(products, span):
-        ech = Echelon(field, [v.coeffs for v in span])
+    def contained(products, ech):
         return all(ech.contains(p.coeffs) for p in products)
 
-    closed_01 = contained([u * v for i, u in enumerate(a01) for v in a01[i:]], a01)
-    module_rule = contained([u * w for u in a01 for w in alam], alam)
-    pre_jordan = contained([w * x for i, w in enumerate(alam) for x in alam[i:]], a01)
-    jordan_a0 = contained([u * v for i, u in enumerate(a0) for v in a0[i:]], a0)
+    sq0 = [u * v for i, u in enumerate(a0) for v in a0[i:]]
+    closed_01 = contained(
+        sq0 + [u * v for i, u in enumerate(a1_checked) for v in a0 + a1_checked[i:]], in01)
+    module_rule = contained([u * w for u in a0 + a1_checked for w in alam], in_lam)
+    pre_jordan = contained([w * x for i, w in enumerate(alam) for x in alam[i:]], in01)
+    jordan_a0 = contained(sq0, in0)
     return FusionVerdicts(closed_01, module_rule, pre_jordan, jordan_a0)
 
 
@@ -303,21 +299,26 @@ class MiyamotoMap:
     matrix: Matrix
     axis: Element
     lam: object
-    is_automorphism: bool
+    fusion: FusionVerdicts
+
+    @property
+    def is_automorphism(self):
+        return self.fusion.all_pre_jordan
 
     def apply(self, y):
         return y.algebra.element(self.matrix.apply(list(y.coeffs)))
-
-    def __call__(self, y):
-        return self.apply(y)
 
 
 def miyamoto(a, lam, _eigen=None):
     """The involution fixing A_{0,1}(a) pointwise and negating A_lam(a).
 
     Constructed as 1 - 2*p(L_a) with p the Lagrange projector onto lam inside
-    the certified spectrum, so it is exact and basis-free.  The automorphism
-    flag is decided on basis pairs (bilinearity makes that sufficient).
+    the certified spectrum, so it is exact and basis-free.  The certified
+    axis splits A = A_{0,1} + A_lam into the +1 and -1 eigenspaces of tau,
+    and 2 is invertible in every supported field.  So tau(xy) = tau(x)tau(y)
+    for all x, y exactly when that splitting is a Z/2-grading: fusion rules
+    (a) A01*A01 <= A01, (b) A01*Alam <= Alam and (c) Alam*Alam <= A01, read
+    from the verdicts of check_fusion.
     """
     A = a.algebra
     field = A.field
@@ -327,35 +328,20 @@ def miyamoto(a, lam, _eigen=None):
     eigen = _eigen if _eigen is not None else eigen_decompose(a)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
+    # with lam outside the spectrum the product is the minimal polynomial of
+    # L_a at L_a, so p(L_a) = 0 and tau is the identity
     eye = Matrix.identity(field, A.dim)
-    if lam not in eigen.eigenvalues:
-        T = eye  # empty lam-eigenspace: tau is the identity
-    else:
-        L = a.left_multiplication_matrix()
-        proj = eye
-        denom = field.one
-        for mu in eigen.eigenvalues:
-            if mu == lam:
-                continue
-            proj = proj @ (L - eye.scaled(mu))
-            denom = denom * (lam - mu)
-        proj = proj.scaled(field.one / denom)
-        T = eye - proj.scaled(field.from_int(2))
+    L = a.left_multiplication_matrix()
+    proj = eye
+    denom = field.one
+    for mu in eigen.eigenvalues:
+        if mu == lam:
+            continue
+        proj = proj @ (L - eye.scaled(mu))
+        denom = denom * (lam - mu)
+    T = eye - proj.scaled(field.from_int(2) / denom)
     assert (T @ T) == eye, "Miyamoto map is not an involution"
-    is_auto = _is_algebra_automorphism(A, T)
-    return MiyamotoMap(matrix=T, axis=a, lam=lam, is_automorphism=is_auto)
-
-
-def _is_algebra_automorphism(A, T):
-    n = A.dim
-    images = [A.element(T.column(j)) for j in range(n)]
-    for i in range(n):
-        bi = A.basis_element(i)
-        for j in range(i, n):
-            lhs = A.element(T.apply(list((bi * A.basis_element(j)).coeffs)))
-            if lhs != images[i] * images[j]:
-                return False
-    return True
+    return MiyamotoMap(matrix=T, axis=a, lam=lam, fusion=check_fusion(a, lam, eigen))
 
 
 def axis_orbit(axes, lam, max_size=1000):

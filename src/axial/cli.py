@@ -15,7 +15,8 @@ import time
 
 from . import constructions, io
 from .axes import axis_orbit, check_axis, check_fusion, eigen_decompose, miyamoto
-from .errors import AxialError, BadLambda, FieldTooLarge, OrbitOverflow, SchemaError, ScalarParseError
+from .errors import (AxialError, BadLambda, FieldTooLarge, InvalidTripleSystem, OrbitOverflow,
+                     PolyParseError, ScalarParseError, SchemaError, UnknownIdentity)
 from .fields import QQ, field_from_json
 from .frobenius import radical, solve_frobenius, trace_admissibility_audit
 from .identities import BUILTIN_NAMES, builtin_identity, holds_as_identity, parse_poly
@@ -37,12 +38,17 @@ class _Usage(Exception):
     pass
 
 
+# input the user can correct: exit 2, not a failed check
+_INPUT_ERRORS = (_Usage, SchemaError, ScalarParseError, PolyParseError, UnknownIdentity,
+                 InvalidTripleSystem, BadLambda, FieldTooLarge, OSError)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (_Usage, SchemaError, ScalarParseError, BadLambda, FieldTooLarge, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AxialError as exc:
@@ -91,14 +97,10 @@ def _timed(fn):
 # -- argument plumbing -------------------------------------------------------
 
 
-def _load_algebra(args):
-    return io.load_algebra(args.algebra)
-
-
 def _parse_json(text, what):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _Usage(f"{what}: {exc}") from exc
 
 
@@ -118,8 +120,7 @@ def _parse_lambda(A, text):
 
 def _load_form(args, A):
     if getattr(args, "form", None):
-        with open(args.form) as fh:
-            return io.form_from_json(_parse_json(fh.read(), "form file is not JSON"), A)
+        return io.form_from_json(io.read_json(args.form), A)
     return None
 
 
@@ -180,23 +181,13 @@ def _cmd_construct(args):
 
 
 def _parse_lines(text):
-    lines = []
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        pts = [p.strip() for p in chunk.split(",")]
-        lines.append(pts)
-        for p in pts:
-            if p not in points:
-                points.append(p)
-    return points, lines
+    lines = [[p.strip() for p in chunk.split(",")] for chunk in text.split(";") if chunk.strip()]
+    return list(dict.fromkeys(p for line in lines for p in line)), lines
 
 
 @_timed
 def _cmd_check_axis(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     x = _parse_element(A, args.element)
     lam = _parse_lambda(A, args.lam)
     rep = check_axis(x, lam)
@@ -228,7 +219,7 @@ def _cmd_check_axis(args):
 
 @_timed
 def _cmd_fusion(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     x = _parse_element(A, args.element)
     lam = _parse_lambda(A, args.lam)
     eigen = eigen_decompose(x)
@@ -243,7 +234,7 @@ def _cmd_fusion(args):
 
 @_timed
 def _cmd_frobenius(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     normalize = []
     for norm_text in args.normalize or []:
         if "=" not in norm_text:
@@ -269,7 +260,7 @@ def _cmd_frobenius(args):
 
 @_timed
 def _cmd_radical(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     form = _load_form(args, A)
     if form is None:
         raise _Usage("radical requires --form")
@@ -287,7 +278,7 @@ def _cmd_radical(args):
 
 @_timed
 def _cmd_identity(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     lam = _parse_lambda(A, args.lam) if args.lam else None
     if args.name:
         f = builtin_identity(args.name, A.field, lam)
@@ -315,7 +306,7 @@ def _cmd_identity(args):
 
 @_timed
 def _cmd_miyamoto(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     x = _parse_element(A, args.element)
     lam = _parse_lambda(A, args.lam)
     tau = miyamoto(x, lam)
@@ -331,7 +322,7 @@ def _cmd_miyamoto(args):
 
 @_timed
 def _cmd_solid(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     a = _parse_element(A, args.a)
     b = _parse_element(A, args.b)
     lam = _parse_lambda(A, args.lam)
@@ -370,7 +361,7 @@ def _cmd_solid(args):
 
 @_timed
 def _cmd_orbit(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     lam = _parse_lambda(A, args.lam)
     axes = [_parse_element(A, t) for t in args.axis]
     cap = args.max_size
@@ -399,7 +390,7 @@ def _cmd_orbit(args):
 
 @_timed
 def _cmd_audit_trace(args):
-    A = _load_algebra(args)
+    A = io.load_algebra(args.algebra)
     form = _load_form(args, A)
     if form is None:
         raise _Usage("audit-trace requires --form")

@@ -20,7 +20,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import FieldTooLarge, ScalarParseError
+from .errors import FieldTooLarge, ScalarParseError, SchemaError
 
 try:  # exact rationals backed by GMP when available; plain Fraction otherwise
     from gmpy2 import mpq as _rational
@@ -493,8 +493,18 @@ class RatFunc:
 # fields
 # ---------------------------------------------------------------------------
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FRAC_RE = re.compile(r"^([+-]?\d+)\s*/\s*([+-]?\d+)$")
+_LITERAL_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")
+
+
+def _literal(text, what):
+    """Numerator and denominator of an integer or fraction literal."""
+    m = _LITERAL_RE.match(text)
+    if not m:
+        raise ScalarParseError(f"not a {what} literal: {text!r}")
+    try:
+        return int(m.group(1)), int(m.group(2) or 1)
+    except ValueError as exc:  # past Python's int-string digit limit
+        raise ScalarParseError(str(exc)) from exc
 
 
 def integer_lift(values):
@@ -558,15 +568,10 @@ class Rationals(Field):
 
     def parse(self, text):
         text = text.strip()
-        if _INT_RE.match(text):
-            return _rational(int(text))
-        m = _FRAC_RE.match(text)
-        if m:
-            den = int(m.group(2))
-            if den == 0:
-                raise ScalarParseError(f"zero denominator in {text!r}")
-            return _rational(int(m.group(1)), den)
-        raise ScalarParseError(f"not a rational literal: {text!r}")
+        num, den = _literal(text, "rational")
+        if den == 0:
+            raise ScalarParseError(f"zero denominator in {text!r}")
+        return _rational(num, den)
 
     def format(self, a):
         return str(Fraction(a))
@@ -607,6 +612,8 @@ class PrimeField(Field):
     kind = "Fp"
 
     def __init__(self, p, allow_small=False):
+        if p >= _PRIME_TEST_BOUND:
+            raise ValueError(f"p = {p} is past the exact prime test's bound {_PRIME_TEST_BOUND}")
         if p < 2 or not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2:
@@ -619,15 +626,10 @@ class PrimeField(Field):
 
     def parse(self, text):
         text = text.strip()
-        if _INT_RE.match(text):
-            return Fp(int(text), self.p)
-        m = _FRAC_RE.match(text)
-        if m:
-            den = int(m.group(2))
-            if den % self.p == 0:
-                raise ScalarParseError(f"denominator of {text!r} vanishes mod {self.p}")
-            return Fp(int(m.group(1)) * pow(den, -1, self.p), self.p)
-        raise ScalarParseError(f"not a residue literal: {text!r}")
+        num, den = _literal(text, "residue")
+        if den % self.p == 0:
+            raise ScalarParseError(f"denominator of {text!r} vanishes mod {self.p}")
+        return Fp(num * pow(den, -1, self.p), self.p)
 
     def format(self, a):
         return str(a.v)
@@ -700,17 +702,25 @@ def _sqrt_mod(a, p):
     return min(r, p - r)
 
 
+# Miller-Rabin to the 13 prime bases up to 41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86, 2017); PrimeField refuses p at or above it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Exact for n below _PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _PRIME_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -740,7 +750,10 @@ class RationalFunctions(Field):
     # -- parsing: +, -, *, /, ^, parentheses, integer literals, the variable
     def parse(self, text):
         toks = _tokenize(text, self.var)
-        val, pos = _parse_sum(toks, 0, self.var)
+        try:
+            val, pos = _parse_sum(toks, 0, self.var)
+        except ZeroDivisionError as exc:
+            raise ScalarParseError(f"{text!r} divides by zero") from exc
         if pos != len(toks):
             raise ScalarParseError(f"trailing input in {text!r}")
         return val
@@ -838,7 +851,7 @@ def _tokenize(text, var):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            toks.append(int(text[i:j]))
+            toks.append(_literal(text[i:j], "decimal")[0])
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -968,8 +981,6 @@ def parse_scalar(text, field):
 
 
 def field_from_json(doc):
-    from .errors import SchemaError
-
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError(f"bad field document: {doc!r}")
     kind = doc["kind"]
@@ -978,11 +989,11 @@ def field_from_json(doc):
     if kind == "Fp":
         try:
             return PrimeField(int(doc["p"]), allow_small=bool(doc.get("allow_small", False)))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(str(exc)) from exc
     if kind == "Qt":
         try:
             return RationalFunctions(doc["var"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown field kind {kind!r}")

@@ -680,8 +680,11 @@ def parse_poly(text, field, lam=None):
     nested products, bracket factors B(s,t), rational coefficients, and
     ``lam`` for the bound eigenvalue symbol (required to be supplied).
     """
-    toks = _lex(text)
-    val, pos = _parse_sum(toks, 0, field, lam)
+    try:
+        toks = _lex(text)
+        val, pos = _parse_sum(toks, 0, field, lam)
+    except (ValueError, ZeroDivisionError) as exc:  # a numeral int() or the field refuses
+        raise PolyParseError(str(exc)) from exc
     if pos != len(toks):
         raise PolyParseError("trailing input", toks[pos][2])
     if isinstance(val, tuple) and val[0] == _SCALAR:

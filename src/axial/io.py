@@ -23,6 +23,7 @@ from .linalg import Matrix
 __all__ = [
     "algebra_to_json",
     "algebra_from_json",
+    "read_json",
     "load_algebra",
     "save_algebra",
     "element_to_json",
@@ -81,13 +82,17 @@ def _parse(field, text):
         raise SchemaError(str(exc)) from exc
 
 
-def load_algebra(path):
-    with open(path) as fh:
+def read_json(path):
+    """The document in a UTF-8 JSON file; undecodable bytes or bad JSON are a SchemaError."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not JSON: {exc}") from exc
-    return algebra_from_json(doc)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SchemaError(f"{path} is not a UTF-8 JSON document: {exc}") from exc
+
+
+def load_algebra(path):
+    return algebra_from_json(read_json(path))
 
 
 def save_algebra(A, path):

@@ -13,12 +13,15 @@ from axial import (
     eigen_decompose,
     infer_lambda,
     is_idempotent,
+    make_algebra,
     matsuo_from_triple_system,
     miyamoto,
     seress_check,
     toric_euf,
     universal_2gen,
 )
+from axial.cli import main
+from axial.io import save_algebra
 from axial.errors import (
     BadLambda,
     NotAnAxis,
@@ -463,3 +466,104 @@ def test_component_recovery_against_reference(recovery_axes, data):
     comp = component_recovery(a, y, S)
     y1, y0, parts = reference_components(a, y, S)
     assert (comp.y1, comp.y0, comp.by_eigenvalue) == (y1, y0, parts)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the pairwise automorphism check that miyamoto ran
+# before it read its verdict from the fusion grading
+# ---------------------------------------------------------------------------
+
+
+def reference_is_automorphism(A, T):
+    n = A.dim
+    images = [A.element(T.column(j)) for j in range(n)]
+    for i in range(n):
+        bi = A.basis_element(i)
+        for j in range(i, n):
+            lhs = A.element(T.apply(list((bi * A.basis_element(j)).coeffs)))
+            if lhs != images[i] * images[j]:
+                return False
+    return True
+
+
+S4_POINTS = ["12", "13", "14", "23", "24", "34"]
+S4_LINES = [["12", "13", "23"], ["12", "14", "24"], ["13", "14", "34"], ["23", "24", "34"]]
+
+
+@pytest.fixture(scope="module")
+def fixture_axes(mats3c, toric, h3):
+    half7 = F7.one / F7.from_int(2)
+    _tor_eps, generic = toric.symbolic_family()
+    s4 = matsuo_from_triple_system((S4_POINTS, S4_LINES), HALF)
+    s4_f7 = matsuo_from_triple_system((S4_POINTS, S4_LINES), half7, F7)
+    H3 = h3[0]
+    return (
+        [(a, HALF) for a in mats3c.axes]
+        + [(a, HALF) for a in s4.axes]
+        + [(a, half7) for a in s4_f7.axes]
+        + [(toric.idempotent(e), HALF) for e in (1, 2, Fraction(-3, 7))]
+        + [(generic, generic.algebra.field.from_fraction(HALF))]
+        + [(a, HALF) for a in universal_2gen(HALF, Fraction(1, 8)).axes]
+        + [(H3.basis_element(i), HALF) for i in range(3)]
+    )
+
+
+def test_automorphism_verdict_matches_pairwise_reference(fixture_axes):
+    assert len(fixture_axes) == 24
+    for a, lam in fixture_axes:
+        tau = miyamoto(a, lam)
+        rep = check_axis(a, lam)
+        want = reference_is_automorphism(a.algebra, tau.matrix)
+        assert tau.is_automorphism == rep.miyamoto_is_automorphism == want
+        assert rep.miyamoto.matrix == tau.matrix and rep.fusion == tau.fusion
+
+
+def hand_built_axis(names, products, axis):
+    """The element with coefficients axis of the algebra over Q on names whose
+    nonzero products of basis vectors are listed as {(x, y): {z: coefficient}}."""
+    n = len(names)
+    at = {name: k for k, name in enumerate(names)}
+    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (x, y), terms in products.items():
+        for z, c in terms.items():
+            structure[at[x]][at[y]][at[z]] = structure[at[y]][at[x]][at[z]] = Fraction(c)
+    return make_algebra(QQ, n, names, structure).element(axis)
+
+
+# each axis (lam = 1/2) breaks exactly the named one of the fusion rules
+# (a)-(c), so its Miyamoto map is an involution but not an automorphism; the
+# last one has A_1 = span(e1, e2), so the products of A_1 are checked too
+NON_GRADED = {
+    "pre_jordan": (["a", "w"], {("a", "a"): {"a": 1}, ("a", "w"): {"w": HALF}, ("w", "w"): {"w": 1}},
+                   [1, 0]),
+    "a01_subalgebra": (["a", "u", "w"],
+                       {("a", "a"): {"a": 1}, ("a", "w"): {"w": HALF}, ("u", "u"): {"w": 1}}, [1, 0, 0]),
+    "module_rule": (["a", "u", "w"],
+                    {("a", "a"): {"a": 1}, ("a", "w"): {"w": HALF}, ("u", "w"): {"u": 1}}, [1, 0, 0]),
+    "module_rule_in_a1": (["e1", "e2", "u", "w"],
+                          {("e1", "e1"): {"e1": 1}, ("e2", "e2"): {"e2": 1},
+                           ("e1", "w"): {"w": HALF, "e2": -1}, ("e2", "w"): {"e2": 1}}, [1, 1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_GRADED))
+def test_non_graded_axis_is_not_an_automorphism(case):
+    a = hand_built_axis(*NON_GRADED[case])
+    tau = miyamoto(a, HALF)
+    rep = check_axis(a, HALF)
+    assert rep.is_axis and rep.primitive == (case != "module_rule_in_a1")
+    assert not reference_is_automorphism(a.algebra, tau.matrix)
+    assert tau.is_automorphism is False and rep.miyamoto_is_automorphism is False
+    broken = [k for k in ("a01_subalgebra", "module_rule", "pre_jordan") if not getattr(tau.fusion, k)]
+    assert broken == [case.replace("_in_a1", "")]
+
+
+def test_non_graded_axis_rejected_by_orbit_and_cli(tmp_path, capsys):
+    a = hand_built_axis(*NON_GRADED["pre_jordan"])
+    with pytest.raises(NotAnAxis):
+        axis_orbit([a], HALF)
+    path = tmp_path / "non_graded.json"
+    save_algebra(a.algebra, path)
+    argv = ["miyamoto", "--algebra", str(path), "--element", '["1","0"]', "--lambda", "1/2"]
+    assert main(argv) == 1
+    assert "[FAIL] automorphism" in capsys.readouterr().out

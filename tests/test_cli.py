@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axial import QQ, toric_euf
 from axial.cli import main
@@ -209,6 +212,21 @@ USAGE_ERRORS = {
     "jordan-sym-k1": (["construct", "jordan-sym", "--k", "1"], {}),
     "env-cap-not-int": (ORBIT_3C, {"AXIAL_MAX_ORBIT": "abc"}),
     "max-size-zero": (ORBIT_3C + ["--max-size", "0"], {}),
+    "algebra-not-utf8": (["check-axis", "--algebra", "{bin}", "--element", '["1"]',
+                          "--lambda", "1/2"], {}),
+    "form-not-utf8": (["radical", "--algebra", "{alg}", "--form", "{bin}"], {}),
+    "field-p-not-scalar": (["construct", "toric", "--field", '{{"kind":"Fp","p":[7]}}'], {}),
+    "field-var-not-text": (["construct", "toric", "--field", '{{"kind":"Qt","var":5}}'], {}),
+    "field-strong-pseudoprime": (["construct", "toric", "--field",
+                                  '{{"kind":"Fp","p":318665857834031151167461}}'], {}),
+    "poly-parse": (["identity", "--algebra", "{alg}", "--poly", "x1*"], {}),
+    "poly-zero-denominator": (["identity", "--algebra", "{alg}", "--poly", "1/0*x1"], {}),
+    "identity-needs-lambda": (["identity", "--algebra", "{alg}", "--name", "ax1"], {}),
+    "matsuo-two-point-line": (["construct", "matsuo", "--lines", "a,b", "--lambda", "1/2"], {}),
+    "qt-lambda-divides-by-zero": (["construct", "two-gen", "--field", '{{"kind":"Qt","var":"t"}}',
+                                   "--lambda", "t/(t-t)", "--pi", "0"], {}),
+    "lambda-past-digit-limit": (["check-axis", "--algebra", "{alg}", "--element", '["1","0","0"]',
+                                 "--lambda", "9" * 5000], {}),
 }
 
 
@@ -217,9 +235,99 @@ def test_usage_error_exit2_without_traceback(case, alg3c_path, tmp_path, monkeyp
     argv, env = USAGE_ERRORS[case]
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\xfa")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     capsys.readouterr()
-    assert main([a.format(alg=alg3c_path, bad=bad, dir=tmp_path) for a in argv]) == 2
+    assert main([a.format(alg=alg3c_path, bad=bad, bin=binary, dir=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed and extreme inputs, run in-process: the exit code is always 0, 1
+# or 2, and no exception escapes main
+# ---------------------------------------------------------------------------
+
+NICE_FIELDS = st.sampled_from([{"kind": "Q"}, {"kind": "Fp", "p": 7}, {"kind": "Qt", "var": "t"}])
+# primes from 2^20 up are declined before any root scan over F_p; below that
+# only small p keep the scan cheap
+FIELD_P = st.one_of(
+    st.integers(-7, 60),
+    st.integers(2**20, 10**40),
+    st.sampled_from([2**31 - 1, 318665857834031151167461, 3317044064679887385961981]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+FIELD_DOCS = st.one_of(
+    NICE_FIELDS,
+    st.fixed_dictionaries({"kind": st.just("Fp"), "p": FIELD_P}),
+    st.fixed_dictionaries({"kind": st.just("Qt"), "var": st.one_of(st.text(max_size=3), st.integers())}),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+NICE = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/3", "1/4"])
+# Integer literals of 7 to 4300 digits are left out: the rational root finder
+# divides by every candidate divisor and runs for minutes on them (ROADMAP
+# item 3).  Longer ones exceed Python's int-string limit and must exit 2.
+SCALARS = st.one_of(
+    NICE,
+    st.sampled_from(["0/1", "1/0", "", " ", "1.5", "x", "t", "t/(t-t)"]),
+    st.integers(4301, 6000).map(lambda k: "9" * k),
+    st.integers(4301, 6000).map(lambda k: "1/" + "7" * k),
+    st.text(max_size=6),
+)
+
+
+def algebra_doc(data, dim, clean):
+    """An algebra document; a clean one is well formed, with symmetric constants."""
+    scalar = NICE if clean else SCALARS
+    side = dim if clean or data.draw(st.booleans()) else data.draw(st.integers(0, 3))
+    cells = {(i, j): data.draw(st.lists(scalar, min_size=side, max_size=side))
+             for i in range(side) for j in range(i, side)}
+    return {
+        "field": data.draw(NICE_FIELDS if clean else FIELD_DOCS),
+        "dim": dim,
+        "basis": [f"b{i}" for i in range(dim)],
+        "structure": [[cells[min(i, j), max(i, j)] for j in range(side)] for i in range(side)],
+    }
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_survives_malformed_and_extreme_inputs(fuzz_dir, data):
+    dim = data.draw(st.integers(0, 3))
+    clean = data.draw(st.booleans())
+    path = fuzz_dir / "algebra.json"
+    if data.draw(st.integers(0, 7)):
+        path.write_text(json.dumps(algebra_doc(data, dim, clean)))
+    else:
+        path.write_bytes(data.draw(st.binary(max_size=24)))
+    command = data.draw(st.sampled_from(["check-axis", "fusion", "miyamoto", "frobenius"]))
+    argv = [command, "--algebra", str(path)]
+    if command != "frobenius":
+        scalar = NICE if clean else SCALARS
+        n = dim if clean else data.draw(st.integers(0, 4))
+        element = data.draw(st.lists(scalar, min_size=n, max_size=n))
+        lam = data.draw(scalar)
+        argv += [f"--element={json.dumps(element)}", f"--lambda={lam}"]
+    _run_in_process(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.one_of(NICE_FIELDS, FIELD_DOCS), lam=SCALARS, pi=SCALARS)
+def test_cli_construct_survives_odd_fields_and_scalars(field, lam, pi):
+    _run_in_process(["construct", "two-gen", f"--field={json.dumps(field)}", f"--lambda={lam}", f"--pi={pi}"])

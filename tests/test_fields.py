@@ -10,6 +10,7 @@ from axial.fields import (
     PrimeField,
     RatFunc,
     RationalFunctions,
+    _is_prime,
     _padd,
     _pdivmod,
     _pgcd,
@@ -100,6 +101,26 @@ class TestPrimeField:
                 got = PrimeField(p, allow_small=True).sqrt(Fp(a, p))
                 assert (None if got is None else got.v) == want
 
+    def test_strong_pseudoprime_to_bases_through_37_is_composite(self):
+        n = 399165290221 * 798330580441  # passes Miller-Rabin to every prime base 2..37
+        assert n == 318665857834031151167461 and not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+        with pytest.raises(SchemaError):
+            field_from_json({"kind": "Fp", "p": n})
+
+    def test_prime_test_bound(self):
+        # the least strong pseudoprime to all 13 prime bases through 41: the
+        # test is exact below it, and PrimeField refuses it and every p above
+        bound = 3317044064679887385961981
+        assert _is_prime(bound)
+        for p in (bound, 2**89 - 1):
+            with pytest.raises(ValueError):
+                PrimeField(p)
+            with pytest.raises(SchemaError):
+                field_from_json({"kind": "Fp", "p": p})
+        assert PrimeField(2**61 - 1).p == 2**61 - 1
+
     def test_sqrt_large_prime(self):
         p = 2**31 - 1
         K = PrimeField(p)
@@ -115,6 +136,12 @@ class TestRationalFunctions:
         assert x == (Qt.variable() ** 2 - 1) / Qt.variable()
         y = Qt.parse("(3*t^2-1)/(2*t)")
         assert y * (2 * Qt.variable()) == 3 * Qt.variable() ** 2 - 1
+
+    def test_parse_errors(self):
+        Qt = RationalFunctions("t")
+        for text in ("1/0", "t/(t-t)", "t²"):
+            with pytest.raises(ScalarParseError):
+                Qt.parse(text)
 
     def test_canonical_reduction(self):
         Qt = RationalFunctions("t")
@@ -177,6 +204,17 @@ class TestFieldJson:
             field_from_json({"kind": "Fp", "p": 4})
         with pytest.raises(SchemaError):
             field_from_json({})
+        for doc in ({"kind": "Fp", "p": [7]}, {"kind": "Fp", "p": float("inf")},
+                    {"kind": "Qt", "var": 5}):
+            with pytest.raises(SchemaError):
+                field_from_json(doc)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctions("t")], ids=["Q", "F7", "Qt"])
+    def test_integer_literal_past_digit_limit(self, field):
+        huge = "9" * 5000
+        for text in (huge, f"1/{huge}"):
+            with pytest.raises(ScalarParseError):
+                field.parse(text)
 
 
 # field axioms as property tests
