@@ -754,6 +754,8 @@ class RationalFunctions(Field):
             val, pos = _parse_sum(toks, 0, self.var)
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"{text!r} divides by zero") from exc
+        except RecursionError as exc:  # the parser recurses per '(' and per unary sign
+            raise ScalarParseError("scalar text is nested too deeply") from exc
         if pos != len(toks):
             raise ScalarParseError(f"trailing input in {text!r}")
         return val
@@ -987,9 +989,12 @@ def field_from_json(doc):
     if kind == "Q":
         return QQ
     if kind == "Fp":
+        p = doc.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise SchemaError(f"field p must be an integer, got {p!r}")
         try:
-            return PrimeField(int(doc["p"]), allow_small=bool(doc.get("allow_small", False)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return PrimeField(p, allow_small=bool(doc.get("allow_small", False)))
+        except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     if kind == "Qt":
         try:

@@ -387,6 +387,31 @@ def specialize_idempotent_slot(f, i, fresh_x):
     return _substitute_choices(f, ("E", i), [(f.field.one, ("X", fresh_x))])
 
 
+def _symmetry_blocks(g):
+    """The X variables of g, split into blocks on which g is symmetric.
+
+    i and j share a block when swapping them leaves g.terms exactly equal.
+    Such swaps compose, (i k) = (i j)(j k)(i j), so this is an equivalence
+    and each block's swaps generate its whole symmetric group: g takes one
+    value on a tuple and on every permutation of it within blocks.  Blocks
+    are sorted lists, in order of their least variable.
+    """
+    one = g.field.one
+    spare = max(g.x_indices(), default=0) + 1
+    blocks = []
+    for j in g.x_indices():
+        for block in blocks:
+            swapped = g
+            for old, new in ((block[0], spare), (j, block[0]), (spare, j)):
+                swapped = _substitute_choices(swapped, ("X", old), [(one, ("X", new))])
+            if swapped == g:
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -554,7 +579,8 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200
     Over an infinite field (and over F_p with p larger than every variable
     degree) the polynomial is split into multihomogeneous components, each
     component fully linearized, and the resulting multilinear polynomials
-    evaluated on all basis tuples; that is exact.  Over too-small prime
+    evaluated on one basis tuple per orbit of their variable symmetry; that
+    is exact.  Over too-small prime
     fields falls back to exhaustive enumeration within the budget.
 
     distinct_slots restricts the E-assignments to pairwise distinct pool
@@ -594,7 +620,9 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200
         for j in xvars:
             if g.degree_in_x(j) > 1:
                 g, _ = full_linearize(g, j)
-        if _first_nonzero(g, A, form, e_options, basis) is not None:
+        # g is only a yes/no test, so one basis tuple per orbit of its
+        # variable symmetry decides it
+        if _first_nonzero(g, A, form, e_options, basis, _symmetry_blocks(g)) is not None:
             witness = _find_witness(f, A, form, e_options, basis)
             return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")
@@ -609,13 +637,20 @@ def _slot_assignments(pool, evars, distinct):
     return [dict(zip(evars, choice)) for choice in choices]
 
 
-def _first_nonzero(f, A, form, e_options, values):
+def _first_nonzero(f, A, form, e_options, values, blocks=None):
     """The first assignment, E slots outermost and X values from values, at
-    which f does not vanish, as a witness dict; None when there is none."""
-    xvars = f.x_indices()
+    which f does not vanish, as a witness dict; None when there is none.
+
+    With blocks from ``_symmetry_blocks(f)`` each block takes only sorted
+    tuples of values, one per orbit; by default every tuple is tried.
+    """
+    if blocks is None:
+        blocks = [[j] for j in f.x_indices()]
+    xvars = [j for block in blocks for j in block]
     for amap in e_options:
-        for tup in itertools.product(values, repeat=len(xvars)):
-            xmap = dict(zip(xvars, tup))
+        choices = (itertools.combinations_with_replacement(values, len(b)) for b in blocks)
+        for parts in itertools.product(*choices):
+            xmap = dict(zip(xvars, itertools.chain.from_iterable(parts)))
             if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
                 return {"x": xmap, "e": amap}
     return None
@@ -685,6 +720,8 @@ def parse_poly(text, field, lam=None):
         val, pos = _parse_sum(toks, 0, field, lam)
     except (ValueError, ZeroDivisionError) as exc:  # a numeral int() or the field refuses
         raise PolyParseError(str(exc)) from exc
+    except RecursionError as exc:  # the parser recurses per '(' and per unary sign
+        raise PolyParseError("polynomial text is nested too deeply") from exc
     if pos != len(toks):
         raise PolyParseError("trailing input", toks[pos][2])
     if isinstance(val, tuple) and val[0] == _SCALAR:

@@ -27,6 +27,14 @@ def toric():
 
 
 @pytest.fixture(scope="session")
+def s4():
+    """The Matsuo algebra of the six transpositions of S_4 at 1/2."""
+    points = ["12", "13", "14", "23", "24", "34"]
+    lines = [["12", "13", "23"], ["12", "14", "24"], ["13", "14", "34"], ["23", "24", "34"]]
+    return matsuo_from_triple_system((points, lines), HALF)
+
+
+@pytest.fixture(scope="session")
 def h3():
     """(H3(Q), trace form)."""
     A = jordan_symmetric_matrices(3)

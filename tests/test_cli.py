@@ -221,10 +221,13 @@ USAGE_ERRORS = {
                                   '{{"kind":"Fp","p":318665857834031151167461}}'], {}),
     "poly-parse": (["identity", "--algebra", "{alg}", "--poly", "x1*"], {}),
     "poly-zero-denominator": (["identity", "--algebra", "{alg}", "--poly", "1/0*x1"], {}),
+    "poly-nested-too-deeply": (["identity", "--algebra", "{alg}", "--poly", "(" * 3000 + "x1" + ")" * 3000], {}),
     "identity-needs-lambda": (["identity", "--algebra", "{alg}", "--name", "ax1"], {}),
     "matsuo-two-point-line": (["construct", "matsuo", "--lines", "a,b", "--lambda", "1/2"], {}),
     "qt-lambda-divides-by-zero": (["construct", "two-gen", "--field", '{{"kind":"Qt","var":"t"}}',
                                    "--lambda", "t/(t-t)", "--pi", "0"], {}),
+    "qt-lambda-nested-too-deeply": (["construct", "two-gen", "--field", '{{"kind":"Qt","var":"t"}}',
+                                     "--lambda", "(" * 3000 + "t" + ")" * 3000, "--pi", "0"], {}),
     "lambda-past-digit-limit": (["check-axis", "--algebra", "{alg}", "--element", '["1","0","0"]',
                                  "--lambda", "9" * 5000], {}),
 }

@@ -28,7 +28,18 @@ from axial.errors import (
     UnboundVariable,
     UnknownIdentity,
 )
-from axial.identities import BUILTIN_NAMES, GenPoly, IdentityVerdict, _mono_degree, bracket, e_slot, x_var
+from axial.identities import (
+    BUILTIN_NAMES,
+    GenPoly,
+    IdentityVerdict,
+    _first_nonzero,
+    _mono_degree,
+    _slot_assignments,
+    _symmetry_blocks,
+    bracket,
+    e_slot,
+    x_var,
+)
 
 HALF = Fraction(1, 2)
 
@@ -65,6 +76,9 @@ class TestParse:
             parse_poly("x1 + 3", QQ)  # scalar added to element
         with pytest.raises(PolyParseError):
             parse_poly("B(x1, 2)", QQ)
+        for deep in ("(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"):
+            with pytest.raises(PolyParseError):
+                parse_poly(deep, QQ)
 
     def test_roundtrip(self):
         texts = [
@@ -539,3 +553,105 @@ def test_witness_search_against_reference(mats3c, h3_pair):
         assert sampled == reference_sample_identity(f, A, pool, form, samples=40,
                                                     distinct_slots=distinct), format_poly(f)
     assert failures >= 5  # the H3 Matsuo criteria, the three 3C cases and x^7 - x
+
+
+# ---------------------------------------------------------------------------
+# the component decision on sorted basis tuples of each symmetry block,
+# against the full basis sweep it replaced
+# ---------------------------------------------------------------------------
+
+ASSOCIATOR = "(x1*x2)*x3 - x1*(x2*x3)"  # anti-symmetric under x1 <-> x3
+SYMMETRIC_12 = "(x1*x2)*x3"
+
+
+def linearized_components(f):
+    """The fully linearized multihomogeneous components of f."""
+    xvars = f.x_indices()
+    parts = {}
+    for key, coeff in f.terms.items():
+        parts.setdefault(reference_multideg(key, xvars), {})[key] = coeff
+    out = []
+    for terms in parts.values():
+        g = GenPoly(f.field, terms)
+        for j in xvars:
+            if g.degree_in_x(j) > 1:
+                g, _ = full_linearize(g, j)
+        out.append(g)
+    return out
+
+
+def reference_sweep_vanishes(g, A, form, e_options):
+    """Whether g vanishes on every basis tuple, E slots outermost."""
+    gvars = g.x_indices()
+    return all(
+        evaluate(g, dict(zip(gvars, tup)), amap, form=form, algebra=A, check_idempotents=False).is_zero()
+        for amap in e_options
+        for tup in itertools.product(A.basis(), repeat=len(gvars))
+    )
+
+
+def nilpotent_algebra():
+    """b0*b2 = b3 and b1*b3 = b4, all other products zero.  Both hand-built
+    polynomials vanish on every sorted basis tuple but not at (b0, b2, b1),
+    so a block they do not have changes the decision."""
+    z = QQ.zero
+    structure = [[[z] * 5 for _ in range(5)] for _ in range(5)]
+    for i, j, k in ((0, 2, 3), (1, 3, 4)):
+        structure[i][j][k] = structure[j][i][k] = QQ.one
+    return make_algebra(QQ, 5, [f"b{i}" for i in range(5)], structure)
+
+
+@pytest.mark.parametrize("name,blocks", [
+    ("fourPowerAssoc", [[1, 2, 3, 4]]),
+    ("linearizedPA", [[1, 2, 3, 4]]),
+    ("linearizedPA-partial", [[1, 2, 3, 4]]),
+    ("jordan", [[1, 3, 4], [2]]),
+    ("almostJordan", [[1, 3, 4], [2]]),
+    ("fusionLambdaLambda", [[1], [2]]),
+    ("seress", [[1], [2]]),
+])
+def test_symmetry_blocks_of_catalog_components(name, blocks):
+    (g,) = linearized_components(builtin_identity(name, QQ, HALF))
+    assert _symmetry_blocks(g) == blocks
+
+
+@pytest.mark.parametrize("text,blocks", [(ASSOCIATOR, [[1], [2], [3]]), (SYMMETRIC_12, [[1, 2], [3]])])
+def test_symmetry_blocks_of_hand_built_polynomials(text, blocks):
+    assert _symmetry_blocks(parse_poly(text, QQ)) == blocks
+
+
+def test_symmetry_reduced_decision_against_full_sweep(mats3c, toric, h3_pair, s4):
+    tg = universal_2gen(HALF, Fraction(1, 8))
+    h3_alg, h3_form, a, b = h3_pair
+    cases = [
+        (mats3c.algebra, list(mats3c.axes), mats3c.form),
+        (toric.algebra, [toric.idempotent(e) for e in (1, 2, 3)], toric.form),
+        (tg.algebra, list(tg.axes), tg.form),
+        (h3_alg, [h3_alg.basis_element(i) for i in range(3)] + [b], h3_form),
+        (s4.algebra, list(s4.axes), s4.form),
+    ]
+    checks = [
+        (builtin_identity(name, QQ, HALF), A, pool, form, name.startswith("matsuo"))
+        for A, pool, form in cases
+        for name in BUILTIN_NAMES
+    ]
+    nil = nilpotent_algebra()
+    for text in (ASSOCIATOR, SYMMETRIC_12):
+        f = parse_poly(text, QQ)
+        checks += [(f, A, pool, form, False) for A, pool, form in cases + [(nil, [], None)]]
+    # fourPowerAssoc, linearizedPA and linearizedPA-partial linearize to
+    # multiples of one polynomial, so each reference sweep runs once per
+    # scalar class of components
+    swept = {}
+    decided = []
+    for f, A, pool, form, distinct in checks:
+        e_options = _slot_assignments(pool, f.e_indices(), distinct)
+        for g in linearized_components(f):
+            lead = g.sorted_terms()[0][1]
+            key = (id(A), tuple(f.e_indices()), distinct, frozenset((k, c / lead) for k, c in g.terms.items()))
+            if key not in swept:
+                swept[key] = reference_sweep_vanishes(g, A, form, e_options)
+            vanishes = _first_nonzero(g, A, form, e_options, A.basis(), _symmetry_blocks(g)) is None
+            assert vanishes == swept[key], format_poly(g)
+            decided.append(vanishes)
+    assert decided.count(False) >= 20 and decided.count(True) >= 60
