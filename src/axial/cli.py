@@ -15,8 +15,8 @@ import time
 
 from . import constructions, io
 from .axes import axis_orbit, check_axis, check_fusion, eigen_decompose, miyamoto
-from .errors import (AxialError, BadLambda, FieldTooLarge, InvalidTripleSystem, OrbitOverflow,
-                     PolyParseError, ScalarParseError, SchemaError, UnknownIdentity)
+from .errors import (AxialError, BadLambda, InvalidTripleSystem, OrbitOverflow, PolyParseError,
+                     ScalarParseError, SchemaError, UnknownIdentity)
 from .fields import QQ, field_from_json
 from .frobenius import radical, solve_frobenius, trace_admissibility_audit
 from .identities import BUILTIN_NAMES, builtin_identity, holds_as_identity, parse_poly
@@ -40,7 +40,7 @@ class _Usage(Exception):
 
 # input the user can correct: exit 2, not a failed check
 _INPUT_ERRORS = (_Usage, SchemaError, ScalarParseError, PolyParseError, UnknownIdentity,
-                 InvalidTripleSystem, BadLambda, FieldTooLarge, OSError)
+                 InvalidTripleSystem, BadLambda, OSError)
 
 
 def main(argv=None):

@@ -6,7 +6,9 @@ class AxialError(Exception):
 
 
 class ScalarParseError(AxialError):
-    """Scalar text does not match the exact-scalar grammar for the field."""
+    """Scalar text does not match the exact-scalar grammar for the field, or
+    a scalar is too long to read or write as text (Python's int-string
+    digit limit)."""
 
 
 class PolyParseError(AxialError):
@@ -84,13 +86,6 @@ class FreshCollision(AxialError):
 class FieldTooSmall(AxialError):
     """The field has too few elements for the multilinear argument and
     exhaustive enumeration exceeds the budget."""
-
-
-class FieldTooLarge(AxialError, NotImplementedError):
-    """The prime field is too large for the exhaustive root scan.
-
-    Also a NotImplementedError: the input is valid, but the operation is
-    not supported over such a field."""
 
 
 class UnknownIdentity(AxialError):

@@ -17,10 +17,11 @@ formatting, square roots and polynomial root extraction.
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 
-from .errors import FieldTooLarge, ScalarParseError, SchemaError
+from .errors import ScalarParseError, SchemaError
 
 try:  # exact rationals backed by GMP when available; plain Fraction otherwise
     from gmpy2 import mpq as _rational
@@ -198,38 +199,163 @@ def _fraction_sqrt(x):
 
 
 def _rational_poly_roots(p):
-    """All rational roots of a Q-polynomial, by the rational root theorem."""
+    """Distinct rational roots of a nonzero Q-polynomial: 0 first, then the
+    others by increasing |numerator|, then denominator, positive first.
+
+    The primitive squarefree part f, of degree d and leading coefficient a,
+    becomes the monic integer polynomial g(y) = a^(d-1) f(y / a), whose
+    rational roots are integers of absolute value at most the Cauchy bound
+    B.  Each root of g modulo a prime q at which g stays squarefree is
+    Newton-lifted to a modulus above 2B (Loos, Computer Algebra, 1983) and
+    kept when its symmetric residue is an exact root of g.
+    """
     p = _ptrim(p)
-    roots = []
     if not p:
-        return roots
-    if p[0] == 0:
-        roots.append(Fraction(0))
-        while p and p[0] == 0:
-            p = p[1:]
-    if len(p) <= 1:
-        return roots
-    _, ip = _pcontent_int(p)
-    a0, an = abs(ip[0]), abs(ip[-1])
-    for r in _divisors(a0):
-        for s in _divisors(an):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if cand not in roots and _peval(p, cand) == 0:
-                    roots.append(cand)
-    return roots
+        raise ValueError("zero polynomial has every root")
+    zero = p[0] == 0
+    while p[0] == 0:
+        p = p[1:]
+    if len(p) == 1:
+        return [Fraction(0)] * zero
+    f = _pcontent_int(p)[1]
+    if len(f) > 2:
+        h = _pgcd(f, poly_deriv(f))
+        if len(h) > 1:
+            f = _pcontent_int(_pquo(f, h))[1]
+    d, a = len(f) - 1, f[-1]
+    g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    dg = poly_deriv(g)
+    bound = 2 * (1 + max(abs(c) for c in g[:-1]))
+    # small enough for a cheap x^q mod g, large enough that the small roots
+    # of typical minimal polynomials rarely collide mod q or need lifting
+    q = 101
+    while len(_mod_gcd(g, [c % q for c in dg], q)) > 1:
+        q += 2
+        while not _is_prime(q):
+            q += 2
+    roots = []
+    for r in _roots_mod(g, q):
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _horner(g, r, m) * pow(_horner(dg, r, m), -1, m)) % m
+        y = r if 2 * r < m else r - m
+        if _horner(g, y) == 0:
+            roots.append(Fraction(y, a))
+    roots.sort(key=lambda x: (abs(x.numerator), x.denominator, x.numerator < 0))
+    return [Fraction(0)] * zero + roots
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+# ---------------------------------------------------------------------------
+# roots in F_p: dense polynomials of ints mod p (low degree first, no
+# trailing 0), dividing by monic polynomials only
+# ---------------------------------------------------------------------------
+
+
+def _horner(f, x, m=None):
+    """f(x), reduced mod m unless m is None."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+        if m is not None:
+            acc %= m
+    return acc
+
+
+def _mod_trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _mod_divmod(a, b, p):
+    """Quotient and remainder of a by the monic b."""
+    r = list(a)
+    db = len(b) - 1
+    quo = []
+    while len(r) > db:
+        c = r.pop() % p
+        quo.append(c)
+        if c:
+            k = len(r) - db
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    quo.reverse()
+    return quo, _mod_trim([c % p for c in r])
+
+
+def _mod_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mod_gcd(a, b, p):
+    """Monic gcd of a and b mod p; [] when both are 0."""
+    a, b = _mod_trim(list(a)), _mod_trim(list(b))
+    while b:
+        b = _mod_monic(b, p)
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _mod_monic(a, p) if a else a
+
+
+def _mod_pow_linear(a, e, m, p):
+    """(x + a)^e modulo the monic m of degree at least 2."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(out) - 1)
+        for i, u in enumerate(out):
+            if u:
+                for j, v in enumerate(out):
+                    sq[i + j] += u * v
+        out = _mod_divmod(sq, m, p)[1]
+        if bit == "1":
+            out = _mod_divmod([a * u + v for u, v in zip(out + [0], [0] + out)], m, p)[1]
+    return out
+
+
+def _roots_mod(f, p):
+    """Distinct roots in F_p of the polynomial f of ints, in ascending order.
+
+    g = gcd(f, x^p - x) is the product of the distinct linear factors of f,
+    and Cantor-Zassenhaus splits it (Math. Comp. 36, 1981): for random a,
+    gcd(g, (x + a)^((p - 1)/2) - 1) keeps the roots r of g with r + a a
+    nonzero square, which splits g with probability about 1/2.  The random
+    sequence is seeded per call, so results never depend on other callers.
+    A quadratic is solved by the quadratic formula instead.  p is an odd
+    prime.
+    """
+    f = _mod_trim([c % p for c in f])
+    if not f:
+        raise ValueError("zero polynomial has every root")
+    roots = set()
+    if f[0] == 0:
+        roots.add(0)
+        while f[0] == 0:
+            del f[0]
+    f = _mod_monic(f, p)
+    if len(f) > 3:
+        h = _mod_pow_linear(0, p, f, p) + [0, 0]
+        h[1] -= 1
+        f = _mod_gcd(f, [c % p for c in h], p)
+    todo, rng, half = [f], None, (p + 1) // 2
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.add(-g[0] % p)
+        elif len(g) == 3:
+            s = _sqrt_mod(g[1] * g[1] - 4 * g[0], p)
+            if s is not None:
+                roots.update((r - g[1]) * half % p for r in (s, -s))
+        elif len(g) > 3:
+            rng = rng or random.Random(0)
+            while True:
+                h = _mod_pow_linear(rng.randrange(p), (p - 1) // 2, g, p) or [0]
+                h[0] -= 1
+                d = _mod_gcd(g, [c % p for c in h], p)
+                if 1 < len(d) < len(g):
+                    break
+            todo += [d, _mod_divmod(g, d, p)[0]]
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +675,8 @@ class Field:
 
     def poly_roots(self, coeffs):
         """Distinct roots, in this field, of the polynomial with the given
-        coefficients (low degree first, field values)."""
+        coefficients (low degree first, field values); ``ValueError`` for
+        the zero polynomial, which has every root."""
         raise NotImplementedError
 
     def elements(self):
@@ -574,7 +701,10 @@ class Rationals(Field):
         return _rational(num, den)
 
     def format(self, a):
-        return str(Fraction(a))
+        try:
+            return str(Fraction(a))
+        except ValueError as exc:  # past Python's int-string digit limit
+            raise ScalarParseError(str(exc)) from exc
 
     def from_int(self, n):
         return _rational(n)
@@ -600,9 +730,6 @@ class Rationals(Field):
 
     def __repr__(self):
         return "Rationals()"
-
-
-_PRIME_SCAN_LIMIT = 1 << 20
 
 
 class PrimeField(Field):
@@ -648,16 +775,7 @@ class PrimeField(Field):
         return None if r is None else Fp(r, self.p)
 
     def poly_roots(self, coeffs):
-        if self.p > _PRIME_SCAN_LIMIT:
-            raise FieldTooLarge(f"root scan over F_{self.p} exceeds the field-size limit")
-        roots = []
-        for t in range(self.p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * t + c.v) % self.p
-            if acc == 0:
-                roots.append(Fp(t, self.p))
-        return roots
+        return [Fp(r, self.p) for r in _roots_mod([c.v for c in coeffs], self.p)]
 
     def elements(self):
         return (Fp(i, self.p) for i in range(self.p))
@@ -761,10 +879,13 @@ class RationalFunctions(Field):
         return val
 
     def format(self, a):
-        num = _poly_str(a.num, self.var)
-        if a.den == (Fraction(1),):
-            return num
-        return f"({num})/({_poly_str(a.den, self.var)})"
+        try:
+            num = _poly_str(a.num, self.var)
+            if a.den == (Fraction(1),):
+                return num
+            return f"({num})/({_poly_str(a.den, self.var)})"
+        except ValueError as exc:  # past Python's int-string digit limit
+            raise ScalarParseError(str(exc)) from exc
 
     def from_int(self, n):
         return RatFunc.const(n)
@@ -837,6 +958,10 @@ class RationalFunctions(Field):
 
 
 # -- tiny recursive-descent parser for the rational-function grammar
+
+# A power costs time and memory linear in its exponent, so scalar text may
+# not ask for more than this one.
+MAX_EXPONENT = 10**4
 
 
 def _tokenize(text, var):
@@ -912,6 +1037,8 @@ def _parse_atom(toks, pos, var):
     if pos < len(toks) and toks[pos] == "^":
         if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
             raise ScalarParseError("exponent must be a nonnegative integer")
+        if toks[pos + 1] > MAX_EXPONENT:
+            raise ScalarParseError(f"exponent {toks[pos + 1]} exceeds {MAX_EXPONENT}")
         val = val ** toks[pos + 1]
         pos += 2
     return val, pos

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from axial import QQ, toric_euf
 from axial.cli import main
 from axial.errors import SchemaError
+from axial.fields import _PRIME_TEST_BOUND, _is_prime
 from axial.io import (
     algebra_from_json,
     algebra_to_json,
@@ -195,12 +197,13 @@ class TestCliPipeline:
         assert main(["construct", "two-gen"]) == 2
         assert main(["construct", "matsuo", "--lambda", "1/2"]) == 2
 
-    def test_field_too_large_for_root_scan(self, tmp_path, capsys):
-        code = main(["construct", "matsuo", "--lines", "a,b,c", "--lambda", "1/2",
-                     "--field", '{"kind":"Fp","p":2147483647}', "-o", str(tmp_path / "big.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+    def test_construct_and_check_axis_over_large_prime_fields(self, tmp_path):
+        for p in (2**31 - 1, 10**24 + 7):
+            path = tmp_path / f"3c-{p}.json"
+            assert main(["construct", "matsuo", "--lines", "a,b,c", "--lambda", "1/2",
+                         "--field", json.dumps({"kind": "Fp", "p": p}), "-o", str(path)]) == 0
+            assert main(["check-axis", "--algebra", str(path), "--element", '["1","0","0"]',
+                         "--lambda", "1/2"]) == 0
 
 
 ORBIT_3C = ["orbit", "--algebra", "{alg}", "--lambda", "1/2", "--axis", '["1","0","0"]']
@@ -230,6 +233,7 @@ USAGE_ERRORS = {
                                      "--lambda", "(" * 3000 + "t" + ")" * 3000, "--pi", "0"], {}),
     "lambda-past-digit-limit": (["check-axis", "--algebra", "{alg}", "--element", '["1","0","0"]',
                                  "--lambda", "9" * 5000], {}),
+    "result-past-digit-limit": (["construct", "two-gen", "--lambda", "1/2", "--pi", "9" * 4300], {}),
 }
 
 
@@ -254,10 +258,19 @@ def test_usage_error_exit2_without_traceback(case, alg3c_path, tmp_path, monkeyp
 # ---------------------------------------------------------------------------
 
 NICE_FIELDS = st.sampled_from([{"kind": "Q"}, {"kind": "Fp", "p": 7}, {"kind": "Qt", "var": "t"}])
-# primes from 2^20 up are declined before any root scan over F_p; below that
-# only small p keep the scan cheap
+
+
+def _prime_from(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+# primes of every size up to the exact prime test's bound, where root finding
+# costs a few powers mod p; composites and larger numbers must exit 2
 FIELD_P = st.one_of(
     st.integers(-7, 60),
+    st.integers(2**20, _PRIME_TEST_BOUND).map(_prime_from),
     st.integers(2**20, 10**40),
     st.sampled_from([2**31 - 1, 318665857834031151167461, 3317044064679887385961981]),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -270,14 +283,15 @@ FIELD_DOCS = st.one_of(
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
 )
 NICE = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/3", "1/4"])
-# Integer literals of 7 to 4300 digits are left out: the rational root finder
-# divides by every candidate divisor and runs for minutes on them (ROADMAP
-# item 3).  Longer ones exceed Python's int-string limit and must exit 2.
+# Integer literals of up to 4300 digits reach the rational root finder, whose
+# cost grows with their length, not with their divisors.  Longer ones exceed
+# Python's int-string limit and must exit 2, and so must results that would.
 SCALARS = st.one_of(
     NICE,
     st.sampled_from(["0/1", "1/0", "", " ", "1.5", "x", "t", "t/(t-t)"]),
-    st.integers(4301, 6000).map(lambda k: "9" * k),
-    st.integers(4301, 6000).map(lambda k: "1/" + "7" * k),
+    st.integers(7, 6000).map(lambda k: "9" * k),
+    st.integers(7, 6000).map(lambda k: "1/" + "7" * k),
+    st.text("0123456789", min_size=7, max_size=4300),
     st.text(max_size=6),
 )
 
@@ -334,3 +348,40 @@ def test_cli_survives_malformed_and_extreme_inputs(fuzz_dir, data):
 @given(field=st.one_of(NICE_FIELDS, FIELD_DOCS), lam=SCALARS, pi=SCALARS)
 def test_cli_construct_survives_odd_fields_and_scalars(field, lam, pi):
     _run_in_process(["construct", "two-gen", f"--field={json.dumps(field)}", f"--lambda={lam}", f"--pi={pi}"])
+
+
+class _Overtime(Exception):
+    """Raised by _deadline; not an OSError (TimeoutError is one), which
+    main() would report as an input error."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Overtime in the block once the given wall time has passed."""
+    def expire(signum, frame):
+        raise _Overtime(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lam", ["9" * 47, "1/" + "7" * 49])
+def test_construct_with_long_integer_literals_answers(lam):
+    # the generators' axis checks find the rational roots of polynomials
+    # whose coefficients are about 50 digits long
+    with _deadline(2):
+        _run_in_process(["construct", "two-gen", "--lambda", lam, "--pi", "9" * 47])
+
+
+@pytest.mark.parametrize("lam", ["t^100000000", "2^100000000"])
+def test_huge_exponent_is_an_input_error(lam, capsys):
+    with _deadline(1):
+        code = main(["construct", "two-gen", "--field", '{"kind":"Qt","var":"t"}',
+                     "--lambda", lam, "--pi", "0"])
+    assert code == 2
+    assert "exceeds" in capsys.readouterr().err

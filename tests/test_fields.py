@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,18 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from axial.errors import ScalarParseError, SchemaError
 from axial.fields import (
+    MAX_EXPONENT,
     QQ,
     Fp,
     PrimeField,
     RatFunc,
     RationalFunctions,
+    _PRIME_TEST_BOUND,
     _is_prime,
     _padd,
+    _pcontent_int,
     _pdivmod,
+    _peval,
     _pgcd,
     _pmul,
     _pneg,
     _ptrim,
+    _roots_mod,
     _sqrt_mod,
     field_from_json,
     parse_scalar,
@@ -48,6 +54,12 @@ class TestRationals:
         assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
         assert QQ.sqrt(Fraction(2)) is None
         assert QQ.sqrt(Fraction(-1)) is None
+
+    def test_format_past_digit_limit(self):
+        with pytest.raises(ScalarParseError):
+            QQ.format(Fraction(1, 10**4300))
+        with pytest.raises(ScalarParseError):
+            RationalFunctions("t").format(RatFunc.const(10**4300))
 
     def test_poly_roots(self):
         # x(x-1)(x-1/2)
@@ -157,6 +169,14 @@ class TestRationalFunctions:
         t = Qt.variable()
         for val in [t, (3 * t ** 2 - 1) / (2 * t), Qt.from_fraction(Fraction(-5, 7)), t ** 3 - t]:
             assert Qt.parse(Qt.format(val)) == val
+
+    def test_exponent_cap(self):
+        Qt = RationalFunctions("t")
+        assert Qt.parse("t^100") == Qt.variable() ** 100
+        assert Qt.parse("(2*t)^3") == 8 * Qt.variable() ** 3
+        for text in (f"t^{MAX_EXPONENT + 1}", "t^100000000", "2^100000000", "(t+1)^100000000"):
+            with pytest.raises(ScalarParseError):
+                Qt.parse(text)
 
     def test_unknown_symbol(self):
         Qt = RationalFunctions("t")
@@ -381,3 +401,135 @@ def test_generic_poly_helpers(field):
     assert poly_gcd(poly(-4, 0, 3, 1), poly(-5, 4, 1)) == poly(-1, 1)
     assert poly_gcd(poly(3), ()) == poly(1)
     assert poly_is_squarefree(p) and not poly_is_squarefree(poly(2, -3, 0, 1))  # (x - 1)^2 (x + 2)
+
+
+# ---------------------------------------------------------------------------
+# the root kernel against the root finders it replaced: a scan of F_p and the
+# rational root theorem with trial division, both verbatim
+# ---------------------------------------------------------------------------
+
+
+def reference_scan_roots(field, coeffs):
+    roots = []
+    for t in range(field.p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * t + c.v) % field.p
+        if acc == 0:
+            roots.append(Fp(t, field.p))
+    return roots
+
+
+def _reference_divisors(n):
+    n = abs(n)
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return sorted(out)
+
+
+def reference_rational_roots(p):
+    p = _ptrim(p)
+    roots = []
+    if not p:
+        return roots
+    if p[0] == 0:
+        roots.append(Fraction(0))
+        while p and p[0] == 0:
+            p = p[1:]
+    if len(p) <= 1:
+        return roots
+    _, ip = _pcontent_int(p)
+    a0, an = abs(ip[0]), abs(ip[-1])
+    for r in _reference_divisors(a0):
+        for s in _reference_divisors(an):
+            for cand in (Fraction(r, s), Fraction(-r, s)):
+                if cand not in roots and _peval(p, cand) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def root_polys(draw, scalars):
+    """Coefficients (low degree first) of a polynomial of degree 0-6 that is
+    not 0 in the field: random ones, or a nonzero constant times linear
+    factors over a small pool of roots closed under negation (so 0, pairs
+    r and -r and repeated roots are common) and perhaps a quadratic, which
+    often has no roots."""
+    if draw(st.booleans()):
+        return draw(st.lists(scalars, min_size=1, max_size=7))
+    pool = draw(st.lists(scalars, min_size=1, max_size=2))
+    pool += [-r for r in pool] + [0]
+    f = [draw(scalars.filter(bool))]
+    for r in draw(st.lists(st.sampled_from(pool), max_size=4)):
+        f = _times(f, [-r, 1])
+    if draw(st.booleans()):
+        f = _times(f, [draw(scalars), draw(scalars), draw(scalars.filter(bool))])
+    return f
+
+
+@pytest.mark.parametrize("p", [7, 101, 10007])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_prime_field_roots_match_scan(p, data):
+    K = PrimeField(p)
+    coeffs = [K.from_int(c) for c in data.draw(root_polys(st.integers(0, p - 1)))]
+    if any(coeffs):
+        assert K.poly_roots(coeffs) == reference_scan_roots(K, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_polys(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))))
+def test_rational_roots_match_divisor_enumeration(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    if any(coeffs):
+        assert QQ.poly_roots(coeffs) == reference_rational_roots(tuple(coeffs))
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
+def test_roots_in_large_prime_fields(p):
+    rng = random.Random(p)
+    roots = sorted({0} | {rng.randrange(p) for _ in range(5)})
+    n = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
+    f = [3 * -n, 0, 3]  # 3 (x^2 - n), irreducible
+    for r in roots + roots[1:3]:
+        f = _times(f, [-r, 1])
+    assert _roots_mod(f, p) == roots
+    if p < _PRIME_TEST_BOUND:
+        K = PrimeField(p)
+        assert K.poly_roots([K.from_int(c) for c in f]) == [K.from_int(r) for r in roots]
+
+
+def test_rational_roots_with_50_digit_parts():
+    rng = random.Random(50)
+
+    def big():
+        return rng.randrange(10**49, 10**50)
+
+    roots = [Fraction(big(), big()), Fraction(-big(), big()), Fraction(big()), Fraction(-big(), 7)]
+    roots.append(-roots[0])
+    f = [Fraction(5, 3), 0, Fraction(5, 3)]  # 5/3 (x^2 + 1)
+    for r in [0] + roots + roots[:2]:
+        f = _times(f, [-r, 1])
+    want = sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x.numerator < 0))
+    assert QQ.poly_roots(f) == [0] + want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctions("t")], ids=["Q", "F7", "Qt"])
+def test_zero_polynomial_has_every_root(field):
+    for coeffs in ([field.zero], [field.zero, field.zero]):
+        with pytest.raises(ValueError, match="zero polynomial has every root"):
+            field.poly_roots(coeffs)
