@@ -3,13 +3,14 @@
 The central object is the left-multiplication operator L_a of a candidate
 idempotent a.  An axis of type lam is an idempotent whose L_a is annihilated
 by x(x-1)(x-lam), equivalently whose eigenspaces for {0, 1, lam} decompose
-the algebra.  On top of the decomposition sit the fusion-rule verdicts, the
-component-recovery closed forms, and the eigenvalue-flip involution
-tau_a = 1 - 2*(projection onto the lam-eigenspace).
+the algebra.  Beside the fusion verdicts, one rule on the certified spectrum
+{0, 1} + S gives the annihilator prod (x - mu), the components l_mu(L_a) y for
+the Lagrange basis polynomials l_mu, and tau_a = 1 - 2*l_lam(L_a).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 
 from .algebra import Algebra, Element
@@ -21,7 +22,7 @@ from .errors import (
     OrbitOverflow,
     SingularVandermonde,
 )
-from .linalg import Coordinates, Echelon, Matrix, minimal_polynomial
+from .linalg import Echelon, Matrix, minimal_polynomial
 from .fields import poly_divides, poly_is_squarefree
 
 __all__ = [
@@ -76,15 +77,10 @@ def eigen_decompose(a):
     L = a.left_multiplication_matrix()
     mp = minimal_polynomial(L)
     roots = field.poly_roots(list(mp))
-    roots.sort(key=field.format)
     spaces = {}
-    total = 0
-    eye = Matrix.identity(field, A.dim)
-    for mu in roots:
-        vecs = (L - eye.scaled(mu)).kernel()
-        basis = [A.element(v) for v in vecs]
-        spaces[mu] = basis
-        total += len(basis)
+    for mu in roots:  # A_mu is the kernel of x - mu at L
+        spaces[mu] = [A.element(v) for v in _poly_at(_root_poly(field, [mu]), L).kernel()]
+    total = sum(len(basis) for basis in spaces.values())
     return EigenData(axis=a, eigenvalues=roots, eigenspaces=spaces, complete=(total == A.dim))
 
 
@@ -134,10 +130,9 @@ class AxisReport:
 def check_axis(a, lam):
     """Full certification record for the candidate a at target eigenvalue lam.
 
-    The annihilator route (L^3 = (lam+1)L^2 - lam L, the composed form of the
-    recovery identities) and the semisimplicity route (squarefree minimal
-    polynomial dividing x(x-1)(x-lam) with complete eigenspaces) must agree;
-    this is asserted, not assumed.
+    The annihilator route (x(x-1)(x-lam) vanishes at L_a) and the
+    semisimplicity route (squarefree minimal polynomial dividing x(x-1)(x-lam)
+    with complete eigenspaces) must agree; this is asserted, not assumed.
     """
     A = a.algebra
     field = A.field
@@ -148,12 +143,9 @@ def check_axis(a, lam):
     L = a.left_multiplication_matrix()
     mp = minimal_polynomial(L)
     semisimple = poly_is_squarefree(mp)
-    divides = poly_divides(mp, _spectrum_polynomial(field, [lam]))
-
-    # L^3 - (1+lam) L^2 + lam L = 0 as matrices
-    L2 = L @ L
-    L3 = L2 @ L
-    ax1 = (L3 - L2.scaled(field.one + lam) + L.scaled(lam)).is_zero()
+    annihilator = _root_poly(field, [field.zero, field.one, lam])
+    divides = poly_divides(mp, annihilator)
+    ax1 = _poly_at(annihilator, L).is_zero()
     assert ax1 == divides, "annihilator and minimal-polynomial routes disagree"
 
     eigen = eigen_decompose(a)
@@ -205,22 +197,40 @@ def _require_axis(a, eigenvalues_s):
     """a must be idempotent with minimal polynomial dividing x(x-1)*prod(x-mu)."""
     if not is_idempotent(a):
         raise NotAnAxis("not an idempotent")
+    field = a.algebra.field
     mp = minimal_polynomial(a.left_multiplication_matrix())
-    if not poly_divides(mp, _spectrum_polynomial(a.algebra.field, eigenvalues_s)):
+    if not poly_divides(mp, _root_poly(field, [field.zero, field.one, *eigenvalues_s])):
         raise NotAnAxis("operator is not annihilated by the expected spectrum polynomial")
 
 
-def _spectrum_polynomial(field, eigenvalues_s):
-    """Coefficients of x(x-1)*prod(x-mu) over mu in S, low degree first."""
-    poly = [field.zero, field.one]  # x
-    for root in [field.one, *eigenvalues_s]:
-        # poly(x) * (x - root); the product stays monic
-        out = [field.zero] * (len(poly) + 1)
+def _root_poly(field, roots):
+    """Coefficients of prod (x - r) over the roots, low degree first."""
+    poly = [field.one]
+    for root in roots:
+        out = [field.zero] + poly  # x * poly, less root * poly below
         for i, c in enumerate(poly):
-            out[i + 1] = out[i + 1] + c
-            out[i] = out[i] - root * c
+            if c:
+                out[i] = out[i] - root * c
         poly = out
-    return tuple(poly)
+    return poly
+
+
+def _lagrange(field, nodes, mu):
+    """Coefficients of l_mu(x) = prod over nu != mu of (x - nu)/(mu - nu)."""
+    others = [nu for nu in nodes if nu != mu]
+    inv = field.one / math.prod((mu - nu for nu in others), start=field.one)
+    return [inv * c for c in _root_poly(field, others)]
+
+
+def _poly_at(poly, L):
+    """poly(L) by Horner's rule, with deg(poly) - 1 matrix products."""
+    acc = L.scaled(poly[-1])
+    for j, c in enumerate(reversed(poly[:-1])):
+        if j:
+            acc = acc @ L
+        for i, row in enumerate(acc.rows):  # acc is freshly built: add c*I in place
+            row[i] = row[i] + c
+    return acc
 
 
 @dataclass
@@ -236,12 +246,10 @@ class Components:
 def component_recovery(a, y, eigenvalues_s):
     """Recover y_1, y_0 and the y_mu for mu in S from powers of L_a.
 
-    For S = {lam} this is the pair of closed forms
-        y_1   = (a(ay) - lam*ay) / (1 - lam)
-        y_lam = (a(ay) - ay) / (lam*(lam - 1))
-    and in general the (t+1) x (t+1) power system in L_a^j y, j = 1..t+1,
-    with matrix (mu_i^j) over mu in {1} + S, inverted exactly; y_0 is the
-    remainder y - y_1 - sum y_mu.
+    y_mu = l_mu(L_a) y, a combination of L_a^j y, j = 1..|S|+1, whose
+    coefficients are the rows of the inverse of the Vandermonde matrix (mu^j)
+    over mu in {1} + S; for S = {lam}, y_1 = (a(ay) - lam*ay) / (1 - lam) and
+    y_lam = (a(ay) - ay) / (lam*(lam - 1)).  y_0 = y - y_1 - sum y_mu.
     """
     S = list(eigenvalues_s)
     _check_recovery_spectrum(a.algebra.field, S)
@@ -250,48 +258,29 @@ def component_recovery(a, y, eigenvalues_s):
 
 
 def _check_recovery_spectrum(field, S):
-    """The power system is solvable only for distinct eigenvalues outside {0, 1}."""
-    seen = set()
-    for mu in S:
-        if mu == field.zero or mu == field.one:
-            raise SingularVandermonde("S must avoid the special eigenvalues 0 and 1")
-        if mu in seen:
-            raise SingularVandermonde("repeated eigenvalue in S")
-        seen.add(mu)
+    """The Lagrange nodes {0, 1} + S must be distinct."""
+    if field.zero in S or field.one in S:
+        raise SingularVandermonde("S must avoid the special eigenvalues 0 and 1")
+    if len(set(S)) < len(S):
+        raise SingularVandermonde("repeated eigenvalue in S")
 
 
 def _recover_components(a, y, S):
     """component_recovery for an axis a already certified for the spectrum S."""
     field = a.algebra.field
-    one = field.one
-    if len(S) == 1:
-        lam = S[0]
-        ay = a * y
-        aay = a * ay
-        y1 = (one / (one - lam)) * (aay - lam * ay)
-        ylam = (one / (lam * (lam - one))) * (aay - ay)
-        y0 = y - y1 - ylam
-        return Components(y1=y1, y0=y0, by_eigenvalue={lam: ylam})
-
-    mus = [one] + S
-    t = len(mus)
-    # the columns (mu, mu^2, ..., mu^t) of V are independent: the mu are
-    # distinct and nonzero
-    vander = Coordinates(field, t, [[mu ** j for j in range(1, t + 1)] for mu in mus])
-    powers = []
-    cur = y
-    for _ in range(t):
-        cur = a * cur
-        powers.append(cur.coeffs)
-    # solve V * (y_1, y_mu...) = (Ly, L^2 y, ...) coordinatewise
-    per_coord = [vander.coords(rhs) for rhs in zip(*powers)]
-    comps = [a.algebra.element(c) for c in zip(*per_coord)]
-    y1 = comps[0]
-    by_mu = {mu: comps[i + 1] for i, mu in enumerate(S)}
-    y0 = y - y1
-    for c in by_mu.values():
-        y0 = y0 - c
-    return Components(y1=y1, y0=y0, by_eigenvalue=by_mu)
+    nodes = [field.zero, field.one, *S]
+    powers = [a * y]  # L_a^j y for j = 1..|S|+1
+    for _ in S:
+        powers.append(a * powers[-1])
+    parts, y0 = {}, y
+    for mu in nodes[1:]:
+        coeffs = _lagrange(field, nodes, mu)  # coeffs[0] = 0: 0 is another node
+        part = coeffs[1] * powers[0]
+        for c, p in zip(coeffs[2:], powers[1:]):
+            part = part + c * p
+        parts[mu] = part
+        y0 = y0 - part
+    return Components(y1=parts.pop(field.one), y0=y0, by_eigenvalue=parts)
 
 
 @dataclass
@@ -312,13 +301,13 @@ class MiyamotoMap:
 def miyamoto(a, lam, _eigen=None):
     """The involution fixing A_{0,1}(a) pointwise and negating A_lam(a).
 
-    Constructed as 1 - 2*p(L_a) with p the Lagrange projector onto lam inside
-    the certified spectrum, so it is exact and basis-free.  The certified
-    axis splits A = A_{0,1} + A_lam into the +1 and -1 eigenspaces of tau,
-    and 2 is invertible in every supported field.  So tau(xy) = tau(x)tau(y)
-    for all x, y exactly when that splitting is a Z/2-grading: fusion rules
-    (a) A01*A01 <= A01, (b) A01*Alam <= Alam and (c) Alam*Alam <= A01, read
-    from the verdicts of check_fusion.
+    Constructed as 1 - 2*l_lam(L_a) with l_lam the Lagrange basis polynomial
+    of lam on {0, 1, lam}, so it is exact and basis-free.  The certified axis
+    splits A = A_{0,1} + A_lam into the +1 and -1 eigenspaces of tau, and 2
+    is invertible in every supported field.  So tau(xy) = tau(x)tau(y) for
+    all x, y exactly when that splitting is a Z/2-grading: fusion rules (a)
+    A01*A01 <= A01, (b) A01*Alam <= Alam and (c) Alam*Alam <= A01, read from
+    the verdicts of check_fusion.
     """
     A = a.algebra
     field = A.field
@@ -328,18 +317,9 @@ def miyamoto(a, lam, _eigen=None):
     eigen = _eigen if _eigen is not None else eigen_decompose(a)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
-    # with lam outside the spectrum the product is the minimal polynomial of
-    # L_a at L_a, so p(L_a) = 0 and tau is the identity
     eye = Matrix.identity(field, A.dim)
-    L = a.left_multiplication_matrix()
-    proj = eye
-    denom = field.one
-    for mu in eigen.eigenvalues:
-        if mu == lam:
-            continue
-        proj = proj @ (L - eye.scaled(mu))
-        denom = denom * (lam - mu)
-    T = eye - proj.scaled(field.from_int(2) / denom)
+    ell = _lagrange(field, [field.zero, field.one, lam], lam)
+    T = eye - _poly_at(ell, a.left_multiplication_matrix()).scaled(field.from_int(2))
     assert (T @ T) == eye, "Miyamoto map is not an involution"
     return MiyamotoMap(matrix=T, axis=a, lam=lam, fusion=check_fusion(a, lam, eigen))
 
@@ -389,17 +369,20 @@ def axis_orbit(axes, lam, max_size=1000):
 
 
 def seress_check(a, lam):
-    """a(yz) = (ay)z + a(y0 z0) for all basis y and all z in A_{0,1}(a)."""
+    """a(yz) = (ay)z + a(y0 z0) for all basis y and z in A_{0,1}(a), y0 = l_0(L_a) y."""
     A = a.algebra
+    field = A.field
     _require_axis(a, [lam])
     eigen = eigen_decompose(a)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
-    _check_recovery_spectrum(A.field, [lam])
+    _check_recovery_spectrum(field, [lam])
+    P0 = _poly_at(_lagrange(field, [field.zero, field.one, lam], field.zero),
+                  a.left_multiplication_matrix())
     z01 = eigen.space_01()
-    z0s = [_recover_components(a, z, [lam]).y0 for z in z01]
-    for y in A.basis():
-        y0 = _recover_components(a, y, [lam]).y0
+    z0s = [A.element(P0.apply(z.coeffs)) for z in z01]
+    for j, y in enumerate(A.basis()):
+        y0 = A.element(P0.column(j))
         for z, z0 in zip(z01, z0s):
             lhs = a * (y * z)
             rhs = (a * y) * z + a * (y0 * z0)

@@ -67,10 +67,6 @@ class OrbitOverflow(AxialError):
         self.partial = partial
 
 
-class FormInconsistent(AxialError):
-    """No bilinear form satisfies the requested normalization."""
-
-
 class MissingForm(AxialError):
     """A bracket factor was evaluated without a bilinear form."""
 

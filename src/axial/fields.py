@@ -583,14 +583,16 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return RatFunc.const(1) / self ** (-n)
-        out = RatFunc.const(1)
-        base = self
+        # coprime num and monic den have coprime powers, and den^n is monic,
+        # so repeated squaring needs no gcd
+        out, base = (_ONE, _ONE), (self.num, self.den)
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = (_pmul(out[0], base[0]), _pmul(out[1], base[1]))
             n >>= 1
-        return out
+            if n:
+                base = (_pmul(base[0], base[0]), _pmul(base[1], base[1]))
+        return RatFunc(*out, _reduced=True)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -959,9 +961,22 @@ class RationalFunctions(Field):
 
 # -- tiny recursive-descent parser for the rational-function grammar
 
-# A power costs time and memory linear in its exponent, so scalar text may
-# not ask for more than this one.
+# Caps on a power in scalar text: its degree (the exponent, on a constant) and
+# _power_work; the costliest power passing both parsed in 0.4-1.0 s (CPython
+# 3.11.7 on a 2-core Xeon host whose speed swings about twofold).
 MAX_EXPONENT = 10**4
+MAX_POWER_WORK = 5 * 10**5
+
+
+def _power_work(p, k):
+    """Coefficient products (terms^2) plus bits (terms*bits) of p^k, bounded
+    from p: at most deg(p)*k + 1 terms (one for a monomial), with
+    coefficients at most ||c*p||_1^k / c^k for c the lcm of the denominators."""
+    nonzero = [x for x in p if x]
+    c = math.lcm(*(x.denominator for x in nonzero))
+    bits = k * (sum(abs(x.numerator) * (c // x.denominator) for x in nonzero) * c).bit_length()
+    terms = 1 if len(nonzero) <= 1 else (len(p) - 1) * k + 1
+    return terms * (terms + bits)
 
 
 def _tokenize(text, var):
@@ -1037,9 +1052,13 @@ def _parse_atom(toks, pos, var):
     if pos < len(toks) and toks[pos] == "^":
         if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
             raise ScalarParseError("exponent must be a nonnegative integer")
-        if toks[pos + 1] > MAX_EXPONENT:
-            raise ScalarParseError(f"exponent {toks[pos + 1]} exceeds {MAX_EXPONENT}")
-        val = val ** toks[pos + 1]
+        k = toks[pos + 1]
+        deg = max(len(val.num), len(val.den), 2) - 1  # a constant counts as degree 1
+        if deg * k > MAX_EXPONENT:
+            raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
+        if _power_work(val.num, k) + _power_work(val.den, k) > MAX_POWER_WORK:
+            raise ScalarParseError(f"exponent {k} exceeds the size budget for this base")
+        val = val ** k
         pos += 2
     return val, pos
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, FormInconsistent, SelfCheckFailed
+from .errors import DimensionMismatch, SelfCheckFailed
 from .fields import integer_lift
 from .linalg import Echelon, Matrix
 
@@ -119,13 +119,12 @@ def _upper_index(n):
     return idx, c
 
 
-def solve_frobenius(A, normalize_at=(), require=False):
+def solve_frobenius(A, normalize_at=()):
     """All symmetric associative forms meeting the normalization constraints.
 
     Returns the affine family: a particular form (None when the constraints
     are inconsistent) plus a basis of the homogeneous solution space, each
-    member packaged as a symmetric matrix.  With require=True an
-    inconsistent system raises FormInconsistent instead.
+    member packaged as a symmetric matrix.
     """
     field = A.field
     zero, one = field.zero, field.one
@@ -195,12 +194,7 @@ def solve_frobenius(A, normalize_at=(), require=False):
             g[j][i] = vec[key]
         return Matrix(field, g)
 
-    if particular_vec is None:
-        if require:
-            raise FormInconsistent("no associative symmetric form satisfies the normalization")
-        particular = None
-    else:
-        particular = BilinearForm(A, unflatten(particular_vec))
+    particular = None if particular_vec is None else BilinearForm(A, unflatten(particular_vec))
     homogeneous = [unflatten(v) for v in hom_vecs]
     return FormSolution(particular=particular, homogeneous_basis=homogeneous)
 

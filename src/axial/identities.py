@@ -565,6 +565,9 @@ def _evaluate_rational(f, assign_x, assign_e, form, A):
     return A.element([field.from_fraction(Fraction(a, total_d)) for a in total])
 
 
+EXHAUSTIVE_BUDGET = 200000  # assignments the small-field exhaustion may enumerate
+
+
 @dataclass
 class IdentityVerdict:
     holds: bool
@@ -572,16 +575,15 @@ class IdentityVerdict:
     method: str
 
 
-def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200000,
-                      distinct_slots=False):
+def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False):
     """Decide whether f vanishes for all elements (X) and pool idempotents (E).
 
     Over an infinite field (and over F_p with p larger than every variable
     degree) the polynomial is split into multihomogeneous components, each
     component fully linearized, and the resulting multilinear polynomials
     evaluated on one basis tuple per orbit of their variable symmetry; that
-    is exact.  Over too-small prime
-    fields falls back to exhaustive enumeration within the budget.
+    is exact.  Over too-small prime fields it falls back to exhaustive
+    enumeration of at most EXHAUSTIVE_BUDGET assignments.
 
     distinct_slots restricts the E-assignments to pairwise distinct pool
     members, for criteria stated only for distinct axes (the Matsuo pair
@@ -601,9 +603,9 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, exhaustive_budget=200
     if field.size is not None and field.size <= maxdeg:
         n_assign = len(xvars) * A.dim
         cost = (field.size ** n_assign) * max(1, len(idempotent_pool)) ** len(evars)
-        if cost > exhaustive_budget:
+        if cost > EXHAUSTIVE_BUDGET:
             raise FieldTooSmall(
-                f"degree {maxdeg} >= |F| = {field.size} and exhaustion costs {cost} > {exhaustive_budget}"
+                f"degree {maxdeg} >= |F| = {field.size} and exhaustion costs {cost} > {EXHAUSTIVE_BUDGET}"
             )
         vectors = [A.element(v) for v in itertools.product(field.elements(), repeat=A.dim)]
         witness = _first_nonzero(f, A, form, e_options, vectors)
@@ -728,6 +730,8 @@ def parse_poly(text, field, lam=None):
         if val[1]:
             raise PolyParseError("polynomial must be element-valued, got a bare scalar", 0)
         return GenPoly.zero(field)
+    if any(body is None for _brackets, body in val.terms):
+        raise PolyParseError("monomial has no element-valued body", 0)
     return val
 
 

@@ -7,10 +7,10 @@ the rows added.  ``Matrix.rref`` reads the canonical reduced row-echelon
 form from it, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``rref``; ``det`` multiplies the pivots its rows meet on the way in.
 ``Coordinates`` writes vectors in a growing independent list through one
-``Echelon``, for ``minimal_polynomial``, subalgebra coordinates and the
-component recovery in ``axes``.  ``span_contains``, ``span_rank``, the
-membership tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of
-their own.  ``Matrix`` is dense.
+``Echelon``, for ``minimal_polynomial``, subalgebra coordinates and induced
+structure constants.  ``span_contains``, ``span_rank``, the membership
+tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of their own.
+``Matrix`` is dense.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from axial.errors import (
     OrbitOverflow,
     SingularVandermonde,
 )
-from axial.linalg import Matrix, span_contains
+from axial.linalg import Matrix, minimal_polynomial, span_contains
 
 from conftest import direct_sum
 from test_linalg import F7, FIELD_VALUES, reference_solve
@@ -93,6 +93,22 @@ class TestEigenDecompose:
     def test_requires_idempotent(self, toric):
         with pytest.raises(NotIdempotent):
             eigen_decompose(toric.e)
+
+    def test_eigenvalue_past_digit_limit(self):
+        # the eigenvalue has more digits than Python will turn into text
+        c = Fraction(10**4400 + 1)
+        a = hand_built_axis(["a", "w"], {("a", "a"): {"a": 1}, ("a", "w"): {"w": c}}, [1, 0])
+        ed = eigen_decompose(a)
+        assert ed.complete and set(ed.eigenvalues) == {Fraction(1), c}
+        assert spans_equal(QQ, ed.space(c), [a.algebra.basis_element(1)])
+
+    def test_eigenvalues_in_root_order(self):
+        a = hand_built_axis(["a", "u", "w"],
+                            {("a", "a"): {"a": 1}, ("a", "u"): {"u": -1}, ("a", "w"): {"w": HALF}},
+                            [1, 0, 0])
+        ed = eigen_decompose(a)
+        roots = QQ.poly_roots(list(minimal_polynomial(a.left_multiplication_matrix())))
+        assert ed.eigenvalues == roots == [Fraction(1), Fraction(-1), HALF]
 
 
 class TestCheckAxis:
@@ -466,6 +482,35 @@ def test_component_recovery_against_reference(recovery_axes, data):
     comp = component_recovery(a, y, S)
     y1, y0, parts = reference_components(a, y, S)
     assert (comp.y1, comp.y0, comp.by_eigenvalue) == (y1, y0, parts)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the product over the computed spectrum that
+# miyamoto used to build tau before the Lagrange rule
+# ---------------------------------------------------------------------------
+
+
+def reference_miyamoto_matrix(a, lam):
+    A = a.algebra
+    field = A.field
+    eigen = eigen_decompose(a)
+    eye = Matrix.identity(field, A.dim)
+    L = a.left_multiplication_matrix()
+    proj = eye
+    denom = field.one
+    for mu in eigen.eigenvalues:
+        if mu == lam:
+            continue
+        proj = proj @ (L - eye.scaled(mu))
+        denom = denom * (lam - mu)
+    return eye - proj.scaled(field.from_int(2) / denom)
+
+
+def test_miyamoto_matrix_against_reference(recovery_axes, toric):
+    # the unit has spectrum {1}, so lam lies outside it and tau is 1
+    cases = [(kind, a, lam) for kind in recovery_axes for a, lam in recovery_axes[kind]]
+    for kind, a, lam in cases + [("unit", toric.u, HALF)]:
+        assert miyamoto(a, lam).matrix == reference_miyamoto_matrix(a, lam), kind
 
 
 # ---------------------------------------------------------------------------

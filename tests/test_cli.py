@@ -225,6 +225,10 @@ USAGE_ERRORS = {
     "poly-parse": (["identity", "--algebra", "{alg}", "--poly", "x1*"], {}),
     "poly-zero-denominator": (["identity", "--algebra", "{alg}", "--poly", "1/0*x1"], {}),
     "poly-nested-too-deeply": (["identity", "--algebra", "{alg}", "--poly", "(" * 3000 + "x1" + ")" * 3000], {}),
+    "poly-bare-bracket": (["identity", "--algebra", "{alg}", "--poly", "B(x1,x2)",
+                           "--pool", '["1","0","0"]'], {}),
+    "poly-bracket-plus-element": (["identity", "--algebra", "{alg}", "--poly", "B(x1,x2) + x1",
+                                   "--pool", '["1","0","0"]'], {}),
     "identity-needs-lambda": (["identity", "--algebra", "{alg}", "--name", "ax1"], {}),
     "matsuo-two-point-line": (["construct", "matsuo", "--lines", "a,b", "--lambda", "1/2"], {}),
     "qt-lambda-divides-by-zero": (["construct", "two-gen", "--field", '{{"kind":"Qt","var":"t"}}',
@@ -378,7 +382,8 @@ def test_construct_with_long_integer_literals_answers(lam):
         _run_in_process(["construct", "two-gen", "--lambda", lam, "--pi", "9" * 47])
 
 
-@pytest.mark.parametrize("lam", ["t^100000000", "2^100000000"])
+@pytest.mark.parametrize("lam", ["t^100000000", "2^100000000", "(t^1000)^1000", "(t^10000)^10000",
+                                 "(2^1000)^1000", "(t+1)^10000"])
 def test_huge_exponent_is_an_input_error(lam, capsys):
     with _deadline(1):
         code = main(["construct", "two-gen", "--field", '{"kind":"Qt","var":"t"}',

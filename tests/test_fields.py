@@ -174,9 +174,24 @@ class TestRationalFunctions:
         Qt = RationalFunctions("t")
         assert Qt.parse("t^100") == Qt.variable() ** 100
         assert Qt.parse("(2*t)^3") == 8 * Qt.variable() ** 3
-        for text in (f"t^{MAX_EXPONENT + 1}", "t^100000000", "2^100000000", "(t+1)^100000000"):
+        assert Qt.parse(f"t^{MAX_EXPONENT}") == Qt.variable() ** MAX_EXPONENT
+        assert Qt.parse("(2^1000)^100") == Qt.from_int(2 ** 100000)
+        # the result's degree and size are capped, not only each exponent
+        for text in (f"t^{MAX_EXPONENT + 1}", "t^100000000", "2^100000000", "(t+1)^100000000",
+                     "(t^1000)^1000", "(t^10000)^10000", "(2^1000)^1000", "(t+1)^10000"):
             with pytest.raises(ScalarParseError):
                 Qt.parse(text)
+
+    def test_power_matches_repeated_product(self):
+        Qt = RationalFunctions("t")
+        for text in ("t+1", "(t^3+2)/(t^3-t+1)", "(3*t^2-1)/(2*t)", "-5/7", "0"):
+            base = Qt.parse(text)
+            acc = Qt.one
+            for k in range(8):
+                assert base ** k == acc and Qt.parse(f"({text})^{k}") == acc
+                acc = acc * base
+            if base:
+                assert base ** -3 == Qt.one / (base * base * base)
 
     def test_unknown_symbol(self):
         Qt = RationalFunctions("t")

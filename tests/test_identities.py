@@ -12,6 +12,7 @@ from axial import (
     format_poly,
     full_linearize,
     holds_as_identity,
+    jordan_symmetric_matrices,
     linearize_step,
     make_algebra,
     parse_poly,
@@ -304,13 +305,11 @@ class TestHoldsAsIdentity:
         assert holds_as_identity(five, A).holds
 
     def test_field_too_small_budget(self):
-        F5 = PrimeField(5, allow_small=True)
-        z = F5.zero
-        A = make_algebra(F5, 3, ["a", "b", "c"],
-                         [[[z, z, z]] * 3] * 3)
-        f = parse_poly("(((((x1*x1)*x1)*x1)*x1)*x2)*x3", F5)
+        # jordan has degree 3 in x1, so over F_3 only exhaustion decides it,
+        # and on H3 (dim 6) that is 3^12 assignments, past EXHAUSTIVE_BUDGET
+        F3 = PrimeField(3, allow_small=True)
         with pytest.raises(FieldTooSmall):
-            holds_as_identity(f, A, exhaustive_budget=10)
+            holds_as_identity(builtin_identity("jordan", F3), jordan_symmetric_matrices(3, F3))
 
     def test_verdict_deterministic(self, mats3c):
         f = parse_poly("x1*x2", QQ)
