@@ -165,29 +165,6 @@ def _pcontent_int(p):
     return Fraction(g, den), tuple(v // g for v in ints)
 
 
-def _psqrt(p):
-    """Exact square root of a Q-polynomial, or None."""
-    if not p:
-        return ()
-    if (len(p) - 1) % 2 == 1:
-        return None
-    lead = _fraction_sqrt(p[-1])
-    if lead is None:
-        return None
-    half = (len(p) - 1) // 2
-    q = [Fraction(0)] * (half + 1)
-    q[half] = lead
-    # match coefficients from the top down
-    for k in range(half - 1, -1, -1):
-        s = Fraction(0)
-        for i in range(k + 1, half + 1):
-            j = k + half - i
-            if 0 <= j <= half:
-                s += q[i] * q[j]
-        q[k] = (p[k + half] - s) / (2 * lead)
-    return _ptrim(q) if _pmul(tuple(q), tuple(q)) == _ptrim(p) else None
-
-
 def _fraction_sqrt(x):
     if x < 0:
         return None
@@ -242,8 +219,12 @@ def _rational_poly_roots(p):
         y = r if 2 * r < m else r - m
         if _horner(g, y) == 0:
             roots.append(Fraction(y, a))
-    roots.sort(key=lambda x: (abs(x.numerator), x.denominator, x.numerator < 0))
+    roots.sort(key=_root_order)
     return [Fraction(0)] * zero + roots
+
+
+def _root_order(x):
+    return abs(x.numerator), x.denominator, x.numerator < 0
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +852,7 @@ class RationalFunctions(Field):
     def parse(self, text):
         toks = _tokenize(text, self.var)
         try:
-            val, pos = _parse_sum(toks, 0, self.var)
+            val, pos = _parse_sum(toks, 0, self.var, [MAX_SCALAR_WORK])
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"{text!r} divides by zero") from exc
         except RecursionError as exc:  # the parser recurses per '(' and per unary sign
@@ -899,52 +880,50 @@ class RationalFunctions(Field):
         return RatFunc.var()
 
     def sqrt(self, a):
-        if not a.num:
-            return RatFunc.const(0)
-        ns = _psqrt(a.num)
-        ds = _psqrt(a.den)
-        if ns is None or ds is None:
-            return None
-        return RatFunc(ns, ds)
+        """The root of x^2 - a whose numerator leads positive, or None."""
+        roots = self.poly_roots([-a, self.zero, self.one])
+        return next((r for r in roots if not r.num or r.num[-1] > 0), None)
 
     def poly_roots(self, coeffs):
-        """Roots in Q(var) via exact bivariate factorization (sympy)."""
-        import sympy as sp
+        """Roots in Q(var) by Kronecker substitution into the Q root finder
+        (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
 
-        x = sp.Symbol("__rootvar__")
-        t = sp.Symbol(self.var)
-        expr = sp.Integer(0)
-        # clear denominators: multiply by the polynomial lcm of coefficient denominators
-        lcm = (Fraction(1),)
+        With denominators cleared, f = sum f_i x^i lies in Z[t][x] with leading
+        coefficient a, and g(y) = a^(d-1) f(y/a) is monic, so its roots in Q(t)
+        lie in Z[t] (Gauss).  On |t| = 1 they and their coefficients are at
+        most B = 1 + max ||f_i||_1 ||a||_1^(d-1-i) (Cauchy), so the integer
+        roots of g(y, 2B + 1) in balanced base 2B + 1 hold them; the exact
+        ones are kept, constants first in the order of ``Rationals.poly_roots``.
+        """
+        lcm = _ONE
         for c in coeffs:
-            g = _pgcd(lcm, c.den)
-            lcm = _pdivmod(_pmul(lcm, c.den), g)[0]
-        for i, c in enumerate(coeffs):
-            mult = _pdivmod(lcm, c.den)[0]
-            poly_t = _pmul(c.num, mult)
-            term = sum(sp.Rational(a) * t**k for k, a in enumerate(poly_t))
-            expr += term * x**i
-        if expr == 0:
+            lcm = _pmul(lcm, _pquo(c.den, _pgcd(lcm, c.den)))
+        polys = [_pmul(c.num, _pquo(lcm, c.den)) for c in coeffs]
+        m = math.lcm(*(x.denominator for p in polys for x in p))
+        f = _ptrim([int(x * m) for x in p] for p in polys)
+        if not f:
             raise ValueError("zero polynomial has every root")
+        d, a = len(f) - 1, f[-1]
+        norm_a = sum(map(abs, a))
+        n = 2 * max((sum(map(abs, f[i])) * norm_a ** (d - 1 - i) for i in range(d)), default=0) + 3
+        a_n = _horner(a, n)
+        g_n = [_horner(f[i], n) * a_n ** (d - 1 - i) for i in range(d)] + [1]
+        den = tuple(map(Fraction, a))
         roots = []
-        for fac, _mult in sp.factor_list(sp.expand(expr), x, t)[1]:
-            pf = sp.Poly(fac, x)
-            if pf.degree() == 1:
-                a1, a0 = pf.all_coeffs()
-                root = sp.together(-a0 / a1)
-                n, d = sp.fraction(root)
-                roots.append(self._from_sympy_pair(sp.Poly(n, t), sp.Poly(d, t)))
-        # dedupe, preserve discovery order
-        out = []
-        for r in roots:
-            if r not in out:
-                out.append(r)
-        return out
-
-    def _from_sympy_pair(self, num, den):
-        nc = [Fraction(c.p, c.q) for c in reversed(num.all_coeffs())]
-        dc = [Fraction(c.p, c.q) for c in reversed(den.all_coeffs())]
-        return RatFunc(tuple(nc), tuple(dc))
+        for y in _rational_poly_roots(g_n):
+            digits, y = [], int(y)
+            while y:  # balanced base-n digits, in [-(n - 1)/2, (n - 1)/2]
+                digits.append((y + n // 2) % n - n // 2)
+                y = (y - digits[-1]) // n
+            root, acc = RatFunc(tuple(map(Fraction, digits)), den), RatFunc.const(0)
+            for c in reversed(coeffs):
+                acc = acc * root + c
+            if not acc:
+                roots.append(root)
+        # constants first, as Rationals.poly_roots lists them
+        consts = [r for r in roots if len(r.num) + len(r.den) <= 2]
+        consts.sort(key=lambda r: _root_order(r.eval_at(0)))
+        return consts + [r for r in roots if r not in consts]
 
     def to_json(self):
         return {"kind": "Qt", "var": self.var}
@@ -961,22 +940,39 @@ class RationalFunctions(Field):
 
 # -- tiny recursive-descent parser for the rational-function grammar
 
-# Caps on a power in scalar text: its degree (the exponent, on a constant) and
-# _power_work; the costliest power passing both parsed in 0.4-1.0 s (CPython
+# Caps on scalar text: the degree of a power (the exponent, on a constant), and
+# one work budget that every operation in the text draws on before it runs
+# (_charge); the costliest power within both parsed in 0.4-1.0 s (CPython
 # 3.11.7 on a 2-core Xeon host whose speed swings about twofold).
 MAX_EXPONENT = 10**4
-MAX_POWER_WORK = 5 * 10**5
+MAX_SCALAR_WORK = 5 * 10**5
 
 
-def _power_work(p, k):
-    """Coefficient products (terms^2) plus bits (terms*bits) of p^k, bounded
-    from p: at most deg(p)*k + 1 terms (one for a monomial), with
-    coefficients at most ||c*p||_1^k / c^k for c the lcm of the denominators."""
+def _shape(p):
+    """Nonzero terms, degree and coefficient bits of p; the bits of ||c*p||_1
+    * c, c the lcm of p's denominators, bound those of p^k k times over."""
     nonzero = [x for x in p if x]
     c = math.lcm(*(x.denominator for x in nonzero))
-    bits = k * (sum(abs(x.numerator) * (c // x.denominator) for x in nonzero) * c).bit_length()
-    terms = 1 if len(nonzero) <= 1 else (len(p) - 1) * k + 1
-    return terms * (terms + bits)
+    bits = (sum(abs(x.numerator) * (c // x.denominator) for x in nonzero) * c).bit_length()
+    return len(nonzero), max(len(p) - 1, 0), bits
+
+
+def _charge(budget, pairs, k=1):
+    """Draw the estimated work of each product p*q, or power p^k where q is
+    None, for (p, q) in pairs on the one-item list budget, and refuse the
+    text once it is spent.  The work counts coefficient products (at most
+    terms^2 for the last squaring of a power), then the terms*bits and the
+    dense length of the result; a monomial stays one term."""
+    for p, q in pairs:
+        n, deg, bits = _shape(p)
+        if q is None:
+            terms = deg * k + 1 if n > 1 else 1
+            budget[0] -= terms * (terms + k * bits) + deg * k + 1
+        else:
+            m, deg_q, bits_q = _shape(q)
+            budget[0] -= n * m + min(n * m, deg + deg_q + 1) * (bits + bits_q) + deg + deg_q + 1
+    if budget[0] < 0:
+        raise ScalarParseError("scalar text exceeds its work budget")
 
 
 def _tokenize(text, var):
@@ -1009,35 +1005,39 @@ def _tokenize(text, var):
     return toks
 
 
-def _parse_sum(toks, pos, var):
-    val, pos = _parse_product(toks, pos, var)
+def _parse_sum(toks, pos, var, budget):
+    val, pos = _parse_product(toks, pos, var, budget)
     while pos < len(toks) and toks[pos] in ("+", "-"):
         op = toks[pos]
-        rhs, pos = _parse_product(toks, pos + 1, var)
+        rhs, pos = _parse_product(toks, pos + 1, var, budget)
+        _charge(budget, [(val.num, rhs.den), (rhs.num, val.den), (val.den, rhs.den)])
         val = val + rhs if op == "+" else val - rhs
     return val, pos
 
 
-def _parse_product(toks, pos, var):
-    val, pos = _parse_atom(toks, pos, var)
+def _parse_product(toks, pos, var, budget):
+    val, pos = _parse_atom(toks, pos, var, budget)
     while pos < len(toks) and toks[pos] in ("*", "/"):
         op = toks[pos]
-        rhs, pos = _parse_atom(toks, pos + 1, var)
+        rhs, pos = _parse_atom(toks, pos + 1, var, budget)
+        num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+        _charge(budget, [(val.num, num), (val.den, den)])
         val = val * rhs if op == "*" else val / rhs
     return val, pos
 
 
-def _parse_atom(toks, pos, var):
+def _parse_atom(toks, pos, var, budget):
     if pos >= len(toks):
         raise ScalarParseError("unexpected end of scalar text")
     tok = toks[pos]
     if tok == "-":
-        val, pos = _parse_atom(toks, pos + 1, var)
+        val, pos = _parse_atom(toks, pos + 1, var, budget)
+        _charge(budget, [(val.num, _ONE)])
         return -val, pos
     if tok == "+":
-        return _parse_atom(toks, pos + 1, var)
+        return _parse_atom(toks, pos + 1, var, budget)
     if tok == "(":
-        val, pos = _parse_sum(toks, pos + 1, var)
+        val, pos = _parse_sum(toks, pos + 1, var, budget)
         if pos >= len(toks) or toks[pos] != ")":
             raise ScalarParseError("missing closing parenthesis")
         pos += 1
@@ -1056,8 +1056,7 @@ def _parse_atom(toks, pos, var):
         deg = max(len(val.num), len(val.den), 2) - 1  # a constant counts as degree 1
         if deg * k > MAX_EXPONENT:
             raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
-        if _power_work(val.num, k) + _power_work(val.den, k) > MAX_POWER_WORK:
-            raise ScalarParseError(f"exponent {k} exceeds the size budget for this base")
+        _charge(budget, [(val.num, None), (val.den, None)], k)
         val = val ** k
         pos += 2
     return val, pos

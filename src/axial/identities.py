@@ -590,14 +590,8 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     test is the one catalog entry that needs it).
     """
     field = A.field
-    evars = f.e_indices()
-    if evars and not idempotent_pool:
-        raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
-    for p in idempotent_pool:
-        if not (p * p == p):
-            raise NotIdempotent("pool contains a non-idempotent")
-    e_options = _slot_assignments(idempotent_pool, evars, distinct_slots)
-    xvars = f.x_indices()
+    e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
+    xvars, evars = f.x_indices(), f.e_indices()
     maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
 
     if field.size is not None and field.size <= maxdeg:
@@ -630,8 +624,15 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")
 
 
-def _slot_assignments(pool, evars, distinct):
-    """Every assignment of pool members to the E slots, as a list of dicts."""
+def _slot_assignments(f, pool, distinct):
+    """Every assignment of pool members to the E slots of f, as a list of
+    dicts; the pool must hold idempotents only, and some if f has E slots."""
+    evars = f.e_indices()
+    if evars and not pool:
+        raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
+    for p in pool:
+        if not (p * p == p):
+            raise NotIdempotent("pool contains a non-idempotent")
     if distinct:
         choices = itertools.permutations(pool, len(evars))
     else:
@@ -691,10 +692,8 @@ def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, co
     Substitutes elements with integer coefficients in [-coeff_range,
     coeff_range] for the X variables and pool members for the E slots.
     """
+    e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
-    if evars and not idempotent_pool:
-        raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
-    e_options = _slot_assignments(idempotent_pool, evars, distinct_slots)
     rng = random.Random(seed)
     for _ in range(samples):
         xmap, amap = _random_assignment(A, rng, xvars, evars, e_options, coeff_range)

@@ -390,3 +390,13 @@ def test_huge_exponent_is_an_input_error(lam, capsys):
                      "--lambda", lam, "--pi", "0"])
     assert code == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["*".join(["(t+1)^400"] * 8), "*".join(["(t+1)"] * 2000)],
+                         ids=["eight-powers", "2000-factors"])
+def test_costly_product_is_an_input_error(lam, capsys):
+    with _deadline(1):
+        code = main(["construct", "two-gen", "--field", '{"kind":"Qt","var":"t"}',
+                     "--lambda", lam, "--pi", "0"])
+    assert code == 2
+    assert "exceeds" in capsys.readouterr().err

@@ -1,9 +1,15 @@
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import axial
 from axial.errors import ScalarParseError, SchemaError
 from axial.fields import (
     MAX_EXPONENT,
@@ -13,6 +19,7 @@ from axial.fields import (
     RatFunc,
     RationalFunctions,
     _PRIME_TEST_BOUND,
+    _fraction_sqrt,
     _is_prime,
     _padd,
     _pcontent_int,
@@ -180,6 +187,18 @@ class TestRationalFunctions:
         for text in (f"t^{MAX_EXPONENT + 1}", "t^100000000", "2^100000000", "(t+1)^100000000",
                      "(t^1000)^1000", "(t^10000)^10000", "(2^1000)^1000", "(t+1)^10000"):
             with pytest.raises(ScalarParseError):
+                Qt.parse(text)
+
+    def test_one_work_budget_per_text(self):
+        # every +, -, *, / and ^ draws on one budget before it runs
+        Qt = RationalFunctions("t")
+        t = Qt.variable()
+        assert Qt.parse("*".join(["(t+1)^10"] * 10)) == (t + 1) ** 100
+        assert Qt.parse("(t+1)^400").num[200] == math.comb(400, 200)
+        assert Qt.parse("(t^2-1)/(2*t)") == (t * t - 1) / (2 * t)
+        # (t+1)^400 alone takes almost all of it
+        for text in ("-(t+1)^400", "(t+1)^400+1", "*".join(["(t+1)"] * 2000)):
+            with pytest.raises(ScalarParseError, match="work budget"):
                 Qt.parse(text)
 
     def test_power_matches_repeated_product(self):
@@ -548,3 +567,198 @@ def test_zero_polynomial_has_every_root(field):
     for coeffs in ([field.zero], [field.zero, field.zero]):
         with pytest.raises(ValueError, match="zero polynomial has every root"):
             field.poly_roots(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Q(t) roots by Kronecker substitution against the bivariate sympy
+# factorization they replaced, and Q(t) square roots against the coefficient
+# matching they replaced, both verbatim
+# ---------------------------------------------------------------------------
+
+
+def reference_qt_roots(field, coeffs):
+    """Roots in Q(var) via exact bivariate factorization (sympy)."""
+    import sympy as sp
+
+    x = sp.Symbol("__rootvar__")
+    t = sp.Symbol(field.var)
+    expr = sp.Integer(0)
+    # clear denominators: multiply by the polynomial lcm of coefficient denominators
+    lcm = (Fraction(1),)
+    for c in coeffs:
+        g = _pgcd(lcm, c.den)
+        lcm = _pdivmod(_pmul(lcm, c.den), g)[0]
+    for i, c in enumerate(coeffs):
+        mult = _pdivmod(lcm, c.den)[0]
+        poly_t = _pmul(c.num, mult)
+        term = sum(sp.Rational(a) * t**k for k, a in enumerate(poly_t))
+        expr += term * x**i
+    if expr == 0:
+        raise ValueError("zero polynomial has every root")
+    roots = []
+    for fac, _mult in sp.factor_list(sp.expand(expr), x, t)[1]:
+        pf = sp.Poly(fac, x)
+        if pf.degree() == 1:
+            a1, a0 = pf.all_coeffs()
+            root = sp.together(-a0 / a1)
+            n, d = sp.fraction(root)
+            roots.append(reference_from_sympy_pair(sp.Poly(n, t), sp.Poly(d, t)))
+    # dedupe, preserve discovery order
+    out = []
+    for r in roots:
+        if r not in out:
+            out.append(r)
+    return out
+
+
+def reference_from_sympy_pair(num, den):
+    nc = [Fraction(c.p, c.q) for c in reversed(num.all_coeffs())]
+    dc = [Fraction(c.p, c.q) for c in reversed(den.all_coeffs())]
+    return RatFunc(tuple(nc), tuple(dc))
+
+
+def _psqrt(p):
+    """Exact square root of a Q-polynomial, or None."""
+    if not p:
+        return ()
+    if (len(p) - 1) % 2 == 1:
+        return None
+    lead = _fraction_sqrt(p[-1])
+    if lead is None:
+        return None
+    half = (len(p) - 1) // 2
+    q = [Fraction(0)] * (half + 1)
+    q[half] = lead
+    # match coefficients from the top down
+    for k in range(half - 1, -1, -1):
+        s = Fraction(0)
+        for i in range(k + 1, half + 1):
+            j = k + half - i
+            if 0 <= j <= half:
+                s += q[i] * q[j]
+        q[k] = (p[k + half] - s) / (2 * lead)
+    return _ptrim(q) if _pmul(tuple(q), tuple(q)) == _ptrim(p) else None
+
+
+def reference_qt_sqrt(a):
+    if not a.num:
+        return RatFunc.const(0)
+    ns = _psqrt(a.num)
+    ds = _psqrt(a.den)
+    if ns is None or ds is None:
+        return None
+    return RatFunc(ns, ds)
+
+
+def _linear_product(field, roots, lead):
+    """Coefficients, low degree first, of lead * prod (x - r)."""
+    f = [lead]
+    for r in roots:
+        f = [(f[k - 1] if k else field.zero) - r * (f[k] if k < len(f) else field.zero)
+             for k in range(len(f) + 1)]
+    return f
+
+
+def _qt_value(rng, Qt, max_deg=2, fraction=True):
+    """A small random value of Q(t), with a t-denominator about half the time."""
+    t = Qt.variable()
+
+    def poly(deg):
+        return sum((Qt.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) * t ** k
+                    for k in range(deg + 1)), Qt.zero)
+
+    num, den = poly(rng.randint(0, max_deg)), poly(1) if fraction and rng.random() < 0.5 else Qt.one
+    return num / den if den else num
+
+
+def test_qt_roots_match_bivariate_factorization():
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    rng = random.Random(2024)
+    cases = [
+        [Qt.from_int(5)],  # a nonzero constant: no roots
+        [t + 1, (t - 2) / (t + 3)],  # linear
+        _linear_product(Qt, [Qt.zero, Qt.zero, t], Qt.one),  # a repeated zero root
+        _linear_product(Qt, [(10**30 * t ** 3 + 1) / (t + 7), t / 2], (t ** 2 + 1) / 3),
+        _linear_product(Qt, [1 / t, 1 / t, 1 / t, t], Qt.one),
+    ]
+    while len(cases) < 300:
+        roots = [_qt_value(rng, Qt, 1) for _ in range(rng.randint(1, 2))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))  # a repeated root
+        f = _linear_product(Qt, roots, _qt_value(rng, Qt, 1) or Qt.one)
+        if rng.random() < 0.25:  # times a quadratic, often with no root in Q(t)
+            q = [_qt_value(rng, Qt, 1, False), _qt_value(rng, Qt, 1, False), Qt.one]
+            f = [sum((f[i] * q[k - i] for i in range(len(f)) if 0 <= k - i < 3), Qt.zero)
+                 for k in range(len(f) + 2)]
+        cases.append(f)
+    nonconstant = 0
+    for f in cases:
+        roots = Qt.poly_roots(f)
+        assert len(set(roots)) == len(roots)
+        assert set(roots) == set(reference_qt_roots(Qt, f)), f
+        nonconstant += any(len(r.num) > 1 or len(r.den) > 1 for r in roots)
+    assert nonconstant > 200  # 231 of the 300 have a root that is not constant
+    assert set(Qt.poly_roots(cases[3])) == {(10**30 * t ** 3 + 1) / (t + 7), t / 2}
+    with pytest.raises(ValueError, match="zero polynomial has every root"):
+        Qt.poly_roots([Qt.zero, Qt.zero])
+
+
+def test_qt_roots_list_constants_first_in_rational_order():
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    # the eigenvalues of an axis over Q(eps) read as they did under sympy
+    half = Qt.from_fraction(Fraction(1, 2))
+    assert Qt.poly_roots(_linear_product(Qt, [half, Qt.zero, Qt.one], Qt.one)) == [Qt.zero, Qt.one, half]
+    rng = random.Random(7)
+    for _ in range(100):
+        consts = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+        lead = Fraction(rng.choice([-3, -1, 2, 7]), rng.randint(1, 4))
+        f = _linear_product(QQ, consts, lead)
+        want = [Qt.from_fraction(r) for r in QQ.poly_roots(f)]
+        assert Qt.poly_roots([Qt.from_fraction(c) for c in f]) == want
+        roots = Qt.poly_roots(_linear_product(Qt, [Qt.from_fraction(c) for c in consts] + [t + 1], Qt.one))
+        assert roots == want + [t + 1]
+
+
+def test_qt_sqrt_matches_coefficient_matching():
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    rng = random.Random(400)
+    squares = 0
+    for i in range(400):
+        base = _qt_value(rng, Qt, 3)
+        if i % 2:
+            a = base * base
+        else:  # perturbed: a square only by accident
+            a = base * base * rng.choice([Qt.one, t, Qt.from_int(2), t + 1]) + rng.choice([0, 0, 1])
+        got = Qt.sqrt(a)
+        assert got == reference_qt_sqrt(a), Qt.format(a)
+        squares += got is not None
+    assert 200 <= squares < 400
+
+
+def test_qt_roots_and_solid_audit_run_without_sympy(tmp_path):
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["sympy"] = None  # every import of sympy now fails
+        from axial.cli import main
+        from axial.fields import RationalFunctions
+
+        Qt = RationalFunctions("t")
+        t = Qt.variable()
+        assert Qt.poly_roots([t, -(t + 1), Qt.one]) == [Qt.one, t]
+        path, out = sys.argv[1], io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", "toric", "-o", path]) == 0
+        with contextlib.redirect_stdout(out):
+            code = main(["solid", "--algebra", path, "--lambda", "1/2", "--a", '["1","1/2","1"]',
+                         "--b", '["2","1/2","1/2"]', "--eps", "1,2,3", "--json"])
+        report = json.loads(out.getvalue())
+        print(code, report["verdict"], report["symbolic_family_checked"])
+    """)
+    src = os.path.dirname(os.path.dirname(axial.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "toric.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "solid", "True"]

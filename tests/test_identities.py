@@ -292,6 +292,16 @@ class TestHoldsAsIdentity:
         with pytest.raises(UnboundVariable):
             holds_as_identity(f, mats3c.algebra)
 
+    def test_sampler_checks_the_pool_as_the_engine_does(self, mats3c, toric):
+        f = parse_poly("E1*x1 - x1", QQ)
+        not_idempotent = toric.e + toric.u + toric.f
+        assert not_idempotent * not_idempotent != not_idempotent
+        for decide in (holds_as_identity, sample_identity):
+            with pytest.raises(NotIdempotent):
+                decide(f, toric.algebra, idempotent_pool=[not_idempotent])
+            with pytest.raises(UnboundVariable):
+                decide(f, mats3c.algebra)
+
     def test_exhaustive_small_prime_field(self):
         # x1*x1 - x1 on the one-dimensional field algebra over F_7: x^2 = x
         # has degree 2 < 7, so multilinear applies; force exhaustion with F_5
@@ -644,7 +654,7 @@ def test_symmetry_reduced_decision_against_full_sweep(mats3c, toric, h3_pair, s4
     swept = {}
     decided = []
     for f, A, pool, form, distinct in checks:
-        e_options = _slot_assignments(pool, f.e_indices(), distinct)
+        e_options = _slot_assignments(f, pool, distinct)
         for g in linearized_components(f):
             lead = g.sorted_terms()[0][1]
             key = (id(A), tuple(f.e_indices()), distinct, frozenset((k, c / lead) for k, c in g.terms.items()))
