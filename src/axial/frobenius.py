@@ -3,10 +3,12 @@
 A form is stored as its Gram matrix on the algebra basis.  Solving for a
 form is an exact linear system in the n(n+1)/2 upper-triangle entries:
 symmetry is built into the unknowns, associativity contributes one sparse
-equation per basis triple, and each normalization (x, x) = c contributes
-one more.  The equations stream into one ``Echelon`` whose extra column
-holds the right-hand side, so it never holds more than n(n+1)/2 + 1 rows;
-the particular form and the homogeneous basis are both read from it.
+equation per basis triple (i, j, k) with j < k, and each normalization
+(x, x) = c contributes one more.  The equations stream into one ``Echelon``
+whose extra column holds the right-hand side, so it never holds more than
+n(n+1)/2 + 1 rows; the particular form and the homogeneous basis are both
+read from it.  ``BilinearForm`` evaluates the same associativity rows on a
+given Gram matrix.
 """
 
 from __future__ import annotations
@@ -56,24 +58,21 @@ class BilinearForm:
                     raise SelfCheckFailed("Gram matrix is not symmetric")
 
     def _check_associative(self):
-        A = self.algebra
-        n = A.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self._form_of_product(A.structure[i][j], k)
-                    rhs = self._form_of_product(A.structure[j][k], i)
-                    if lhs != rhs:
-                        raise SelfCheckFailed(
-                            f"(b{i}b{j}, b{k}) != (b{i}, b{j}b{k}): form is not associative"
-                        )
-
-    def _form_of_product(self, coeffs, k):
-        acc = self.algebra.field.zero
-        for m, c in enumerate(coeffs):
-            if c:
-                acc = acc + c * self.gram.rows[m][k]
-        return acc
+        g = self.gram.rows
+        key, nunk = _upper_keys(self.algebra.dim)
+        flat = [None] * nunk
+        for i, row in enumerate(key):
+            for j in range(i, len(row)):
+                flat[row[j]] = g[i][j]
+        zero = self.algebra.field.zero
+        for (i, j, k), row in _associativity_rows(self.algebra, key):
+            acc = zero
+            for u, c in row.items():
+                acc = acc + c * flat[u]
+            if acc:
+                raise SelfCheckFailed(
+                    f"(b{i}b{j}, b{k}) != (b{i}, b{j}b{k}): form is not associative"
+                )
 
     def pair(self, x, y):
         """The form on two coefficient tuples."""
@@ -108,15 +107,46 @@ class FormSolution:
         return self.particular is not None and not self.homogeneous_basis
 
 
-def _upper_index(n):
-    """Map (i, j) with i <= j to the flat unknown index."""
-    idx = {}
+def _upper_keys(n):
+    """``(key, count)``: key[i][j] = key[j][i] is the flat unknown index of
+    the Gram entry (i, j), numbered along the rows of the upper triangle."""
+    key = [[0] * n for _ in range(n)]
     c = 0
     for i in range(n):
         for j in range(i, n):
-            idx[(i, j)] = c
+            key[i][j] = key[j][i] = c
             c += 1
-    return idx, c
+    return key, c
+
+
+def _associativity_rows(A, key):
+    """The associativity equations of a symmetric form on the commutative A,
+    as pairs ``((a, b, c), row)``: row is the nonzero sparse linear form
+    (b_a b_b, b_c) - (b_a, b_b b_c) over the unknowns numbered by key.
+
+    With T(i, j, k) = (b_i b_j, b_k), commutativity makes T symmetric in
+    i and j, and associativity is T(i, j, k) = T(j, k, i); together they
+    make T symmetric under all permutations, which is the same as symmetry
+    in j and k.  So the rows T(i, j, k) - T(i, k, j) with j < k, the
+    associativity of the triple (j, i, k), span the rows of all n^3 triples.
+    """
+    zero = A.field.zero
+    n = A.dim
+    nonzero = [[[(m, c) for m, c in enumerate(cs) if c] for cs in srow] for srow in A.structure]
+    for i in range(n):
+        by_i = nonzero[i]
+        for j in range(n):
+            for k in range(j + 1, n):
+                row = {}
+                for m, c in by_i[j]:
+                    u = key[m][k]
+                    row[u] = row.get(u, zero) + c
+                for m, c in by_i[k]:
+                    u = key[m][j]
+                    row[u] = row.get(u, zero) - c
+                row = {u: c for u, c in row.items() if c}
+                if row:
+                    yield (j, i, k), row
 
 
 def solve_frobenius(A, normalize_at=()):
@@ -129,32 +159,20 @@ def solve_frobenius(A, normalize_at=()):
     field = A.field
     zero, one = field.zero, field.one
     n = A.dim
-    idx, nunk = _upper_index(n)
+    key, nunk = _upper_keys(n)
     # column nunk holds the right-hand side
     ech = Echelon(field)
     seen = set()
 
-    def g_coeff(row, i, j, c):
-        key = idx[(i, j) if i <= j else (j, i)]
-        row[key] = row.get(key, zero) + c
-
     def add_equation(row):
-        row = {key: c for key, c in row.items() if c}
+        row = {u: c for u, c in row.items() if c}
         signature = tuple(sorted(row.items()))
         if row and signature not in seen:
             seen.add(signature)
             ech.add(row)
 
-    nonzero = [[[(m, c) for m, c in enumerate(cs) if c] for cs in srow] for srow in A.structure]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = {}
-                for m, c in nonzero[i][j]:
-                    g_coeff(row, m, k, c)
-                for m, c in nonzero[j][k]:
-                    g_coeff(row, i, m, -c)
-                add_equation(row)
+    for _, row in _associativity_rows(A, key):
+        add_equation(row)
     for x, target in normalize_at:
         row = {nunk: target}
         for i, xi in enumerate(x.coeffs):
@@ -162,7 +180,8 @@ def solve_frobenius(A, normalize_at=()):
                 continue
             for j, xj in enumerate(x.coeffs):
                 if xj:
-                    g_coeff(row, i, j, xi * xj)
+                    u = key[i][j]
+                    row[u] = row.get(u, zero) + xi * xj
         add_equation(row)
 
     # restricted to the unknowns, the pivot rows are the reduced form of the
@@ -188,11 +207,7 @@ def solve_frobenius(A, normalize_at=()):
         hom_vecs.append(v)
 
     def unflatten(vec):
-        g = [[field.zero] * n for _ in range(n)]
-        for (i, j), key in idx.items():
-            g[i][j] = vec[key]
-            g[j][i] = vec[key]
-        return Matrix(field, g)
+        return Matrix(field, [[vec[u] for u in row] for row in key])
 
     particular = None if particular_vec is None else BilinearForm(A, unflatten(particular_vec))
     homogeneous = [unflatten(v) for v in hom_vecs]

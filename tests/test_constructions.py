@@ -1,4 +1,7 @@
+import dataclasses
 from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +17,15 @@ from axial import (
     builtin_identity,
     is_idempotent,
     jordan_symmetric_matrices,
+    make_algebra,
     matsuo_from_triple_system,
     miyamoto,
     toric_euf,
     trace_form,
     universal_2gen,
 )
+from axial import constructions
+from axial.axes import FusionVerdicts
 from axial.errors import BadLambda, InvalidTripleSystem, SelfCheckFailed
 from axial.linalg import span_contains
 
@@ -197,6 +203,103 @@ class TestMatsuo:
             for q in mats3c.axes:
                 assert tau.apply(q).coeffs in coeff_set
 
+
+def _transpositions(n):
+    points = [f"t{i}{j}" for i, j in combinations(range(1, n + 1), 2)]
+    lines = [[f"t{i}{j}", f"t{j}{k}", f"t{i}{k}"] for i, j, k in combinations(range(1, n + 1), 3)]
+    return points, lines
+
+
+def _ag23():
+    points = [(x, y) for x in range(3) for y in range(3)]
+    lines = {frozenset((p, q, ((-p[0] - q[0]) % 3, (-p[1] - q[1]) % 3))) for p, q in combinations(points, 2)}
+    return [f"p{x}{y}" for x, y in points], [[f"p{x}{y}" for x, y in line] for line in lines]
+
+
+F7 = PrimeField(7)
+# (triple system, lam, field, number of orbits of the transporting group)
+TRANSPORT_CASES = {
+    "3C": ((["a", "b", "c"], [["a", "b", "c"]]), HALF, QQ, 1),
+    "S4@1/2": (_transpositions(4), HALF, QQ, 1),
+    "S4@1/4": (_transpositions(4), Fraction(1, 4), QQ, 1),
+    "S4@-1/2": (_transpositions(4), Fraction(-1, 2), QQ, 1),
+    "S5": (_transpositions(5), HALF, QQ, 1),
+    "AG(2,3)": (_ag23(), HALF, QQ, 1),
+    "S4 over F7": (_transpositions(4), F7.parse("1/2"), F7, 1),
+    "two disjoint lines": ((list("abcdef"), [list("abc"), list("def")]), HALF, QQ, 2),
+}
+
+
+class TestMiyamotoTransport:
+    @pytest.mark.parametrize("case", TRANSPORT_CASES)
+    def test_transported_maps_match_fresh_miyamoto(self, case, monkeypatch):
+        ts, lam, field, orbits = TRANSPORT_CASES[case]
+        ma = matsuo_from_triple_system(ts, lam, field)
+        direct = []
+
+        def counted(a, lam):
+            direct.append(a)
+            return check_axis(a, lam)
+
+        monkeypatch.setattr(constructions, "check_axis", counted)
+        taus = constructions._miyamoto_permutations(ma.triple_system, ma.axes, ma.lam)
+        assert len(direct) == orbits
+        index = {a.coeffs: i for i, a in enumerate(ma.axes)}
+        for p, tau in zip(ma.axes, taus):
+            fresh = miyamoto(p, ma.lam)
+            assert tau == tuple(index[fresh.apply(q).coeffs] for q in ma.axes)
+
+    def test_failed_verdict_transports_nothing(self, monkeypatch):
+        # the first point's report says its Miyamoto map is no automorphism;
+        # its map is replaced by that of a collinear point, which moves it,
+        # so transporting along the group would reach other points
+        ma = matsuo_from_triple_system(_transpositions(4), HALF)
+        other = miyamoto(ma.axes[1], HALF)
+        bad = FusionVerdicts(a01_subalgebra=True, module_rule=True, pre_jordan=False, jordan_a0=True)
+        calls, conjugated = [], []
+
+        def lying(a, lam):
+            calls.append(a)
+            rep = check_axis(a, lam)
+            return dataclasses.replace(rep, fusion=bad, miyamoto=dataclasses.replace(other, fusion=bad))
+
+        def spy(s, t):
+            conjugated.append((s, t))
+            return conjugate(s, t)
+
+        conjugate = constructions._conjugate
+        monkeypatch.setattr(constructions, "check_axis", lying)
+        monkeypatch.setattr(constructions, "_conjugate", spy)
+        with pytest.raises(SelfCheckFailed, match="not a primitive Jordan-type axis"):
+            matsuo_from_triple_system(_transpositions(4), HALF)
+        assert len(calls) == 1
+        assert conjugated == []
+
+
+    def test_line_breaking_involution_transports_nothing(self, monkeypatch):
+        # on the Fano plane no sigma_x maps lines to lines, so each point gets
+        # its own check, even when every check passes (here a stand-in report
+        # whose map induces sigma_x)
+        names = [str(i) for i in range(7)]
+        lines = [[names[a], names[(a + 1) % 7], names[(a + 3) % 7]] for a in range(7)]
+        ts = TripleSystem(points=names, lines=lines)
+        zero = [[[Fraction(0)] * 7 for _ in range(7)] for _ in range(7)]
+        axes = make_algebra(QQ, 7, names, zero).basis()
+        index = {a.coeffs: i for i, a in enumerate(axes)}
+        direct = []
+
+        def stand_in(a, lam):
+            x = names[index[a.coeffs]]
+            direct.append(x)
+            images = {q: ts.third_point(x, q) or q for q in names}
+            return SimpleNamespace(is_primitive_jordan_axis=True, miyamoto=SimpleNamespace(
+                apply=lambda b: axes[names.index(images[names[index[b.coeffs]]])]))
+
+        monkeypatch.setattr(constructions, "check_axis", stand_in)
+        taus = constructions._miyamoto_permutations(ts, axes, HALF)
+        assert direct == names
+        assert all(taus[i][names.index(q)] == names.index(ts.third_point(x, q) or q)
+                   for i, x in enumerate(names) for q in names)
 
 class TestJordanSymmetricMatrices:
     def test_k2(self):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -84,6 +85,23 @@ class TestSolveFrobenius:
         with pytest.raises(SelfCheckFailed):
             BilinearForm(A, Matrix(QQ, bad))  # identity gram is not associative on 3C
 
+
+    def test_named_triple_is_not_associative(self, mats3c, s4, toric):
+        # one entry of a valid form moved by 1 breaks associativity; the triple
+        # (i, j, k) the error names must have (b_i b_j, b_k) != (b_i, b_j b_k)
+        for form in (mats3c.form, s4.form, toric.form):
+            A = form.algebra
+            for a in range(A.dim):
+                for b in range(a, A.dim):
+                    g = [list(row) for row in form.gram.rows]
+                    g[a][b] += 1
+                    g[b][a] = g[a][b]
+                    with pytest.raises(SelfCheckFailed) as caught:
+                        BilinearForm(A, Matrix(QQ, g))
+                    i, j, k = map(int, re.match(r"\(b(\d+)b(\d+), b(\d+)\) != ", str(caught.value)).groups())
+                    lhs = sum(c * g[m][k] for m, c in enumerate(A.structure[i][j]))
+                    rhs = sum(c * g[i][m] for m, c in enumerate(A.structure[j][k]))
+                    assert lhs != rhs
 
 class TestRadical:
     def test_3c_nondegenerate(self, mats3c):

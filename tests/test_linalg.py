@@ -462,7 +462,7 @@ def _transpositions(n):
 
 
 FROBENIUS_CASES = ("3C", "3C family", "3C inconsistent", "S4 all points", "S4 one point", "S4 over F101",
-                   "H3", "two-gen(1/2, 1/8)")
+                   "S4 at 1/3", "H3", "two-gen(1/2, 1/8)")
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +472,7 @@ def frobenius_cases(mats3c, h3):
     s4 = matsuo_from_triple_system(_transpositions(4), half)
     F101 = PrimeField(101)
     s4_f101 = matsuo_from_triple_system(_transpositions(4), F101.parse("1/2"), F101)
+    s4_third = matsuo_from_triple_system(_transpositions(4), Fraction(1, 3))
     A3 = h3[0]
     tg = universal_2gen(half, Fraction(1, 8))
     a, b = tg.axes
@@ -483,6 +484,7 @@ def frobenius_cases(mats3c, h3):
         "S4 all points": (s4.algebra, [(x, one) for x in s4.axes]),
         "S4 one point": (s4.algebra, [(s4.axes[0], one)]),
         "S4 over F101": (s4_f101.algebra, [(x, F101.one) for x in s4_f101.axes]),
+        "S4 at 1/3": (s4_third.algebra, [(x, one) for x in s4_third.axes]),
         "H3": (A3, [(A3.basis_element(i), one) for i, name in enumerate(A3.basis_names) if name.startswith("E")]),
         "two-gen(1/2, 1/8)": (tg.algebra, [(a, one), (b, one), (a + b, 2 + 2 * Fraction(1, 8))]),
     }
