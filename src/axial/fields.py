@@ -23,10 +23,8 @@ from fractions import Fraction
 
 from .errors import ScalarParseError, SchemaError
 
-try:  # exact rationals backed by GMP when available; plain Fraction otherwise
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover
-    _rational = Fraction
+# the type of every value of Q, which the benchmark's context line reports
+_rational = Fraction
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over Fraction (low degree first, no trailing 0);
@@ -681,7 +679,7 @@ class Rationals(Field):
         num, den = _literal(text, "rational")
         if den == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
-        return _rational(num, den)
+        return Fraction(num, den)
 
     def format(self, a):
         try:
@@ -690,17 +688,16 @@ class Rationals(Field):
             raise ScalarParseError(str(exc)) from exc
 
     def from_int(self, n):
-        return _rational(n)
+        return Fraction(n)
 
     def from_fraction(self, q):
-        return _rational(q)
+        return Fraction(q)
 
     def sqrt(self, a):
-        r = _fraction_sqrt(Fraction(a))
-        return None if r is None else _rational(r)
+        return _fraction_sqrt(Fraction(a))
 
     def poly_roots(self, coeffs):
-        return [_rational(r) for r in _rational_poly_roots(tuple(Fraction(c) for c in coeffs))]
+        return list(_rational_poly_roots(tuple(Fraction(c) for c in coeffs)))
 
     def to_json(self):
         return {"kind": "Q"}
@@ -942,8 +939,9 @@ class RationalFunctions(Field):
 
 # Caps on scalar text: the degree of a power (the exponent, on a constant), and
 # one work budget that every operation in the text draws on before it runs
-# (_charge); the costliest power within both parsed in 0.4-1.0 s (CPython
-# 3.11.7 on a 2-core Xeon host whose speed swings about twofold).
+# (_charge).  A unit of work is about 0.6 us of CPython 3.11.7 on a 2-core Xeon
+# host whose speed swings about twofold: (t+1)^400, the costliest power within
+# both caps, takes 0.28 s there and is charged 482,002 units.
 MAX_EXPONENT = 10**4
 MAX_SCALAR_WORK = 5 * 10**5
 
@@ -957,20 +955,44 @@ def _shape(p):
     return len(nonzero), max(len(p) - 1, 0), bits
 
 
-def _charge(budget, pairs, k=1):
-    """Draw the estimated work of each product p*q, or power p^k where q is
-    None, for (p, q) in pairs on the one-item list budget, and refuse the
-    text once it is spent.  The work counts coefficient products (at most
-    terms^2 for the last squaring of a power), then the terms*bits and the
-    dense length of the result; a monomial stays one term."""
-    for p, q in pairs:
-        n, deg, bits = _shape(p)
-        if q is None:
-            terms = deg * k + 1 if n > 1 else 1
-            budget[0] -= terms * (terms + k * bits) + deg * k + 1
-        else:
-            m, deg_q, bits_q = _shape(q)
-            budget[0] -= n * m + min(n * m, deg + deg_q + 1) * (bits + bits_q) + deg + deg_q + 1
+def _linear_work(length):
+    """A sum or negation with a dense result of the given length: one
+    Fraction add per coefficient, about 1.5 us whatever its size."""
+    return 3 * length
+
+
+def _product_work(p, q):
+    """p*q: each coefficient product (a Fraction multiply and add, 4-6 us
+    below a few hundred bits) weighted by the sizes of its operands, whose
+    schoolbook product grows with the product of their bit lengths; then
+    the dense result, as linear work."""
+    n, deg, bits = _shape(p)
+    m, deg_q, bits_q = _shape(q)
+    return n * m * (8 + (bits * bits_q >> 18)) + _linear_work(deg + deg_q + 1)
+
+
+def _power_work(p, k):
+    """p^k: at most terms^2 coefficient products for the last squaring,
+    then the terms*bits and the dense length of the result; a monomial
+    stays one term."""
+    n, deg, bits = _shape(p)
+    terms = deg * k + 1 if n > 1 else 1
+    return terms * (terms + k * bits) + deg * k + 1
+
+
+def _sum_work(x, y):
+    """x + y for rational functions: numerators added over a common
+    denominator, after cross products when the denominators are not 1."""
+    work = _linear_work(max(len(x.num) + len(y.den), len(y.num) + len(x.den)))
+    if x.den != _ONE or y.den != _ONE:
+        work += _product_work(x.num, y.den) + _product_work(y.num, x.den) + _product_work(x.den, y.den)
+    return work
+
+
+def _charge(budget, work):
+    """Draw work from the one-item list budget before the operation runs,
+    and refuse the text once it is spent."""
+    budget[0] -= work
     if budget[0] < 0:
         raise ScalarParseError("scalar text exceeds its work budget")
 
@@ -1010,7 +1032,7 @@ def _parse_sum(toks, pos, var, budget):
     while pos < len(toks) and toks[pos] in ("+", "-"):
         op = toks[pos]
         rhs, pos = _parse_product(toks, pos + 1, var, budget)
-        _charge(budget, [(val.num, rhs.den), (rhs.num, val.den), (val.den, rhs.den)])
+        _charge(budget, _sum_work(val, rhs))
         val = val + rhs if op == "+" else val - rhs
     return val, pos
 
@@ -1021,7 +1043,7 @@ def _parse_product(toks, pos, var, budget):
         op = toks[pos]
         rhs, pos = _parse_atom(toks, pos + 1, var, budget)
         num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
-        _charge(budget, [(val.num, num), (val.den, den)])
+        _charge(budget, _product_work(val.num, num) + _product_work(val.den, den))
         val = val * rhs if op == "*" else val / rhs
     return val, pos
 
@@ -1032,7 +1054,7 @@ def _parse_atom(toks, pos, var, budget):
     tok = toks[pos]
     if tok == "-":
         val, pos = _parse_atom(toks, pos + 1, var, budget)
-        _charge(budget, [(val.num, _ONE)])
+        _charge(budget, _linear_work(len(val.num)))
         return -val, pos
     if tok == "+":
         return _parse_atom(toks, pos + 1, var, budget)
@@ -1056,7 +1078,7 @@ def _parse_atom(toks, pos, var, budget):
         deg = max(len(val.num), len(val.den), 2) - 1  # a constant counts as degree 1
         if deg * k > MAX_EXPONENT:
             raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
-        _charge(budget, [(val.num, None), (val.den, None)], k)
+        _charge(budget, _power_work(val.num, k) + _power_work(val.den, k))
         val = val ** k
         pos += 2
     return val, pos

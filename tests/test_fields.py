@@ -194,10 +194,17 @@ class TestRationalFunctions:
         Qt = RationalFunctions("t")
         t = Qt.variable()
         assert Qt.parse("*".join(["(t+1)^10"] * 10)) == (t + 1) ** 100
-        assert Qt.parse("(t+1)^400").num[200] == math.comb(400, 200)
+        power = Qt.parse("(t+1)^400")
+        assert power.num[200] == math.comb(400, 200)
         assert Qt.parse("(t^2-1)/(2*t)") == (t * t - 1) / (2 * t)
-        # (t+1)^400 alone takes almost all of it
-        for text in ("-(t+1)^400", "(t+1)^400+1", "*".join(["(t+1)"] * 2000)):
+        # (t+1)^400 alone takes almost all of it; products are charged by
+        # operand size and linear steps by result size, so one linear step
+        # after it still fits, and so do 70 distinct linear factors
+        assert Qt.parse("(t+1)^400+1") == power + 1
+        assert Qt.parse("-(t+1)^400") == -power
+        assert Qt.parse("*".join(f"(t+{i})" for i in range(1, 71))) == math.prod(
+            (t + i for i in range(1, 71)), start=Qt.one)
+        for text in ("*".join(["(t+1)"] * 2000), "t^10000" + "+1" * 200):
             with pytest.raises(ScalarParseError, match="work budget"):
                 Qt.parse(text)
 
