@@ -61,9 +61,9 @@ class BilinearForm:
         g = self.gram.rows
         key, nunk = _upper_keys(self.algebra.dim)
         flat = [None] * nunk
-        for i, row in enumerate(key):
-            for j in range(i, len(row)):
-                flat[row[j]] = g[i][j]
+        for key_row, gram_row in zip(key, g):
+            for u, v in zip(key_row, gram_row):
+                flat[u] = v
         zero = self.algebra.field.zero
         for (i, j, k), row in _associativity_rows(self.algebra, key):
             acc = zero

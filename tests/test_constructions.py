@@ -257,6 +257,7 @@ class TestMiyamotoTransport:
         other = miyamoto(ma.axes[1], HALF)
         bad = FusionVerdicts(a01_subalgebra=True, module_rule=True, pre_jordan=False, jordan_a0=True)
         calls, conjugated = [], []
+        conjugate = constructions._conjugate
 
         def lying(a, lam):
             calls.append(a)
@@ -267,14 +268,12 @@ class TestMiyamotoTransport:
             conjugated.append((s, t))
             return conjugate(s, t)
 
-        conjugate = constructions._conjugate
         monkeypatch.setattr(constructions, "check_axis", lying)
         monkeypatch.setattr(constructions, "_conjugate", spy)
         with pytest.raises(SelfCheckFailed, match="not a primitive Jordan-type axis"):
             matsuo_from_triple_system(_transpositions(4), HALF)
         assert len(calls) == 1
         assert conjugated == []
-
 
     def test_line_breaking_involution_transports_nothing(self, monkeypatch):
         # on the Fano plane no sigma_x maps lines to lines, so each point gets
@@ -300,6 +299,7 @@ class TestMiyamotoTransport:
         assert direct == names
         assert all(taus[i][names.index(q)] == names.index(ts.third_point(x, q) or q)
                    for i, x in enumerate(names) for q in names)
+
 
 class TestJordanSymmetricMatrices:
     def test_k2(self):

@@ -85,7 +85,6 @@ class TestSolveFrobenius:
         with pytest.raises(SelfCheckFailed):
             BilinearForm(A, Matrix(QQ, bad))  # identity gram is not associative on 3C
 
-
     def test_named_triple_is_not_associative(self, mats3c, s4, toric):
         # one entry of a valid form moved by 1 breaks associativity; the triple
         # (i, j, k) the error names must have (b_i b_j, b_k) != (b_i, b_j b_k)
@@ -102,6 +101,7 @@ class TestSolveFrobenius:
                     lhs = sum(c * g[m][k] for m, c in enumerate(A.structure[i][j]))
                     rhs = sum(c * g[i][m] for m, c in enumerate(A.structure[j][k]))
                     assert lhs != rhs
+
 
 class TestRadical:
     def test_3c_nondegenerate(self, mats3c):
