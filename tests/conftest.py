@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -48,6 +49,13 @@ def h3_pair(h3):
     a = A.basis_element(0)
     b = A.element([HALF, HALF, 0, HALF, 0, 0])
     return A, form, a, b
+
+
+def transpositions(n):
+    """Points and lines of the Matsuo triple system of the transpositions of S_n."""
+    points = [f"t{i}{j}" for i, j in combinations(range(1, n + 1), 2)]
+    lines = [[f"t{i}{j}", f"t{j}{k}", f"t{i}{k}"] for i, j, k in combinations(range(1, n + 1), 3)]
+    return points, lines
 
 
 def twogen(pi, lam=HALF, **kw):

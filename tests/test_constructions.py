@@ -28,6 +28,7 @@ from axial import constructions
 from axial.axes import FusionVerdicts
 from axial.errors import BadLambda, InvalidTripleSystem, SelfCheckFailed
 from axial.linalg import span_contains
+from conftest import transpositions
 
 HALF = Fraction(1, 2)
 
@@ -204,12 +205,6 @@ class TestMatsuo:
                 assert tau.apply(q).coeffs in coeff_set
 
 
-def _transpositions(n):
-    points = [f"t{i}{j}" for i, j in combinations(range(1, n + 1), 2)]
-    lines = [[f"t{i}{j}", f"t{j}{k}", f"t{i}{k}"] for i, j, k in combinations(range(1, n + 1), 3)]
-    return points, lines
-
-
 def _ag23():
     points = [(x, y) for x in range(3) for y in range(3)]
     lines = {frozenset((p, q, ((-p[0] - q[0]) % 3, (-p[1] - q[1]) % 3))) for p, q in combinations(points, 2)}
@@ -220,12 +215,12 @@ F7 = PrimeField(7)
 # (triple system, lam, field, number of orbits of the transporting group)
 TRANSPORT_CASES = {
     "3C": ((["a", "b", "c"], [["a", "b", "c"]]), HALF, QQ, 1),
-    "S4@1/2": (_transpositions(4), HALF, QQ, 1),
-    "S4@1/4": (_transpositions(4), Fraction(1, 4), QQ, 1),
-    "S4@-1/2": (_transpositions(4), Fraction(-1, 2), QQ, 1),
-    "S5": (_transpositions(5), HALF, QQ, 1),
+    "S4@1/2": (transpositions(4), HALF, QQ, 1),
+    "S4@1/4": (transpositions(4), Fraction(1, 4), QQ, 1),
+    "S4@-1/2": (transpositions(4), Fraction(-1, 2), QQ, 1),
+    "S5": (transpositions(5), HALF, QQ, 1),
     "AG(2,3)": (_ag23(), HALF, QQ, 1),
-    "S4 over F7": (_transpositions(4), F7.parse("1/2"), F7, 1),
+    "S4 over F7": (transpositions(4), F7.parse("1/2"), F7, 1),
     "two disjoint lines": ((list("abcdef"), [list("abc"), list("def")]), HALF, QQ, 2),
 }
 
@@ -253,7 +248,7 @@ class TestMiyamotoTransport:
         # the first point's report says its Miyamoto map is no automorphism;
         # its map is replaced by that of a collinear point, which moves it,
         # so transporting along the group would reach other points
-        ma = matsuo_from_triple_system(_transpositions(4), HALF)
+        ma = matsuo_from_triple_system(transpositions(4), HALF)
         other = miyamoto(ma.axes[1], HALF)
         bad = FusionVerdicts(a01_subalgebra=True, module_rule=True, pre_jordan=False, jordan_a0=True)
         calls, conjugated = [], []
@@ -271,7 +266,7 @@ class TestMiyamotoTransport:
         monkeypatch.setattr(constructions, "check_axis", lying)
         monkeypatch.setattr(constructions, "_conjugate", spy)
         with pytest.raises(SelfCheckFailed, match="not a primitive Jordan-type axis"):
-            matsuo_from_triple_system(_transpositions(4), HALF)
+            matsuo_from_triple_system(transpositions(4), HALF)
         assert len(calls) == 1
         assert conjugated == []
 

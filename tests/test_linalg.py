@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 import sympy
@@ -9,6 +8,7 @@ from axial import matsuo_from_triple_system, solve_frobenius, universal_2gen
 from axial.errors import DimensionMismatch
 from axial.fields import QQ, PrimeField, RationalFunctions
 from axial.linalg import Coordinates, Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
+from conftest import transpositions
 
 
 def qmat(rows):
@@ -454,13 +454,6 @@ def reference_frobenius(A, normalize_at):
     return (None if particular is None else unflatten(particular)), [unflatten(v) for v in reference_kernel(m)]
 
 
-def _transpositions(n):
-    """Points and lines of the Matsuo triple system of the transpositions of S_n."""
-    points = [f"t{i}{j}" for i, j in combinations(range(1, n + 1), 2)]
-    lines = [[f"t{i}{j}", f"t{j}{k}", f"t{i}{k}"] for i, j, k in combinations(range(1, n + 1), 3)]
-    return points, lines
-
-
 FROBENIUS_CASES = ("3C", "3C family", "3C inconsistent", "S4 all points", "S4 one point", "S4 over F101",
                    "S4 at 1/3", "H3", "two-gen(1/2, 1/8)")
 
@@ -469,10 +462,10 @@ FROBENIUS_CASES = ("3C", "3C family", "3C inconsistent", "S4 all points", "S4 on
 def frobenius_cases(mats3c, h3):
     half, one = Fraction(1, 2), QQ.one
     c3 = mats3c
-    s4 = matsuo_from_triple_system(_transpositions(4), half)
+    s4 = matsuo_from_triple_system(transpositions(4), half)
     F101 = PrimeField(101)
-    s4_f101 = matsuo_from_triple_system(_transpositions(4), F101.parse("1/2"), F101)
-    s4_third = matsuo_from_triple_system(_transpositions(4), Fraction(1, 3))
+    s4_f101 = matsuo_from_triple_system(transpositions(4), F101.parse("1/2"), F101)
+    s4_third = matsuo_from_triple_system(transpositions(4), Fraction(1, 3))
     A3 = h3[0]
     tg = universal_2gen(half, Fraction(1, 8))
     a, b = tg.axes
