@@ -543,14 +543,18 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        r = o.reciprocal()
+        return self._times(r.num, r.den)
+
+    def reciprocal(self):
+        if not self.num:
             raise ZeroDivisionError("division by zero rational function")
         # the reciprocal, scaled to a monic denominator, is in reduced form
-        lead = o.num[-1]
+        lead = self.num[-1]
         if lead == 1:
-            return self._times(o.den, o.num)
+            return RatFunc(self.den, self.num, _reduced=True)
         inv = 1 / lead
-        return self._times(_pscale(inv, o.den), _pscale(inv, o.num))
+        return RatFunc(_pscale(inv, self.den), _pscale(inv, self.num), _reduced=True)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -947,43 +951,60 @@ MAX_SCALAR_WORK = 5 * 10**5
 
 
 def _shape(p):
-    """Nonzero terms, degree and coefficient bits of p; the bits of ||c*p||_1
-    * c, c the lcm of p's denominators, bound those of p^k k times over."""
+    """Nonzero terms, degree, coefficient bits and denominator bits of p.  c,
+    the lcm of p's denominators, has den bits, and the bits of ||c*p||_1 * c
+    bound those of each coefficient and, k times over, of p^k."""
     nonzero = [x for x in p if x]
     c = math.lcm(*(x.denominator for x in nonzero))
     bits = (sum(abs(x.numerator) * (c // x.denominator) for x in nonzero) * c).bit_length()
-    return len(nonzero), max(len(p) - 1, 0), bits
+    return len(nonzero), max(len(p) - 1, 0), bits, c.bit_length() - 1
 
 
-def _linear_work(length):
-    """A sum or negation with a dense result of the given length: one
-    Fraction add per coefficient, about 1.5 us whatever its size."""
-    return 3 * length
+def _pair_work(fixed, bits, bits_q, den, den_q):
+    """One Fraction operation on two coefficients of the given bits and
+    denominator bits: its fixed cost, a pass over the digits, the schoolbook
+    product of the operands, and the gcds of the denominators, which grow
+    with the square of their size (0.7 ms for two of 16,000 bits)."""
+    return fixed + (bits + bits_q >> 10) + (bits * bits_q >> 18) + ((den + den_q) * (bits + bits_q) >> 17)
 
 
 def _product_work(p, q):
-    """p*q: each coefficient product (a Fraction multiply and add, 4-6 us
-    below a few hundred bits) weighted by the sizes of its operands, whose
-    schoolbook product grows with the product of their bit lengths; then
-    the dense result, as linear work."""
-    n, deg, bits = _shape(p)
-    m, deg_q, bits_q = _shape(q)
-    return n * m * (8 + (bits * bits_q >> 18)) + _linear_work(deg + deg_q + 1)
+    """p*q: a Fraction multiply and add (6 units) for each pair of nonzero
+    terms, then 3 units for each coefficient of the dense result."""
+    n, deg, bits, den = _shape(p)
+    m, deg_q, bits_q, den_q = _shape(q)
+    return n * m * _pair_work(6, bits, bits_q, den, den_q) + 3 * (deg + deg_q + 1)
 
 
 def _power_work(p, k):
     """p^k: at most terms^2 coefficient products for the last squaring,
     then the terms*bits and the dense length of the result; a monomial
     stays one term."""
-    n, deg, bits = _shape(p)
+    n, deg, bits, _ = _shape(p)
     terms = deg * k + 1 if n > 1 else 1
     return terms * (terms + k * bits) + deg * k + 1
 
 
+def _negation_work(p):
+    """-p: 3 units and a pass over the digits for each coefficient."""
+    n, deg, bits, _ = _shape(p)
+    return 3 * (deg + 1) + n * (bits >> 10)
+
+
 def _sum_work(x, y):
-    """x + y for rational functions: numerators added over a common
-    denominator, after cross products when the denominators are not 1."""
-    work = _linear_work(max(len(x.num) + len(y.den), len(y.num) + len(x.den)))
+    """x + y for rational functions: the numerators x.num*y.den and
+    y.num*x.den (cross products formed only when a denominator is not 1)
+    added at 3 units a dense coefficient, and a Fraction add for each
+    coefficient where both are nonzero."""
+
+    def cross(p, q):  # a bound on the shape of p*q
+        n, deg, bits, den = _shape(p)
+        m, deg_q, bits_q, den_q = _shape(q)
+        return min(n * m, deg + deg_q + 1), deg + deg_q, bits + bits_q, den + den_q
+
+    n, deg, bits, den = cross(x.num, y.den)
+    m, deg_q, bits_q, den_q = cross(y.num, x.den)
+    work = 3 * (max(deg, deg_q) + 1) + min(n, m) * _pair_work(3, bits, bits_q, den, den_q)
     if x.den != _ONE or y.den != _ONE:
         work += _product_work(x.num, y.den) + _product_work(y.num, x.den) + _product_work(x.den, y.den)
     return work
@@ -1042,9 +1063,13 @@ def _parse_product(toks, pos, var, budget):
     while pos < len(toks) and toks[pos] in ("*", "/"):
         op = toks[pos]
         rhs, pos = _parse_atom(toks, pos + 1, var, budget)
-        num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
-        _charge(budget, _product_work(val.num, num) + _product_work(val.den, den))
-        val = val * rhs if op == "*" else val / rhs
+        if op == "/":
+            if rhs.num:  # the reciprocal is scaled by 1 / lead to a monic denominator
+                inv = (1 / rhs.num[-1],)
+                _charge(budget, _product_work(rhs.num, inv) + _product_work(rhs.den, inv))
+            rhs = rhs.reciprocal()
+        _charge(budget, _product_work(val.num, rhs.num) + _product_work(val.den, rhs.den))
+        val = val * rhs
     return val, pos
 
 
@@ -1054,7 +1079,7 @@ def _parse_atom(toks, pos, var, budget):
     tok = toks[pos]
     if tok == "-":
         val, pos = _parse_atom(toks, pos + 1, var, budget)
-        _charge(budget, _linear_work(len(val.num)))
+        _charge(budget, _negation_work(val.num))
         return -val, pos
     if tok == "+":
         return _parse_atom(toks, pos + 1, var, budget)

@@ -392,8 +392,17 @@ def test_huge_exponent_is_an_input_error(lam, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lam", ["*".join(["(t+1)^400"] * 8), "*".join(["(t+1)"] * 2000)],
-                         ids=["eight-powers", "2000-factors"])
+# sixteen-thousand-bit prime powers, and a dense polynomial of 1000 terms
+_PRIME_POWERS = [f"{p}^{min(10**4, 20000 // p.bit_length())}" for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)]
+_DENSE = "(t^1000-1)/(t-1)"
+
+
+# the last two build coefficients with large distinct denominators, whose gcds
+# grow with the square of their size
+@pytest.mark.parametrize("lam", ["*".join(["(t+1)^400"] * 8), "*".join(["(t+1)"] * 2000),
+                                 "+".join(f"{_DENSE}/{q}" for q in _PRIME_POWERS),
+                                 _DENSE + "*" + "/".join(_PRIME_POWERS)],
+                         ids=["eight-powers", "2000-factors", "prime-power-denominators", "prime-power-divisors"])
 def test_costly_product_is_an_input_error(lam, capsys):
     with _deadline(1):
         code = main(["construct", "two-gen", "--field", '{"kind":"Qt","var":"t"}',

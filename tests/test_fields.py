@@ -201,6 +201,7 @@ class TestRationalFunctions:
         # operand size and linear steps by result size, so one linear step
         # after it still fits, and so do 70 distinct linear factors
         assert Qt.parse("(t+1)^400+1") == power + 1
+        assert Qt.parse("(t+1)^200*(t+2)^200") == (t + 1) ** 200 * (t + 2) ** 200
         assert Qt.parse("-(t+1)^400") == -power
         assert Qt.parse("*".join(f"(t+{i})" for i in range(1, 71))) == math.prod(
             (t + i for i in range(1, 71)), start=Qt.one)
