@@ -296,34 +296,26 @@ def matsuo_from_triple_system(ts, lam, field=QQ):
             if form.value(axes[i], axes[j]) != expect:
                 raise SelfCheckFailed(f"form value ({p},{q}) != {'lam/2' if expect else '0'}")
 
-    taus = _miyamoto_permutations(ts, axes, lam)
-    for i, p in enumerate(ts.points):
-        for j, q in enumerate(ts.points):
-            if i != j and ts.collinear(p, q):
-                if taus[i][j] != index[ts.third_point(p, q)]:
-                    raise SelfCheckFailed(f"tau_{p}({q}) is not the third point of the line")
-            elif i != j and taus[i][j] != j:
-                raise SelfCheckFailed(f"tau_{p} moves the non-collinear point {q}")
+    _miyamoto_permutations(ts, axes, lam)
     return MatsuoAlgebra(algebra=A, axes=axes, form=form, triple_system=ts, lam=lam)
 
 
 def _miyamoto_permutations(ts, axes, lam):
-    """For each point p, the permutation of point indices that its Miyamoto
-    map tau_p induces; the point axes are the basis, so that is tau_p.
+    """For each point x, the permutation of point indices that its Miyamoto
+    map tau_x induces; the point axes are the basis, so that is tau_x.
+    Raises SelfCheckFailed unless every point is a primitive axis of Jordan
+    type lam whose tau_x is the involution sigma_x that swaps the other two
+    points of each line through x and fixes the points off those lines.
 
-    An automorphism g of A carries a certified axis q to an axis g(q) with
-    the same verdicts, and tau_{g(q)} = g tau_q g^-1.  The automorphisms used
-    are the involutions sigma_x that swap the other two points of each line
-    through x: a point permutation is an automorphism of A exactly when it
-    maps lines to lines, which is checked here.  Each tau_x must equal
-    sigma_x (the caller checks the third-point rule for every point), so on
-    a valid system every sigma_x qualifies, and check_axis runs once per
-    orbit of the group they generate; a point that no orbit found so far
-    reaches gets its own check, and its tau_p must permute the points.
+    check_axis runs once per orbit of the group generated by the sigma_x
+    that map lines to lines.  Such a point permutation g is an automorphism
+    of A, so it carries a certified axis q to an axis g(q) with the same
+    verdicts, and tau_{g(q)} = g tau_q g = g sigma_q g = sigma_{g(q)}.  A
+    point that no orbit found so far reaches gets its own check, and its
+    tau_p must permute the points.
     """
     points = ts.points
     index = {p: i for i, p in enumerate(points)}
-    lines = {frozenset(index[p] for p in line) for line in ts.lines}
     sigmas = []
     for x in points:
         sigma = list(range(len(points)))
@@ -331,33 +323,33 @@ def _miyamoto_permutations(ts, axes, lam):
             r = ts.third_point(x, q)
             if r is not None:
                 sigma[index[q]] = index[r]
-        if all(frozenset(sigma[i] for i in line) in lines for line in lines):
-            sigmas.append(tuple(sigma))
+        sigmas.append(tuple(sigma))
+    lines = {frozenset(index[p] for p in line) for line in ts.lines}
+    automorphisms = [s for s in sigmas if all(frozenset(s[i] for i in line) in lines for line in lines)]
     by_coeffs = {ax.coeffs: i for i, ax in enumerate(axes)}
-    taus = [None] * len(axes)
-    for start, a in enumerate(axes):
-        if taus[start] is not None:
+    certified = [False] * len(axes)
+    for start, p in enumerate(points):
+        if certified[start]:
             continue
-        rep = check_axis(a, lam)
+        rep = check_axis(axes[start], lam)
         if not rep.is_primitive_jordan_axis:
-            raise SelfCheckFailed(f"point {points[start]} is not a primitive Jordan-type axis")
-        images = tuple(by_coeffs.get(rep.miyamoto.apply(b).coeffs) for b in axes)
+            raise SelfCheckFailed(f"point {p} is not a primitive Jordan-type axis")
+        images = [by_coeffs.get(rep.miyamoto.apply(b).coeffs) for b in axes]
         if None in images:
-            raise SelfCheckFailed(f"tau_{points[start]} does not permute the point set")
-        taus[start] = images
+            raise SelfCheckFailed(f"tau_{p} does not permute the point set")
+        for j, q in enumerate(points):
+            if j != start and images[j] != sigmas[start][j]:
+                if ts.collinear(p, q):
+                    raise SelfCheckFailed(f"tau_{p}({q}) is not the third point of the line")
+                raise SelfCheckFailed(f"tau_{p} moves the non-collinear point {q}")
+        certified[start] = True
         orbit = [start]
         for q in orbit:  # grows while it is read
-            for sigma in sigmas:
-                r = sigma[q]
-                if taus[r] is None:
-                    taus[r] = _conjugate(sigma, taus[q])
-                    orbit.append(r)
-    return taus
-
-
-def _conjugate(s, t):
-    """The permutation s t s (apply s, then t, then s)."""
-    return tuple(s[t[x]] for x in s)
+            for s in automorphisms:
+                if not certified[s[q]]:
+                    certified[s[q]] = True
+                    orbit.append(s[q])
+    return sigmas
 
 
 # ---------------------------------------------------------------------------
