@@ -9,7 +9,6 @@ of structure constants: ``structure[i][j]`` is the coefficient tuple of
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
-from .fields import integer_lift
 from .linalg import Coordinates, Matrix
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
@@ -56,15 +55,18 @@ class Algebra:
         self._integer_grid = None
 
     def integer_grid(self):
-        """Over Q, the grid lifted to integers: ``(table, d)`` where
-        ``table[i][j]`` holds the pairs ``(k, d * c)`` for the nonzero
-        coefficients c of ``b_i * b_j``.  Built on first use."""
+        """Over Q and F_p, the grid lifted by ``field.integer_lift``:
+        ``(table, d)`` where ``table[i][j]`` holds the pairs ``(k, d * c)``
+        for the nonzero coefficients c of ``b_i * b_j``.  Over Q, d is their
+        common denominator; over F_p the entries are least residues and
+        d = 1.  Built on first use."""
         if self._integer_grid is None:
-            _, d = integer_lift([c for srow in self.structure for coeffs in srow for c in coeffs])
+            n = self.dim
+            flat, d = self.field.integer_lift([c for srow in self.structure for cell in srow for c in cell])
+            cells = [flat[m:m + n] for m in range(0, n * n * n, n)]
             table = [
-                [tuple((k, int(c.numerator) * (d // int(c.denominator))) for k, c in enumerate(coeffs) if c)
-                 for coeffs in srow]
-                for srow in self.structure
+                [tuple((k, a) for k, a in enumerate(cells[i * n + j]) if a) for j in range(n)]
+                for i in range(n)
             ]
             self._integer_grid = (table, d)
         return self._integer_grid

@@ -16,6 +16,7 @@ formatting, square roots and polynomial root extraction.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import random
 import re
@@ -99,7 +100,8 @@ def _pgcd(p, q):
     A primitive remainder sequence over Z (Collins, J. ACM 14, 1967): both
     inputs are scaled to primitive integer polynomials, each
     pseudo-remainder is divided by its content, and only the last nonzero
-    one is made monic.
+    one is made monic.  Inside a scalar-text parse each step first draws on
+    the parse's work budget (``_remainder_work``).
     """
     a, b = _ptrim(p), _ptrim(q)
     if not a or not b:
@@ -110,7 +112,10 @@ def _pgcd(p, q):
     a, b = _pcontent_int(a)[1], _pcontent_int(b)[1]
     if len(a) < len(b):
         a, b = b, a
+    budget = _scalar_budget.get()
     while True:
+        if budget is not None:
+            _charge(budget, _remainder_work(a, b))
         r = _pprem_int(a, b)
         if not r:
             return tuple(Fraction(c, b[-1]) for c in b)
@@ -618,15 +623,6 @@ def _literal(text, what):
         raise ScalarParseError(str(exc)) from exc
 
 
-def integer_lift(values):
-    """Rationals over their least common denominator: ``(numerators, d)``
-    with ``values[k] == numerators[k] / d``."""
-    d = 1
-    for q in values:
-        d = math.lcm(d, int(q.denominator))
-    return tuple(int(q.numerator) * (d // int(q.denominator)) for q in values), d
-
-
 class Field:
     """Common interface; concrete fields are singletons per parameter."""
 
@@ -697,6 +693,15 @@ class Rationals(Field):
     def from_fraction(self, q):
         return Fraction(q)
 
+    def integer_lift(self, values):
+        """Field values as integers over one denominator: ``(ints, d)`` with
+        ``values[k] == ints[k] / d``, here over their least common
+        denominator.  ``PrimeField`` has the same method."""
+        d = 1
+        for q in values:
+            d = math.lcm(d, int(q.denominator))
+        return tuple(int(q.numerator) * (d // int(q.denominator)) for q in values), d
+
     def sqrt(self, a):
         return _fraction_sqrt(Fraction(a))
 
@@ -753,6 +758,10 @@ class PrimeField(Field):
         if q.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
         return Fp(q.numerator * pow(q.denominator, -1, self.p), self.p)
+
+    def integer_lift(self, values):
+        """As ``Rationals.integer_lift``: least residues, with d = 1."""
+        return tuple(a.v for a in values), 1
 
     def sqrt(self, a):
         r = _sqrt_mod(a.v, self.p)
@@ -852,12 +861,16 @@ class RationalFunctions(Field):
     # -- parsing: +, -, *, /, ^, parentheses, integer literals, the variable
     def parse(self, text):
         toks = _tokenize(text, self.var)
+        budget = [MAX_SCALAR_WORK]
+        token = _scalar_budget.set(budget)
         try:
-            val, pos = _parse_sum(toks, 0, self.var, [MAX_SCALAR_WORK])
+            val, pos = _parse_sum(toks, 0, self.var, budget)
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"{text!r} divides by zero") from exc
         except RecursionError as exc:  # the parser recurses per '(' and per unary sign
             raise ScalarParseError("scalar text is nested too deeply") from exc
+        finally:
+            _scalar_budget.reset(token)
         if pos != len(toks):
             raise ScalarParseError(f"trailing input in {text!r}")
         return val
@@ -949,6 +962,9 @@ class RationalFunctions(Field):
 MAX_EXPONENT = 10**4
 MAX_SCALAR_WORK = 5 * 10**5
 
+# the budget of the scalar text being parsed in this context, if any
+_scalar_budget = contextvars.ContextVar("scalar_budget", default=None)
+
 
 def _shape(p):
     """Nonzero terms, degree, coefficient bits and denominator bits of p.  c,
@@ -1008,6 +1024,22 @@ def _sum_work(x, y):
     if x.den != _ONE or y.den != _ONE:
         work += _product_work(x.num, y.den) + _product_work(y.num, x.den) + _product_work(x.den, y.den)
     return work
+
+
+def _remainder_work(a, b):
+    """One step of the primitive remainder sequence in ``_pgcd`` on the
+    integer polynomials a and b, len(a) >= len(b): len(a) - len(b) + 1
+    passes of len(b) multiply-adds, on coefficients that each pass may
+    scale by lc(b), then the content gcd of the remainder.  Its cost turns
+    on how far the coefficients grow along the sequence, which the shapes
+    of the inputs do not tell: gcd((t+1)^200, (t+2)^199) takes 17 ms and
+    gcd((3t^2+5t+1)^60, (7t^2+2)^60), of smaller degree and bits, 7 s.
+    So ``_pgcd`` draws each step from the budget of the parse that runs it."""
+    passes = len(a) - len(b) + 1
+    bits = max(abs(c) for c in a).bit_length() + passes * b[-1].bit_length()
+    bits_b = max(abs(c) for c in b).bit_length()
+    work = passes * len(b) * _pair_work(1, bits, bits_b, 0, 0) + len(a) * _pair_work(1, bits, bits, 0, 0)
+    return 3 * work >> 2  # integer operations, at 3/4 of the Fraction price
 
 
 def _charge(budget, work):

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, SelfCheckFailed
-from .fields import integer_lift
 from .linalg import Echelon, Matrix
 
 __all__ = [
@@ -42,11 +41,12 @@ class BilinearForm:
         self._integer_gram = None
 
     def integer_gram(self):
-        """Over Q, the Gram matrix lifted to integers: ``(rows, d)`` with
-        entry ``(i, j)`` equal to ``rows[i][j] / d``.  Built on first use."""
+        """Over Q and F_p, the Gram matrix lifted by ``field.integer_lift``:
+        ``(rows, d)`` with entry ``(i, j)`` equal to ``rows[i][j] / d``; over
+        F_p the rows hold least residues and d = 1.  Built on first use."""
         if self._integer_gram is None:
             n = self.algebra.dim
-            flat, d = integer_lift([c for row in self.gram.rows for c in row])
+            flat, d = self.algebra.field.integer_lift([c for row in self.gram.rows for c in row])
             self._integer_gram = ([flat[i * n:(i + 1) * n] for i in range(n)], d)
         return self._integer_gram
 

@@ -28,7 +28,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
-from .fields import Rationals, integer_lift
+from .fields import PrimeField, Rationals
 
 __all__ = [
     "GenPoly",
@@ -442,10 +442,10 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if f.has_brackets() and form is None:
         raise MissingForm("polynomial contains bracket factors but no form was given")
 
-    if isinstance(A.field, Rationals):
-        return _evaluate_rational(f, assign_x, assign_e, form, A)
+    if isinstance(A.field, (Rationals, PrimeField)):
+        return _evaluate_integer(f, assign_x, assign_e, form, A)
 
-    # hot path: raw coefficient tuples with subtree and bracket caches
+    # Q(t): raw coefficient tuples with subtree and bracket caches
     cache = {("X", j): v.coeffs for j, v in assign_x.items()}
     cache.update((("E", i), v.coeffs) for i, v in assign_e.items())
 
@@ -482,20 +482,25 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     return A.element(total)
 
 
-def _evaluate_rational(f, assign_x, assign_e, form, A):
-    """``evaluate`` over Q in integer arithmetic.
+def _evaluate_integer(f, assign_x, assign_e, form, A):
+    """``evaluate`` over Q or F_p in integer arithmetic.
 
-    Each subtree value is a vector of integer numerators over one common
-    denominator, so the inner loops multiply and add plain ints instead of
-    Fractions; the result is reduced back to field values at the end.
+    Each subtree value is a vector of integers over one common denominator:
+    numerators over Q, least residues with denominator 1 over F_p.  The
+    inner loops multiply and add plain ints instead of field values.  Only
+    the lift (``field.integer_lift``), the reduction of each product and
+    bracket (by the gcd over Q, mod p over F_p) and the conversion of the
+    result back to field values depend on the field.
     """
     n = A.dim
+    field = A.field
+    p = field.p if isinstance(field, PrimeField) else None
     table, grid_d = A.integer_grid()
     cache = {}
     for j, v in assign_x.items():
-        cache[("X", j)] = integer_lift(v.coeffs)
+        cache[("X", j)] = field.integer_lift(v.coeffs)
     for i, v in assign_e.items():
-        cache[("E", i)] = integer_lift(v.coeffs)
+        cache[("E", i)] = field.integer_lift(v.coeffs)
 
     def ev(t):
         val = cache.get(t)
@@ -514,10 +519,13 @@ def _evaluate_rational(f, assign_x, assign_e, form, A):
                 for k, s in row[j]:
                     out[k] += c * s
         d = dx * dy * grid_d
-        g = math.gcd(d, *out)
-        if g > 1:
-            out = [a // g for a in out]
-            d //= g
+        if p:
+            out = [a % p for a in out]
+        else:
+            g = math.gcd(d, *out)
+            if g > 1:
+                out = [a // g for a in out]
+                d //= g
         val = (out, d)
         cache[t] = val
         return val
@@ -540,16 +548,18 @@ def _evaluate_rational(f, assign_x, assign_e, form, A):
             for j, yj in enumerate(y):
                 if yj:
                     acc += xi * yj * gi[j]
-        val = Fraction(acc, dx * dy * gram_d)
+        val = acc % p if p else Fraction(acc, dx * dy * gram_d)
         bcache[key] = val
         return val
 
-    # the sum of the monomials, kept as integer numerators over total_d
+    # the sum of the monomials, kept as integers over total_d; a scalar c is
+    # a Fraction over Q and a residue over F_p, and both have numerator and
+    # denominator
     total, total_d = [0] * n, 1
     for (brackets, body), coeff in f.terms.items():
         if body is None:
             raise MissingForm("monomial has no element-valued body")
-        c = Fraction(coeff)
+        c = coeff.v if p else Fraction(coeff)
         for t1, t2 in brackets:
             c = c * brval(t1, t2)
             if not c:
@@ -561,7 +571,8 @@ def _evaluate_rational(f, assign_x, assign_e, form, A):
             st, sb = m // total_d, (m // d) * c.numerator
             total = [a * st + b * sb for a, b in zip(total, bv)]
             total_d = m
-    field = A.field
+    if p:
+        return A.element([field.from_int(a) for a in total])
     return A.element([field.from_fraction(Fraction(a, total_d)) for a in total])
 
 

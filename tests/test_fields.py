@@ -205,7 +205,11 @@ class TestRationalFunctions:
         assert Qt.parse("-(t+1)^400") == -power
         assert Qt.parse("*".join(f"(t+{i})" for i in range(1, 71))) == math.prod(
             (t + i for i in range(1, 71)), start=Qt.one)
-        for text in ("*".join(["(t+1)"] * 2000), "t^10000" + "+1" * 200):
+        # the gcds of a quotient draw on the budget step by step, so one whose
+        # remainder sequence stays small fits and one whose coefficients grow
+        # along it (7 s unmetered) does not
+        assert Qt.parse("(t+1)^200/(t+2)^199") == (t + 1) ** 200 / (t + 2) ** 199
+        for text in ("*".join(["(t+1)"] * 2000), "t^10000" + "+1" * 200, "(3*t^2+5*t+1)^60/(7*t^2+2)^60"):
             with pytest.raises(ScalarParseError, match="work budget"):
                 Qt.parse(text)
 
@@ -679,7 +683,37 @@ def _qt_value(rng, Qt, max_deg=2, fraction=True):
     return num / den if den else num
 
 
+def reference_monic_quadratic_roots(field, q0, q1):
+    """Roots in Q(var) of x^2 + q1 x + q0: (-q1 +- s) / 2 when the
+    discriminant is s^2 for some s in Q(var).  N / D, in lowest terms, is a
+    square exactly when N * D is one, which sympy's univariate factorization
+    decides."""
+    import sympy as sp
+
+    disc = q1 * q1 - 4 * q0
+    if not disc:
+        return {-q1 / 2}
+    t = sp.Symbol(field.var)
+
+    def poly(p):
+        return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(p)], t)
+
+    den = poly(disc.den)
+    lead, factors = (poly(disc.num) * den).factor_list()
+    root = sp.sqrt(lead)
+    if not root.is_Rational or any(m % 2 for _, m in factors):
+        return set()
+    s = sp.Poly(root, t)
+    for f, m in factors:
+        s *= f ** (m // 2)
+    s = reference_from_sympy_pair(s, den)
+    return {(s - q1) / 2, (-s - q1) / 2}
+
+
 def test_qt_roots_match_bivariate_factorization():
+    # the hand-picked cases are checked against sympy's bivariate
+    # factorization; each random case is built from its linear factors,
+    # times a quadratic whose roots the univariate discriminant test decides
     Qt = RationalFunctions("t")
     t = Qt.variable()
     rng = random.Random(2024)
@@ -690,20 +724,28 @@ def test_qt_roots_match_bivariate_factorization():
         _linear_product(Qt, [(10**30 * t ** 3 + 1) / (t + 7), t / 2], (t ** 2 + 1) / 3),
         _linear_product(Qt, [1 / t, 1 / t, 1 / t, t], Qt.one),
     ]
+    expected = [set(reference_qt_roots(Qt, f)) for f in cases]
+    quadratic_roots = 0
     while len(cases) < 300:
         roots = [_qt_value(rng, Qt, 1) for _ in range(rng.randint(1, 2))]
         roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))  # a repeated root
         f = _linear_product(Qt, roots, _qt_value(rng, Qt, 1) or Qt.one)
+        want = set(roots)
         if rng.random() < 0.25:  # times a quadratic, often with no root in Q(t)
             q = [_qt_value(rng, Qt, 1, False), _qt_value(rng, Qt, 1, False), Qt.one]
             f = [sum((f[i] * q[k - i] for i in range(len(f)) if 0 <= k - i < 3), Qt.zero)
                  for k in range(len(f) + 2)]
+            extra = reference_monic_quadratic_roots(Qt, q[0], q[1])
+            quadratic_roots += bool(extra)
+            want |= extra
         cases.append(f)
+        expected.append(want)
+    assert quadratic_roots > 0  # 8 of the random quadratics split over Q(t)
     nonconstant = 0
-    for f in cases:
+    for f, want in zip(cases, expected):
         roots = Qt.poly_roots(f)
         assert len(set(roots)) == len(roots)
-        assert set(roots) == set(reference_qt_roots(Qt, f)), f
+        assert set(roots) == want, f
         nonconstant += any(len(r.num) > 1 or len(r.den) > 1 for r in roots)
     assert nonconstant > 200  # 231 of the 300 have a root that is not constant
     assert set(Qt.poly_roots(cases[3])) == {(10**30 * t ** 3 + 1) / (t + 7), t / 2}

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import transpositions
 
 from axial import (
     QQ,
@@ -15,9 +16,11 @@ from axial import (
     jordan_symmetric_matrices,
     linearize_step,
     make_algebra,
+    matsuo_from_triple_system,
     parse_poly,
     sample_identity,
     specialize_idempotent_slot,
+    toric_euf,
     universal_2gen,
 )
 from axial.errors import (
@@ -43,6 +46,7 @@ from axial.identities import (
 )
 
 HALF = Fraction(1, 2)
+ONE_LINE = (["a", "b", "c"], [["a", "b", "c"]])  # the triple system of 3C
 
 
 class TestParse:
@@ -170,6 +174,26 @@ class TestSpecializeSlot:
             specialize_idempotent_slot(f, 2, 3)
 
 
+def reference_evaluate(f, xs, es, form, A):
+    """f at xs and es through Element products and BilinearForm.value,
+    the generic evaluation without integer lifts."""
+
+    def ev(t):
+        if t[0] == "X":
+            return xs[t[1]]
+        if t[0] == "E":
+            return es[t[1]]
+        return ev(t[1]) * ev(t[2])
+
+    total = A.zero()
+    for (brackets, body), coeff in f.terms.items():
+        c = coeff
+        for t1, t2 in brackets:
+            c = c * form.value(ev(t1), ev(t2))
+        total = total + ev(body) * c
+    return total
+
+
 class TestEvaluate:
     def test_jordan_at_unit(self, toric):
         f = builtin_identity("jordan", QQ)
@@ -212,22 +236,6 @@ class TestEvaluate:
     def test_rational_path_matches_element_products(self, mats3c, h3):
         # evaluate over Q runs on integer numerators; compare every catalog
         # identity with a plain evaluation through Element products
-        def reference(f, xs, es, form, A):
-            def ev(t):
-                if t[0] == "X":
-                    return xs[t[1]]
-                if t[0] == "E":
-                    return es[t[1]]
-                return ev(t[1]) * ev(t[2])
-
-            total = A.zero()
-            for (brackets, body), coeff in f.terms.items():
-                c = coeff
-                for t1, t2 in brackets:
-                    c = c * form.value(ev(t1), ev(t2))
-                total = total + ev(body) * c
-            return total
-
         tg = universal_2gen(HALF, Fraction(1, 8))
         h3_alg, h3_form = h3
         cases = [
@@ -246,17 +254,98 @@ class TestEvaluate:
                     }
                     es = {i: rng.choice(pool) for i in f.e_indices()}
                     val = evaluate(f, xs, es, form=form, algebra=A)
-                    assert val == reference(f, xs, es, form, A), name
+                    assert val == reference_evaluate(f, xs, es, form, A), name
+
+    @pytest.mark.parametrize("p", [7, 101, 65521, 2**31 - 1])
+    def test_prime_field_path_matches_element_products(self, p):
+        # evaluate over F_p runs on least residues; compare every catalog
+        # identity at dense random elements, with pool idempotents in the E
+        # slots and, unchecked, dense random ones
+        K = PrimeField(p)
+        half = K.from_fraction(HALF)
+        c3 = matsuo_from_triple_system(ONE_LINE, half, K)
+        s4 = matsuo_from_triple_system(transpositions(4), half, K)
+        tor = toric_euf(K)
+        cases = [
+            (c3.algebra, list(c3.axes), c3.form),
+            (s4.algebra, list(s4.axes), s4.form),
+            (tor.algebra, [tor.idempotent(K.from_int(e)) for e in (1, 2, 3)], tor.form),
+        ]
+        rng = random.Random(p)
+        nonzero = 0
+        for A, pool, form in cases:
+
+            def dense():
+                return A.element([K.from_int(rng.randrange(p)) for _ in range(A.dim)])
+
+            for name in BUILTIN_NAMES:
+                f = builtin_identity(name, K, half)
+                for checked in (True, False):
+                    xs = {j: dense() for j in f.x_indices()}
+                    es = {i: rng.choice(pool) if checked else dense() for i in f.e_indices()}
+                    val = evaluate(f, xs, es, form=form, algebra=A, check_idempotents=checked)
+                    ref = reference_evaluate(f, xs, es, form, A)
+                    # format reads least residues, so unreduced ints fail here
+                    assert val == ref and val.format() == ref.format(), name
+                    nonzero += not val.is_zero()
+        assert nonzero >= 25  # 28 to 30 of the 84 values are nonzero
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_exhaustive_prime_field_search_matches_element_products(self, p):
+        # over F_3 and F_5 these polynomials have a degree of at least p, so
+        # holds_as_identity enumerates the field; its witness must be the
+        # first assignment, E slots outermost, at which the Element-product
+        # evaluation does not vanish
+        K = PrimeField(p, allow_small=True)
+        c3 = matsuo_from_triple_system(ONE_LINE, K.from_fraction(HALF), K)
+        A, pool, form = c3.algebra, list(c3.axes), c3.form
+        line = make_algebra(K, 1, ["b"], [[[K.one]]])
+        power = "x1"
+        for _ in range(p - 1):
+            power = f"({power})*x1"
+        cases = [
+            (parse_poly(f"{power} - x1", K), line, [], None),
+            (parse_poly(f"{power}*x1 - x1*x1", K), line, [], None),
+            (builtin_identity("jordan", K) if p == 3 else parse_poly(f"({power})*({power}) - {power}", K),
+             A, [], None),
+            (parse_poly(f"B(x1,E1)*({power}) - B({power},E1)*x1", K), A, pool, form),
+            (parse_poly(f"E1*({power}) - {power}", K), A, pool, None),
+        ]
+        failures = 0
+        for f, alg, e_pool, e_form in cases:
+            verdict = holds_as_identity(f, alg, idempotent_pool=e_pool, form=e_form)
+            assert verdict.method == "exhaustive-field"
+            vectors = [alg.element(v) for v in itertools.product(K.elements(), repeat=alg.dim)]
+            xvars, evars = f.x_indices(), f.e_indices()
+            expected = next(
+                (
+                    {"x": xs, "e": es}
+                    for choice in itertools.product(e_pool, repeat=len(evars))
+                    for es in [dict(zip(evars, choice))]
+                    for tup in itertools.product(vectors, repeat=len(xvars))
+                    for xs in [dict(zip(xvars, tup))]
+                    if not reference_evaluate(f, xs, es, e_form, alg).is_zero()
+                ),
+                None,
+            )
+            assert verdict.witness == expected, format_poly(f)
+            assert verdict.holds == (expected is None)
+            failures += not verdict.holds
+        assert failures >= 2
 
     def test_errors(self, mats3c, toric):
-        f = builtin_identity("primitivityFrobenius", QQ, HALF)
-        a, b, _ = mats3c.axes
-        with pytest.raises(MissingForm):
-            evaluate(f, {1: b}, {1: a})
-        with pytest.raises(NotIdempotent):
-            evaluate(f, {1: b}, {1: b + b}, form=mats3c.form)
-        with pytest.raises(UnboundVariable):
-            evaluate(f, {}, {1: a}, form=mats3c.form)
+        F101 = PrimeField(101)
+        c3_101 = matsuo_from_triple_system(ONE_LINE, F101.from_fraction(HALF), F101)
+        for c3 in (mats3c, c3_101):
+            field = c3.algebra.field
+            f = builtin_identity("primitivityFrobenius", field, field.from_fraction(HALF))
+            a, b, _ = c3.axes
+            with pytest.raises(MissingForm):
+                evaluate(f, {1: b}, {1: a})
+            with pytest.raises(NotIdempotent):
+                evaluate(f, {1: b}, {1: b + b}, form=c3.form)
+            with pytest.raises(UnboundVariable):
+                evaluate(f, {}, {1: a}, form=c3.form)
 
 
 class TestHoldsAsIdentity:
