@@ -36,6 +36,42 @@ _rational = Fraction
 _ONE = (Fraction(1),)
 
 
+# the work budget of the scalar text being parsed in this context, if any:
+# inside a parse each primitive below that does coefficient arithmetic draws
+# on it before it runs (_charge), at the _pair_work price of its operands, and
+# a loop whose operands grow draws pass by pass
+_scalar_budget = contextvars.ContextVar("scalar_budget", default=None)
+
+
+def _size(p):
+    """Nonzero terms of p, the most bits of a coefficient's numerator and
+    denominator together, and the most bits of a denominator past 1."""
+    n = bits = den = 0
+    for x in p:
+        if x:
+            n += 1
+            d = x.denominator.bit_length() - 1
+            bits = max(bits, x.numerator.bit_length() + d)
+            den = max(den, d)
+    return n, bits, den
+
+
+def _pair_work(fixed, bits, bits_q, den, den_q):
+    """One Fraction operation on two coefficients of the given bits and
+    denominator bits: its fixed cost, a pass over the digits, the schoolbook
+    product of the operands, and the gcds of the denominators, which grow
+    with the square of their size (0.7 ms for two of 16,000 bits)."""
+    return fixed + (bits + bits_q >> 10) + (bits * bits_q >> 18) + ((den + den_q) * (bits + bits_q) >> 17)
+
+
+def _charge(budget, work):
+    """Draw work from the one-item list budget before the operation runs,
+    and refuse the text once it is spent."""
+    budget[0] -= work
+    if budget[0] < 0:
+        raise ScalarParseError("scalar text exceeds its work budget")
+
+
 def _ptrim(c):
     c = list(c)
     while c and not c[-1]:
@@ -45,22 +81,32 @@ def _ptrim(c):
 
 def _padd(p, q):
     n = max(len(p), len(q))
+    budget = _scalar_budget.get()
+    if budget is not None:
+        (k, bits, den), (m, bits_q, den_q) = _size(p), _size(q)
+        _charge(budget, 3 * n + min(k, m) * _pair_work(3, bits, bits_q, den, den_q))
     return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
 
 
 def _pneg(p):
+    budget = _scalar_budget.get()
+    if budget is not None:
+        _charge(budget, len(p) * _pair_work(3, _size(p)[1], 0, 0, 0))
     return tuple(-a for a in p)
 
 
 def _pmul(p, q):
     if not p or not q:
         return ()
+    budget = _scalar_budget.get()
+    if budget is not None:
+        (n, bits, den), (m, bits_q, den_q) = _size(p), _size(q)
+        _charge(budget, n * m * _pair_work(6, bits, bits_q, den, den_q) + 3 * (len(p) + len(q) - 1))
     out = [Fraction(0)] * (len(p) + len(q) - 1)
+    terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
+        if a:
+            for j, b in terms:
                 out[i + j] += a * b
     return _ptrim(out)
 
@@ -68,6 +114,10 @@ def _pmul(p, q):
 def _pscale(c, p):
     if not c:
         return ()
+    budget = _scalar_budget.get()
+    if budget is not None:
+        (_, bits, den), (_, bits_p, den_p) = _size((c,)), _size(p)
+        _charge(budget, len(p) * _pair_work(6, bits, bits_p, den, den_p))
     return tuple(c * a for a in p)
 
 
@@ -78,8 +128,14 @@ def _pdivmod(p, q):
     d = len(q) - 1
     lead = q[-1]
     quo = [0 * lead] * max(0, len(r) - d)
+    budget = _scalar_budget.get()
+    if budget is not None:
+        _, bits_q, den_q = _size(q)
     while r and len(r) - 1 >= d:
         c = r[-1] if lead == 1 else r[-1] / lead
+        if budget is not None:  # each pass, at the size of its quotient term
+            _, bits, den = _size((c,))
+            _charge(budget, len(q) * _pair_work(6, bits, bits_q, den, den_q))
         k = len(r) - 1 - d
         quo[k] = c
         for i in range(len(q)):
@@ -100,8 +156,9 @@ def _pgcd(p, q):
     A primitive remainder sequence over Z (Collins, J. ACM 14, 1967): both
     inputs are scaled to primitive integer polynomials, each
     pseudo-remainder is divided by its content, and only the last nonzero
-    one is made monic.  Inside a scalar-text parse each step first draws on
-    the parse's work budget (``_remainder_work``).
+    one is made monic.  How far the coefficients grow along the sequence
+    does not show in the inputs, so inside a scalar-text parse each pass of
+    ``_pprem_int`` and each content gcd draws on the budget as it comes.
     """
     a, b = _ptrim(p), _ptrim(q)
     if not a or not b:
@@ -114,13 +171,14 @@ def _pgcd(p, q):
         a, b = b, a
     budget = _scalar_budget.get()
     while True:
-        if budget is not None:
-            _charge(budget, _remainder_work(a, b))
         r = _pprem_int(a, b)
         if not r:
             return tuple(Fraction(c, b[-1]) for c in b)
         if len(r) == 1:
             return _ONE
+        if budget is not None:
+            bits = _size(r)[1]
+            _charge(budget, len(r) * _pair_work(1, bits, bits, 0, 0))
         g = math.gcd(*r)
         a, b = b, tuple(c // g for c in r)
 
@@ -130,14 +188,24 @@ def _pprem_int(a, b):
 
     Each step scales the running remainder only by what its leading
     coefficient lacks of a multiple of b's, which keeps the integers small.
+    Inside a scalar-text parse each step draws on the budget at a bound on
+    the remainder's coefficients that it carries along.
     """
     r = list(a)
     lb = b[-1]
     db = len(b) - 1
+    budget = _scalar_budget.get()
+    if budget is not None:
+        bits, bits_b = _size(a)[1], _size(b)[1]
     while len(r) > db:
         lr = r[-1]
         g = math.gcd(lr, lb)
         m, f = lb // g, lr // g
+        if budget is not None:
+            bits_m, bits_f = m.bit_length(), f.bit_length()
+            scale = len(r) * _pair_work(1, bits, bits_m, 0, 0) if m != 1 else 0
+            _charge(budget, scale + db * _pair_work(1, bits_f, bits_b, 0, 0))
+            bits = max(bits + bits_m, bits_f + bits_b) + 1
         if m != 1:
             r = [m * c for c in r]
         k = len(r) - 1 - db
@@ -149,18 +217,15 @@ def _pprem_int(a, b):
     return r
 
 
-def _peval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _pcontent_int(p):
     """Write p = (a/b) * prim with prim integral primitive; return (Fraction(a,b), prim int tuple)."""
     if not p:
         return Fraction(0), ()
     den = math.lcm(*[c.denominator for c in p])
+    budget = _scalar_budget.get()
+    if budget is not None:  # at the size of the coefficients lifted over den
+        bits = max(c.numerator.bit_length() for c in p) + den.bit_length()
+        _charge(budget, len(p) * _pair_work(1, bits, bits, 0, 0))
     ints = [c.numerator * (den // c.denominator) for c in p]
     g = math.gcd(*ints)
     if ints[-1] < 0:
@@ -599,10 +664,10 @@ class RatFunc:
 
     def eval_at(self, x):
         """Evaluate at a Fraction point; raises ZeroDivisionError on a pole."""
-        d = _peval(self.den, Fraction(x))
+        d = _horner(self.den, Fraction(x))
         if d == 0:
             raise ZeroDivisionError("pole of rational function")
-        return _peval(self.num, Fraction(x)) / d
+        return _horner(self.num, Fraction(x)) / d
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +730,6 @@ class Field:
 
     def to_json(self):
         raise NotImplementedError
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class Rationals(Field):
@@ -861,10 +923,9 @@ class RationalFunctions(Field):
     # -- parsing: +, -, *, /, ^, parentheses, integer literals, the variable
     def parse(self, text):
         toks = _tokenize(text, self.var)
-        budget = [MAX_SCALAR_WORK]
-        token = _scalar_budget.set(budget)
+        token = _scalar_budget.set([MAX_SCALAR_WORK])
         try:
-            val, pos = _parse_sum(toks, 0, self.var, budget)
+            val, pos = _parse_sum(toks, 0, self.var)
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"{text!r} divides by zero") from exc
         except RecursionError as exc:  # the parser recurses per '(' and per unary sign
@@ -955,99 +1016,12 @@ class RationalFunctions(Field):
 # -- tiny recursive-descent parser for the rational-function grammar
 
 # Caps on scalar text: the degree of a power (the exponent, on a constant), and
-# one work budget that every operation in the text draws on before it runs
-# (_charge).  A unit of work is about 0.6 us of CPython 3.11.7 on a 2-core Xeon
-# host whose speed swings about twofold: (t+1)^400, the costliest power within
-# both caps, takes 0.28 s there and is charged 482,002 units.
+# one work budget that the polynomial primitives draw on as the text is
+# evaluated (_scalar_budget).  A unit of work is about 0.7-0.95 us of CPython
+# 3.11.7 on a 2-core Xeon host whose speed swings by about a third: (t+1)^400
+# is charged 374,379 units and takes 0.26-0.35 s there.
 MAX_EXPONENT = 10**4
 MAX_SCALAR_WORK = 5 * 10**5
-
-# the budget of the scalar text being parsed in this context, if any
-_scalar_budget = contextvars.ContextVar("scalar_budget", default=None)
-
-
-def _shape(p):
-    """Nonzero terms, degree, coefficient bits and denominator bits of p.  c,
-    the lcm of p's denominators, has den bits, and the bits of ||c*p||_1 * c
-    bound those of each coefficient and, k times over, of p^k."""
-    nonzero = [x for x in p if x]
-    c = math.lcm(*(x.denominator for x in nonzero))
-    bits = (sum(abs(x.numerator) * (c // x.denominator) for x in nonzero) * c).bit_length()
-    return len(nonzero), max(len(p) - 1, 0), bits, c.bit_length() - 1
-
-
-def _pair_work(fixed, bits, bits_q, den, den_q):
-    """One Fraction operation on two coefficients of the given bits and
-    denominator bits: its fixed cost, a pass over the digits, the schoolbook
-    product of the operands, and the gcds of the denominators, which grow
-    with the square of their size (0.7 ms for two of 16,000 bits)."""
-    return fixed + (bits + bits_q >> 10) + (bits * bits_q >> 18) + ((den + den_q) * (bits + bits_q) >> 17)
-
-
-def _product_work(p, q):
-    """p*q: a Fraction multiply and add (6 units) for each pair of nonzero
-    terms, then 3 units for each coefficient of the dense result."""
-    n, deg, bits, den = _shape(p)
-    m, deg_q, bits_q, den_q = _shape(q)
-    return n * m * _pair_work(6, bits, bits_q, den, den_q) + 3 * (deg + deg_q + 1)
-
-
-def _power_work(p, k):
-    """p^k: at most terms^2 coefficient products for the last squaring,
-    then the terms*bits and the dense length of the result; a monomial
-    stays one term."""
-    n, deg, bits, _ = _shape(p)
-    terms = deg * k + 1 if n > 1 else 1
-    return terms * (terms + k * bits) + deg * k + 1
-
-
-def _negation_work(p):
-    """-p: 3 units and a pass over the digits for each coefficient."""
-    n, deg, bits, _ = _shape(p)
-    return 3 * (deg + 1) + n * (bits >> 10)
-
-
-def _sum_work(x, y):
-    """x + y for rational functions: the numerators x.num*y.den and
-    y.num*x.den (cross products formed only when a denominator is not 1)
-    added at 3 units a dense coefficient, and a Fraction add for each
-    coefficient where both are nonzero."""
-
-    def cross(p, q):  # a bound on the shape of p*q
-        n, deg, bits, den = _shape(p)
-        m, deg_q, bits_q, den_q = _shape(q)
-        return min(n * m, deg + deg_q + 1), deg + deg_q, bits + bits_q, den + den_q
-
-    n, deg, bits, den = cross(x.num, y.den)
-    m, deg_q, bits_q, den_q = cross(y.num, x.den)
-    work = 3 * (max(deg, deg_q) + 1) + min(n, m) * _pair_work(3, bits, bits_q, den, den_q)
-    if x.den != _ONE or y.den != _ONE:
-        work += _product_work(x.num, y.den) + _product_work(y.num, x.den) + _product_work(x.den, y.den)
-    return work
-
-
-def _remainder_work(a, b):
-    """One step of the primitive remainder sequence in ``_pgcd`` on the
-    integer polynomials a and b, len(a) >= len(b): len(a) - len(b) + 1
-    passes of len(b) multiply-adds, on coefficients that each pass may
-    scale by lc(b), then the content gcd of the remainder.  Its cost turns
-    on how far the coefficients grow along the sequence, which the shapes
-    of the inputs do not tell: gcd((t+1)^200, (t+2)^199) takes 17 ms and
-    gcd((3t^2+5t+1)^60, (7t^2+2)^60), of smaller degree and bits, 7 s.
-    So ``_pgcd`` draws each step from the budget of the parse that runs it."""
-    passes = len(a) - len(b) + 1
-    bits = max(abs(c) for c in a).bit_length() + passes * b[-1].bit_length()
-    bits_b = max(abs(c) for c in b).bit_length()
-    work = passes * len(b) * _pair_work(1, bits, bits_b, 0, 0) + len(a) * _pair_work(1, bits, bits, 0, 0)
-    return 3 * work >> 2  # integer operations, at 3/4 of the Fraction price
-
-
-def _charge(budget, work):
-    """Draw work from the one-item list budget before the operation runs,
-    and refuse the text once it is spent."""
-    budget[0] -= work
-    if budget[0] < 0:
-        raise ScalarParseError("scalar text exceeds its work budget")
 
 
 def _tokenize(text, var):
@@ -1080,43 +1054,35 @@ def _tokenize(text, var):
     return toks
 
 
-def _parse_sum(toks, pos, var, budget):
-    val, pos = _parse_product(toks, pos, var, budget)
+def _parse_sum(toks, pos, var):
+    val, pos = _parse_product(toks, pos, var)
     while pos < len(toks) and toks[pos] in ("+", "-"):
         op = toks[pos]
-        rhs, pos = _parse_product(toks, pos + 1, var, budget)
-        _charge(budget, _sum_work(val, rhs))
+        rhs, pos = _parse_product(toks, pos + 1, var)
         val = val + rhs if op == "+" else val - rhs
     return val, pos
 
 
-def _parse_product(toks, pos, var, budget):
-    val, pos = _parse_atom(toks, pos, var, budget)
+def _parse_product(toks, pos, var):
+    val, pos = _parse_atom(toks, pos, var)
     while pos < len(toks) and toks[pos] in ("*", "/"):
         op = toks[pos]
-        rhs, pos = _parse_atom(toks, pos + 1, var, budget)
-        if op == "/":
-            if rhs.num:  # the reciprocal is scaled by 1 / lead to a monic denominator
-                inv = (1 / rhs.num[-1],)
-                _charge(budget, _product_work(rhs.num, inv) + _product_work(rhs.den, inv))
-            rhs = rhs.reciprocal()
-        _charge(budget, _product_work(val.num, rhs.num) + _product_work(val.den, rhs.den))
-        val = val * rhs
+        rhs, pos = _parse_atom(toks, pos + 1, var)
+        val = val * rhs if op == "*" else val / rhs
     return val, pos
 
 
-def _parse_atom(toks, pos, var, budget):
+def _parse_atom(toks, pos, var):
     if pos >= len(toks):
         raise ScalarParseError("unexpected end of scalar text")
     tok = toks[pos]
     if tok == "-":
-        val, pos = _parse_atom(toks, pos + 1, var, budget)
-        _charge(budget, _negation_work(val.num))
+        val, pos = _parse_atom(toks, pos + 1, var)
         return -val, pos
     if tok == "+":
-        return _parse_atom(toks, pos + 1, var, budget)
+        return _parse_atom(toks, pos + 1, var)
     if tok == "(":
-        val, pos = _parse_sum(toks, pos + 1, var, budget)
+        val, pos = _parse_sum(toks, pos + 1, var)
         if pos >= len(toks) or toks[pos] != ")":
             raise ScalarParseError("missing closing parenthesis")
         pos += 1
@@ -1135,7 +1101,6 @@ def _parse_atom(toks, pos, var, budget):
         deg = max(len(val.num), len(val.den), 2) - 1  # a constant counts as degree 1
         if deg * k > MAX_EXPONENT:
             raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
-        _charge(budget, _power_work(val.num, k) + _power_work(val.den, k))
         val = val ** k
         pos += 2
     return val, pos

@@ -398,14 +398,16 @@ _DENSE = "(t^1000-1)/(t-1)"
 
 
 # the third and fourth build coefficients with large distinct denominators,
-# whose gcds grow with the square of their size; the last is a quotient whose
-# polynomial gcd grows its coefficients along the remainder sequence
+# whose gcds grow with the square of their size; the fifth is a quotient whose
+# polynomial gcd grows its coefficients along the remainder sequence, and the
+# last one whose gcd first lifts twelve such denominators to their lcm
 @pytest.mark.parametrize("lam", ["*".join(["(t+1)^400"] * 8), "*".join(["(t+1)"] * 2000),
                                  "+".join(f"{_DENSE}/{q}" for q in _PRIME_POWERS),
                                  _DENSE + "*" + "/".join(_PRIME_POWERS),
-                                 "(3*t^2+5*t+1)^60/(7*t^2+2)^60"],
+                                 "(3*t^2+5*t+1)^60/(7*t^2+2)^60",
+                                 "(" + "+".join(f"t^{i}/{q}" for i, q in enumerate(_PRIME_POWERS)) + ")/(t-1)"],
                          ids=["eight-powers", "2000-factors", "prime-power-denominators", "prime-power-divisors",
-                              "growing-remainders"])
+                              "growing-remainders", "lifted-content"])
 def test_costly_product_is_an_input_error(lam, capsys):
     with _deadline(1):
         code = main(["construct", "two-gen", "--field", '{"kind":"Qt","var":"t"}',

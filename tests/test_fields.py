@@ -20,16 +20,19 @@ from axial.fields import (
     RationalFunctions,
     _PRIME_TEST_BOUND,
     _fraction_sqrt,
+    _horner,
     _is_prime,
     _padd,
     _pcontent_int,
     _pdivmod,
-    _peval,
     _pgcd,
     _pmul,
     _pneg,
+    _pprem_int,
+    _pscale,
     _ptrim,
     _roots_mod,
+    _scalar_budget,
     _sqrt_mod,
     field_from_json,
     parse_scalar,
@@ -189,27 +192,55 @@ class TestRationalFunctions:
             with pytest.raises(ScalarParseError):
                 Qt.parse(text)
 
+    def test_every_primitive_is_metered(self):
+        # inside a parse each polynomial primitive draws on the text's budget
+        # before it runs; outside one it runs unmetered
+        p, q = (Fraction(1, 2), Fraction(3)), (Fraction(-2, 3), Fraction(5, 7))
+        pq = (Fraction(-1, 3), Fraction(-23, 14), Fraction(15, 7))
+        cases = [
+            (lambda: _padd(p, q), (Fraction(-1, 6), Fraction(26, 7))),
+            (lambda: _pneg(p), (Fraction(-1, 2), Fraction(-3))),
+            (lambda: _pscale(Fraction(2, 5), p), (Fraction(1, 5), Fraction(6, 5))),
+            (lambda: _pmul(p, q), pq),
+            (lambda: _pdivmod(p, q), ((Fraction(21, 5),), (Fraction(33, 10),))),
+            (lambda: _pcontent_int(p), (Fraction(1, 2), (1, 6))),
+            (lambda: _pgcd(pq, q), (Fraction(-14, 15), Fraction(1))),
+            (lambda: _pprem_int((1, 2, 3), (1, 1)), [2]),
+        ]
+        token = _scalar_budget.set([0])
+        try:
+            for call, _ in cases:
+                with pytest.raises(ScalarParseError, match="work budget"):
+                    call()
+        finally:
+            _scalar_budget.reset(token)
+        for call, value in cases:
+            assert call() == value
+
     def test_one_work_budget_per_text(self):
-        # every +, -, *, / and ^ draws on one budget before it runs
+        # every polynomial operation in the text draws on one budget before it runs
         Qt = RationalFunctions("t")
         t = Qt.variable()
         assert Qt.parse("*".join(["(t+1)^10"] * 10)) == (t + 1) ** 100
         power = Qt.parse("(t+1)^400")
         assert power.num[200] == math.comb(400, 200)
         assert Qt.parse("(t^2-1)/(2*t)") == (t * t - 1) / (2 * t)
-        # (t+1)^400 alone takes almost all of it; products are charged by
-        # operand size and linear steps by result size, so one linear step
-        # after it still fits, and so do 70 distinct linear factors
+        # (t+1)^400 takes most of it; products are charged by operand size
+        # and linear steps by result size, so one linear step after it still
+        # fits, and so do 70 distinct linear factors
         assert Qt.parse("(t+1)^400+1") == power + 1
         assert Qt.parse("(t+1)^200*(t+2)^200") == (t + 1) ** 200 * (t + 2) ** 200
         assert Qt.parse("-(t+1)^400") == -power
         assert Qt.parse("*".join(f"(t+{i})" for i in range(1, 71))) == math.prod(
             (t + i for i in range(1, 71)), start=Qt.one)
-        # the gcds of a quotient draw on the budget step by step, so one whose
-        # remainder sequence stays small fits and one whose coefficients grow
-        # along it (7 s unmetered) does not
+        # the gcds of a quotient draw on the budget pass by pass, so one whose
+        # remainder sequence stays small fits, even on large coefficients, and
+        # one whose coefficients grow along it (7 s unmetered) does not
         assert Qt.parse("(t+1)^200/(t+2)^199") == (t + 1) ** 200 / (t + 2) ** 199
-        for text in ("*".join(["(t+1)"] * 2000), "t^10000" + "+1" * 200, "(3*t^2+5*t+1)^60/(7*t^2+2)^60"):
+        assert Qt.parse("(3^500*t+5^300)^10/(7^400*t+2^600)^10") == (
+            (3 ** 500 * t + 5 ** 300) ** 10 / (7 ** 400 * t + 2 ** 600) ** 10)
+        for text in ("*".join(["(t+1)"] * 2000), "t^10000" + "+1" * 200, "t^10000" + "/3" * 300,
+                     "(3*t^2+5*t+1)^60/(7*t^2+2)^60", "(t+1)^300/((t+1)^100*(t+2)^100)"):
             with pytest.raises(ScalarParseError, match="work budget"):
                 Qt.parse(text)
 
@@ -495,7 +526,7 @@ def reference_rational_roots(p):
     for r in _reference_divisors(a0):
         for s in _reference_divisors(an):
             for cand in (Fraction(r, s), Fraction(-r, s)):
-                if cand not in roots and _peval(p, cand) == 0:
+                if cand not in roots and _horner(p, cand) == 0:
                     roots.append(cand)
     return roots
 
