@@ -2,8 +2,10 @@
 
 An algebra is a field, a basis of named vectors, and the full symmetric grid
 of structure constants: ``structure[i][j]`` is the coefficient tuple of
-``b_i * b_j``.  Elements are coefficient tuples over the field and support
-``+``, ``-``, scalar ``*`` and the (commutative, bilinear) algebra product.
+``b_i * b_j``.  ``sparse`` keeps the nonzero entries of each tuple; the
+product, the integer grid and the Frobenius equations read it.  Elements
+are coefficient tuples over the field and support ``+``, ``-``, scalar
+``*`` and the (commutative, bilinear) algebra product.
 """
 
 from __future__ import annotations
@@ -39,35 +41,21 @@ class Algebra:
                         f"({self.basis_names[i]}, {self.basis_names[j]})"
                     )
         self.structure = struct
-        # sparse view of the grid; product loops only touch nonzero entries,
-        # and coefficient-1 entries are kept separate to skip multiplications
-        one = field.one
-        self._sparse = [
-            [
-                (
-                    tuple(k for k, c in enumerate(row) if c == one),
-                    tuple((k, c) for k, c in enumerate(row) if c and c != one),
-                )
-                for row in srow
-            ]
-            for srow in struct
-        ]
+        # the one sparse table: sparse[i][j] holds the pairs (k, c) of the
+        # nonzero coefficients c of b_i * b_j
+        self.sparse = [[tuple((k, c) for k, c in enumerate(cell) if c) for cell in srow] for srow in struct]
         self._integer_grid = None
 
     def integer_grid(self):
-        """Over Q and F_p, the grid lifted by ``field.integer_lift``:
+        """Over Q and F_p, the sparse table lifted by ``field.integer_lift``:
         ``(table, d)`` where ``table[i][j]`` holds the pairs ``(k, d * c)``
-        for the nonzero coefficients c of ``b_i * b_j``.  Over Q, d is their
-        common denominator; over F_p the entries are least residues and
+        of ``sparse[i][j]``.  Over Q, d is the common denominator of the
+        structure constants; over F_p the entries are least residues and
         d = 1.  Built on first use."""
         if self._integer_grid is None:
-            n = self.dim
-            flat, d = self.field.integer_lift([c for srow in self.structure for cell in srow for c in cell])
-            cells = [flat[m:m + n] for m in range(0, n * n * n, n)]
-            table = [
-                [tuple((k, a) for k, a in enumerate(cells[i * n + j]) if a) for j in range(n)]
-                for i in range(n)
-            ]
+            flat, d = self.field.integer_lift([c for srow in self.sparse for cell in srow for _, c in cell])
+            lifted = iter(flat)
+            table = [[tuple((k, next(lifted)) for k, _ in cell) for cell in srow] for srow in self.sparse]
             self._integer_grid = (table, d)
         return self._integer_grid
 
@@ -77,15 +65,12 @@ class Algebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self._sparse[i]
+            row = self.sparse[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
                 c = xi * yj
-                units, others = row[j]
-                for k in units:
-                    out[k] = out[k] + c
-                for k, s in others:
+                for k, s in row[j]:
                     out[k] = out[k] + c * s
         return tuple(out)
 
@@ -140,6 +125,13 @@ def make_algebra(field, dim, basis_names, structure):
     return Algebra(field, basis_names, structure)
 
 
+def require_same_algebra(A, B, message):
+    """Raise AlgebraMismatch with message unless A and B are one algebra:
+    the same object or structurally equal ones."""
+    if A is not B and A != B:
+        raise AlgebraMismatch(message)
+
+
 class Element:
     __slots__ = ("algebra", "coeffs")
 
@@ -151,10 +143,9 @@ class Element:
         self.coeffs = coeffs
 
     def _same(self, other):
-        if not isinstance(other, Element) or other.algebra is not self.algebra:
-            if isinstance(other, Element) and other.algebra == self.algebra:
-                return  # structurally equal algebras are fine
+        if not isinstance(other, Element):
             raise AlgebraMismatch("elements belong to different algebras")
+        require_same_algebra(self.algebra, other.algebra, "elements belong to different algebras")
 
     def __add__(self, other):
         self._same(other)
@@ -276,8 +267,7 @@ def generate_subalgebra(gens):
             words.append(word)
 
     for i, g in enumerate(gens):
-        if g.algebra != parent:
-            raise AlgebraMismatch("generators belong to different algebras")
+        require_same_algebra(parent, g.algebra, "generators belong to different algebras")
         try_add(g, i)
 
     # products of known basis members, breadth-first over word length

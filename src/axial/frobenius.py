@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .algebra import require_same_algebra
 from .errors import DimensionMismatch, SelfCheckFailed
 from .linalg import Echelon, Matrix
 
@@ -88,6 +89,8 @@ class BilinearForm:
         return acc
 
     def value(self, x, y):
+        for z in (x, y):
+            require_same_algebra(self.algebra, z.algebra, "element belongs to a different algebra than the form")
         return self.pair(x.coeffs, y.coeffs)
 
     def __eq__(self, other):
@@ -132,9 +135,8 @@ def _associativity_rows(A, key):
     """
     zero = A.field.zero
     n = A.dim
-    nonzero = [[[(m, c) for m, c in enumerate(cs) if c] for cs in srow] for srow in A.structure]
     for i in range(n):
-        by_i = nonzero[i]
+        by_i = A.sparse[i]
         for j in range(n):
             for k in range(j + 1, n):
                 row = {}
@@ -160,20 +162,12 @@ def solve_frobenius(A, normalize_at=()):
     zero, one = field.zero, field.one
     n = A.dim
     key, nunk = _upper_keys(n)
-    # column nunk holds the right-hand side
+    # column nunk holds the right-hand side; a repeated row reduces to zero
     ech = Echelon(field)
-    seen = set()
-
-    def add_equation(row):
-        row = {u: c for u, c in row.items() if c}
-        signature = tuple(sorted(row.items()))
-        if row and signature not in seen:
-            seen.add(signature)
-            ech.add(row)
-
     for _, row in _associativity_rows(A, key):
-        add_equation(row)
+        ech.add(row)
     for x, target in normalize_at:
+        require_same_algebra(A, x.algebra, "normalization element belongs to a different algebra")
         row = {nunk: target}
         for i, xi in enumerate(x.coeffs):
             if not xi:
@@ -182,7 +176,7 @@ def solve_frobenius(A, normalize_at=()):
                 if xj:
                     u = key[i][j]
                     row[u] = row.get(u, zero) + xi * xj
-        add_equation(row)
+        ech.add(row)
 
     # restricted to the unknowns, the pivot rows are the reduced form of the
     # homogeneous system (a pivot in the right-hand side column only marks

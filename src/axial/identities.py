@@ -3,8 +3,8 @@
 Polynomials live in the free commutative nonassociative algebra on variables
 x1, x2, ... and idempotent slots E1, E2, ..., enriched with scalar bracket
 factors B(s, t) that evaluate through a bilinear form.  Trees are nested
-tuples; each product node keeps its children in a canonical order so that
-commutatively equal monomials merge.
+tuples that sort as plain tuples; each product node keeps its children in
+that order so that commutatively equal monomials merge.
 
 A polynomial is a mapping {(bracket multiset, body tree) -> coefficient};
 the body may be None for scalar-valued intermediates (a bare bracket
@@ -19,7 +19,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import require_same_algebra
 from .errors import (
+    AlgebraMismatch,
     FieldTooSmall,
     FreshCollision,
     MissingForm,
@@ -54,19 +56,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _tkey(t):
-    if t[0] == "E":
-        return (0, 0, t[1])
-    if t[0] == "X":
-        return (0, 1, t[1])
-    return (1, _tkey(t[1]), _tkey(t[2]))
+# a product node is (_MUL, left, right); the tag sorts after "E" and "X", so
+# tuple order puts slots, then variables, each by index, then products by
+# their left child and then their right child
+_MUL = "mul"
 
 
 def _node(l, r):
     # the slots are free *idempotents*: E_i * E_i reduces to E_i
     if l == r and l[0] == "E":
         return l
-    return ("*", l, r) if _tkey(l) <= _tkey(r) else ("*", r, l)
+    return (_MUL, l, r) if l <= r else (_MUL, r, l)
 
 
 def _leaves(t):
@@ -99,11 +99,11 @@ def _rebuild_with(t, leaf, feed):
 
 
 def _bracket_key(t1, t2):
-    return (t1, t2) if _tkey(t1) <= _tkey(t2) else (t2, t1)
+    return (t1, t2) if t1 <= t2 else (t2, t1)
 
 
 def _sorted_brackets(brackets):
-    return tuple(sorted(brackets, key=lambda b: (_tkey(b[0]), _tkey(b[1]))))
+    return tuple(sorted(brackets))
 
 
 def _accumulate(acc, key, c):
@@ -265,11 +265,7 @@ class GenPoly:
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda kv: (
-                len(kv[0][0]),
-                tuple((_tkey(a), _tkey(b)) for a, b in kv[0][0]),
-                (0,) if kv[0][1] is None else (1, _tkey(kv[0][1])),
-            ),
+            key=lambda kv: (len(kv[0][0]), kv[0][0], (0,) if kv[0][1] is None else (1, kv[0][1])),
         )
 
     def __repr__(self):
@@ -421,14 +417,22 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     """Evaluate an element-valued polynomial at concrete elements.
 
     assign_x / assign_e map variable indices to elements; every E-slot value
-    must be idempotent; bracket factors require a bilinear form.
+    must be idempotent; bracket factors require a bilinear form.  The
+    assigned elements, the form and the field of f must belong to one
+    algebra (algebra, when given): an equal algebra counts as the same, and
+    anything else raises AlgebraMismatch.
     """
     A = algebra
-    for v in list(assign_x.values()) + list(assign_e.values()):
-        A = v.algebra
-        break
+    for v in itertools.chain(assign_x.values(), assign_e.values()):
+        if A is None:
+            A = v.algebra
+        require_same_algebra(A, v.algebra, "an assigned element belongs to a different algebra")
     if A is None:
         raise UnboundVariable("no assignments and no algebra supplied")
+    if form is not None:
+        require_same_algebra(A, form.algebra, "the form belongs to a different algebra")
+    if f.field != A.field:
+        raise AlgebraMismatch(f"polynomial over {f.field!r} on an algebra over {A.field!r}")
     if check_idempotents:
         for i, v in assign_e.items():
             if not (v * v == v):

@@ -202,3 +202,36 @@ def test_subalgebra_against_reference(algebras_by_field, data):
         got = sub.coords(t)
         assert (None if got is None else list(got.coeffs)) == ref
         assert sub.contains(t) is (ref is not None)
+
+
+# ---------------------------------------------------------------------------
+# differential test of Algebra.product, which reads the sparse table, against
+# the dense triple loop over the structure grid
+# ---------------------------------------------------------------------------
+
+
+def reference_product(A, x, y):
+    out = [A.field.zero] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                out[k] = out[k] + x[i] * y[j] * A.structure[i][j][k]
+    return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def product_algebras():
+    # each has coefficient-1 entries beside others
+    return {kind: [_3c(field), toric_euf(field).algebra, jordan_symmetric_matrices(3, field)]
+            for kind, field in (("Q", QQ), ("F7", F7), ("Qt", QT))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_against_reference(product_algebras, data):
+    kind = data.draw(st.sampled_from(sorted(product_algebras)))
+    A = data.draw(st.sampled_from(product_algebras[kind]))
+    elements = st.lists(FIELD_VALUES[kind], min_size=A.dim, max_size=A.dim)
+    x, y = data.draw(elements), data.draw(elements)
+    assert A.product(x, y) == reference_product(A, x, y)
+    assert A.product(x, y) == A.product(y, x)

@@ -113,6 +113,20 @@ class TestCliPipeline:
         ])
         assert code == 0
 
+    def test_identity_over_rational_functions(self, tmp_path, capsys):
+        # toric over Q(t), the generic idempotent in the pool; the CLI solves
+        # the form from (a, a) = 1 at the pool for the bracket identities
+        path = str(tmp_path / "toric-t.json")
+        assert main(["construct", "toric", "--field", '{"kind":"Qt","var":"t"}', "-o", path]) == 0
+        pool = ["--pool", '["t","1/2","1/t"]']
+        assert main(["identity", "--algebra", path, "--name", "jordan"]) == 0
+        assert main(["identity", "--algebra", path, "--name", "primitivityFrobenius",
+                     "--lambda", "1/2", *pool]) == 0
+        capsys.readouterr()
+        assert main(["identity", "--algebra", path, "--poly", "B(x1,x2)*x1 - x1", "--json", *pool]) == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert not check["passed"] and set(check["detail"]["witness"]["x"]) == {"x1", "x2"}
+
     def test_fusion(self, alg3c_path):
         assert main(["fusion", "--algebra", alg3c_path,
                      "--element", '["1","0","0"]', "--lambda", "1/2"]) == 0

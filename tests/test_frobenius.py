@@ -9,15 +9,17 @@ from axial import (
     BilinearForm,
     axial_radical,
     check_axis,
+    classify_pair,
     component_recovery,
     eigen_decompose,
     is_4_nilpotent,
     make_algebra,
+    matsuo_from_triple_system,
     radical,
     solve_frobenius,
     trace_admissibility_audit,
 )
-from axial.errors import SelfCheckFailed
+from axial.errors import AlgebraMismatch, SelfCheckFailed
 from axial.linalg import Matrix, span_contains
 
 HALF = Fraction(1, 2)
@@ -84,6 +86,26 @@ class TestSolveFrobenius:
                [Fraction(0), Fraction(0), Fraction(1)]]
         with pytest.raises(SelfCheckFailed):
             BilinearForm(A, Matrix(QQ, bad))  # identity gram is not associative on 3C
+
+    @pytest.mark.parametrize("case", ["normalize_at", "value", "value-one-side", "classify_pair"])
+    def test_elements_of_another_algebra(self, mats3c, toric, case):
+        # both algebras have dimension 3, so only the algebra check tells them apart
+        a, b, _ = mats3c.axes
+        calls = {
+            "normalize_at": lambda: solve_frobenius(mats3c.algebra, [(toric.u, QQ.one)]),
+            "value": lambda: mats3c.form.value(toric.e, toric.f),
+            "value-one-side": lambda: mats3c.form.value(a, toric.f),
+            "classify_pair": lambda: classify_pair(a, b, toric.form, HALF),
+        }
+        with pytest.raises(AlgebraMismatch):
+            calls[case]()
+
+    def test_equal_algebra_built_apart_is_the_same(self, mats3c):
+        twin = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), HALF)
+        assert twin.algebra is not mats3c.algebra
+        a, b, _ = mats3c.axes
+        assert mats3c.form.value(a, twin.axes[1]) == mats3c.form.value(a, b)
+        assert solve_frobenius(mats3c.algebra, [(x, QQ.one) for x in twin.axes]).particular == mats3c.form
 
     def test_named_triple_is_not_associative(self, mats3c, s4, toric):
         # one entry of a valid form moved by 1 breaks associativity; the triple

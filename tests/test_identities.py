@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import transpositions
+from hypothesis import given, settings, strategies as st
 
 from axial import (
     QQ,
     PrimeField,
+    RationalFunctions,
     builtin_identity,
     evaluate,
     format_poly,
@@ -24,6 +26,7 @@ from axial import (
     universal_2gen,
 )
 from axial.errors import (
+    AlgebraMismatch,
     FieldTooSmall,
     FreshCollision,
     MissingForm,
@@ -36,9 +39,13 @@ from axial.identities import (
     BUILTIN_NAMES,
     GenPoly,
     IdentityVerdict,
+    _MUL,
+    _bracket_key,
     _first_nonzero,
     _mono_degree,
+    _node,
     _slot_assignments,
+    _sorted_brackets,
     _symmetry_blocks,
     bracket,
     e_slot,
@@ -290,6 +297,35 @@ class TestEvaluate:
                     nonzero += not val.is_zero()
         assert nonzero >= 25  # 28 to 30 of the 84 values are nonzero
 
+    def test_rational_function_path_matches_element_products(self):
+        # off Q and F_p evaluate multiplies field values through
+        # Algebra.product; compare every catalog identity on toric over
+        # Q(eps), with the generic idempotent in the E slots and, unchecked,
+        # dense random ones
+        Qe = RationalFunctions("eps")
+        tor = toric_euf(Qe)
+        A, eps = tor.algebra, Qe.variable()
+        generic = tor.idempotent(eps)
+        rng = random.Random(13)
+
+        def value():
+            a, b, c = (Qe.from_int(rng.randint(-3, 3)) for _ in range(3))
+            return (a + b * eps) / (Qe.one + c * eps * eps)
+
+        def dense():
+            return A.element([value() for _ in range(A.dim)])
+
+        nonzero = 0
+        for name in BUILTIN_NAMES:
+            f = builtin_identity(name, Qe, Qe.from_fraction(HALF))
+            for checked in (True, False):
+                xs = {j: dense() for j in f.x_indices()}
+                es = {i: generic if checked else dense() for i in f.e_indices()}
+                val = evaluate(f, xs, es, form=tor.form, algebra=A, check_idempotents=checked)
+                assert val == reference_evaluate(f, xs, es, tor.form, A), name
+                nonzero += not val.is_zero()
+        assert nonzero >= 8  # 10 of the 28 values are nonzero
+
     @pytest.mark.parametrize("p", [3, 5])
     def test_exhaustive_prime_field_search_matches_element_products(self, p):
         # over F_3 and F_5 these polynomials have a degree of at least p, so
@@ -415,6 +451,56 @@ class TestHoldsAsIdentity:
         v1 = holds_as_identity(f, mats3c.algebra)
         v2 = holds_as_identity(f, mats3c.algebra)
         assert not v1.holds and v1.witness.keys() == v2.witness.keys()
+
+
+class TestAlgebraMismatch:
+    @pytest.mark.parametrize("case", [
+        "x-assignment", "e-assignment", "algebra-argument", "form",
+        "holds_as_identity-pool", "sample_identity-pool", "poly-over-Q-on-F7", "poly-over-F7-on-Q",
+    ])
+    def test_inputs_of_another_algebra_or_field(self, mats3c, toric, case):
+        # 3C and toric both have dimension 3, so only the checks tell them apart
+        F7 = PrimeField(7)
+        c3_7 = matsuo_from_triple_system(ONE_LINE, F7.from_fraction(HALF), F7)
+        A = mats3c.algebra
+        a, b, _ = mats3c.axes
+        product = parse_poly("x1*x2", QQ)
+        slot = parse_poly("E1*(E1*x1) - E1*x1", QQ)
+        primitivity = builtin_identity("primitivityFrobenius", QQ, HALF)
+        calls = {
+            "x-assignment": lambda: evaluate(product, {1: a, 2: toric.e}, {}),
+            "e-assignment": lambda: evaluate(slot, {1: a}, {1: toric.idempotent(2)}),
+            "algebra-argument": lambda: evaluate(product, {1: toric.e, 2: toric.f}, {}, algebra=A),
+            "form": lambda: evaluate(primitivity, {1: b}, {1: a}, form=toric.form),
+            "holds_as_identity-pool": lambda: holds_as_identity(slot, A, idempotent_pool=[toric.idempotent(2)]),
+            "sample_identity-pool": lambda: sample_identity(slot, A, idempotent_pool=[toric.idempotent(2)]),
+            "poly-over-Q-on-F7": lambda: evaluate(product, {1: c3_7.axes[0], 2: c3_7.axes[1]}, {}),
+            "poly-over-F7-on-Q": lambda: evaluate(parse_poly("x1*x2", F7), {1: a, 2: b}, {}),
+        }
+        with pytest.raises(AlgebraMismatch):
+            calls[case]()
+
+    def test_equal_algebra_built_apart_is_the_same(self, mats3c):
+        twin = matsuo_from_triple_system(ONE_LINE, HALF)
+        assert twin.algebra is not mats3c.algebra
+        f = builtin_identity("primitivityFrobenius", QQ, HALF)
+        a, b, _ = mats3c.axes
+        assert evaluate(f, {1: twin.axes[1]}, {1: a}, form=mats3c.form).is_zero()
+        assert holds_as_identity(f, mats3c.algebra, idempotent_pool=list(twin.axes), form=twin.form).holds
+
+
+class TestRationalFunctionField:
+    def test_verdicts_on_toric(self):
+        Qt = RationalFunctions("t")
+        tor = toric_euf(Qt)
+        A, pool = tor.algebra, [tor.idempotent(Qt.variable())]
+        for f in (builtin_identity("jordan", Qt), builtin_identity("primitivityFrobenius", Qt, Qt.from_fraction(HALF))):
+            v = holds_as_identity(f, A, idempotent_pool=pool, form=tor.form)
+            assert v.holds and v.method == "multilinear-basis", format_poly(f)
+        f = parse_poly("B(x1,x2)*x1 - x1", Qt)
+        v = holds_as_identity(f, A, idempotent_pool=pool, form=tor.form)
+        assert not v.holds and v.method == "multilinear-basis"
+        assert not evaluate(f, v.witness["x"], v.witness["e"], form=tor.form, algebra=A).is_zero()
 
 
 class TestBuiltinCatalog:
@@ -753,3 +839,55 @@ def test_symmetry_reduced_decision_against_full_sweep(mats3c, toric, h3_pair, s4
             assert vanishes == swept[key], format_poly(g)
             decided.append(vanishes)
     assert decided.count(False) >= 20 and decided.count(True) >= 60
+
+
+# ---------------------------------------------------------------------------
+# the recursive sort key that trees had before they sorted as tuples
+# ---------------------------------------------------------------------------
+
+
+def reference_tkey(t):
+    if t[0] == "E":
+        return (0, 0, t[1])
+    if t[0] == "X":
+        return (0, 1, t[1])
+    return (1, reference_tkey(t[1]), reference_tkey(t[2]))
+
+
+def reference_bracket_order(b):
+    return (reference_tkey(b[0]), reference_tkey(b[1]))
+
+
+LEAVES = st.tuples(st.sampled_from(["E", "X"]), st.integers(1, 3))
+TREES = st.recursive(LEAVES, lambda kids: st.tuples(st.just(_MUL), kids, kids), max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TREES, min_size=1, max_size=6), st.lists(st.tuples(TREES, TREES), max_size=5))
+def test_tuple_order_is_reference_tkey_order(trees, pairs):
+    assert sorted(trees) == sorted(trees, key=reference_tkey)
+    for l in trees:
+        for r in trees:
+            assert (l <= r) == (reference_tkey(l) <= reference_tkey(r))
+            expected = l if l == r and l[0] == "E" else (
+                (_MUL, l, r) if reference_tkey(l) <= reference_tkey(r) else (_MUL, r, l))
+            assert _node(l, r) == expected
+    brackets = [_bracket_key(a, b) for a, b in pairs]
+    for (a, b), key in zip(pairs, brackets):
+        assert key == ((a, b) if reference_tkey(a) <= reference_tkey(b) else (b, a))
+    assert list(_sorted_brackets(brackets)) == sorted(brackets, key=reference_bracket_order)
+
+
+def test_sorted_terms_in_reference_order():
+    x1, x2 = x_var(QQ, 1), x_var(QQ, 2)
+    polys = [bracket(x1 * x2, x1) * bracket(x2, x2) + bracket(x1, x1), parse_poly(ASSOCIATOR, QQ)]
+    for name in BUILTIN_NAMES:
+        f = builtin_identity(name, QQ, HALF)
+        polys += [f] + [full_linearize(f, j)[0] for j in f.x_indices()]
+    for g in polys:
+        expected = sorted(g.terms.items(), key=lambda kv: (
+            len(kv[0][0]),
+            tuple((reference_tkey(a), reference_tkey(b)) for a, b in kv[0][0]),
+            (0,) if kv[0][1] is None else (1, reference_tkey(kv[0][1])),
+        ))
+        assert g.sorted_terms() == expected
