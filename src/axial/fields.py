@@ -758,11 +758,14 @@ class Rationals(Field):
     def integer_lift(self, values):
         """Field values as integers over one denominator: ``(ints, d)`` with
         ``values[k] == ints[k] / d``, here over their least common
-        denominator.  ``PrimeField`` has the same method."""
+        denominator.  ``PrimeField`` has the same method.  ints is a list:
+        CPython keeps the small tuples that ``tuple()`` of a generator
+        builds in its tuple free lists once they die, and each row the
+        echelon kernel lifts would add to them."""
         d = 1
         for q in values:
             d = math.lcm(d, int(q.denominator))
-        return tuple(int(q.numerator) * (d // int(q.denominator)) for q in values), d
+        return [int(q.numerator) * (d // int(q.denominator)) for q in values], d
 
     def sqrt(self, a):
         return _fraction_sqrt(Fraction(a))
@@ -822,8 +825,9 @@ class PrimeField(Field):
         return Fp(q.numerator * pow(q.denominator, -1, self.p), self.p)
 
     def integer_lift(self, values):
-        """As ``Rationals.integer_lift``: least residues, with d = 1."""
-        return tuple(a.v for a in values), 1
+        """As ``Rationals.integer_lift``: least residues, with d = 1.  Ints
+        and Fractions are read as ``Fp`` arithmetic reads them."""
+        return [a.v if type(a) is Fp else self.from_fraction(a).v for a in values], 1
 
     def sqrt(self, a):
         r = _sqrt_mod(a.v, self.p)
@@ -846,6 +850,17 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def integer_modulus(field):
+    """How ``field.integer_lift`` reads values: 0 over Q (integers over a
+    common denominator), p over F_p (integers mod p), and None for a field
+    without an integer lift."""
+    if isinstance(field, Rationals):
+        return 0
+    if isinstance(field, PrimeField):
+        return field.p
+    return None
 
 
 def _sqrt_mod(a, p):

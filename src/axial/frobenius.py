@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import require_same_algebra
 from .errors import DimensionMismatch, SelfCheckFailed
+from .fields import integer_modulus
 from .linalg import Echelon, Matrix
 
 __all__ = [
@@ -37,9 +38,9 @@ class BilinearForm:
         self.gram = gram if isinstance(gram, Matrix) else Matrix(algebra.field, gram)
         if self.gram.nrows != algebra.dim or self.gram.ncols != algebra.dim:
             raise DimensionMismatch("Gram matrix does not match the algebra dimension")
+        self._integer_gram = None
         self._check_symmetric()
         self._check_associative()
-        self._integer_gram = None
 
     def integer_gram(self):
         """Over Q and F_p, the Gram matrix lifted by ``field.integer_lift``:
@@ -59,18 +60,22 @@ class BilinearForm:
                     raise SelfCheckFailed("Gram matrix is not symmetric")
 
     def _check_associative(self):
-        g = self.gram.rows
+        field = self.algebra.field
+        p = integer_modulus(field)
+        if p is None:
+            g, zero = self.gram.rows, field.zero
+        else:
+            g, zero = self.integer_gram()[0], 0
         key, nunk = _upper_keys(self.algebra.dim)
         flat = [None] * nunk
         for key_row, gram_row in zip(key, g):
             for u, v in zip(key_row, gram_row):
                 flat[u] = v
-        zero = self.algebra.field.zero
         for (i, j, k), row in _associativity_rows(self.algebra, key):
             acc = zero
             for u, c in row.items():
                 acc = acc + c * flat[u]
-            if acc:
+            if acc % p if p else acc:
                 raise SelfCheckFailed(
                     f"(b{i}b{j}, b{k}) != (b{i}, b{j}b{k}): form is not associative"
                 )
@@ -132,11 +137,18 @@ def _associativity_rows(A, key):
     make T symmetric under all permutations, which is the same as symmetry
     in j and k.  So the rows T(i, j, k) - T(i, k, j) with j < k, the
     associativity of the triple (j, i, k), span the rows of all n^3 triples.
+
+    Over Q and F_p the rows are read from ``A.integer_grid()``, as integers:
+    each is the equation times the grid's common denominator, and over F_p
+    its entries are to be read mod p.  Elsewhere they hold field values.
     """
-    zero = A.field.zero
+    if integer_modulus(A.field) is None:
+        table, zero = A.sparse, A.field.zero
+    else:
+        table, zero = A.integer_grid()[0], 0
     n = A.dim
     for i in range(n):
-        by_i = A.sparse[i]
+        by_i = table[i]
         for j in range(n):
             for k in range(j + 1, n):
                 row = {}
@@ -164,8 +176,9 @@ def solve_frobenius(A, normalize_at=()):
     key, nunk = _upper_keys(n)
     # column nunk holds the right-hand side; a repeated row reduces to zero
     ech = Echelon(field)
+    add_row = ech.add if integer_modulus(field) is None else ech.add_integers
     for _, row in _associativity_rows(A, key):
-        ech.add(row)
+        add_row(row)
     for x, target in normalize_at:
         require_same_algebra(A, x.algebra, "normalization element belongs to a different algebra")
         row = {nunk: target}

@@ -13,6 +13,7 @@ product), but evaluation demands element-valued monomials throughout.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -30,7 +31,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
-from .fields import PrimeField, Rationals
+from .fields import integer_modulus
 
 __all__ = [
     "GenPoly",
@@ -446,7 +447,7 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if f.has_brackets() and form is None:
         raise MissingForm("polynomial contains bracket factors but no form was given")
 
-    if isinstance(A.field, (Rationals, PrimeField)):
+    if integer_modulus(A.field) is not None:
         return _evaluate_integer(f, assign_x, assign_e, form, A)
 
     # Q(t): raw coefficient tuples with subtree and bracket caches
@@ -498,7 +499,7 @@ def _evaluate_integer(f, assign_x, assign_e, form, A):
     """
     n = A.dim
     field = A.field
-    p = field.p if isinstance(field, PrimeField) else None
+    p = integer_modulus(field)
     table, grid_d = A.integer_grid()
     cache = {}
     for j, v in assign_x.items():
@@ -605,6 +606,7 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     test is the one catalog entry that needs it).
     """
     field = A.field
+    idempotent_pool, form = _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
     maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
@@ -637,6 +639,28 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
             witness = _find_witness(f, A, form, e_options, basis)
             return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")
+
+
+def _bind(A, pool, form):
+    """The pool and the form on A itself.  Each is checked once against A,
+    whose equal copies count as A, and moved onto A, so that ``evaluate``
+    finds the same algebra object on every call and need not compare two
+    equal ones in full."""
+    equal = []  # the algebras other than A found equal to it
+
+    def check(B, message):
+        if B is not A and all(B is not C for C in equal):
+            require_same_algebra(A, B, message)
+            equal.append(B)
+
+    for x in pool:
+        check(x.algebra, "an assigned element belongs to a different algebra")
+    pool = [x if x.algebra is A else A.element(x.coeffs) for x in pool]
+    if form is not None and form.algebra is not A:
+        check(form.algebra, "the form belongs to a different algebra")
+        form = copy.copy(form)
+        form.algebra = A
+    return pool, form
 
 
 def _slot_assignments(f, pool, distinct):
@@ -707,6 +731,7 @@ def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, co
     Substitutes elements with integer coefficients in [-coeff_range,
     coeff_range] for the X variables and pool members for the E slots.
     """
+    idempotent_pool, form = _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
     rng = random.Random(seed)

@@ -3,8 +3,13 @@
 Row reduction goes through one kernel, ``Echelon``: a fully reduced row
 basis grown one sparse row at a time.  Arithmetic is exact, so no pivoting
 heuristics are needed, and the reduced basis depends only on the span of
-the rows added.  ``Matrix.rref`` reads the canonical reduced row-echelon
-form from it, and ``kernel``, ``solve`` and ``rank`` read theirs from
+the rows added.  Over Q and F_p the kernel eliminates on integers, with one
+step r <- d*r - r[q]*P against a basis row P whose pivot entry is d: over Q
+a row is an integer vector with d > 0 that stands for P/d, and over F_p a
+vector of least residues with d = 1.  Field values are built only when rows
+are read out.  Over Q(t) the same step runs on field values with d = 1.
+``Matrix.rref`` reads the canonical reduced row-echelon form
+from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``rref``; ``det`` multiplies the pivots its rows meet on the way in.
 ``Coordinates`` writes vectors in a growing independent list through one
 ``Echelon``, for ``minimal_polynomial``, subalgebra coordinates and induced
@@ -15,7 +20,11 @@ tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of their own.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from .errors import DimensionMismatch
+from .fields import Fp, integer_modulus
 
 __all__ = [
     "Coordinates",
@@ -29,84 +38,179 @@ __all__ = [
 ]
 
 
-def _sparse(row):
-    """{column: value} of the nonzero entries of a dense or sparse row."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: v for c, v in items if v}
+def _eliminate(r, s, rows, p):
+    """Clear from the remainder (r, s), in place, every column of r that is
+    a pivot of rows, and return the new scale s.
 
-
-def _subtract(r, f, row):
-    """r -= f * row in place, dropping entries that cancel."""
-    for c, v in row.items():
-        x = r.get(c)
-        if x is None:
-            r[c] = -(f * v)
-        else:
-            x = x - f * v
-            if x:
-                r[c] = x
+    One step is r <- d*r - f*P for the row P with pivot q, its pivot entry
+    d and f = r[q].  Over Q (p = 0) it runs on integers: d and f are first
+    divided by their gcd, and a step with d > 1 multiplies s by d and then
+    divides r and s by their gcd.  Over F_p it runs on least residues with
+    d = 1, mod p, and on field values (p None) with d = 1.  Pivot rows
+    vanish in each other's pivot columns, so clearing one pivot column
+    leaves the entries in the others nonzero.
+    """
+    for q in [c for c in r if c in rows]:
+        row = rows[q]
+        f = r[q]
+        if p:
+            for c, v in row.items():
+                x = (r.get(c, 0) - f * v) % p
+                if x:
+                    r[c] = x
+                elif c in r:
+                    del r[c]
+            continue
+        d = 1
+        if p == 0 and row[q] != 1:
+            g = gcd(f, row[q])
+            f, d = f // g, row[q] // g
+            if d != 1:
+                for c in r:
+                    r[c] *= d
+                s *= d
+        for c, v in row.items():
+            x = r.get(c)
+            if x is None:
+                r[c] = -(f * v)
             else:
-                del r[c]
+                x = x - f * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+        if d != 1:
+            g = gcd(s, *r.values())
+            if g > 1:
+                for c in r:
+                    r[c] //= g
+                s //= g
+    return s
 
 
 class Echelon:
     """Fully reduced row basis, grown one row at a time.
 
-    ``rows`` maps each pivot column to its row, stored sparse as
-    ``{column: nonzero value}``: 1 at its pivot, which is its first nonzero
-    column, and nothing in any other pivot column.  Such a basis is unique
-    for its span, so its rows in pivot order are the reduced row-echelon
-    form of every matrix whose rows were added, whatever their order.
-    Rows may be given dense (a sequence) or sparse (a dict).
+    Each basis row is kept sparse as ``{column: nonzero entry}``: its pivot
+    is its first nonzero column, and it has nothing in any other pivot
+    column.  Such a basis is unique for its span, so its rows in pivot
+    order, scaled to 1 at their pivots, are the reduced row-echelon form of
+    every matrix whose rows were added, whatever their order.  Over Q a row
+    is an integer vector whose pivot entry d is positive, and it stands for
+    the row divided by d; it enters primitive, and each elimination step
+    that scales it divides out the gcd of its entries again.  Over F_p a
+    row holds least residues with d = 1, and over other fields field values
+    with d = 1.  ``rows`` gives the basis in field values.  Rows may be
+    given dense (a sequence) or sparse (a dict).
+
+    A remainder is a pair ``(r, s)`` that stands for the row r / s, where s
+    is an integer over Q, 1 over F_p and the field's one elsewhere; over Q
+    a step that scales r by d scales s by d too.  With s = 0 the scale is
+    not kept, which is all that ``add`` and ``contains`` need.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "_p", "_rows")
 
     def __init__(self, field, rows=()):
         self.field = field
-        self.rows = {}
+        self._p = integer_modulus(field)
+        self._rows = {}
         for row in rows:
             self.add(row)
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def pivots(self):
-        return tuple(sorted(self.rows))
+        return tuple(sorted(self._rows))
+
+    @property
+    def rows(self):
+        """``{pivot: {column: field value}}``, 1 at each pivot.  Over Q and
+        F_p the values are built on every access, so read it once."""
+        if self._p is None:
+            return self._rows
+        value = self._value
+        return {q: {c: value(x, row[q]) for c, x in row.items()} for q, row in self._rows.items()}
+
+    def _value(self, x, s):
+        """The field value x / s of an entry x of a remainder of scale s."""
+        p = self._p
+        if p is None:
+            return x
+        return Fp(x, p) if p else Fraction(x, s)
+
+    def _lift(self, row):
+        """The remainder ``(r, s)`` of row before any reduction: its nonzero
+        entries over the denominator s of ``field.integer_lift``."""
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {c: v for c, v in items if v}
+        if self._p is None:
+            return r, self.field.one
+        ints, s = self.field.integer_lift(r.values())
+        return {c: x for c, x in zip(r, ints) if x}, s
+
+    def _remainder(self, row):
+        """The remainder (r, s) of row after clearing every pivot column."""
+        r, s = self._lift(row)
+        return r, _eliminate(r, s, self._rows, self._p)
 
     def reduce(self, row):
-        """Sparse remainder of row after clearing every pivot column."""
-        r = _sparse(row)
-        # pivot rows vanish in each other's pivot columns, so clearing one
-        # pivot column leaves the entries in the others untouched
-        for p in [c for c in r if c in self.rows]:
-            _subtract(r, r[p], self.rows[p])
-        return r
+        """Sparse remainder of row after clearing every pivot column, in
+        field values."""
+        r, s = self._remainder(row)
+        return {c: self._value(x, s) for c, x in r.items()}
 
     def add(self, row):
         """Extend the basis by row; False when row is already in the span."""
-        r = self.reduce(row)
+        return self._extend(self._lift(row)[0])
+
+    def add_integers(self, row):
+        """``add`` over Q or F_p for a row of integers, such as the values of
+        ``field.integer_lift`` without their denominator, which does not
+        change the span; over F_p any integers, read mod p."""
+        p = self._p
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        if p:
+            items = ((c, x % p) for c, x in items)
+        return self._extend({c: x for c, x in items if x})
+
+    def _extend(self, r):
+        _eliminate(r, 0, self._rows, self._p)
         if not r:
             return False
         self._insert(r)
         return True
 
     def _insert(self, r):
-        """Make the nonzero remainder r of reduce a basis row: scale it to 1
-        at its first column and clear that column from the other rows."""
-        p = min(r)
-        inv = self.field.one / r[p]
-        r = {c: inv * v for c, v in r.items()}
-        for other in self.rows.values():
-            f = other.get(p)
-            if f is not None:
-                _subtract(other, f, r)
-        self.rows[p] = r
+        """Make the nonzero remainder r of a reduction a basis row: bring it
+        to its stored form and clear its first column from the other rows."""
+        q = min(r)
+        p = self._p
+        if p is None:
+            inv = self.field.one / r[q]
+            r = {c: inv * v for c, v in r.items()}
+        elif p:
+            inv = pow(r[q], -1, p)
+            r = {c: v * inv % p for c, v in r.items()}
+        else:
+            g = gcd(*r.values())
+            if r[q] < 0:
+                g = -g
+            if g != 1:
+                r = {c: v // g for c, v in r.items()}
+        new = {q: r}
+        for other in self._rows.values():
+            if q in other:
+                _eliminate(other, 0, new, p)
+        self._rows[q] = r
 
     def contains(self, row):
-        return not self.reduce(row)
+        r = self._lift(row)[0]
+        _eliminate(r, 0, self._rows, self._p)
+        return not r
 
 
 class Coordinates:
@@ -115,7 +219,9 @@ class Coordinates:
     Vector i is kept in one ``Echelon`` as the row (v_i | e_i), with its 1 in
     tag column n + i.  Pivots then fall in the first n columns only, and a
     target t reduces to (0 | -c) exactly when t = sum c_i v_i; any entry
-    left in the first n columns means t is outside the span.
+    left in the first n columns means t is outside the span.  The kernel's
+    remainder (r, s) of v_i stands for r / s, so the row enters as
+    (r | s e_i): the tag entry is the remainder's scale.
     """
 
     __slots__ = ("n", "size", "_ech")
@@ -133,22 +239,24 @@ class Coordinates:
     def add(self, v):
         """Append v to the list; False, adding nothing, when v is already
         in the span."""
-        r = self._ech.reduce(v)
+        ech = self._ech
+        r, s = ech._remainder(v)
         if not self._outside(r):
             return False
-        r[self.n + self.size] = self._ech.field.one
-        self._ech._insert(r)
+        r[self.n + self.size] = s
+        ech._insert(r)
         self.size += 1
         return True
 
     def coords(self, t):
         """[c_0, ..., c_{size-1}] with t = sum c_i v_i, or None when t is
         outside the span."""
-        r = self._ech.reduce(t)
+        ech = self._ech
+        r, s = ech._remainder(t)
         if self._outside(r):
             return None
-        zero = self._ech.field.zero
-        return [-r[c] if c in r else zero for c in range(self.n, self.n + self.size)]
+        zero = ech.field.zero
+        return [ech._value(-r[c], s) if c in r else zero for c in range(self.n, self.n + self.size)]
 
 
 class Matrix:
@@ -267,12 +375,12 @@ class Matrix:
 
     def rref(self):
         """Reduced row-echelon form: (matrix, pivot columns, rank)."""
-        ech = Echelon(self.field, self.rows)
-        pivots = ech.pivots
+        rows = Echelon(self.field, self.rows).rows
+        pivots = tuple(sorted(rows))
         zero = self.field.zero
-        rows = [[ech.rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
-        rows += [[zero] * self.ncols for _ in range(self.nrows - len(pivots))]
-        return Matrix._wrap(self.field, rows), pivots, len(pivots)
+        out = [[rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
+        out += [[zero] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return Matrix._wrap(self.field, out), pivots, len(pivots)
 
     def kernel(self):
         """Basis of the right null space, one vector per free column."""
@@ -314,16 +422,18 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
         ech = Echelon(self.field)
-        det = self.field.one
+        # the pivots multiply to det / scale, in the kernel's remainders
+        det = scale = self.field.one if ech._p is None else 1
         order = []
         for row in self.rows:
-            r = ech.reduce(row)
+            r, s = ech._remainder(row)
             if not r:
                 return self.field.zero
             p = min(r)
-            det = det * r[p]
+            det, scale = det * r[p], scale * s
             order.append(p)
             ech._insert(r)
+        det = ech._value(det, scale)
         inversions = sum(1 for i, p in enumerate(order) for q in order[:i] if q > p)
         return -det if inversions % 2 else det
 

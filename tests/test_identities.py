@@ -488,6 +488,37 @@ class TestAlgebraMismatch:
         assert evaluate(f, {1: twin.axes[1]}, {1: a}, form=mats3c.form).is_zero()
         assert holds_as_identity(f, mats3c.algebra, idempotent_pool=list(twin.axes), form=twin.form).holds
 
+    def test_pool_of_an_equal_algebra_is_compared_once(self, monkeypatch):
+        # the pool and the form of a separately built S_4 give the verdicts
+        # and witnesses of S_4's own, and each call compares the two
+        # algebras at most once, not once per evaluation
+        s4, twin = (matsuo_from_triple_system(transpositions(4), HALF) for _ in range(2))
+        A = s4.algebra
+        compared = []
+        algebra_eq = type(A).__eq__
+
+        def counting_eq(self, other):
+            if self is not other:
+                compared.append(other)
+            return algebra_eq(self, other)
+
+        for f in (builtin_identity("primitivityFrobenius", QQ, HALF),
+                  parse_poly("E1*(E1*x1) - E1*x1", QQ),
+                  parse_poly("E1*(E2*x1) - E2*(E1*x1)", QQ)):
+            runs = {}
+            for name, M in (("own", s4), ("twin", twin)):
+                pool = list(M.axes)
+                with monkeypatch.context() as m:
+                    m.setattr(type(A), "__eq__", counting_eq)
+                    compared.clear()
+                    exact = holds_as_identity(f, A, idempotent_pool=pool, form=M.form)
+                    sampled = sample_identity(f, A, idempotent_pool=pool, form=M.form, samples=40)
+                    calls = len(compared)
+                assert calls <= (2 if name == "twin" else 0)
+                runs[name] = [(v.holds, v.method, v.witness) for v in (exact, sampled)]
+            assert runs["twin"] == runs["own"]
+        assert not runs["own"][0][0]  # the last identity fails, with a witness
+
 
 class TestRationalFunctionField:
     def test_verdicts_on_toric(self):

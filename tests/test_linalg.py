@@ -494,3 +494,267 @@ def test_solve_frobenius_against_reference(frobenius_cases, case):
         assert particular is None
     if case == "3C family":
         assert homogeneous
+
+
+# ---------------------------------------------------------------------------
+# differential test of the integer kernel against the field-value Echelon and
+# Coordinates that ran before it, copied verbatim (only renamed), with the
+# det and minimal_polynomial built on them
+# ---------------------------------------------------------------------------
+
+
+def _reference_sparse(row):
+    """{column: value} of the nonzero entries of a dense or sparse row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: v for c, v in items if v}
+
+
+def _reference_subtract(r, f, row):
+    """r -= f * row in place, dropping entries that cancel."""
+    for c, v in row.items():
+        x = r.get(c)
+        if x is None:
+            r[c] = -(f * v)
+        else:
+            x = x - f * v
+            if x:
+                r[c] = x
+            else:
+                del r[c]
+
+
+class ReferenceEchelon:
+    """Fully reduced row basis, grown one row at a time.
+
+    ``rows`` maps each pivot column to its row, stored sparse as
+    ``{column: nonzero value}``: 1 at its pivot, which is its first nonzero
+    column, and nothing in any other pivot column.  Such a basis is unique
+    for its span, so its rows in pivot order are the reduced row-echelon
+    form of every matrix whose rows were added, whatever their order.
+    Rows may be given dense (a sequence) or sparse (a dict).
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field, rows=()):
+        self.field = field
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return tuple(sorted(self.rows))
+
+    def reduce(self, row):
+        """Sparse remainder of row after clearing every pivot column."""
+        r = _reference_sparse(row)
+        # pivot rows vanish in each other's pivot columns, so clearing one
+        # pivot column leaves the entries in the others untouched
+        for p in [c for c in r if c in self.rows]:
+            _reference_subtract(r, r[p], self.rows[p])
+        return r
+
+    def add(self, row):
+        """Extend the basis by row; False when row is already in the span."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        self._insert(r)
+        return True
+
+    def _insert(self, r):
+        """Make the nonzero remainder r of reduce a basis row: scale it to 1
+        at its first column and clear that column from the other rows."""
+        p = min(r)
+        inv = self.field.one / r[p]
+        r = {c: inv * v for c, v in r.items()}
+        for other in self.rows.values():
+            f = other.get(p)
+            if f is not None:
+                _reference_subtract(other, f, r)
+        self.rows[p] = r
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+
+class ReferenceCoordinates:
+    """Coordinates in a growing independent list of vectors of length n.
+
+    Vector i is kept in one ``Echelon`` as the row (v_i | e_i), with its 1 in
+    tag column n + i.  Pivots then fall in the first n columns only, and a
+    target t reduces to (0 | -c) exactly when t = sum c_i v_i; any entry
+    left in the first n columns means t is outside the span.
+    """
+
+    __slots__ = ("n", "size", "_ech")
+
+    def __init__(self, field, n, vectors=()):
+        self.n = n
+        self.size = 0
+        self._ech = ReferenceEchelon(field)
+        for v in vectors:
+            self.add(v)
+
+    def _outside(self, r):
+        return bool(r) and min(r) < self.n
+
+    def add(self, v):
+        """Append v to the list; False, adding nothing, when v is already
+        in the span."""
+        r = self._ech.reduce(v)
+        if not self._outside(r):
+            return False
+        r[self.n + self.size] = self._ech.field.one
+        self._ech._insert(r)
+        self.size += 1
+        return True
+
+    def coords(self, t):
+        """[c_0, ..., c_{size-1}] with t = sum c_i v_i, or None when t is
+        outside the span."""
+        r = self._ech.reduce(t)
+        if self._outside(r):
+            return None
+        zero = self._ech.field.zero
+        return [-r[c] if c in r else zero for c in range(self.n, self.n + self.size)]
+
+
+def reference_echelon(field, rows=()):
+    return ReferenceEchelon(field, rows)
+
+
+def reference_echelon_det(m):
+    ech = reference_echelon(m.field)
+    det = m.field.one
+    order = []
+    for row in m.rows:
+        r = ech.reduce(row)
+        if not r:
+            return m.field.zero
+        p = min(r)
+        det = det * r[p]
+        order.append(p)
+        ech._insert(r)
+    inversions = sum(1 for i, p in enumerate(order) for q in order[:i] if q > p)
+    return -det if inversions % 2 else det
+
+
+def reference_echelon_minimal_polynomial(m):
+    field = m.field
+    powers = ReferenceCoordinates(field, m.nrows * m.ncols)
+    power = Matrix.identity(field, m.nrows)
+    flat = [e for row in power.rows for e in row]
+    while powers.add(flat):
+        power = power @ m
+        flat = [e for row in power.rows for e in row]
+    return tuple(-c for c in powers.coords(flat)) + (field.one,)
+
+
+def _typed(x):
+    """x with the type of every value spelled out, so that an int in place
+    of a Fraction, or a Fraction in place of an Fp, compares unequal."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_typed(v) for v in x]
+    return (type(x).__name__, x)
+
+
+BIG = 10**12
+F65521, F_MERSENNE = PrimeField(65521), PrimeField(2**31 - 1)
+KERNEL_FIELDS = {"Q": QQ, "F7": F7, "F65521": F65521, "F2^31-1": F_MERSENNE}
+
+
+@st.composite
+def kernel_values(draw, kind):
+    """Field values with many zeros: over Q numerators and denominators up to
+    10^12 or small ones, over F_p any residue or a small one."""
+    if draw(st.integers(0, 2)) == 0:
+        return KERNEL_FIELDS[kind].zero
+    if kind == "Q":
+        bound = draw(st.sampled_from([3, BIG]))
+        return Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+    field = KERNEL_FIELDS[kind]
+    return field.from_int(draw(st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1))))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A field, rows to add (some repeated or summed, so that ranks fall
+    short) and a target row."""
+    kind = draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    n = draw(st.integers(1, 5))
+    row = st.lists(kernel_values(kind), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    if len(rows) >= 3 and draw(st.booleans()):
+        rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+    return KERNEL_FIELDS[kind], rows, draw(row)
+
+
+class TestIntegerKernelAgainstFieldValues:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_echelon_and_coordinates(self, case):
+        field, rows, target = case
+        ech, ref = Echelon(field, rows), reference_echelon(field, rows)
+        assert _typed(ech.rows) == _typed(ref.rows)
+        assert (ech.pivots, ech.rank) == (ref.pivots, ref.rank)
+        assert _typed(ech.reduce(target)) == _typed(ref.reduce(target))
+        assert ech.contains(target) is ref.contains(target)
+        n = len(target)
+        coords, ref_coords = Coordinates(field, n), ReferenceCoordinates(field, n)
+        for v in rows:
+            assert coords.add(v) is ref_coords.add(v)
+        assert coords.size == ref_coords.size
+        assert _typed(coords.coords(target)) == _typed(ref_coords.coords(target))
+        inside = [sum((r[i] for r in rows), field.zero) for i in range(n)]
+        assert _typed(coords.coords(inside)) == _typed(ref_coords.coords(inside))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_det_and_minimal_polynomial(self, case):
+        field, rows, _ = case
+        n = min(len(rows), len(rows[0]), 4)
+        m = Matrix(field, [r[:n] for r in rows[:n]])
+        assert _typed(m.det()) == _typed(reference_echelon_det(m))
+        assert _typed(minimal_polynomial(m)) == _typed(reference_echelon_minimal_polynomial(m))
+
+    def test_hilbert_matrix(self):
+        # coefficient growth: det(H_8) = 1 / 365356847125734485878112256000000
+        n = 8
+        h = Matrix(QQ, [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+        assert _typed(h.det()) == _typed(reference_echelon_det(h))
+        assert h.det() == Fraction(1, 365356847125734485878112256000000)
+        red, pivots, rank = h.rref()
+        assert _typed(red.rows) == _typed(reference_rref(h)[0].rows) and rank == n
+        assert _typed(Echelon(QQ, h.rows).rows) == _typed(reference_echelon(QQ, h.rows).rows)
+
+
+class TestInputsThatAreNotFieldValues:
+    """Over F_p, rows and normalization targets may hold Python ints and
+    Fractions, read as Fp arithmetic reads them."""
+
+    def test_echelon_rows(self):
+        assert Echelon(F7, [[1, 2], [3, 4]]).rows == {0: {0: F7.one}, 1: {1: F7.one}}
+        rows = Echelon(F7, [[1, 2, 5], [Fraction(1, 2), 1, 0]]).rows
+        assert _typed(rows) == _typed({0: {0: F7.one, 1: F7.from_int(2)}, 2: {2: F7.one}})
+        assert Matrix(F7, [[1, 2], [3, 4]]).det() == F7.from_int(5)
+        coords = Coordinates(F7, 2, [[1, 2]])
+        assert coords.coords([3, 6]) == [F7.from_int(3)]
+        assert coords.coords([Fraction(1, 2), 1]) == [F7.from_int(4)]
+
+    def test_solve_frobenius_int_target(self):
+        F101 = PrimeField(101)
+        c3 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), F101.parse("1/2"), F101)
+        sol = solve_frobenius(c3.algebra, [(c3.axes[0], 1)])
+        h, one = F101.from_int(76), F101.one  # lam/2 = 1/4 = 76 mod 101
+        assert _typed(sol.particular.gram.rows) == _typed([[one, h, h], [h, one, h], [h, h, one]])
+        assert sol.homogeneous_basis == []
+        x = c3.algebra.element([1, 0, 0])
+        assert solve_frobenius(c3.algebra, [(x, Fraction(1, 3)), (c3.axes[1], 1)]).particular is None
