@@ -43,7 +43,7 @@ class Algebra:
         self.structure = struct
         # the one sparse table: sparse[i][j] holds the pairs (k, c) of the
         # nonzero coefficients c of b_i * b_j
-        self.sparse = [[tuple((k, c) for k, c in enumerate(cell) if c) for cell in srow] for srow in struct]
+        self.sparse = [[tuple([(k, c) for k, c in enumerate(cell) if c]) for cell in srow] for srow in struct]
         self._integer_grid = None
 
     def integer_grid(self):
@@ -55,7 +55,7 @@ class Algebra:
         if self._integer_grid is None:
             flat, d = self.field.integer_lift([c for srow in self.sparse for cell in srow for _, c in cell])
             lifted = iter(flat)
-            table = [[tuple((k, next(lifted)) for k, _ in cell) for cell in srow] for srow in self.sparse]
+            table = [[tuple([(k, next(lifted)) for k, _ in cell]) for cell in srow] for srow in self.sparse]
             self._integer_grid = (table, d)
         return self._integer_grid
 

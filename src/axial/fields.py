@@ -5,13 +5,18 @@ equality is plain ``==``:
 
 * ``Rationals`` -- values are ``fractions.Fraction``;
 * ``PrimeField(p)`` -- values are ``Fp`` wrappers holding the least residue;
-* ``RationalFunctions(var)`` -- values are ``RatFunc``: reduced fractions of
-  univariate polynomials over Q with monic denominator.
+* ``RationalFunctions(var)`` -- values are ``RatFunc``: fractions N/D of
+  polynomials over Z, coprime in Z[t] content included, with lc(D) > 0.
 
 All value types support the usual arithmetic operators, ``bool`` (nonzero
 test), ``==`` and ``hash``, so the linear algebra and algebra layers never
 need to consult the field for arithmetic.  The field objects own parsing,
 formatting, square roots and polynomial root extraction.
+
+Polynomials are coefficient sequences, low degree first, with no trailing 0.
+One layer of integer polynomials does the arithmetic of Q(t) values and of
+the root finders over Q, F_p and Q(t); the field-value helpers at the end
+serve the axes on values of any field.
 """
 
 from __future__ import annotations
@@ -28,40 +33,27 @@ from .errors import ScalarParseError, SchemaError
 _rational = Fraction
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (low degree first, no trailing 0);
-# _ptrim and _pdivmod use only the value operators and serve every field
+# dense polynomials of ints: over Z (p = 0) for Q(t) values and the Q root
+# finder, and mod an odd prime p for the F_p root finder
 # ---------------------------------------------------------------------------
 
 
-_ONE = (Fraction(1),)
-
-
 # the work budget of the scalar text being parsed in this context, if any:
-# inside a parse each primitive below that does coefficient arithmetic draws
-# on it before it runs (_charge), at the _pair_work price of its operands, and
-# a loop whose operands grow draws pass by pass
+# inside a parse each primitive below draws on it before it runs (_charge),
+# at the _pair_work price of its operands, and a loop whose operands grow
+# draws pass by pass
 _scalar_budget = contextvars.ContextVar("scalar_budget", default=None)
 
 
 def _size(p):
-    """Nonzero terms of p, the most bits of a coefficient's numerator and
-    denominator together, and the most bits of a denominator past 1."""
-    n = bits = den = 0
-    for x in p:
-        if x:
-            n += 1
-            d = x.denominator.bit_length() - 1
-            bits = max(bits, x.numerator.bit_length() + d)
-            den = max(den, d)
-    return n, bits, den
+    """Nonzero terms of p and the most bits of a coefficient."""
+    return len(p) - p.count(0), max(map(int.bit_length, p), default=0)
 
 
-def _pair_work(fixed, bits, bits_q, den, den_q):
-    """One Fraction operation on two coefficients of the given bits and
-    denominator bits: its fixed cost, a pass over the digits, the schoolbook
-    product of the operands, and the gcds of the denominators, which grow
-    with the square of their size (0.7 ms for two of 16,000 bits)."""
-    return fixed + (bits + bits_q >> 10) + (bits * bits_q >> 18) + ((den + den_q) * (bits + bits_q) >> 17)
+def _pair_work(fixed, bits, bits_q):
+    """One operation on two integers of the given bits: its fixed cost, a
+    pass over the digits and the schoolbook product of the operands."""
+    return fixed + (bits + bits_q >> 10) + (bits * bits_q >> 18)
 
 
 def _charge(budget, work):
@@ -72,115 +64,115 @@ def _charge(budget, work):
         raise ScalarParseError("scalar text exceeds its work budget")
 
 
-def _ptrim(c):
-    c = list(c)
+def _trim(c):
+    """The list c without its trailing zeros, in place."""
     while c and not c[-1]:
         c.pop()
-    return tuple(c)
+    return c
 
 
-def _padd(p, q):
-    n = max(len(p), len(q))
+def _zadd(p, q):
     budget = _scalar_budget.get()
     if budget is not None:
-        (k, bits, den), (m, bits_q, den_q) = _size(p), _size(q)
-        _charge(budget, 3 * n + min(k, m) * _pair_work(3, bits, bits_q, den, den_q))
-    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+        (k, bits), (m, bits_q) = _size(p), _size(q)
+        _charge(budget, 3 * max(len(p), len(q)) + min(k, m) * _pair_work(3, bits, bits_q))
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
 
 
-def _pneg(p):
+def _zscale(c, p):
+    """c * p for a nonzero integer c."""
     budget = _scalar_budget.get()
     if budget is not None:
-        _charge(budget, len(p) * _pair_work(3, _size(p)[1], 0, 0, 0))
-    return tuple(-a for a in p)
+        _charge(budget, len(p) * _pair_work(6, c.bit_length(), _size(p)[1]))
+    return [c * a for a in p]
 
 
-def _pmul(p, q):
+def _zmul(p, q):
     if not p or not q:
-        return ()
+        return []
     budget = _scalar_budget.get()
     if budget is not None:
-        (n, bits, den), (m, bits_q, den_q) = _size(p), _size(q)
-        _charge(budget, n * m * _pair_work(6, bits, bits_q, den, den_q) + 3 * (len(p) + len(q) - 1))
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        (n, bits), (m, bits_q) = _size(p), _size(q)
+        _charge(budget, n * m * _pair_work(6, bits, bits_q) + 3 * (len(p) + len(q) - 1))
+    out = [0] * (len(p) + len(q) - 1)
     terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
         if a:
             for j, b in terms:
                 out[i + j] += a * b
-    return _ptrim(out)
+    return out
 
 
-def _pscale(c, p):
-    if not c:
-        return ()
+def _zdivmod(a, b, p):
+    """Quotient and remainder of a by b: mod the prime p by a monic b, and
+    over Z (p = 0) when every quotient term is an integer, as when b
+    divides a.  Inside a scalar-text parse each pass draws on the budget at
+    the size of its quotient term."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quo = []
     budget = _scalar_budget.get()
     if budget is not None:
-        (_, bits, den), (_, bits_p, den_p) = _size((c,)), _size(p)
-        _charge(budget, len(p) * _pair_work(6, bits, bits_p, den, den_p))
-    return tuple(c * a for a in p)
+        bits_b = _size(b)[1]
+    while len(r) > db:
+        c = r.pop() % p if p else r.pop() // lead
+        quo.append(c)
+        if c:
+            if budget is not None:
+                _charge(budget, len(b) * _pair_work(6, c.bit_length(), bits_b))
+            k = len(r) - db
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    quo.reverse()
+    return quo, _trim([c % p for c in r] if p else r)
 
 
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(_ptrim(p))
-    d = len(q) - 1
-    lead = q[-1]
-    quo = [0 * lead] * max(0, len(r) - d)
+def _zquo(a, b):
+    """The quotient of a by its divisor b in Z[t]."""
+    return _zdivmod(a, b, 0)[0]
+
+
+def _zcontent(p):
+    """The gcd of the coefficients of the nonzero p, with the sign of its
+    leading one, so that p divided by it is primitive and leads positive."""
     budget = _scalar_budget.get()
     if budget is not None:
-        _, bits_q, den_q = _size(q)
-    while r and len(r) - 1 >= d:
-        c = r[-1] if lead == 1 else r[-1] / lead
-        if budget is not None:  # each pass, at the size of its quotient term
-            _, bits, den = _size((c,))
-            _charge(budget, len(q) * _pair_work(6, bits, bits_q, den, den_q))
-        k = len(r) - 1 - d
-        quo[k] = c
-        for i in range(len(q)):
-            r[k + i] -= c * q[i]
-        while r and not r[-1]:
-            r.pop()
-    return _ptrim(quo), tuple(r)
+        bits = _size(p)[1]
+        _charge(budget, len(p) * _pair_work(1, bits, bits))
+    g = math.gcd(*p)
+    return -g if p[-1] < 0 else g
 
 
-def _pquo(p, q):
-    """Quotient of p by q; exact when q divides p."""
-    return _pdivmod(p, q)[0]
+def _zgcd(p, q):
+    """Gcd of the nonzero p and q in Z[t], content included, leading
+    positive.
 
-
-def _pgcd(p, q):
-    """Monic gcd over Q.
-
-    A primitive remainder sequence over Z (Collins, J. ACM 14, 1967): both
-    inputs are scaled to primitive integer polynomials, each
-    pseudo-remainder is divided by its content, and only the last nonzero
-    one is made monic.  How far the coefficients grow along the sequence
-    does not show in the inputs, so inside a scalar-text parse each pass of
-    ``_pprem_int`` and each content gcd draws on the budget as it comes.
+    A primitive remainder sequence (Collins, J. ACM 14, 1967) on the
+    primitive parts: each pseudo-remainder is divided by its content.  How
+    far the coefficients grow along the sequence does not show in the
+    inputs, so inside a scalar-text parse each pass of ``_pprem_int`` and
+    each content gcd draws on the budget as it comes.
     """
-    a, b = _ptrim(p), _ptrim(q)
-    if not a or not b:
-        a = a or b
-        return _pscale(1 / a[-1], a) if a else ()
-    if len(a) == 1 or len(b) == 1:
-        return _ONE
-    a, b = _pcontent_int(a)[1], _pcontent_int(b)[1]
+    c, d = _zcontent(p), _zcontent(q)
+    g = math.gcd(c, d)
+    if len(p) == 1 or len(q) == 1:
+        return [g]
+    a, b = [x // c for x in p], [x // d for x in q]
     if len(a) < len(b):
         a, b = b, a
-    budget = _scalar_budget.get()
     while True:
         r = _pprem_int(a, b)
         if not r:
-            return tuple(Fraction(c, b[-1]) for c in b)
+            return b if g == 1 else _zscale(g, b)
         if len(r) == 1:
-            return _ONE
-        if budget is not None:
-            bits = _size(r)[1]
-            _charge(budget, len(r) * _pair_work(1, bits, bits, 0, 0))
-        g = math.gcd(*r)
-        a, b = b, tuple(c // g for c in r)
+            return [g]
+        c = _zcontent(r)
+        a, b = b, [x // c for x in r]
 
 
 def _pprem_int(a, b):
@@ -203,8 +195,8 @@ def _pprem_int(a, b):
         m, f = lb // g, lr // g
         if budget is not None:
             bits_m, bits_f = m.bit_length(), f.bit_length()
-            scale = len(r) * _pair_work(1, bits, bits_m, 0, 0) if m != 1 else 0
-            _charge(budget, scale + db * _pair_work(1, bits_f, bits_b, 0, 0))
+            scale = len(r) * _pair_work(1, bits, bits_m) if m != 1 else 0
+            _charge(budget, scale + db * _pair_work(1, bits_f, bits_b))
             bits = max(bits + bits_m, bits_f + bits_b) + 1
         if m != 1:
             r = [m * c for c in r]
@@ -217,20 +209,14 @@ def _pprem_int(a, b):
     return r
 
 
-def _pcontent_int(p):
-    """Write p = (a/b) * prim with prim integral primitive; return (Fraction(a,b), prim int tuple)."""
-    if not p:
-        return Fraction(0), ()
-    den = math.lcm(*[c.denominator for c in p])
-    budget = _scalar_budget.get()
-    if budget is not None:  # at the size of the coefficients lifted over den
-        bits = max(c.numerator.bit_length() for c in p) + den.bit_length()
-        _charge(budget, len(p) * _pair_work(1, bits, bits, 0, 0))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, den), tuple(v // g for v in ints)
+def _horner(f, x, m=None):
+    """f(x), reduced mod m unless m is None."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+        if m is not None:
+            acc %= m
+    return acc
 
 
 def _fraction_sqrt(x):
@@ -244,8 +230,9 @@ def _fraction_sqrt(x):
 
 
 def _rational_poly_roots(p):
-    """Distinct rational roots of a nonzero Q-polynomial: 0 first, then the
-    others by increasing |numerator|, then denominator, positive first.
+    """Distinct rational roots of a nonzero polynomial of ints: 0 first,
+    then the others by increasing |numerator|, then denominator, positive
+    first.
 
     The primitive squarefree part f, of degree d and leading coefficient a,
     becomes the monic integer polynomial g(y) = a^(d-1) f(y / a), whose
@@ -254,7 +241,7 @@ def _rational_poly_roots(p):
     Newton-lifted to a modulus above 2B (Loos, Computer Algebra, 1983) and
     kept when its symmetric residue is an exact root of g.
     """
-    p = _ptrim(p)
+    p = _trim(list(p))
     if not p:
         raise ValueError("zero polynomial has every root")
     zero = p[0] == 0
@@ -262,11 +249,12 @@ def _rational_poly_roots(p):
         p = p[1:]
     if len(p) == 1:
         return [Fraction(0)] * zero
-    f = _pcontent_int(p)[1]
+    c = _zcontent(p)
+    f = [x // c for x in p]
     if len(f) > 2:
-        h = _pgcd(f, poly_deriv(f))
+        h = _zgcd(f, poly_deriv(f))
         if len(h) > 1:
-            f = _pcontent_int(_pquo(f, h))[1]
+            f = _zquo(f, h)
     d, a = len(f) - 1, f[-1]
     g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
     dg = poly_deriv(g)
@@ -295,42 +283,7 @@ def _root_order(x):
     return abs(x.numerator), x.denominator, x.numerator < 0
 
 
-# ---------------------------------------------------------------------------
-# roots in F_p: dense polynomials of ints mod p (low degree first, no
-# trailing 0), dividing by monic polynomials only
-# ---------------------------------------------------------------------------
-
-
-def _horner(f, x, m=None):
-    """f(x), reduced mod m unless m is None."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-        if m is not None:
-            acc %= m
-    return acc
-
-
-def _mod_trim(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _mod_divmod(a, b, p):
-    """Quotient and remainder of a by the monic b."""
-    r = list(a)
-    db = len(b) - 1
-    quo = []
-    while len(r) > db:
-        c = r.pop() % p
-        quo.append(c)
-        if c:
-            k = len(r) - db
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    quo.reverse()
-    return quo, _mod_trim([c % p for c in r])
+# -- roots in F_p, dividing by monic polynomials only
 
 
 def _mod_monic(a, p):
@@ -340,10 +293,10 @@ def _mod_monic(a, p):
 
 def _mod_gcd(a, b, p):
     """Monic gcd of a and b mod p; [] when both are 0."""
-    a, b = _mod_trim(list(a)), _mod_trim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         b = _mod_monic(b, p)
-        a, b = b, _mod_divmod(a, b, p)[1]
+        a, b = b, _zdivmod(a, b, p)[1]
     return _mod_monic(a, p) if a else a
 
 
@@ -351,14 +304,9 @@ def _mod_pow_linear(a, e, m, p):
     """(x + a)^e modulo the monic m of degree at least 2."""
     out = [1]
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * len(out) - 1)
-        for i, u in enumerate(out):
-            if u:
-                for j, v in enumerate(out):
-                    sq[i + j] += u * v
-        out = _mod_divmod(sq, m, p)[1]
+        out = _zdivmod(_zmul(out, out), m, p)[1]
         if bit == "1":
-            out = _mod_divmod([a * u + v for u, v in zip(out + [0], [0] + out)], m, p)[1]
+            out = _zdivmod([a * u + v for u, v in zip(out + [0], [0] + out)], m, p)[1]
     return out
 
 
@@ -373,7 +321,7 @@ def _roots_mod(f, p):
     A quadratic is solved by the quadratic formula instead.  p is an odd
     prime.
     """
-    f = _mod_trim([c % p for c in f])
+    f = _trim([c % p for c in f])
     if not f:
         raise ValueError("zero polynomial has every root")
     roots = set()
@@ -403,7 +351,7 @@ def _roots_mod(f, p):
                 d = _mod_gcd(g, [c % p for c in h], p)
                 if 1 < len(d) < len(g):
                     break
-            todo += [d, _mod_divmod(g, d, p)[0]]
+            todo += [d, _zdivmod(g, d, p)[0]]
     return sorted(roots)
 
 
@@ -497,41 +445,52 @@ class Fp:
 
 
 class RatFunc:
-    """Reduced fraction of Q-polynomials with monic denominator.
+    """N/D for polynomials N and D over Z that are coprime in Z[t], content
+    included, with lc(D) > 0.  The form is canonical, so ``==`` and
+    ``hash`` compare integer tuples; ``num`` and ``den`` read the value as
+    a reduced fraction over Q with a monic denominator.
 
     The operators keep that form without reducing a full product by a full
     gcd (Henrici, J. ACM 3, 1956).  A sum over denominators b and d needs
     gcd(b, d), and then only the gcd of the new numerator with that factor;
     a product cancels each numerator against the other denominator first.
-    Constants and polynomials need no gcd at all.
+    Z[t] has unique factorization, so this holds for the integer primes of
+    the contents as for the polynomial factors.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=_ONE, _reduced=False):
-        if not _reduced:
-            num, den = _ptrim(num), _ptrim(den)
-            if not den:
-                raise ZeroDivisionError("rational function with zero denominator")
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pquo(num, g)
-                den = _pquo(den, g)
-            lead = den[-1]
-            if lead != 1:
-                num = _pscale(1 / lead, num)
-                den = _pscale(1 / lead, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=(1,)):
+        """num/den, from coefficients that are ints or Fractions."""
+        ints = QQ.integer_lift([*num, *den])[0]
+        n, d = _trim(ints[:len(num)]), _trim(ints[len(num):])
+        if not d:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if not n:
+            d = [1]
+        n, d = _cancel(n, d)
+        if d[-1] < 0:
+            n, d = [-x for x in n], [-x for x in d]
+        self._n, self._d = tuple(n), tuple(d)
 
     @staticmethod
     def const(c):
         c = Fraction(c)
-        return RatFunc((c,) if c else (), _ONE, _reduced=True)
+        return _ratfunc([c.numerator] if c else [], [c.denominator])
 
     @staticmethod
     def var():
-        return RatFunc((Fraction(0), Fraction(1)), _ONE, _reduced=True)
+        return _ratfunc([0, 1], [1])
+
+    @property
+    def num(self):
+        """The numerator over the monic denominator, as Fractions."""
+        return tuple(Fraction(c, self._d[-1]) for c in self._n)
+
+    @property
+    def den(self):
+        """The monic denominator, as Fractions."""
+        return tuple(Fraction(c, self._d[-1]) for c in self._d)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -541,53 +500,38 @@ class RatFunc:
         return None
 
     def _plus(self, c, d):
-        """self + c/d, for c/d in reduced form."""
-        a, b = self.num, self.den
+        """self + c/d, for c/d in this form."""
+        a, b = self._n, self._d
         if not a:
-            return RatFunc(c, d, _reduced=True)
+            return _ratfunc(c, d)
         if not c:
             return self
         if b == d:
-            num = _padd(a, c)
-            if len(b) > 1:
-                g = _pgcd(num, b)
-                if len(g) > 1:
-                    return RatFunc(_pquo(num, g), _pquo(b, g), _reduced=True)
-            return RatFunc(num, b, _reduced=True)
-        g = _pgcd(b, d)
-        if len(g) == 1:
-            # every factor of b*d divides exactly one of a*d and c*b
-            return RatFunc(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d), _reduced=True)
-        b, d = _pquo(b, g), _pquo(d, g)
-        num = _padd(_pmul(a, d), _pmul(c, b))
-        # num is prime to b*d now, so only a factor of g can cancel
-        h = _pgcd(num, g)
-        if len(h) > 1:
-            num, g = _pquo(num, h), _pquo(g, h)
-        return RatFunc(num, _pmul(_pmul(b, d), g), _reduced=True)
+            num = _zadd(a, c)
+            return _ratfunc(*_cancel(num, b)) if num else _ratfunc([], [1])
+        g = _zgcd(b, d)
+        if g == [1]:
+            # every prime factor of b*d divides exactly one of a*d and c*b
+            return _ratfunc(_zadd(_zmul(a, d), _zmul(c, b)), _zmul(b, d))
+        b, d = _zquo(b, g), _zquo(d, g)
+        # the numerator is prime to b*d now, so only a factor of g can cancel
+        num, g = _cancel(_zadd(_zmul(a, d), _zmul(c, b)), g)
+        return _ratfunc(num, _zmul(_zmul(b, d), g))
 
     def _times(self, c, d):
-        """self * c/d, for c/d in reduced form."""
-        a, b = self.num, self.den
+        """self * c/d, for c/d in this form."""
+        a, b = self._n, self._d
         if not a or not c:
-            return RatFunc((), _ONE, _reduced=True)
-        if len(c) == 1 and len(d) == 1:
-            return RatFunc(_pscale(c[0], a), b, _reduced=True)
-        if len(a) == 1 and len(b) == 1:
-            return RatFunc(_pscale(a[0], c), d, _reduced=True)
-        g = _pgcd(a, d)
-        if len(g) > 1:
-            a, d = _pquo(a, g), _pquo(d, g)
-        g = _pgcd(c, b)
-        if len(g) > 1:
-            c, b = _pquo(c, g), _pquo(b, g)
-        return RatFunc(_pmul(a, c), _pmul(b, d), _reduced=True)
+            return _ratfunc([], [1])
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _ratfunc(_zmul(a, c), _zmul(b, d))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(o.num, o.den)
+        return self._plus(o._n, o._d)
 
     __radd__ = __add__
 
@@ -595,17 +539,17 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(_pneg(o.num), o.den)
+        return self._plus(_zscale(-1, o._n), o._d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o._plus(_pneg(self.num), self.den)
+        return NotImplemented if o is None else o._plus(_zscale(-1, self._n), self._d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._times(o.num, o.den)
+        return self._times(o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -614,60 +558,75 @@ class RatFunc:
         if o is None:
             return NotImplemented
         r = o.reciprocal()
-        return self._times(r.num, r.den)
+        return self._times(r._n, r._d)
 
     def reciprocal(self):
-        if not self.num:
+        if not self._n:
             raise ZeroDivisionError("division by zero rational function")
-        # the reciprocal, scaled to a monic denominator, is in reduced form
-        lead = self.num[-1]
-        if lead == 1:
-            return RatFunc(self.den, self.num, _reduced=True)
-        inv = 1 / lead
-        return RatFunc(_pscale(inv, self.den), _pscale(inv, self.num), _reduced=True)
+        if self._n[-1] > 0:
+            return _ratfunc(self._d, self._n)
+        return _ratfunc(_zscale(-1, self._d), _zscale(-1, self._n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else o / self
 
     def __neg__(self):
-        return RatFunc(_pneg(self.num), self.den, _reduced=True)
+        return _ratfunc(_zscale(-1, self._n), self._d)
 
     def __pow__(self, n):
         if n < 0:
             return RatFunc.const(1) / self ** (-n)
-        # coprime num and monic den have coprime powers, and den^n is monic,
-        # so repeated squaring needs no gcd
-        out, base = (_ONE, _ONE), (self.num, self.den)
+        # coprime N and D have coprime powers, and D^n leads positive, so
+        # repeated squaring needs no gcd
+        out, base = ([1], [1]), (self._n, self._d)
         while n:
             if n & 1:
-                out = (_pmul(out[0], base[0]), _pmul(out[1], base[1]))
+                out = (_zmul(out[0], base[0]), _zmul(out[1], base[1]))
             n >>= 1
             if n:
-                base = (_pmul(base[0], base[0]), _pmul(base[1], base[1]))
-        return RatFunc(*out, _reduced=True)
+                base = (_zmul(base[0], base[0]), _zmul(base[1], base[1]))
+        return _ratfunc(*out)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
 
     def eval_at(self, x):
         """Evaluate at a Fraction point; raises ZeroDivisionError on a pole."""
-        d = _horner(self.den, Fraction(x))
+        d = _horner(self._d, Fraction(x))
         if d == 0:
             raise ZeroDivisionError("pole of rational function")
-        return _horner(self.num, Fraction(x)) / d
+        return _horner(self._n, Fraction(x)) / d
+
+
+def _ratfunc(n, d):
+    """The RatFunc n/d, for n and d already in its form."""
+    r = object.__new__(RatFunc)
+    r._n, r._d = tuple(n), tuple(d)
+    return r
+
+
+def _cancel(x, y):
+    """x and y divided by their gcd in Z[t]; a unit constant needs no gcd,
+    and otherwise both are nonzero."""
+    if (len(x) == 1 and abs(x[0]) == 1) or (len(y) == 1 and abs(y[0]) == 1):
+        return x, y
+    g = _zgcd(x, y)
+    if g == [1]:
+        return x, y
+    return _zquo(x, g), _zquo(y, g)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +730,7 @@ class Rationals(Field):
         return _fraction_sqrt(Fraction(a))
 
     def poly_roots(self, coeffs):
-        return list(_rational_poly_roots(tuple(Fraction(c) for c in coeffs)))
+        return _rational_poly_roots(self.integer_lift(coeffs)[0])
 
     def to_json(self):
         return {"kind": "Q"}
@@ -840,7 +799,10 @@ class PrimeField(Field):
         return (Fp(i, self.p) for i in range(self.p))
 
     def to_json(self):
-        return {"kind": "Fp", "p": self.p}
+        doc = {"kind": "Fp", "p": self.p}
+        if self.p <= 5:  # the field is built again only with it
+            doc["allow_small"] = True
+        return doc
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -954,7 +916,7 @@ class RationalFunctions(Field):
     def format(self, a):
         try:
             num = _poly_str(a.num, self.var)
-            if a.den == (Fraction(1),):
+            if len(a._d) == 1:
                 return num
             return f"({num})/({_poly_str(a.den, self.var)})"
         except ValueError as exc:  # past Python's int-string digit limit
@@ -972,7 +934,7 @@ class RationalFunctions(Field):
     def sqrt(self, a):
         """The root of x^2 - a whose numerator leads positive, or None."""
         roots = self.poly_roots([-a, self.zero, self.one])
-        return next((r for r in roots if not r.num or r.num[-1] > 0), None)
+        return next((r for r in roots if not r._n or r._n[-1] > 0), None)
 
     def poly_roots(self, coeffs):
         """Roots in Q(var) by Kronecker substitution into the Q root finder
@@ -985,33 +947,33 @@ class RationalFunctions(Field):
         roots of g(y, 2B + 1) in balanced base 2B + 1 hold them; the exact
         ones are kept, constants first in the order of ``Rationals.poly_roots``.
         """
-        lcm = _ONE
+        lcm = [1]
         for c in coeffs:
-            lcm = _pmul(lcm, _pquo(c.den, _pgcd(lcm, c.den)))
-        polys = [_pmul(c.num, _pquo(lcm, c.den)) for c in coeffs]
-        m = math.lcm(*(x.denominator for p in polys for x in p))
-        f = _ptrim([int(x * m) for x in p] for p in polys)
+            lcm = _zmul(lcm, _zquo(c._d, _zgcd(lcm, c._d)))
+        f = _trim([_zmul(c._n, _zquo(lcm, c._d)) for c in coeffs])
         if not f:
             raise ValueError("zero polynomial has every root")
+        # f / lc(lcm) is f over the monic lcm, and f / m that with its denominators cleared
+        m = math.gcd(lcm[-1], *(x for p in f for x in p))
+        f = [[x // m for x in p] for p in f]
         d, a = len(f) - 1, f[-1]
         norm_a = sum(map(abs, a))
         n = 2 * max((sum(map(abs, f[i])) * norm_a ** (d - 1 - i) for i in range(d)), default=0) + 3
         a_n = _horner(a, n)
         g_n = [_horner(f[i], n) * a_n ** (d - 1 - i) for i in range(d)] + [1]
-        den = tuple(map(Fraction, a))
         roots = []
         for y in _rational_poly_roots(g_n):
             digits, y = [], int(y)
             while y:  # balanced base-n digits, in [-(n - 1)/2, (n - 1)/2]
                 digits.append((y + n // 2) % n - n // 2)
                 y = (y - digits[-1]) // n
-            root, acc = RatFunc(tuple(map(Fraction, digits)), den), RatFunc.const(0)
+            root, acc = RatFunc(digits, a), RatFunc.const(0)
             for c in reversed(coeffs):
                 acc = acc * root + c
             if not acc:
                 roots.append(root)
         # constants first, as Rationals.poly_roots lists them
-        consts = [r for r in roots if len(r.num) + len(r.den) <= 2]
+        consts = [r for r in roots if len(r._n) + len(r._d) <= 2]
         consts.sort(key=lambda r: _root_order(r.eval_at(0)))
         return consts + [r for r in roots if r not in consts]
 
@@ -1032,9 +994,10 @@ class RationalFunctions(Field):
 
 # Caps on scalar text: the degree of a power (the exponent, on a constant), and
 # one work budget that the polynomial primitives draw on as the text is
-# evaluated (_scalar_budget).  A unit of work is about 0.7-0.95 us of CPython
-# 3.11.7 on a 2-core Xeon host whose speed swings by about a third: (t+1)^400
-# is charged 374,379 units and takes 0.26-0.35 s there.
+# evaluated (_scalar_budget).  On CPython 3.11.7 on a 2-core Xeon host,
+# (t+1)^400 is charged 374,379 units and takes 7-9 ms, about 20 ns a unit;
+# the remainder sequences of large-coefficient gcds take about ten times as
+# long a unit.
 MAX_EXPONENT = 10**4
 MAX_SCALAR_WORK = 5 * 10**5
 
@@ -1113,7 +1076,7 @@ def _parse_atom(toks, pos, var):
         if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
             raise ScalarParseError("exponent must be a nonnegative integer")
         k = toks[pos + 1]
-        deg = max(len(val.num), len(val.den), 2) - 1  # a constant counts as degree 1
+        deg = max(len(val._n), len(val._d), 2) - 1  # a constant counts as degree 1
         if deg * k > MAX_EXPONENT:
             raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
         val = val ** k
@@ -1147,16 +1110,44 @@ def _poly_str(p, var):
 
 
 # ---------------------------------------------------------------------------
-# field-generic polynomial helpers (coefficients are values of any field)
+# field-generic polynomial helpers (coefficients are values of any field;
+# tuples, no trailing 0)
 # ---------------------------------------------------------------------------
 
 
+def _ptrim(c):
+    return tuple(_trim(list(c)))
+
+
+def _pdivmod(p, q):
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(_ptrim(p))
+    d = len(q) - 1
+    lead = q[-1]
+    quo = [0 * lead] * max(0, len(r) - d)
+    while r and len(r) - 1 >= d:
+        c = r[-1] if lead == 1 else r[-1] / lead
+        k = len(r) - 1 - d
+        quo[k] = c
+        for i in range(len(q)):
+            r[k + i] -= c * q[i]
+        while r and not r[-1]:
+            r.pop()
+    return _ptrim(quo), tuple(r)
+
+
 def poly_gcd(p, q):
-    """Monic gcd by the Euclidean algorithm; ``_pgcd`` is the fast path over Q."""
+    """Monic gcd by the Euclidean algorithm on field values; Q(t) values and
+    the root finders compute gcds on integer polynomials instead
+    (``_zgcd``, ``_mod_gcd``)."""
     a, b = _ptrim(p), _ptrim(q)
     while b:
         a, b = b, _pdivmod(a, b)[1]
-    return _pscale(1 / a[-1], a) if a else ()
+    if not a:
+        return ()
+    inv = 1 / a[-1]
+    return tuple(inv * c for c in a)
 
 
 def poly_deriv(p):
@@ -1196,8 +1187,11 @@ def field_from_json(doc):
         p = doc.get("p")
         if not isinstance(p, int) or isinstance(p, bool):
             raise SchemaError(f"field p must be an integer, got {p!r}")
+        allow_small = doc.get("allow_small", False)
+        if not isinstance(allow_small, bool):
+            raise SchemaError(f"field allow_small must be a boolean, got {allow_small!r}")
         try:
-            return PrimeField(p, allow_small=bool(doc.get("allow_small", False)))
+            return PrimeField(p, allow_small=allow_small)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     if kind == "Qt":

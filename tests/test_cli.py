@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axial import QQ, toric_euf
+from axial import QQ, PrimeField, jordan_symmetric_matrices, toric_euf
 from axial.cli import main
 from axial.errors import SchemaError
 from axial.fields import _PRIME_TEST_BOUND, _is_prime
@@ -56,6 +56,14 @@ class TestIoRoundTrip:
         doc["structure"][0][1][0] = "7"
         with pytest.raises(AsymmetricStructure):
             algebra_from_json(doc)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_prime_field_roundtrip(self, p, tmp_path):
+        A = jordan_symmetric_matrices(2, PrimeField(p, allow_small=True))
+        path = tmp_path / f"f{p}.json"
+        save_algebra(A, path)
+        assert json.loads(path.read_text())["field"] == {"kind": "Fp", "p": p, "allow_small": True}
+        assert load_algebra(path) == A
 
     def test_schema_violations(self):
         with pytest.raises(SchemaError):
@@ -207,6 +215,13 @@ class TestCliPipeline:
         # sigma row is identically zero
         assert all(c == "0" for cell in doc["structure"][2] for c in cell)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_prime_field_files_read_back(self, p, tmp_path):
+        path = str(tmp_path / f"f{p}.json")
+        field = json.dumps({"kind": "Fp", "p": p, "allow_small": True})
+        assert main(["construct", "jordan-sym", "--k", "2", "--field", field, "-o", path]) == 0
+        assert main(["check-axis", "--algebra", path, "--element", '["1","0","0"]', "--lambda", "1/2"]) == 0
+
     def test_construct_usage_errors(self):
         assert main(["construct", "two-gen"]) == 2
         assert main(["construct", "matsuo", "--lambda", "1/2"]) == 2
@@ -233,6 +248,8 @@ USAGE_ERRORS = {
                           "--lambda", "1/2"], {}),
     "form-not-utf8": (["radical", "--algebra", "{alg}", "--form", "{bin}"], {}),
     "field-p-not-scalar": (["construct", "toric", "--field", '{{"kind":"Fp","p":[7]}}'], {}),
+    "field-allow-small-not-boolean": (["construct", "toric", "--field",
+                                       '{{"kind":"Fp","p":5,"allow_small":"false"}}'], {}),
     "field-var-not-text": (["construct", "toric", "--field", '{{"kind":"Qt","var":5}}'], {}),
     "field-strong-pseudoprime": (["construct", "toric", "--field",
                                   '{{"kind":"Fp","p":318665857834031151167461}}'], {}),

@@ -22,18 +22,19 @@ from axial.fields import (
     _fraction_sqrt,
     _horner,
     _is_prime,
-    _padd,
-    _pcontent_int,
     _pdivmod,
-    _pgcd,
-    _pmul,
-    _pneg,
     _pprem_int,
-    _pscale,
     _ptrim,
     _roots_mod,
     _scalar_budget,
     _sqrt_mod,
+    _zadd,
+    _zcontent,
+    _zdivmod,
+    _zgcd,
+    _zmul,
+    _zquo,
+    _zscale,
     field_from_json,
     parse_scalar,
     poly_divides,
@@ -193,18 +194,19 @@ class TestRationalFunctions:
                 Qt.parse(text)
 
     def test_every_primitive_is_metered(self):
-        # inside a parse each polynomial primitive draws on the text's budget
-        # before it runs; outside one it runs unmetered
-        p, q = (Fraction(1, 2), Fraction(3)), (Fraction(-2, 3), Fraction(5, 7))
-        pq = (Fraction(-1, 3), Fraction(-23, 14), Fraction(15, 7))
+        # inside a parse each integer polynomial primitive draws on the
+        # text's budget before it runs; outside one it runs unmetered
+        p, q = [1, 6], [-14, 15]
+        pq = [-14, -69, 90]
         cases = [
-            (lambda: _padd(p, q), (Fraction(-1, 6), Fraction(26, 7))),
-            (lambda: _pneg(p), (Fraction(-1, 2), Fraction(-3))),
-            (lambda: _pscale(Fraction(2, 5), p), (Fraction(1, 5), Fraction(6, 5))),
-            (lambda: _pmul(p, q), pq),
-            (lambda: _pdivmod(p, q), ((Fraction(21, 5),), (Fraction(33, 10),))),
-            (lambda: _pcontent_int(p), (Fraction(1, 2), (1, 6))),
-            (lambda: _pgcd(pq, q), (Fraction(-14, 15), Fraction(1))),
+            (lambda: _zadd(p, q), [-13, 21]),
+            (lambda: _zscale(-2, p), [-2, -12]),
+            (lambda: _zmul(p, q), pq),
+            (lambda: _zdivmod(pq, q, 0), (p, [])),
+            (lambda: _zdivmod(pq, [3, 1], 7), ([4, 6], [2])),
+            (lambda: _zquo(pq, p), q),
+            (lambda: _zcontent([-4, 6, -8]), -2),
+            (lambda: _zgcd(pq, [28, -30]), q),
             (lambda: _pprem_int((1, 2, 3), (1, 1)), [2]),
         ]
         token = _scalar_budget.set([0])
@@ -291,8 +293,10 @@ class TestRationalFunctions:
 
 class TestFieldJson:
     def test_roundtrip(self):
-        for f in (QQ, PrimeField(11), RationalFunctions("eps")):
+        for f in (QQ, PrimeField(11), PrimeField(3, allow_small=True), PrimeField(5, allow_small=True),
+                  RationalFunctions("eps")):
             assert field_from_json(f.to_json()) == f
+        assert PrimeField(7).to_json() == {"kind": "Fp", "p": 7}
 
     def test_bad_documents(self):
         with pytest.raises(SchemaError):
@@ -302,7 +306,8 @@ class TestFieldJson:
         with pytest.raises(SchemaError):
             field_from_json({})
         for doc in ({"kind": "Fp", "p": [7]}, {"kind": "Fp", "p": float("inf")},
-                    {"kind": "Fp", "p": 7.9}, {"kind": "Qt", "var": 5}):
+                    {"kind": "Fp", "p": 7.9}, {"kind": "Qt", "var": 5},
+                    {"kind": "Fp", "p": 5, "allow_small": "false"}, {"kind": "Fp", "p": 7, "allow_small": 1}):
             with pytest.raises(SchemaError):
                 field_from_json(doc)
 
@@ -349,6 +354,72 @@ def test_ratfunc_axioms(p, q):
     assert a * (a + b) == a * a + a * b
     if b:
         assert (a / b) * b == a
+
+
+# The polynomial helpers on Fraction coefficients that Q(t) values used
+# before they moved to Z[t], verbatim but for their metering, which never ran
+# outside a scalar-text parse.
+
+_ONE = (Fraction(1),)
+
+
+def _padd(p, q):
+    n = max(len(p), len(q))
+    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def _pneg(p):
+    return tuple(-a for a in p)
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    terms = [(j, b) for j, b in enumerate(q) if b]
+    for i, a in enumerate(p):
+        if a:
+            for j, b in terms:
+                out[i + j] += a * b
+    return _ptrim(out)
+
+
+def _pscale(c, p):
+    if not c:
+        return ()
+    return tuple(c * a for a in p)
+
+
+def _pgcd(p, q):
+    a, b = _ptrim(p), _ptrim(q)
+    if not a or not b:
+        a = a or b
+        return _pscale(1 / a[-1], a) if a else ()
+    if len(a) == 1 or len(b) == 1:
+        return _ONE
+    a, b = _pcontent_int(a)[1], _pcontent_int(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pprem_int(a, b)
+        if not r:
+            return tuple(Fraction(c, b[-1]) for c in b)
+        if len(r) == 1:
+            return _ONE
+        g = math.gcd(*r)
+        a, b = b, tuple(c // g for c in r)
+
+
+def _pcontent_int(p):
+    """Write p = (a/b) * prim with prim integral primitive; return (Fraction(a,b), prim int tuple)."""
+    if not p:
+        return Fraction(0), ()
+    den = math.lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, den), tuple(v // g for v in ints)
 
 
 # Reference rational-function arithmetic: a Euclidean gcd over Fraction
@@ -430,20 +501,28 @@ def ratfunc_pairs(draw):
 
     def value(min_den_factors=0):
         num, den = product(False, 0), product(True, draw(st.integers(min_den_factors, 1)))
-        return RatFunc(*reference_reduce(num, den), _reduced=True)
+        return RatFunc(*reference_reduce(num, den))
 
     mode = draw(st.sampled_from(["free", "same denominator", "difference"]))
     if mode == "difference":  # x + y is the value drawn second, so the sum cancels
         x = value(1)
-        return x, RatFunc(*reference_sub(value(1), x), _reduced=True)
+        return x, RatFunc(*reference_sub(value(1), x))
     x, y = value(), value()
     if mode == "same denominator":
-        y = RatFunc(*reference_reduce(y.num, x.den), _reduced=True)
+        y = RatFunc(*reference_reduce(y.num, x.den))
     return x, y
 
 
 def pair(r):
     return repr((r.num, r.den))
+
+
+def monic_zgcd(p, q):
+    """``_zgcd`` of the integer lifts of Q-polynomials, made monic; with one
+    of them 0 the other, made monic."""
+    a, b = QQ.integer_lift(p)[0], QQ.integer_lift(q)[0]
+    g = _zgcd(a, b) if a and b else a or b
+    return tuple(Fraction(c, g[-1]) for c in g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -459,7 +538,7 @@ def test_ratfunc_ops_match_reference(xy):
     if yn:
         assert pair(x / y) == repr(reference_div(x, y))
     for p, q in ((xn, yn), (xn, yd), (xd, yd), (_pmul(xn, yd), _pmul(xd, yn))):
-        assert repr(_pgcd(p, q)) == repr(reference_pgcd(p, q))
+        assert repr(monic_zgcd(p, q)) == repr(reference_pgcd(p, q))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctions("t")], ids=["Q", "F7", "Qt"])
