@@ -14,9 +14,20 @@ roots of seeded polynomials and values over Q, F_7, F_101 and Q(t), and the
 toric solid audit with its symbolic Q(m) axis.  Each of these is canonical,
 so a change to the polynomial layer must leave it as it is.
 
+``GOLDEN_QT_KERNEL`` covers the kernels on Q(t) values: 120 seeded Q(t)
+matrices (rref, kernel, solve, ``Echelon.rows`` and ``reduce``,
+``Coordinates.coords``, det and minimal polynomial), ``solve_frobenius`` on
+the toric algebra over Q, F_7 and Q(t) and on the 2-generated algebra at
+lam = 1/2, pi = t over Q(t), ``check_axis`` of the generic toric idempotent
+over Q(eps) (spectrum, eigenspaces, Miyamoto matrix), and ``evaluate`` of
+every catalog identity over Q(eps) with four ``holds_as_identity`` verdicts
+and their witnesses.  ``_canon`` names types, so an int left where a Q(t)
+value belongs changes it.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
-digests it prints into ``GOLDEN`` and ``GOLDEN_QT``.  A change to a constant
+digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT`` and
+``GOLDEN_QT_KERNEL``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -25,12 +36,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from axial import QQ, PrimeField, matsuo_from_triple_system, solid_audit, solve_frobenius, toric_euf
+from axial import (QQ, PrimeField, builtin_identity, check_axis, evaluate, holds_as_identity,
+                   matsuo_from_triple_system, solid_audit, solve_frobenius, toric_euf, universal_2gen)
+from axial.algebra import Element
 from axial.fields import Fp, RatFunc, RationalFunctions
-from axial.linalg import Matrix, minimal_polynomial
+from axial.identities import BUILTIN_NAMES
+from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
 
 GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
+GOLDEN_QT_KERNEL = "6110bf9bd82e9d48726d6011bf8c0eafcd72e2ebc5d652d9a958e677f80240dc"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -49,6 +64,10 @@ def _canon(x):
         return "R" + _canon([x.num, x.den])
     if isinstance(x, Matrix):
         return "M" + _canon(x.rows)
+    if isinstance(x, Element):
+        return "E" + _canon(x.coeffs)
+    if isinstance(x, dict):
+        return "D[" + ",".join(sorted(_canon(k) + ":" + _canon(v) for k, v in x.items())) + "]"
     if isinstance(x, str):
         return "S" + x
     if isinstance(x, (list, tuple)):
@@ -147,6 +166,65 @@ def _qt_records():
            list(sym.spectrum), sym.semisimple, sym.is_axis, sym.primitive, sym.is_primitive_jordan_axis]
 
 
+def _qt_kernel_records():
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    rng = random.Random(17)
+
+    def value():
+        # zero, a constant, a + b t or (a + b t) / (1 + c t)
+        kind = rng.random()
+        if kind < 0.4:
+            return Qt.zero
+        a, b, c = (Qt.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(3))
+        if kind < 0.6:
+            return a
+        return (a + b * t) / (Qt.one + c * t) if kind > 0.85 else a + b * t
+
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        ncols = n if trial % 2 else rng.randint(1, 5)
+        rows = [[value() for _ in range(ncols)] for _ in range(n)]
+        m = Matrix(Qt, rows)
+        ech = Echelon(Qt, rows)
+        inside = [sum((rng.randint(-2, 2) * r[c] for r in rows), Qt.zero) for c in range(ncols)]
+        outside = [value() for _ in range(ncols)]
+        coords = Coordinates(Qt, ncols, rows)
+        out = [m.rref(), m.kernel(), m.solve([value() for _ in range(n)]), ech.rows, ech.reduce(outside),
+               coords.size, coords.coords(inside), coords.coords(outside)]
+        if n == ncols:
+            out += [m.det(), minimal_polynomial(m)]
+        yield out
+    # Frobenius forms: the toric algebra over Q, F_7 and Q(t), and two-gen at pi = t
+    for field in (QQ, PrimeField(7), Qt):
+        tor = toric_euf(field)
+        for normalize_at in ((), [(tor.u, field.from_int(2))], [(tor.idempotent(field.one), field.one)]):
+            sol = solve_frobenius(tor.algebra, normalize_at)
+            yield [sol.particular and sol.particular.gram, sol.homogeneous_basis]
+    tg = universal_2gen(Fraction(1, 2), t, Qt)
+    a, b = tg.axes
+    for normalize_at in ((), [(a, Qt.one), (b, Qt.one)]):
+        sol = solve_frobenius(tg.algebra, normalize_at)
+        yield [sol.particular and sol.particular.gram, sol.homogeneous_basis]
+    # the generic toric idempotent over Q(eps): its axis record and the catalog
+    tor, generic = toric_euf().symbolic_family()
+    Qe, A = tor.algebra.field, tor.algebra
+    half = Qe.from_fraction(Fraction(1, 2))
+    rep = check_axis(generic, half)
+    yield [rep.spectrum, rep.semisimple, rep.is_axis, rep.primitive, rep.ax1_holds,
+           [[mu, rep.eigen.eigenspaces[mu]] for mu in rep.eigen.eigenvalues], rep.miyamoto.matrix,
+           [rep.fusion.a01_subalgebra, rep.fusion.module_rule, rep.fusion.pre_jordan, rep.fusion.jordan_a0]]
+    eps = Qe.variable()
+    for name in BUILTIN_NAMES:
+        f = builtin_identity(name, Qe, half)
+        xs = {j: A.element([(Qe.from_int(rng.randint(-3, 3)) + rng.randint(-3, 3) * eps) / (Qe.one + eps * eps)
+                            for _ in range(A.dim)]) for j in f.x_indices()}
+        yield evaluate(f, xs, {i: generic for i in f.e_indices()}, form=tor.form, algebra=A)
+    for name in ("jordan", "fourPowerAssoc", "seress", "matsuoCriterion"):
+        v = holds_as_identity(builtin_identity(name, Qe, half), A, idempotent_pool=[generic], form=tor.form)
+        yield [v.holds, v.witness, v.method]
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -163,6 +241,11 @@ def test_golden_scalar_outputs():
     assert digest(_qt_records) == GOLDEN_QT
 
 
+def test_golden_rational_function_kernel_outputs():
+    assert digest(_qt_kernel_records) == GOLDEN_QT_KERNEL
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
+    print(digest(_qt_kernel_records))
