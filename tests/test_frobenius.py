@@ -7,6 +7,7 @@ import pytest
 from axial import (
     QQ,
     BilinearForm,
+    RationalFunctions,
     axial_radical,
     check_axis,
     classify_pair,
@@ -17,6 +18,7 @@ from axial import (
     matsuo_from_triple_system,
     radical,
     solve_frobenius,
+    toric_euf,
     trace_admissibility_audit,
 )
 from axial.errors import AlgebraMismatch, SelfCheckFailed
@@ -123,6 +125,15 @@ class TestSolveFrobenius:
                     lhs = sum(c * g[m][k] for m, c in enumerate(A.structure[i][j]))
                     rhs = sum(c * g[i][m] for m, c in enumerate(A.structure[j][k]))
                     assert lhs != rhs
+
+    def test_rational_function_gram_not_associative(self):
+        # over Q(t) the check reads the same associativity rows as over Q
+        Qt = RationalFunctions("t")
+        tor = toric_euf(Qt)
+        g = [list(row) for row in tor.form.gram.rows]
+        g[0][0] = Qt.variable()
+        with pytest.raises(SelfCheckFailed, match=re.escape("(b0b0, b1) != (b0, b0b1)")):
+            BilinearForm(tor.algebra, Matrix(Qt, g))
 
 
 class TestRadical:

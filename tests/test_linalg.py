@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from axial import matsuo_from_triple_system, solve_frobenius, universal_2gen
+from axial import matsuo_from_triple_system, solve_frobenius, toric_euf, universal_2gen
 from axial.errors import DimensionMismatch
 from axial.fields import QQ, PrimeField, RationalFunctions
 from axial.linalg import Coordinates, Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
@@ -455,7 +455,8 @@ def reference_frobenius(A, normalize_at):
 
 
 FROBENIUS_CASES = ("3C", "3C family", "3C inconsistent", "S4 all points", "S4 one point", "S4 over F101",
-                   "S4 at 1/3", "H3", "two-gen(1/2, 1/8)")
+                   "S4 at 1/3", "H3", "two-gen(1/2, 1/8)", "toric over Q(t)", "toric over Q(t), (u, u) = 2",
+                   "two-gen(1/2, t)")
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +470,9 @@ def frobenius_cases(mats3c, h3):
     A3 = h3[0]
     tg = universal_2gen(half, Fraction(1, 8))
     a, b = tg.axes
+    Qt = RationalFunctions("t")
+    tor_qt = toric_euf(Qt)
+    tg_qt = universal_2gen(half, Qt.variable(), Qt)
     return {
         "3C": (c3.algebra, [(x, one) for x in c3.axes]),
         "3C family": (c3.algebra, []),
@@ -480,6 +484,9 @@ def frobenius_cases(mats3c, h3):
         "S4 at 1/3": (s4_third.algebra, [(x, one) for x in s4_third.axes]),
         "H3": (A3, [(A3.basis_element(i), one) for i, name in enumerate(A3.basis_names) if name.startswith("E")]),
         "two-gen(1/2, 1/8)": (tg.algebra, [(a, one), (b, one), (a + b, 2 + 2 * Fraction(1, 8))]),
+        "toric over Q(t)": (tor_qt.algebra, []),
+        "toric over Q(t), (u, u) = 2": (tor_qt.algebra, [(tor_qt.u, Qt.from_int(2))]),
+        "two-gen(1/2, t)": (tg_qt.algebra, [(x, Qt.one) for x in tg_qt.axes]),
     }
 
 
