@@ -47,11 +47,12 @@ class Algebra:
         self._integer_grid = None
 
     def integer_grid(self):
-        """Over Q and F_p, the sparse table lifted by ``field.integer_lift``:
-        ``(table, d)`` where ``table[i][j]`` holds the pairs ``(k, d * c)``
-        of ``sparse[i][j]``.  Over Q, d is the common denominator of the
+        """The sparse table lifted by ``field.integer_lift``: ``(table, d)``
+        where ``table[i][j]`` holds the pairs ``(k, d * c)`` of
+        ``sparse[i][j]``.  Over Q, d is the common denominator of the
         structure constants; over F_p the entries are least residues and
-        d = 1.  Built on first use."""
+        d = 1; over Q(t) they are the field values themselves and d = 1.
+        Built on first use."""
         if self._integer_grid is None:
             flat, d = self.field.integer_lift([c for srow in self.sparse for cell in srow for _, c in cell])
             lifted = iter(flat)

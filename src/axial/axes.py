@@ -252,22 +252,9 @@ def component_recovery(a, y, eigenvalues_s):
     y_lam = (a(ay) - ay) / (lam*(lam - 1)).  y_0 = y - y_1 - sum y_mu.
     """
     S = list(eigenvalues_s)
-    _check_recovery_spectrum(a.algebra.field, S)
-    _require_axis(a, S)
-    return _recover_components(a, y, S)
-
-
-def _check_recovery_spectrum(field, S):
-    """The Lagrange nodes {0, 1} + S must be distinct."""
-    if field.zero in S or field.one in S:
-        raise SingularVandermonde("S must avoid the special eigenvalues 0 and 1")
-    if len(set(S)) < len(S):
-        raise SingularVandermonde("repeated eigenvalue in S")
-
-
-def _recover_components(a, y, S):
-    """component_recovery for an axis a already certified for the spectrum S."""
     field = a.algebra.field
+    _check_recovery_spectrum(field, S)
+    _require_axis(a, S)
     nodes = [field.zero, field.one, *S]
     powers = [a * y]  # L_a^j y for j = 1..|S|+1
     for _ in S:
@@ -281,6 +268,14 @@ def _recover_components(a, y, S):
         parts[mu] = part
         y0 = y0 - part
     return Components(y1=parts.pop(field.one), y0=y0, by_eigenvalue=parts)
+
+
+def _check_recovery_spectrum(field, S):
+    """The Lagrange nodes {0, 1} + S must be distinct."""
+    if field.zero in S or field.one in S:
+        raise SingularVandermonde("S must avoid the special eigenvalues 0 and 1")
+    if len(set(S)) < len(S):
+        raise SingularVandermonde("repeated eigenvalue in S")
 
 
 @dataclass

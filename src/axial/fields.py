@@ -717,14 +717,19 @@ class Rationals(Field):
     def integer_lift(self, values):
         """Field values as integers over one denominator: ``(ints, d)`` with
         ``values[k] == ints[k] / d``, here over their least common
-        denominator.  ``PrimeField`` has the same method.  ints is a list:
-        CPython keeps the small tuples that ``tuple()`` of a generator
+        denominator.  Every field has this method and ``from_lift``, which
+        reads an entry back; the kernels compute on the entries.  ints is a
+        list: CPython keeps the small tuples that ``tuple()`` of a generator
         builds in its tuple free lists once they die, and each row the
         echelon kernel lifts would add to them."""
         d = 1
         for q in values:
             d = math.lcm(d, int(q.denominator))
         return [int(q.numerator) * (d // int(q.denominator)) for q in values], d
+
+    def from_lift(self, x, d):
+        """The field value of an entry x of a lift over d: x / d."""
+        return Fraction(x, d)
 
     def sqrt(self, a):
         return _fraction_sqrt(Fraction(a))
@@ -788,6 +793,10 @@ class PrimeField(Field):
         and Fractions are read as ``Fp`` arithmetic reads them."""
         return [a.v if type(a) is Fp else self.from_fraction(a).v for a in values], 1
 
+    def from_lift(self, x, d):
+        """As ``Rationals.from_lift``, with d = 1: the residue of x."""
+        return Fp(x, self.p)
+
     def sqrt(self, a):
         r = _sqrt_mod(a.v, self.p)
         return None if r is None else Fp(r, self.p)
@@ -815,9 +824,9 @@ class PrimeField(Field):
 
 
 def integer_modulus(field):
-    """How ``field.integer_lift`` reads values: 0 over Q (integers over a
-    common denominator), p over F_p (integers mod p), and None for a field
-    without an integer lift."""
+    """How the kernels compute on the entries of ``field.integer_lift``: 0
+    over Q (integers over a common denominator), p over F_p (integers mod
+    p), and None over Q(t), whose entries are field values."""
     if isinstance(field, Rationals):
         return 0
     if isinstance(field, PrimeField):
@@ -930,6 +939,17 @@ class RationalFunctions(Field):
 
     def variable(self):
         return RatFunc.var()
+
+    def integer_lift(self, values):
+        """As ``Rationals.integer_lift``, for the kernels that run on lifted
+        entries: here the entries are the field values themselves, with
+        d = 1, and the kernels compute on them with field arithmetic."""
+        return list(values), 1
+
+    def from_lift(self, x, d):
+        """As ``Rationals.from_lift``, with d = 1: x itself, or the constant
+        x when x is an int, as a kernel's 0 or empty product arrives."""
+        return RatFunc.const(x) if type(x) is int else x
 
     def sqrt(self, a):
         """The root of x^2 - a whose numerator leads positive, or None."""

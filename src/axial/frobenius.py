@@ -43,9 +43,10 @@ class BilinearForm:
         self._check_associative()
 
     def integer_gram(self):
-        """Over Q and F_p, the Gram matrix lifted by ``field.integer_lift``:
-        ``(rows, d)`` with entry ``(i, j)`` equal to ``rows[i][j] / d``; over
-        F_p the rows hold least residues and d = 1.  Built on first use."""
+        """The Gram matrix lifted by ``field.integer_lift``: ``(rows, d)``
+        with entry ``(i, j)`` equal to ``rows[i][j] / d``; over F_p the rows
+        hold least residues and d = 1, and over Q(t) the entries are the
+        field values themselves, with d = 1.  Built on first use."""
         if self._integer_gram is None:
             n = self.algebra.dim
             flat, d = self.algebra.field.integer_lift([c for row in self.gram.rows for c in row])
@@ -60,19 +61,15 @@ class BilinearForm:
                     raise SelfCheckFailed("Gram matrix is not symmetric")
 
     def _check_associative(self):
-        field = self.algebra.field
-        p = integer_modulus(field)
-        if p is None:
-            g, zero = self.gram.rows, field.zero
-        else:
-            g, zero = self.integer_gram()[0], 0
+        p = integer_modulus(self.algebra.field)
+        g = self.integer_gram()[0]
         key, nunk = _upper_keys(self.algebra.dim)
         flat = [None] * nunk
         for key_row, gram_row in zip(key, g):
             for u, v in zip(key_row, gram_row):
                 flat[u] = v
         for (i, j, k), row in _associativity_rows(self.algebra, key):
-            acc = zero
+            acc = 0
             for u, c in row.items():
                 acc = acc + c * flat[u]
             if acc % p if p else acc:
@@ -138,14 +135,11 @@ def _associativity_rows(A, key):
     in j and k.  So the rows T(i, j, k) - T(i, k, j) with j < k, the
     associativity of the triple (j, i, k), span the rows of all n^3 triples.
 
-    Over Q and F_p the rows are read from ``A.integer_grid()``, as integers:
-    each is the equation times the grid's common denominator, and over F_p
-    its entries are to be read mod p.  Elsewhere they hold field values.
+    The rows are read from ``A.integer_grid()``: each is the equation times
+    the grid's common denominator, in integers over Q, integers to be read
+    mod p over F_p, and field values over Q(t).
     """
-    if integer_modulus(A.field) is None:
-        table, zero = A.sparse, A.field.zero
-    else:
-        table, zero = A.integer_grid()[0], 0
+    table = A.integer_grid()[0]
     n = A.dim
     for i in range(n):
         by_i = table[i]
@@ -154,10 +148,10 @@ def _associativity_rows(A, key):
                 row = {}
                 for m, c in by_i[j]:
                     u = key[m][k]
-                    row[u] = row.get(u, zero) + c
+                    row[u] = row.get(u, 0) + c
                 for m, c in by_i[k]:
                     u = key[m][j]
-                    row[u] = row.get(u, zero) - c
+                    row[u] = row.get(u, 0) - c
                 row = {u: c for u, c in row.items() if c}
                 if row:
                     yield (j, i, k), row
@@ -176,9 +170,8 @@ def solve_frobenius(A, normalize_at=()):
     key, nunk = _upper_keys(n)
     # column nunk holds the right-hand side; a repeated row reduces to zero
     ech = Echelon(field)
-    add_row = ech.add if integer_modulus(field) is None else ech.add_integers
     for _, row in _associativity_rows(A, key):
-        add_row(row)
+        ech.add_integers(row)
     for x, target in normalize_at:
         require_same_algebra(A, x.algebra, "normalization element belongs to a different algebra")
         row = {nunk: target}

@@ -422,6 +422,15 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     assigned elements, the form and the field of f must belong to one
     algebra (algebra, when given): an equal algebra counts as the same, and
     anything else raises AlgebraMismatch.
+
+    One body serves every field.  Each subtree value, bracket value and
+    monomial coefficient is lifted by ``field.integer_lift``: entries over
+    one common denominator, which are integer numerators over Q, least
+    residues with denominator 1 over F_p, and field values with denominator
+    1 over Q(t).  The inner loops multiply and add the entries.  Only the
+    reduction of each product (by the gcd over Q, mod p over F_p) and of
+    each bracket (mod p over F_p) depends on the field, and
+    ``field.from_lift`` reads the result back.
     """
     A = algebra
     for v in itertools.chain(assign_x.values(), assign_e.values()):
@@ -447,60 +456,11 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if f.has_brackets() and form is None:
         raise MissingForm("polynomial contains bracket factors but no form was given")
 
-    if integer_modulus(A.field) is not None:
-        return _evaluate_integer(f, assign_x, assign_e, form, A)
-
-    # Q(t): raw coefficient tuples with subtree and bracket caches
-    cache = {("X", j): v.coeffs for j, v in assign_x.items()}
-    cache.update((("E", i), v.coeffs) for i, v in assign_e.items())
-
-    def ev(t):
-        val = cache.get(t)
-        if val is None:
-            val = cache[t] = A.product(ev(t[1]), ev(t[2]))
-        return val
-
-    bcache = {}
-
-    def brval(t1, t2):
-        key = (t1, t2)
-        val = bcache.get(key)
-        if val is None:
-            val = bcache[key] = form.pair(ev(t1), ev(t2))
-        return val
-
-    n = A.dim
-    total = [A.field.zero] * n
-    for (brackets, body), coeff in f.terms.items():
-        if body is None:
-            raise MissingForm("monomial has no element-valued body")
-        c = coeff
-        for t1, t2 in brackets:
-            c = c * brval(t1, t2)
-            if not c:
-                break
-        if c:
-            bv = ev(body)
-            for k in range(n):
-                if bv[k]:
-                    total[k] = total[k] + c * bv[k]
-    return A.element(total)
-
-
-def _evaluate_integer(f, assign_x, assign_e, form, A):
-    """``evaluate`` over Q or F_p in integer arithmetic.
-
-    Each subtree value is a vector of integers over one common denominator:
-    numerators over Q, least residues with denominator 1 over F_p.  The
-    inner loops multiply and add plain ints instead of field values.  Only
-    the lift (``field.integer_lift``), the reduction of each product and
-    bracket (by the gcd over Q, mod p over F_p) and the conversion of the
-    result back to field values depend on the field.
-    """
     n = A.dim
     field = A.field
     p = integer_modulus(field)
     table, grid_d = A.integer_grid()
+    (zero,), _ = field.integer_lift([field.zero])  # the int 0 over Q and F_p
     cache = {}
     for j, v in assign_x.items():
         cache[("X", j)] = field.integer_lift(v.coeffs)
@@ -512,7 +472,7 @@ def _evaluate_integer(f, assign_x, assign_e, form, A):
         if val is not None:
             return val
         (x, dx), (y, dy) = ev(t[1]), ev(t[2])
-        out = [0] * n
+        out = [zero] * n
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -526,7 +486,7 @@ def _evaluate_integer(f, assign_x, assign_e, form, A):
         d = dx * dy * grid_d
         if p:
             out = [a % p for a in out]
-        else:
+        elif p == 0:
             g = math.gcd(d, *out)
             if g > 1:
                 out = [a // g for a in out]
@@ -545,7 +505,7 @@ def _evaluate_integer(f, assign_x, assign_e, form, A):
         if val is not None:
             return val
         (x, dx), (y, dy) = ev(t1), ev(t2)
-        acc = 0
+        acc = zero
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -553,32 +513,36 @@ def _evaluate_integer(f, assign_x, assign_e, form, A):
             for j, yj in enumerate(y):
                 if yj:
                     acc += xi * yj * gi[j]
-        val = acc % p if p else Fraction(acc, dx * dy * gram_d)
+        val = (acc % p if p else acc), dx * dy * gram_d
         bcache[key] = val
         return val
 
-    # the sum of the monomials, kept as integers over total_d; a scalar c is
-    # a Fraction over Q and a residue over F_p, and both have numerator and
-    # denominator
-    total, total_d = [0] * n, 1
-    for (brackets, body), coeff in f.terms.items():
+    # the sum of the monomials, kept as lifted entries over total_d; the
+    # scalar c of a monomial is its lifted coefficient times its brackets,
+    # over d
+    coeffs, coeff_d = field.integer_lift(f.terms.values())
+    total, total_d = [zero] * n, 1
+    for (brackets, body), c in zip(f.terms, coeffs):
         if body is None:
             raise MissingForm("monomial has no element-valued body")
-        c = coeff.v if p else Fraction(coeff)
+        d = coeff_d
         for t1, t2 in brackets:
-            c = c * brval(t1, t2)
+            b, db = brval(t1, t2)
+            c, d = c * b, d * db
             if not c:
                 break
         if c:
-            bv, d = ev(body)
-            d *= c.denominator
+            bv, dv = ev(body)
+            d *= dv
             m = math.lcm(total_d, d)
-            st, sb = m // total_d, (m // d) * c.numerator
-            total = [a * st + b * sb for a, b in zip(total, bv)]
-            total_d = m
-    if p:
-        return A.element([field.from_int(a) for a in total])
-    return A.element([field.from_fraction(Fraction(a, total_d)) for a in total])
+            if m != total_d:
+                st = m // total_d
+                total = [a * st for a in total]
+                total_d = m
+            if m != d:
+                c = c * (m // d)
+            total = [a + b * c for a, b in zip(total, bv)]
+    return A.element([field.from_lift(a, total_d) for a in total])
 
 
 EXHAUSTIVE_BUDGET = 200000  # assignments the small-field exhaustion may enumerate

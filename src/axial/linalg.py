@@ -3,11 +3,12 @@
 Row reduction goes through one kernel, ``Echelon``: a fully reduced row
 basis grown one sparse row at a time.  Arithmetic is exact, so no pivoting
 heuristics are needed, and the reduced basis depends only on the span of
-the rows added.  Over Q and F_p the kernel eliminates on integers, with one
-step r <- d*r - r[q]*P against a basis row P whose pivot entry is d: over Q
-a row is an integer vector with d > 0 that stands for P/d, and over F_p a
-vector of least residues with d = 1.  Field values are built only when rows
-are read out.  Over Q(t) the same step runs on field values with d = 1.
+the rows added.  Rows enter as the entries of ``field.integer_lift`` and
+leave through ``field.from_lift``; one step r <- d*r - r[q]*P clears the
+pivot q of a basis row P whose pivot entry is d.  Over Q a row is an integer
+vector with d > 0 that stands for P/d, over F_p a vector of least residues
+with d = 1, and over Q(t) a vector of field values with d = 1.  Field values
+are built only when rows are read out.
 ``Matrix.rref`` reads the canonical reduced row-echelon form
 from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``rref``; ``det`` multiplies the pivots its rows meet on the way in.
@@ -20,11 +21,10 @@ tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of their own.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatch
-from .fields import Fp, integer_modulus
+from .fields import integer_modulus
 
 __all__ = [
     "Coordinates",
@@ -46,8 +46,8 @@ def _eliminate(r, s, rows, p):
     d and f = r[q].  Over Q (p = 0) it runs on integers: d and f are first
     divided by their gcd, and a step with d > 1 multiplies s by d and then
     divides r and s by their gcd.  Over F_p it runs on least residues with
-    d = 1, mod p, and on field values (p None) with d = 1.  Pivot rows
-    vanish in each other's pivot columns, so clearing one pivot column
+    d = 1, mod p, and over Q(t) (p None) on field values with d = 1.  Pivot
+    rows vanish in each other's pivot columns, so clearing one pivot column
     leaves the entries in the others nonzero.
     """
     for q in [c for c in r if c in rows]:
@@ -99,14 +99,15 @@ class Echelon:
     is an integer vector whose pivot entry d is positive, and it stands for
     the row divided by d; it enters primitive, and each elimination step
     that scales it divides out the gcd of its entries again.  Over F_p a
-    row holds least residues with d = 1, and over other fields field values
-    with d = 1.  ``rows`` gives the basis in field values.  Rows may be
-    given dense (a sequence) or sparse (a dict).
+    row holds least residues with d = 1, and over Q(t) field values with
+    d = 1: the entries of ``field.integer_lift``.  ``rows`` gives the basis
+    in field values, read by ``field.from_lift``.  Rows may be given dense
+    (a sequence) or sparse (a dict).
 
     A remainder is a pair ``(r, s)`` that stands for the row r / s, where s
-    is an integer over Q, 1 over F_p and the field's one elsewhere; over Q
-    a step that scales r by d scales s by d too.  With s = 0 the scale is
-    not kept, which is all that ``add`` and ``contains`` need.
+    is an integer: the denominator of the lift, and 1 off Q; over Q a step
+    that scales r by d scales s by d too.  With s = 0 the scale is not
+    kept, which is all that ``add`` and ``contains`` need.
     """
 
     __slots__ = ("field", "_p", "_rows")
@@ -128,27 +129,16 @@ class Echelon:
 
     @property
     def rows(self):
-        """``{pivot: {column: field value}}``, 1 at each pivot.  Over Q and
-        F_p the values are built on every access, so read it once."""
-        if self._p is None:
-            return self._rows
-        value = self._value
+        """``{pivot: {column: field value}}``, 1 at each pivot.  The values
+        are built on every access, so read it once."""
+        value = self.field.from_lift
         return {q: {c: value(x, row[q]) for c, x in row.items()} for q, row in self._rows.items()}
-
-    def _value(self, x, s):
-        """The field value x / s of an entry x of a remainder of scale s."""
-        p = self._p
-        if p is None:
-            return x
-        return Fp(x, p) if p else Fraction(x, s)
 
     def _lift(self, row):
         """The remainder ``(r, s)`` of row before any reduction: its nonzero
         entries over the denominator s of ``field.integer_lift``."""
         items = row.items() if isinstance(row, dict) else enumerate(row)
         r = {c: v for c, v in items if v}
-        if self._p is None:
-            return r, self.field.one
         ints, s = self.field.integer_lift(r.values())
         return {c: x for c, x in zip(r, ints) if x}, s
 
@@ -161,16 +151,18 @@ class Echelon:
         """Sparse remainder of row after clearing every pivot column, in
         field values."""
         r, s = self._remainder(row)
-        return {c: self._value(x, s) for c, x in r.items()}
+        value = self.field.from_lift
+        return {c: value(x, s) for c, x in r.items()}
 
     def add(self, row):
         """Extend the basis by row; False when row is already in the span."""
         return self._extend(self._lift(row)[0])
 
     def add_integers(self, row):
-        """``add`` over Q or F_p for a row of integers, such as the values of
+        """``add`` for a row of lifted entries, such as the values of
         ``field.integer_lift`` without their denominator, which does not
-        change the span; over F_p any integers, read mod p."""
+        change the span: integers over Q, any integers over F_p, read mod p,
+        and field values over Q(t)."""
         p = self._p
         items = row.items() if isinstance(row, dict) else enumerate(row)
         if p:
@@ -189,18 +181,18 @@ class Echelon:
         to its stored form and clear its first column from the other rows."""
         q = min(r)
         p = self._p
-        if p is None:
-            inv = self.field.one / r[q]
-            r = {c: inv * v for c, v in r.items()}
-        elif p:
+        if p:
             inv = pow(r[q], -1, p)
             r = {c: v * inv % p for c, v in r.items()}
-        else:
+        elif p == 0:
             g = gcd(*r.values())
             if r[q] < 0:
                 g = -g
             if g != 1:
                 r = {c: v // g for c, v in r.items()}
+        else:
+            inv = self.field.one / r[q]
+            r = {c: inv * v for c, v in r.items()}
         new = {q: r}
         for other in self._rows.values():
             if q in other:
@@ -255,8 +247,9 @@ class Coordinates:
         r, s = ech._remainder(t)
         if self._outside(r):
             return None
-        zero = ech.field.zero
-        return [ech._value(-r[c], s) if c in r else zero for c in range(self.n, self.n + self.size)]
+        field = ech.field
+        zero, value = field.zero, field.from_lift
+        return [value(-r[c], s) if c in r else zero for c in range(self.n, self.n + self.size)]
 
 
 class Matrix:
@@ -423,7 +416,7 @@ class Matrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         ech = Echelon(self.field)
         # the pivots multiply to det / scale, in the kernel's remainders
-        det = scale = self.field.one if ech._p is None else 1
+        det = scale = 1
         order = []
         for row in self.rows:
             r, s = ech._remainder(row)
@@ -433,7 +426,7 @@ class Matrix:
             det, scale = det * r[p], scale * s
             order.append(p)
             ech._insert(r)
-        det = ech._value(det, scale)
+        det = self.field.from_lift(det, scale)
         inversions = sum(1 for i, p in enumerate(order) for q in order[:i] if q > p)
         return -det if inversions % 2 else det
 

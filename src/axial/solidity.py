@@ -115,25 +115,21 @@ class IdempotentFamily:
         be = -t * (field.one + two * g * m)
         return self.algebra.element([al, be, m * t])
 
-    def symbolic(self, var="m"):
-        """The family over Q(var): one idempotency check covers all but the
+    def symbolic(self):
+        """The family over Q(m): one idempotency check covers all but the
         finitely many excluded parameter values."""
         field = self.algebra.field
         if field != QQ:
             raise ValueError("symbolic family is available over the rational base field")
-        Qm = RationalFunctions(var)
+        Qm = RationalFunctions("m")
         lifted = _lift_algebra(self.algebra, Qm)
-        fam = IdempotentFamily(algebra=lifted, gamma=_lift_scalar(self.gamma, Qm), excluded=[])
+        fam = IdempotentFamily(algebra=lifted, gamma=Qm.from_fraction(self.gamma), excluded=[])
         return lifted, fam.at(Qm.variable())
-
-
-def _lift_scalar(c, Qm):
-    return Qm.from_fraction(c)
 
 
 def _lift_algebra(A, Qm):
     st = [
-        [tuple(_lift_scalar(c, Qm) for c in cell) for cell in row]
+        [tuple(Qm.from_fraction(c) for c in cell) for cell in row]
         for row in A.structure
     ]
     return Algebra(Qm, A.basis_names, st)

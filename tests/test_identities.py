@@ -298,10 +298,10 @@ class TestEvaluate:
         assert nonzero >= 25  # 28 to 30 of the 84 values are nonzero
 
     def test_rational_function_path_matches_element_products(self):
-        # off Q and F_p evaluate multiplies field values through
-        # Algebra.product; compare every catalog identity on toric over
-        # Q(eps), with the generic idempotent in the E slots and, unchecked,
-        # dense random ones
+        # over Q(eps) evaluate runs its one body on field values; compare
+        # every catalog identity on toric over Q(eps) with a plain
+        # evaluation through Element products, with the generic idempotent
+        # in the E slots and, unchecked, dense random ones
         Qe = RationalFunctions("eps")
         tor = toric_euf(Qe)
         A, eps = tor.algebra, Qe.variable()
