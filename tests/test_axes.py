@@ -32,7 +32,7 @@ from axial.errors import (
 from axial.linalg import Matrix, minimal_polynomial, span_contains
 
 from conftest import direct_sum
-from test_linalg import F7, FIELD_VALUES, reference_solve
+from test_linalg import F7, FIELDS, FIELD_VALUES, QT, reference_solve
 
 HALF = Fraction(1, 2)
 
@@ -612,3 +612,81 @@ def test_non_graded_axis_rejected_by_orbit_and_cli(tmp_path, capsys):
     argv = ["miyamoto", "--algebra", str(path), "--element", '["1","0"]', "--lambda", "1/2"]
     assert main(argv) == 1
     assert "[FAIL] automorphism" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# check_axis where semisimple, ax1_holds and is_axis part ways: hand-built
+# idempotents whose minimal polynomial is not squarefree, does not split, or
+# splits outside {0, 1, lam}, over Q, F_7 and Q(t)
+# ---------------------------------------------------------------------------
+
+
+def built_over(field, names, products, axis):
+    """hand_built_axis over any field: an int or Fraction coefficient is read
+    into the field, any other is taken as a value of it."""
+    def value(c):
+        return field.from_fraction(Fraction(c)) if isinstance(c, (int, Fraction)) else c
+
+    n = len(names)
+    at = {name: k for k, name in enumerate(names)}
+    structure = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for (x, y), terms in products.items():
+        for z, c in terms.items():
+            structure[at[x]][at[y]][at[z]] = structure[at[y]][at[x]][at[z]] = value(c)
+    return make_algebra(field, n, names, structure).element([value(c) for c in axis])
+
+
+def _spectrum_cases(field):
+    """name -> (names, products, axis, semisimple, ax1_holds, is_axis,
+    complete); a * a = a throughout."""
+    if field == QT:
+        s1, s2 = QT.variable(), QT.variable() + QT.one
+    else:
+        s1, s2 = 2, 3
+    unit = {("a", "a"): {"a": 1}}
+    return {
+        # L_a = diag(1, J_{1/2}): mp = (x - 1)(x - 1/2)^2
+        "jordan_at_half": (["a", "v", "w"], {**unit, ("a", "v"): {"v": HALF},
+                                             ("a", "w"): {"w": HALF, "v": 1}},
+                           [1, 0, 0], False, False, False, False),
+        # L_a = diag(1, rotation): mp = (x - 1)(x^2 + 1), with no root i
+        "rotation": (["a", "v", "w"], {**unit, ("a", "v"): {"w": 1}, ("a", "w"): {"v": -1}},
+                     [1, 0, 0], True, False, False, False),
+        # L_a = diag(1, s1, s2): squarefree, split, outside {0, 1, 1/2}
+        "split_outside": (["a", "v", "w"], {**unit, ("a", "v"): {"v": s1}, ("a", "w"): {"w": s2}},
+                          [1, 0, 0], True, False, False, True),
+        # the unit of F e + F f: mp = x - 1
+        "unit": (["e", "f"], {("e", "e"): {"e": 1}, ("f", "f"): {"f": 1}},
+                 [1, 1], True, True, True, True),
+    }
+
+
+def _f7_cases():
+    """Over F_7, a * w_k = k w_k for k in F_7: mp = x^7 - x, of degree p and
+    squarefree though its derivative is -1; in the variant, a * w6 = 5 w6 + w5
+    makes mp = x (x - 1) ... (x - 4) (x - 5)^2, of degree p too."""
+    names = ["a"] + [f"w{k}" for k in range(7)]
+    axis = [1] + [0] * 7
+    eigen = {("a", "a"): {"a": 1}, **{("a", f"w{k}"): {f"w{k}": k} for k in range(1, 7)}}
+    jordan = {**eigen, ("a", "w6"): {"w6": 5, "w5": 1}}
+    return {
+        "all_of_f7": (names, eigen, axis, True, False, False, True),
+        "all_of_f7_jordan": (names, jordan, axis, False, False, False, False),
+    }
+
+
+SPECTRUM_CASES = [(name, fname) for fname in ("Q", "F7", "Qt")
+                  for name in _spectrum_cases(FIELDS[fname])]
+SPECTRUM_CASES += [(name, "F7") for name in _f7_cases()]
+
+
+@pytest.mark.parametrize("case,fname", SPECTRUM_CASES, ids=[f"{c}-{f}" for c, f in SPECTRUM_CASES])
+def test_check_axis_spectrum_corner_cases(case, fname):
+    field = FIELDS[fname]
+    cases = {**_spectrum_cases(field), **(_f7_cases() if fname == "F7" else {})}
+    names, products, axis, semisimple, ax1, is_axis, complete = cases[case]
+    a = built_over(field, names, products, axis)
+    rep = check_axis(a, field.from_fraction(HALF))
+    assert rep.is_idempotent
+    assert (rep.semisimple, rep.ax1_holds, rep.is_axis, rep.eigen.complete) == (
+        semisimple, ax1, is_axis, complete)
