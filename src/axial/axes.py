@@ -23,7 +23,7 @@ from .errors import (
     SingularVandermonde,
 )
 from .linalg import Echelon, Matrix, minimal_polynomial
-from .fields import poly_divides, poly_is_squarefree
+from .fields import _horner
 
 __all__ = [
     "EigenData",
@@ -131,8 +131,11 @@ def check_axis(a, lam):
     """Full certification record for the candidate a at target eigenvalue lam.
 
     The annihilator route (x(x-1)(x-lam) vanishes at L_a) and the
-    semisimplicity route (squarefree minimal polynomial dividing x(x-1)(x-lam)
-    with complete eigenspaces) must agree; this is asserted, not assumed.
+    minimal-polynomial route must agree; this is asserted, not assumed.  The
+    monic minimal polynomial mp divides x(x-1)(x-lam) exactly when deg mp of
+    0, 1 and lam are roots of it.  Then mp is squarefree (semisimple) too;
+    otherwise it is exactly when its Sylvester matrix with its derivative is
+    nonsingular.
     """
     A = a.algebra
     field = A.field
@@ -142,9 +145,10 @@ def check_axis(a, lam):
         return AxisReport(element=a, lam=lam, is_idempotent=False)
     L = a.left_multiplication_matrix()
     mp = minimal_polynomial(L)
-    semisimple = poly_is_squarefree(mp)
     annihilator = _root_poly(field, [field.zero, field.one, lam])
-    divides = poly_divides(mp, annihilator)
+    divides = _divides_root_poly(mp, [field.zero, field.one, lam])
+    # a divisor of a product of distinct linear factors is squarefree
+    semisimple = divides or _is_squarefree(field, mp)
     ax1 = _poly_at(annihilator, L).is_zero()
     assert ax1 == divides, "annihilator and minimal-polynomial routes disagree"
 
@@ -199,8 +203,27 @@ def _require_axis(a, eigenvalues_s):
         raise NotAnAxis("not an idempotent")
     field = a.algebra.field
     mp = minimal_polynomial(a.left_multiplication_matrix())
-    if not poly_divides(mp, _root_poly(field, [field.zero, field.one, *eigenvalues_s])):
+    if not _divides_root_poly(mp, [field.zero, field.one, *eigenvalues_s]):
         raise NotAnAxis("operator is not annihilated by the expected spectrum polynomial")
+
+
+def _divides_root_poly(mp, nodes):
+    """Does the monic mp divide prod (x - r) over the distinct nodes?  It
+    does exactly when deg mp of them are roots of mp."""
+    return sum(1 for r in set(nodes) if not _horner(mp, r)) == len(mp) - 1
+
+
+def _is_squarefree(field, mp):
+    """Is the monic mp squarefree?  Exactly when its Sylvester matrix with
+    its derivative of formal degree deg mp - 1, of size 2 deg mp - 1, is
+    nonsingular: gcd(mp, mp') = 1.  Over F_p too, where mp' may drop in
+    degree or vanish, as F_p is perfect."""
+    d = len(mp) - 1
+    deriv = [i * c for i, c in enumerate(mp)][1:]
+    zero = field.zero
+    rows = [[zero] * i + list(mp) + [zero] * (d - 2 - i) for i in range(d - 1)]
+    rows += [[zero] * i + deriv + [zero] * (d - 1 - i) for i in range(d)]
+    return bool(Matrix(field, rows).det())
 
 
 def _root_poly(field, roots):

@@ -287,6 +287,8 @@ def _cmd_identity(args):
     else:
         raise _Usage("identity requires --name or --poly")
     pool = [_parse_element(A, t) for t in args.pool or []]
+    if f.e_indices() and not pool:
+        raise _Usage("identities with E slots need a --pool of idempotents")
     form = _load_form(args, A)
     if form is None and f.has_brackets():
         if not pool:

@@ -15,8 +15,8 @@ formatting, square roots and polynomial root extraction.
 
 Polynomials are coefficient sequences, low degree first, with no trailing 0.
 One layer of integer polynomials does the arithmetic of Q(t) values and of
-the root finders over Q, F_p and Q(t); the field-value helpers at the end
-serve the axes on values of any field.
+the root finders over Q, F_p and Q(t).  The axes test minimal polynomials
+of field values by evaluation and a determinant, with no division.
 """
 
 from __future__ import annotations
@@ -209,6 +209,11 @@ def _pprem_int(a, b):
     return r
 
 
+def _zderiv(p):
+    """The derivative of p."""
+    return _trim([i * p[i] for i in range(1, len(p))])
+
+
 def _horner(f, x, m=None):
     """f(x), reduced mod m unless m is None."""
     acc = 0
@@ -252,12 +257,12 @@ def _rational_poly_roots(p):
     c = _zcontent(p)
     f = [x // c for x in p]
     if len(f) > 2:
-        h = _zgcd(f, poly_deriv(f))
+        h = _zgcd(f, _zderiv(f))
         if len(h) > 1:
             f = _zquo(f, h)
     d, a = len(f) - 1, f[-1]
     g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    dg = poly_deriv(g)
+    dg = _zderiv(g)
     bound = 2 * (1 + max(abs(c) for c in g[:-1]))
     # small enough for a cheap x^q mod g, large enough that the small roots
     # of typical minimal polynomials rarely collide mod q or need lifting
@@ -1127,62 +1132,6 @@ def _poly_str(p, var):
     for mon in parts[1:]:
         out += f" - {mon[1:]}" if mon.startswith("-") else f" + {mon}"
     return out
-
-
-# ---------------------------------------------------------------------------
-# field-generic polynomial helpers (coefficients are values of any field;
-# tuples, no trailing 0)
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(c):
-    return tuple(_trim(list(c)))
-
-
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(_ptrim(p))
-    d = len(q) - 1
-    lead = q[-1]
-    quo = [0 * lead] * max(0, len(r) - d)
-    while r and len(r) - 1 >= d:
-        c = r[-1] if lead == 1 else r[-1] / lead
-        k = len(r) - 1 - d
-        quo[k] = c
-        for i in range(len(q)):
-            r[k + i] -= c * q[i]
-        while r and not r[-1]:
-            r.pop()
-    return _ptrim(quo), tuple(r)
-
-
-def poly_gcd(p, q):
-    """Monic gcd by the Euclidean algorithm on field values; Q(t) values and
-    the root finders compute gcds on integer polynomials instead
-    (``_zgcd``, ``_mod_gcd``)."""
-    a, b = _ptrim(p), _ptrim(q)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    inv = 1 / a[-1]
-    return tuple(inv * c for c in a)
-
-
-def poly_deriv(p):
-    return _ptrim([i * p[i] for i in range(1, len(p))])
-
-
-def poly_is_squarefree(p):
-    return len(poly_gcd(p, poly_deriv(p))) <= 1
-
-
-def poly_divides(p, q):
-    """True when p divides q."""
-    if not p:
-        return not q
-    return not _pdivmod(q, p)[1]
 
 
 # ---------------------------------------------------------------------------

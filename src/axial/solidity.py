@@ -103,7 +103,7 @@ class IdempotentFamily:
     def at(self, m):
         """The family member at a concrete parameter value."""
         field = self.algebra.field
-        if not hasattr(m, "__mul__") or isinstance(m, int):
+        if isinstance(m, int):
             m = field.from_int(m)
         g = self.gamma
         two, four = field.from_int(2), field.from_int(4)
@@ -176,7 +176,7 @@ def _sigma_presentation(B, lam):
     return Algebra(field, ["a", "b", "s"], st), gamma
 
 
-def enumerate_idempotents_2gen(B, lam=None):
+def enumerate_idempotents_2gen(B, lam):
     """All idempotents of a 2-generated subalgebra of dimension <= 3.
 
     Dimensions 1 and 2 are immediate; dimension 3 requires the sigma
@@ -201,12 +201,6 @@ def enumerate_idempotents_2gen(B, lam=None):
         out = [ind.zero(), a, b, a + b]
         return IdempotentEnumeration(finite=_verified(out), family=None, lam=lam, gamma=None)
 
-    if lam is None:
-        from .axes import infer_lambda
-
-        lam = infer_lambda(B.induced.basis_element(0))
-        if lam is None:
-            raise UnsupportedShape("cannot infer lam from the first generator")
     P, gamma = _sigma_presentation(B, lam)
     a, b = P.basis_element(0), P.basis_element(1)
     sigma = P.basis_element(2)

@@ -20,6 +20,7 @@ from axial import (
     toric_euf,
     universal_2gen,
 )
+from axial.axes import _divides_root_poly, _is_squarefree, _root_poly
 from axial.cli import main
 from axial.io import save_algebra
 from axial.errors import (
@@ -32,6 +33,7 @@ from axial.errors import (
 from axial.linalg import Matrix, minimal_polynomial, span_contains
 
 from conftest import direct_sum
+from test_fields import poly_divides, poly_is_squarefree
 from test_linalg import F7, FIELDS, FIELD_VALUES, QT, reference_solve
 
 HALF = Fraction(1, 2)
@@ -690,3 +692,74 @@ def test_check_axis_spectrum_corner_cases(case, fname):
     assert rep.is_idempotent
     assert (rep.semisimple, rep.ax1_holds, rep.is_axis, rep.eigen.complete) == (
         semisimple, ax1, is_axis, complete)
+
+
+@pytest.mark.parametrize("fname", ["Q", "F7", "Qt"])
+def test_seress_lambda_in_01_over_every_field(fname):
+    # as TestSeress::test_rejections pins over Q: with lam in {0, 1} the
+    # nodes {0, 1, lam} repeat one, which must count once
+    field = FIELDS[fname]
+    with_half = built_over(field, ["a", "v", "w"],
+                           {("a", "a"): {"a": 1}, ("a", "w"): {"w": HALF}}, [1, 0, 0])
+    spectrum_01 = built_over(field, ["a", "v"], {("a", "a"): {"a": 1}}, [1, 0])
+    for lam in (field.zero, field.one):
+        with pytest.raises(NotAnAxis):
+            seress_check(with_half, lam)
+        with pytest.raises(SingularVandermonde):
+            seress_check(spectrum_01, lam)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the root count and the Sylvester determinant against
+# the polynomial division and Euclidean gcd on field values they replaced
+# ---------------------------------------------------------------------------
+
+# x^2 + 1 has no root in Q or F_7 (7 = 3 mod 4), and x^2 - t none in Q(t)
+IRREDUCIBLE_QUADRATIC = {
+    "Q": (Fraction(1), Fraction(0), Fraction(1)),
+    "F7": (F7.one, F7.zero, F7.one),
+    "Qt": (-QT.variable(), QT.zero, QT.one),
+}
+SPLIT_ROOTS = {  # values to draw distinct roots from, and how many at most
+    "Q": (st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2])), 4),
+    "F7": (st.builds(F7.from_int, st.integers(0, 6)), 7),
+    "Qt": (st.builds(lambda a, b: QT.from_int(a) + QT.from_int(b) * QT.variable(),
+                     st.integers(-2, 2), st.integers(-1, 1)), 2),
+}
+
+
+def _poly_times(field, f, g):
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@settings(deadline=None)
+@given(fname=st.sampled_from(["Q", "F7", "Qt"]), data=st.data())
+def test_spectrum_tests_against_polynomial_division(fname, data):
+    field = FIELDS[fname]
+    values, most = SPLIT_ROOTS[fname]
+    roots = data.draw(st.lists(values, unique=True, max_size=most))
+    mults = [data.draw(st.integers(1, 2)) for _ in roots]
+    quadratic = data.draw(st.integers(0, 2 if fname != "Qt" else 1))
+    mp = _root_poly(field, [r for r, k in zip(roots, mults) for _ in range(k)])
+    for _ in range(quadratic):
+        mp = _poly_times(field, mp, IRREDUCIBLE_QUADRATIC[fname])
+    mp = tuple(mp)
+    assert _is_squarefree(field, mp) == poly_is_squarefree(mp) == (max(mults + [quadratic]) <= 1)
+    # nodes: some of the roots and other values, with repeats
+    nodes = data.draw(st.lists(st.sampled_from(roots), max_size=8)) if roots else []
+    nodes = data.draw(st.permutations(nodes + data.draw(st.lists(values, max_size=3))))
+    distinct = list(dict.fromkeys(nodes))
+    assert _divides_root_poly(mp, nodes) == poly_divides(mp, _root_poly(field, distinct))
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_squarefree_when_p_divides_the_degree(k):
+    # prod (x - j) over j < k in F_7, alone (squarefree) and times x - 1
+    roots = [F7.from_int(j) for j in range(k)]
+    mp, twice = tuple(_root_poly(F7, roots)), tuple(_root_poly(F7, roots + [F7.one]))
+    assert _is_squarefree(F7, mp) == poly_is_squarefree(mp) is (k <= 7)
+    assert _is_squarefree(F7, twice) == poly_is_squarefree(twice) is False

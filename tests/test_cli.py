@@ -261,6 +261,9 @@ USAGE_ERRORS = {
     "poly-bracket-plus-element": (["identity", "--algebra", "{alg}", "--poly", "B(x1,x2) + x1",
                                    "--pool", '["1","0","0"]'], {}),
     "identity-needs-lambda": (["identity", "--algebra", "{alg}", "--name", "ax1"], {}),
+    "identity-e-slots-need-pool": (["identity", "--algebra", "{alg}", "--name", "ax1",
+                                    "--lambda", "1/2"], {}),
+    "poly-e-slots-need-pool": (["identity", "--algebra", "{alg}", "--poly", "E1*x1"], {}),
     "matsuo-two-point-line": (["construct", "matsuo", "--lines", "a,b", "--lambda", "1/2"], {}),
     "qt-lambda-divides-by-zero": (["construct", "two-gen", "--field", '{{"kind":"Qt","var":"t"}}',
                                    "--lambda", "t/(t-t)", "--pi", "0"], {}),

@@ -22,12 +22,11 @@ from axial.fields import (
     _fraction_sqrt,
     _horner,
     _is_prime,
-    _pdivmod,
     _pprem_int,
-    _ptrim,
     _roots_mod,
     _scalar_budget,
     _sqrt_mod,
+    _trim,
     _zadd,
     _zcontent,
     _zdivmod,
@@ -37,9 +36,6 @@ from axial.fields import (
     _zscale,
     field_from_json,
     parse_scalar,
-    poly_divides,
-    poly_gcd,
-    poly_is_squarefree,
 )
 
 
@@ -356,6 +352,61 @@ def test_ratfunc_axioms(p, q):
         assert (a / b) * b == a
 
 
+# The polynomial helpers on values of any field that the axes used to test
+# minimal polynomials before they counted roots and took a Sylvester
+# determinant, verbatim: references for tests/test_axes.py.
+
+
+def _ptrim(c):
+    return tuple(_trim(list(c)))
+
+
+def _pdivmod(p, q):
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(_ptrim(p))
+    d = len(q) - 1
+    lead = q[-1]
+    quo = [0 * lead] * max(0, len(r) - d)
+    while r and len(r) - 1 >= d:
+        c = r[-1] if lead == 1 else r[-1] / lead
+        k = len(r) - 1 - d
+        quo[k] = c
+        for i in range(len(q)):
+            r[k + i] -= c * q[i]
+        while r and not r[-1]:
+            r.pop()
+    return _ptrim(quo), tuple(r)
+
+
+def poly_gcd(p, q):
+    """Monic gcd by the Euclidean algorithm on field values; Q(t) values and
+    the root finders compute gcds on integer polynomials instead
+    (``_zgcd``, ``_mod_gcd``)."""
+    a, b = _ptrim(p), _ptrim(q)
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    if not a:
+        return ()
+    inv = 1 / a[-1]
+    return tuple(inv * c for c in a)
+
+
+def poly_deriv(p):
+    return _ptrim([i * p[i] for i in range(1, len(p))])
+
+
+def poly_is_squarefree(p):
+    return len(poly_gcd(p, poly_deriv(p))) <= 1
+
+
+def poly_divides(p, q):
+    """True when p divides q."""
+    if not p:
+        return not q
+    return not _pdivmod(q, p)[1]
+
+
 # The polynomial helpers on Fraction coefficients that Q(t) values used
 # before they moved to Z[t], verbatim but for their metering, which never ran
 # outside a scalar-text parse.
@@ -543,7 +594,7 @@ def test_ratfunc_ops_match_reference(xy):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctions("t")], ids=["Q", "F7", "Qt"])
 def test_generic_poly_helpers(field):
-    """The one polynomial layer serves every field, with quotients in the
+    """The reference helpers above serve every field, with quotients in the
     coefficients' type."""
     def poly(*coeffs):
         return tuple(field.from_int(k) for k in coeffs)
