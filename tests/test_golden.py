@@ -24,10 +24,16 @@ every catalog identity over Q(eps) with four ``holds_as_identity`` verdicts
 and their witnesses.  ``_canon`` names types, so an int left where a Q(t)
 value belongs changes it.
 
+``GOLDEN_PRODUCTS`` covers the layers that feed the kernels: algebra
+products, L_a, matrix products, ``Matrix.apply`` and minimal polynomials of
+seeded elements of the Matsuo algebras of S_4 and S_5, the toric algebra
+and the 2-generated algebra over Q, F_101 and Q(t).  Each of these is a
+field value, so a change to how they are computed must leave it as it is.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
-digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT`` and
-``GOLDEN_QT_KERNEL``.  A change to a constant
+digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT``,
+``GOLDEN_QT_KERNEL`` and ``GOLDEN_PRODUCTS``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -46,6 +52,7 @@ from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
 GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
 GOLDEN_QT_KERNEL = "6110bf9bd82e9d48726d6011bf8c0eafcd72e2ebc5d652d9a958e677f80240dc"
+GOLDEN_PRODUCTS = "a06b03d4a32a32fc34bc6155bd9de6501cf5a0eadc1752ccda531d4aca1ccd33"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -225,6 +232,49 @@ def _qt_kernel_records():
         yield [v.holds, v.witness, v.method]
 
 
+def _product_records():
+    """Products, L_a, matrix products, ``apply`` and minimal polynomials of
+    seeded elements of Matsuo S_4 and S_5, toric and two-gen over Q, F_101
+    and Q(t), with int coefficients over Q and F_101 and Fraction ones over
+    F_101 among them."""
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    rng = random.Random(19)
+    half = Fraction(1, 2)
+    for field in (QQ, PrimeField(101), Qt):
+        def value(dense):
+            kind = rng.random()
+            if kind < (0.3 if dense else 0.7):
+                return field.zero
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if field is QQ and kind > 0.9:
+                return rng.randint(-9, 9)  # an int, as direct sums build them
+            if field is not Qt and kind > 0.9:
+                return q if rng.random() < 0.5 else rng.randint(-300, 300)
+            if field is Qt and kind > 0.8:
+                b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+                return (Qt.from_fraction(q) + Qt.from_fraction(b) * t) / (Qt.one + Qt.from_fraction(c) * t)
+            return field.from_fraction(q)
+
+        algebras = [matsuo_from_triple_system(_transpositions(n), field.from_fraction(half), field)
+                    for n in (4, 5)]
+        algebras += [toric_euf(field), universal_2gen(half, t if field is Qt else Fraction(1, 3), field)]
+        for alg in algebras:
+            A = alg.algebra
+            dense = A.dim < 10 or field is not Qt
+            xs = [A.element([value(dense) for _ in range(A.dim)]) for _ in range(3)]
+            a = alg.axes[0] if hasattr(alg, "axes") else alg.idempotent(field.from_int(2))
+            for x, y in zip(xs + [a], [xs[1], xs[2], xs[0], xs[0]]):
+                Lx, Ly = x.left_multiplication_matrix(), y.left_multiplication_matrix()
+                yield [x * y, x * x, Lx, Lx @ Ly, Lx.apply(list(y.coeffs)), Lx.apply(list(x.coeffs))]
+            # a dense minimal polynomial over Q(t) takes seconds, so there
+            # the last one is of an element with constant coefficients
+            z = xs[0] if field is not Qt or A.dim < 4 else A.element(
+                [field.from_int(rng.randint(-3, 3)) for _ in range(A.dim)])
+            yield [minimal_polynomial(a.left_multiplication_matrix()),
+                   minimal_polynomial(z.left_multiplication_matrix())]
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -245,7 +295,12 @@ def test_golden_rational_function_kernel_outputs():
     assert digest(_qt_kernel_records) == GOLDEN_QT_KERNEL
 
 
+def test_golden_product_outputs():
+    assert digest(_product_records) == GOLDEN_PRODUCTS
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
     print(digest(_qt_kernel_records))
+    print(digest(_product_records))
