@@ -2,16 +2,20 @@
 
 An algebra is a field, a basis of named vectors, and the full symmetric grid
 of structure constants: ``structure[i][j]`` is the coefficient tuple of
-``b_i * b_j``.  ``sparse`` keeps the nonzero entries of each tuple; the
-product, the integer grid and the Frobenius equations read it.  Elements
-are coefficient tuples over the field and support ``+``, ``-``, scalar
-``*`` and the (commutative, bilinear) algebra product.
+``b_i * b_j``.  The one sparse table is ``integer_grid()``: the nonzero
+structure constants lifted by ``field.integer_lift`` over one denominator.
+The product, L_a, the Frobenius equations and identity evaluation read it;
+the product and L_a lift each operand once, sum products of entries from
+the lifted zero and read each nonzero entry of the result back once
+(``linalg.lift_sparse`` and ``linalg.read_lifted``).  Elements are
+coefficient tuples over the field and support ``+``, ``-``, scalar ``*``
+and the (commutative, bilinear) algebra product.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
-from .linalg import Coordinates, Matrix
+from .linalg import Coordinates, Matrix, lift_sparse, lifted_zero, read_lifted
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
 
@@ -41,39 +45,40 @@ class Algebra:
                         f"({self.basis_names[i]}, {self.basis_names[j]})"
                     )
         self.structure = struct
-        # the one sparse table: sparse[i][j] holds the pairs (k, c) of the
-        # nonzero coefficients c of b_i * b_j
-        self.sparse = [[tuple([(k, c) for k, c in enumerate(cell) if c]) for cell in srow] for srow in struct]
-        self._integer_grid = None
+        cols = [[[k for k, c in enumerate(cell) if c] for cell in srow] for srow in struct]
+        flat, d = field.integer_lift([cell[k] for srow, crow in zip(struct, cols)
+                                      for cell, ks in zip(srow, crow) for k in ks])
+        lifted = iter(flat)
+        self._integer_grid = ([[tuple([(k, next(lifted)) for k in ks]) for ks in crow] for crow in cols], d)
+        self._lifted_zero = lifted_zero(field)
 
     def integer_grid(self):
-        """The sparse table lifted by ``field.integer_lift``: ``(table, d)``
-        where ``table[i][j]`` holds the pairs ``(k, d * c)`` of
-        ``sparse[i][j]``.  Over Q, d is the common denominator of the
-        structure constants; over F_p the entries are least residues and
-        d = 1; over Q(t) they are the field values themselves and d = 1.
-        Built on first use."""
-        if self._integer_grid is None:
-            flat, d = self.field.integer_lift([c for srow in self.sparse for cell in srow for _, c in cell])
-            lifted = iter(flat)
-            table = [[tuple([(k, next(lifted)) for k, _ in cell]) for cell in srow] for srow in self.sparse]
-            self._integer_grid = (table, d)
+        """The nonzero structure constants lifted by ``field.integer_lift``:
+        ``(table, d)`` where ``table[i][j]`` holds the pairs ``(k, d * c)``
+        of the nonzero coefficients c of ``b_i * b_j``.  Over Q, d is the
+        common denominator of the structure constants; over F_p the entries
+        are least residues and d = 1; over Q(t) they are the field values
+        themselves and d = 1."""
         return self._integer_grid
 
     def product(self, x, y):
-        """The product of two coefficient tuples, as a coefficient tuple."""
-        out = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.sparse[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+        """The product of two coefficient tuples, as a coefficient tuple.
+
+        x and y are lifted once each, and out[k] sums x_i y_j c over the
+        cells (k, c) of ``integer_grid()[0][i][j]``, over the denominator
+        dx * dy * d."""
+        field = self.field
+        table, d = self._integer_grid
+        xs, dx = lift_sparse(field, x)
+        ys, dy = (xs, dx) if y is x else lift_sparse(field, y)
+        out = [self._lifted_zero] * self.dim
+        for i, xi in xs:
+            row = table[i]
+            for j, yj in ys:
                 c = xi * yj
                 for k, s in row[j]:
-                    out[k] = out[k] + c * s
-        return tuple(out)
+                    out[k] += c * s
+        return tuple(read_lifted(field, out, dx * dy * d))
 
     def element(self, coeffs):
         return Element(self, coeffs)
@@ -182,10 +187,21 @@ class Element:
         return not any(self.coeffs)
 
     def left_multiplication_matrix(self):
-        """Matrix M with M @ coords(y) = coords(self * y)."""
+        """Matrix M with M @ coords(y) = coords(self * y).
+
+        Column j is self * b_j, the sum over i of a_i times the cell (i, j)
+        of ``integer_grid()``, so entry (k, j) is read off the grid."""
         A = self.algebra
-        cols = [(self * A.basis_element(j)).coeffs for j in range(A.dim)]
-        return Matrix.from_columns(A.field, [list(c) for c in cols])
+        field, n = A.field, A.dim
+        table, d = A.integer_grid()
+        xs, dx = lift_sparse(field, self.coeffs)
+        rows = [[A._lifted_zero] * n for _ in range(n)]
+        for i, xi in xs:
+            for j, cell in enumerate(table[i]):
+                for k, s in cell:
+                    rows[k][j] += xi * s
+        d *= dx
+        return Matrix._wrap(field, [read_lifted(field, row, d) for row in rows])
 
     def format(self):
         return [self.algebra.field.format(c) for c in self.coeffs]

@@ -16,7 +16,7 @@ import time
 from . import constructions, io
 from .axes import axis_orbit, check_axis, check_fusion, eigen_decompose, miyamoto
 from .errors import (AxialError, BadLambda, InvalidTripleSystem, OrbitOverflow, PolyParseError,
-                     ScalarParseError, SchemaError, UnknownIdentity)
+                     ScalarParseError, SchemaError, UnboundVariable, UnknownIdentity)
 from .fields import QQ, field_from_json
 from .frobenius import radical, solve_frobenius, trace_admissibility_audit
 from .identities import BUILTIN_NAMES, builtin_identity, holds_as_identity, parse_poly
@@ -294,8 +294,11 @@ def _cmd_identity(args):
         if not pool:
             raise _Usage("bracket identities need --form or a --pool to normalize at")
         form = _solved_normal_form(A, pool)
-    verdict = holds_as_identity(f, A, idempotent_pool=pool, form=form,
-                                distinct_slots=args.distinct_slots)
+    try:
+        verdict = holds_as_identity(f, A, idempotent_pool=pool, form=form,
+                                    distinct_slots=args.distinct_slots)
+    except UnboundVariable as exc:  # too few distinct pool members for the E slots
+        raise _Usage(str(exc)) from exc
     detail = {"method": verdict.method}
     if verdict.witness is not None:
         detail["witness"] = {

@@ -726,11 +726,11 @@ class Rationals(Field):
         reads an entry back; the kernels compute on the entries.  ints is a
         list: CPython keeps the small tuples that ``tuple()`` of a generator
         builds in its tuple free lists once they die, and each row the
-        echelon kernel lifts would add to them."""
-        d = 1
-        for q in values:
-            d = math.lcm(d, int(q.denominator))
-        return [int(q.numerator) * (d // int(q.denominator)) for q in values], d
+        echelon kernel lifts would add to them.  Each denominator is read
+        once: ``denominator`` is a Python-level property of ``Fraction``."""
+        dens = [q.denominator for q in values]
+        d = math.lcm(*dens)
+        return [q.numerator * (d // e) for q, e in zip(values, dens)], d
 
     def from_lift(self, x, d):
         """The field value of an entry x of a lift over d: x / d."""

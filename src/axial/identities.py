@@ -32,6 +32,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .fields import integer_modulus
+from .linalg import lifted_zero
 
 __all__ = [
     "GenPoly",
@@ -460,7 +461,7 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     field = A.field
     p = integer_modulus(field)
     table, grid_d = A.integer_grid()
-    (zero,), _ = field.integer_lift([field.zero])  # the int 0 over Q and F_p
+    zero = lifted_zero(field)
     cache = {}
     for j, v in assign_x.items():
         cache[("X", j)] = field.integer_lift(v.coeffs)
@@ -629,7 +630,11 @@ def _bind(A, pool, form):
 
 def _slot_assignments(f, pool, distinct):
     """Every assignment of pool members to the E slots of f, as a list of
-    dicts; the pool must hold idempotents only, and some if f has E slots."""
+    dicts; the pool must hold idempotents only, and some if f has E slots.
+    With distinct, the slots take pairwise distinct members: the pool is
+    deduplicated by coefficients, in order, and must keep a member for each
+    slot, since with fewer there is no assignment and f would hold
+    vacuously."""
     evars = f.e_indices()
     if evars and not pool:
         raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
@@ -637,6 +642,11 @@ def _slot_assignments(f, pool, distinct):
         if not (p * p == p):
             raise NotIdempotent("pool contains a non-idempotent")
     if distinct:
+        seen = set()
+        pool = [p for p in pool if not (p.coeffs in seen or seen.add(p.coeffs))]
+        if len(pool) < len(evars):
+            raise UnboundVariable(f"{len(evars)} distinct E-slots but only {len(pool)} "
+                                  f"distinct idempotents in the pool")
         choices = itertools.permutations(pool, len(evars))
     else:
         choices = itertools.product(pool, repeat=len(evars))

@@ -17,6 +17,16 @@ from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 structure constants.  ``span_contains``, ``span_rank``, the membership
 tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of their own.
 ``Matrix`` is dense.
+
+Products run on lifted entries too.  ``lift_sparse`` and ``lift_rows``
+lift the nonzero entries of each operand once, ``Matrix.__matmul__`` and
+``Matrix.apply`` accumulate products of entries from the lifted zero, and
+``read_lifted`` builds one field value per nonzero entry of a sum, over the
+product of the operands' denominators; over F_p that is where an entry is
+reduced mod p.  ``minimal_polynomial`` keeps each power M^k as one
+flattened vector of entries over a scale that divides d^k, and hands it to
+``Coordinates`` as a lift, so no field value is built between powers.  The
+algebra product and L_a (``algebra.py``) run on the same helpers.
 """
 
 from __future__ import annotations
@@ -36,6 +46,52 @@ __all__ = [
     "span_contains",
     "span_rank",
 ]
+
+
+def lifted_zero(field):
+    """The lift of ``field.zero``, where every sum of lifted entries starts:
+    the int 0 over Q and F_p, and the field's zero over Q(t)."""
+    return field.integer_lift([field.zero])[0][0]
+
+
+def lift_sparse(field, values):
+    """The nonzero values lifted by ``field.integer_lift``: ``(pairs, d)``
+    with the pairs ``(index, entry)`` in index order, each value equal to
+    entry / d."""
+    idx = [c for c, v in enumerate(values) if v]
+    ints, d = field.integer_lift([values[c] for c in idx])
+    return list(zip(idx, ints)), d
+
+
+def lift_rows(field, rows):
+    """``lift_sparse`` of every row, over one denominator d for them all:
+    ``(sparse rows, d)``."""
+    idx = [[c for c, v in enumerate(row) if v] for row in rows]
+    ints, d = field.integer_lift([row[c] for row, cols in zip(rows, idx) for c in cols])
+    it = iter(ints)
+    return [list(zip(cols, it)) for cols in idx], d
+
+
+def read_lifted(field, entries, d):
+    """The field values of lifted entries over d: one ``field.from_lift``
+    per nonzero entry, which over F_p reduces it mod p, and ``field.zero``
+    for the others."""
+    zero, value = field.zero, field.from_lift
+    return [value(x, d) if x else zero for x in entries]
+
+
+def _multiply_lifted(a, b, ncols, zero):
+    """Dense rows of the entries of the product of the lifted sparse rows a
+    and b: row i is the sum over k of a[i][k] * (row k of b), in k order,
+    each started at zero, the lifted zero."""
+    out = []
+    for ri in a:
+        row = [zero] * ncols
+        for k, x in ri:
+            for j, y in b[k]:
+                row[j] += x * y
+        out.append(row)
+    return out
 
 
 def _eliminate(r, s, rows, p):
@@ -231,8 +287,14 @@ class Coordinates:
     def add(self, v):
         """Append v to the list; False, adding nothing, when v is already
         in the span."""
+        return self.add_lift(*self._ech._lift(v))
+
+    def add_lift(self, r, s):
+        """``add`` for a vector given as a lift, as ``Echelon`` lifts a row:
+        the dict r of its nonzero entries over the denominator s, least
+        residues over F_p.  r is reduced in place."""
         ech = self._ech
-        r, s = ech._remainder(v)
+        s = _eliminate(r, s, ech._rows, ech._p)
         if not self._outside(r):
             return False
         r[self.n + self.size] = s
@@ -243,8 +305,12 @@ class Coordinates:
     def coords(self, t):
         """[c_0, ..., c_{size-1}] with t = sum c_i v_i, or None when t is
         outside the span."""
+        return self.coords_lift(*self._ech._lift(t))
+
+    def coords_lift(self, r, s):
+        """``coords`` for a vector given as a lift, as in ``add_lift``."""
         ech = self._ech
-        r, s = ech._remainder(t)
+        s = _eliminate(r, s, ech._rows, ech._p)
         if self._outside(r):
             return None
         field = ech.field
@@ -335,34 +401,29 @@ class Matrix:
             raise DimensionMismatch("matrix shapes differ")
 
     def __matmul__(self, other):
+        """The product on lifted entries: each operand is lifted once, and
+        each nonzero entry of the product is read back once."""
         if self.ncols != other.nrows:
             raise DimensionMismatch("inner dimensions differ")
-        zero = self.field.zero
-        out = []
-        for ri in self.rows:
-            # row i is the sum over k of ri[k] * (row k of other), in k order
-            row = [zero] * other.ncols
-            for a, rk in zip(ri, other.rows):
-                if a:
-                    for j, b in enumerate(rk):
-                        if b:
-                            row[j] = row[j] + a * b
-            out.append(row)
-        return Matrix._wrap(self.field, out)
+        field = self.field
+        a, da = lift_rows(field, self.rows)
+        b, db = (a, da) if other is self else lift_rows(field, other.rows)
+        out = _multiply_lifted(a, b, other.ncols, lifted_zero(field))
+        d = da * db
+        return Matrix._wrap(field, [read_lifted(field, row, d) for row in out])
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of field values."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length differs from column count")
-        zero = self.field.zero
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, v in zip(r, vec):
-                if a and v:
-                    acc = acc + a * v
-            out.append(acc)
-        return out
+        field = self.field
+        a, da = lift_rows(field, self.rows)
+        column = [[] for _ in vec]  # vec as a one-column matrix
+        v, dv = lift_sparse(field, vec)
+        for c, x in v:
+            column[c] = [(0, x)]
+        out = _multiply_lifted(a, column, 1, lifted_zero(field))
+        return read_lifted(field, [row[0] for row in out], da * dv)
 
     # -- elimination ------------------------------------------------------
 
@@ -447,19 +508,42 @@ def minimal_polynomial(m):
     """Monic minimal polynomial of a square matrix, low degree first.
 
     Computed as the first linear dependence among the flattened powers
-    I, M, M^2, ...; the result annihilates M exactly.
+    I, M, M^2, ...; the result annihilates M exactly.  The powers stay
+    lifted: with M = A / d for the lifted rows A, the flattened M^k is P / s
+    for a sparse vector P of entries and an integer scale s, and M^(k+1)
+    is P A over s d.  Over Q, P and s are then divided by their gcd, so s
+    is the least common denominator of M^k; over F_p the entries are
+    reduced mod p.  Each power enters ``Coordinates`` as a lift, and only
+    the coefficients of the dependence are read back as field values.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     field = m.field
-    powers = Coordinates(field, m.nrows * m.ncols)
-    power = Matrix.identity(field, m.nrows)
-    flat = [e for row in power.rows for e in row]
-    while powers.add(flat):
-        power = power @ m
-        flat = [e for row in power.rows for e in row]
+    n = m.nrows
+    p = integer_modulus(field)
+    a, d = lift_rows(field, m.rows)
+    zero = lifted_zero(field)
+    (one,), _ = field.integer_lift([field.one])
+    powers = Coordinates(field, n * n)
+    power, s = {i * (n + 1): one for i in range(n)}, 1
+    while powers.add_lift(dict(power), s):
+        out = [zero] * (n * n)
+        for c, x in power.items():  # entry (i, k) of M^k meets row k of A
+            k = c % n
+            base = c - k
+            for j, y in a[k]:
+                out[base + j] += x * y
+        if p:
+            out = [x % p for x in out]
+        power = {c: x for c, x in enumerate(out) if x}
+        s *= d
+        if p == 0:
+            g = gcd(s, *power.values())
+            if g > 1:
+                power = {c: x // g for c, x in power.items()}
+                s //= g
     # M^k = sum c_i M^i  =>  minpoly = x^k - sum c_i x^i
-    return tuple(-c for c in powers.coords(flat)) + (field.one,)
+    return tuple(-c for c in powers.coords_lift(power, s)) + (field.one,)
 
 
 def span_contains(field, span_vectors, target):

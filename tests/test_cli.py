@@ -264,6 +264,9 @@ USAGE_ERRORS = {
     "identity-e-slots-need-pool": (["identity", "--algebra", "{alg}", "--name", "ax1",
                                     "--lambda", "1/2"], {}),
     "poly-e-slots-need-pool": (["identity", "--algebra", "{alg}", "--poly", "E1*x1"], {}),
+    "distinct-slots-pool-too-small": (["identity", "--algebra", "{alg}", "--poly", "E1*(E2*x1)",
+                                       "--pool", '["1","0","0"]', "--pool", '["1","0","0"]',
+                                       "--distinct-slots"], {}),
     "matsuo-two-point-line": (["construct", "matsuo", "--lines", "a,b", "--lambda", "1/2"], {}),
     "qt-lambda-divides-by-zero": (["construct", "two-gen", "--field", '{{"kind":"Qt","var":"t"}}',
                                    "--lambda", "t/(t-t)", "--pi", "0"], {}),

@@ -412,6 +412,28 @@ class TestHoldsAsIdentity:
                               form=mats3c.form, distinct_slots=True)
         assert v.holds
 
+    def test_distinct_slots_need_a_member_each(self, s4):
+        f = builtin_identity("matsuoCriterion", QQ, HALF)
+        a, b = s4.axes[:2]
+        for pool in ([a], [a, a], [a, s4.algebra.element(a.coeffs)]):
+            with pytest.raises(UnboundVariable):
+                holds_as_identity(f, s4.algebra, idempotent_pool=pool, form=s4.form, distinct_slots=True)
+            with pytest.raises(UnboundVariable):
+                sample_identity(f, s4.algebra, idempotent_pool=pool, form=s4.form, samples=5,
+                                distinct_slots=True)
+        assert holds_as_identity(f, s4.algebra, idempotent_pool=[a, b], form=s4.form, distinct_slots=True).holds
+
+    def test_distinct_slots_take_a_repeated_member_once(self, s4):
+        f = builtin_identity("matsuoCriterion", QQ, HALF)
+        pool = list(s4.axes)
+        plain = holds_as_identity(f, s4.algebra, idempotent_pool=pool, form=s4.form, distinct_slots=True)
+        repeated = holds_as_identity(f, s4.algebra, idempotent_pool=[pool[0]] + pool, form=s4.form,
+                                     distinct_slots=True)
+        assert plain.holds and repeated == plain
+        copies = [s4.algebra.element(x.coeffs) for x in pool]
+        assert holds_as_identity(f, s4.algebra, idempotent_pool=pool + copies, form=s4.form,
+                                 distinct_slots=True) == plain
+
     def test_pool_required(self, mats3c):
         f = builtin_identity("ax1", QQ, HALF)
         with pytest.raises(UnboundVariable):
