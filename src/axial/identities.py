@@ -642,11 +642,10 @@ def _slot_assignments(f, pool, distinct):
         if not (p * p == p):
             raise NotIdempotent("pool contains a non-idempotent")
     if distinct:
-        seen = set()
-        pool = [p for p in pool if not (p.coeffs in seen or seen.add(p.coeffs))]
+        pool = list({p.coeffs: p for p in pool}.values())
         if len(pool) < len(evars):
-            raise UnboundVariable(f"{len(evars)} distinct E-slots but only {len(pool)} "
-                                  f"distinct idempotents in the pool")
+            raise UnboundVariable(f"{len(evars)} E-slots need distinct idempotents, "
+                                  f"but the pool has {len(pool)}")
         choices = itertools.permutations(pool, len(evars))
     else:
         choices = itertools.product(pool, repeat=len(evars))
