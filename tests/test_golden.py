@@ -30,10 +30,18 @@ seeded elements of the Matsuo algebras of S_4 and S_5, the toric algebra
 and the 2-generated algebra over Q, F_101 and Q(t).  Each of these is a
 field value, so a change to how they are computed must leave it as it is.
 
+``GOLDEN_IDENTITIES`` covers the identity engine: the ``holds_as_identity``
+verdicts, methods and witnesses of every catalog identity and five parsed
+ones on 3C, toric, two-gen, H3 and the Matsuo algebra of S_4 over Q, and
+of four or five catalog identities on that Matsuo algebra over F_7 and
+F_65521, and the ``sample_identity`` verdicts and witnesses at seed 17 on
+the corpus of criterion C10.  Verdicts and witnesses are deterministic, so
+a change to how identities are evaluated must leave it as it is.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
 digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT``,
-``GOLDEN_QT_KERNEL`` and ``GOLDEN_PRODUCTS``.  A change to a constant
+``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS`` and ``GOLDEN_IDENTITIES``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -43,7 +51,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from axial import (QQ, PrimeField, builtin_identity, check_axis, evaluate, holds_as_identity,
-                   matsuo_from_triple_system, solid_audit, solve_frobenius, toric_euf, universal_2gen)
+                   jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly, sample_identity,
+                   solid_audit, solve_frobenius, toric_euf, trace_form, universal_2gen)
 from axial.algebra import Element
 from axial.fields import Fp, RatFunc, RationalFunctions
 from axial.identities import BUILTIN_NAMES
@@ -53,6 +62,7 @@ GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
 GOLDEN_QT_KERNEL = "6110bf9bd82e9d48726d6011bf8c0eafcd72e2ebc5d652d9a958e677f80240dc"
 GOLDEN_PRODUCTS = "a06b03d4a32a32fc34bc6155bd9de6501cf5a0eadc1752ccda531d4aca1ccd33"
+GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -275,6 +285,64 @@ def _product_records():
                    minimal_polynomial(z.left_multiplication_matrix())]
 
 
+# the parsed identities of the identity catalog, each on one corpus algebra
+ADHOC = (
+    ("3C", "(x1*x2)*x3 - x1*(x2*x3)"),
+    ("toric", "(x1*x1)*(x1*x1) - x1*(x1*(x1*x1))"),
+    ("two-gen", "((x1*x1)*x2)*x1 - (x1*x1)*(x2*x1)"),
+    ("H3", "lam*(E1*x1) + (1-lam)*B(E1,x1)*E1 - E1*(E1*x1)"),
+    ("S4", "E1*(E1*x1) - E1*x1"),
+)
+MATSUO_ONLY = ("matsuoPairA", "matsuoPairB", "matsuoCriterion")
+
+
+def _identity_records():
+    """Verdicts, methods and witnesses of ``holds_as_identity`` on the
+    identity catalog over Q and F_p, and of ``sample_identity`` on the
+    corpus of criterion C10."""
+    half = Fraction(1, 2)
+    c3 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), half)
+    tor = toric_euf()
+    tg = universal_2gen(half, Fraction(1, 8))
+    h3 = jordan_symmetric_matrices(3)
+    h3_pool = [h3.basis_element(i) for i in range(3)] + [h3.element([half, half, 0, half, 0, 0])]
+    s4 = matsuo_from_triple_system(_transpositions(4), half)
+    corpus = {
+        "3C": (c3.algebra, list(c3.axes), c3.form),
+        "toric": (tor.algebra, [tor.idempotent(e) for e in (2, 3, half, Fraction(1, 3), Fraction(3, 2))],
+                  tor.form),
+        "two-gen": (tg.algebra, list(tg.axes), tg.form),
+        "H3": (h3, h3_pool, trace_form(h3)),
+        "S4": (s4.algebra, list(s4.axes), s4.form),
+    }
+
+    def verdict(f, A, pool, form, distinct):
+        v = holds_as_identity(f, A, idempotent_pool=pool, form=form, distinct_slots=distinct)
+        return [v.holds, v.method, v.witness]
+
+    for A, pool, form in corpus.values():
+        for name in BUILTIN_NAMES:
+            yield verdict(builtin_identity(name, QQ, half), A, pool, form, name in MATSUO_ONLY)
+    for name, text in ADHOC:
+        yield verdict(parse_poly(text, QQ, lam=half), *corpus[name], False)
+    for p in (7, 65521):
+        K = PrimeField(p)
+        s4p = matsuo_from_triple_system(_transpositions(4), K.from_fraction(half), K)
+        names = ("ax1", "primitivityFrobenius", "matsuoCriterion", "seress") + (("jordan",) if p == 7 else ())
+        for name in names:
+            yield verdict(builtin_identity(name, K, K.from_fraction(half)), s4p.algebra, list(s4p.axes),
+                          s4p.form, name in MATSUO_ONLY)
+    # the corpus of criterion C10, sampled as its oracle samples it
+    eps_samples = (1, 2, 3, -1, Fraction(5, 7))
+    c10 = [corpus["3C"], (tor.algebra, [tor.idempotent(e) for e in eps_samples], tor.form),
+           corpus["two-gen"], corpus["H3"]]
+    for A, pool, form in c10:
+        for name in BUILTIN_NAMES:
+            v = sample_identity(builtin_identity(name, QQ, half), A, idempotent_pool=pool, form=form,
+                                samples=500, distinct_slots=name in MATSUO_ONLY, seed=17)
+            yield [v.holds, v.method, v.witness]
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -299,8 +367,13 @@ def test_golden_product_outputs():
     assert digest(_product_records) == GOLDEN_PRODUCTS
 
 
+def test_golden_identity_outputs():
+    assert digest(_identity_records) == GOLDEN_IDENTITIES
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
     print(digest(_qt_kernel_records))
     print(digest(_product_records))
+    print(digest(_identity_records))
