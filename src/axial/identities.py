@@ -32,7 +32,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .fields import integer_modulus
-from .linalg import lifted_zero
+from .linalg import lift_sparse, lifted_zero
 
 __all__ = [
     "GenPoly",
@@ -424,14 +424,8 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     algebra (algebra, when given): an equal algebra counts as the same, and
     anything else raises AlgebraMismatch.
 
-    One body serves every field.  Each subtree value, bracket value and
-    monomial coefficient is lifted by ``field.integer_lift``: entries over
-    one common denominator, which are integer numerators over Q, least
-    residues with denominator 1 over F_p, and field values with denominator
-    1 over Q(t).  The inner loops multiply and add the entries.  Only the
-    reduction of each product (by the gcd over Q, mod p over F_p) and of
-    each bracket (mod p over F_p) depends on the field, and
-    ``field.from_lift`` reads the result back.
+    After these checks f runs as a ``_Program`` on the lifted assignment,
+    and ``field.from_lift`` reads the result back.
     """
     A = algebra
     for v in itertools.chain(assign_x.values(), assign_e.values()):
@@ -457,93 +451,137 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if f.has_brackets() and form is None:
         raise MissingForm("polynomial contains bracket factors but no form was given")
 
-    n = A.dim
-    field = A.field
-    p = integer_modulus(field)
-    table, grid_d = A.integer_grid()
-    zero = lifted_zero(field)
-    cache = {}
-    for j, v in assign_x.items():
-        cache[("X", j)] = field.integer_lift(v.coeffs)
-    for i, v in assign_e.items():
-        cache[("E", i)] = field.integer_lift(v.coeffs)
+    lifts = [lift_sparse(A.field, assign_x[j].coeffs) for j in f.x_indices()]
+    lifts += [lift_sparse(A.field, assign_e[i].coeffs) for i in f.e_indices()]
+    total, d = _Program(f, A, form).run(lifts)
+    return A.element([A.field.from_lift(a, d) for a in total])
 
-    def ev(t):
-        val = cache.get(t)
-        if val is not None:
-            return val
-        (x, dx), (y, dy) = ev(t[1]), ev(t[2])
-        out = [zero] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, s in row[j]:
-                    out[k] += c * s
-        d = dx * dy * grid_d
-        if p:
-            out = [a % p for a in out]
-        elif p == 0:
-            g = math.gcd(d, *out)
-            if g > 1:
-                out = [a // g for a in out]
-                d //= g
-        val = (out, d)
-        cache[t] = val
-        return val
 
-    if f.has_brackets():
-        gram, gram_d = form.integer_gram()
-    bcache = {}
+class _Program:
+    """f compiled against the algebra A and the form, to be run at many
+    assignments.
 
-    def brval(t1, t2):
-        key = (t1, t2)
-        val = bcache.get(key)
-        if val is not None:
-            return val
-        (x, dx), (y, dy) = ev(t1), ev(t2)
-        acc = zero
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            gi = gram[i]
-            for j, yj in enumerate(y):
-                if yj:
+    The leaves are numbered first, the X variables in xvars order (by
+    default ``f.x_indices()``) and then the E slots by index; the distinct
+    product nodes of the bodies and bracket arguments of f follow, each
+    after its children.  ``run`` takes the lifts of the leaves in that order
+    and returns the lifted value of f.
+
+    One body serves every field.  Each leaf, subtree value, bracket value
+    and monomial coefficient is lifted by ``field.integer_lift``: entries
+    over one common denominator, which are integer numerators over Q, least
+    residues with denominator 1 over F_p, and field values with denominator
+    1 over Q(t).  Leaves and subtree values keep their nonzero entries only,
+    as ``lift_sparse`` does.  The inner loops multiply and add the entries.
+    Only the reduction of each product (by the gcd over Q, mod p over F_p)
+    and of each bracket (mod p over F_p) depends on the field; the sum of
+    the monomials is not reduced, so over F_p ``vanishes`` reduces it.
+
+    A program holds no values between runs: sharing subtree values across
+    assignments gave no gain and cost memory.
+    """
+
+    def __init__(self, f, A, form, xvars=None):
+        if f.field != A.field:
+            raise AlgebraMismatch(f"polynomial over {f.field!r} on an algebra over {A.field!r}")
+        if f.has_brackets() and form is None:
+            raise MissingForm("polynomial contains bracket factors but no form was given")
+        field = A.field
+        self.n = A.dim
+        self.p = integer_modulus(field)
+        self.zero = lifted_zero(field)
+        self.table, self.grid_d = A.integer_grid()
+        if f.has_brackets():
+            self.gram, self.gram_d = form.integer_gram()
+        leaves = [("X", j) for j in (f.x_indices() if xvars is None else xvars)]
+        leaves += [("E", i) for i in f.e_indices()]
+        index = {t: k for k, t in enumerate(leaves)}
+        self.nodes = []  # the children of each product node
+
+        def number(t):
+            k = index.get(t)
+            if k is None:
+                l, r = number(t[1]), number(t[2])
+                k = index[t] = len(index)
+                self.nodes.append((l, r))
+            return k
+
+        brackets = {}
+        self.monos = []
+        coeffs, self.coeff_d = field.integer_lift(f.terms.values())
+        for (brs, body), c in zip(f.terms, coeffs):
+            if body is None:
+                raise MissingForm("monomial has no element-valued body")
+            self.monos.append((c, [brackets.setdefault((number(t1), number(t2)), len(brackets))
+                                   for t1, t2 in brs], number(body)))
+        self.brackets = list(brackets)
+
+    def run(self, lifts):
+        """The value of f at the leaf lifts, each a ``lift_sparse`` of the
+        leaf's coefficients, as dense lifted entries over one denominator:
+        ``(entries, d)``.  Each product node and bracket is computed once."""
+        n, p, zero, table = self.n, self.p, self.zero, self.table
+        vals = list(lifts)
+        for l, r in self.nodes:
+            (xs, dx), (ys, dy) = vals[l], vals[r]
+            out = [zero] * n
+            for i, xi in xs:
+                row = table[i]
+                for j, yj in ys:
+                    c = xi * yj
+                    for k, s in row[j]:
+                        out[k] += c * s
+            d = dx * dy * self.grid_d
+            if p:
+                out = [a % p for a in out]
+            out = [(k, a) for k, a in enumerate(out) if a]
+            if p == 0:
+                g = math.gcd(d, *[a for _k, a in out])
+                if g > 1:
+                    out = [(k, a // g) for k, a in out]
+                    d //= g
+            vals.append((out, d))
+        bvals = []
+        for k1, k2 in self.brackets:
+            (xs, dx), (ys, dy) = vals[k1], vals[k2]
+            acc = zero
+            for i, xi in xs:
+                gi = self.gram[i]
+                for j, yj in ys:
                     acc += xi * yj * gi[j]
-        val = (acc % p if p else acc), dx * dy * gram_d
-        bcache[key] = val
-        return val
+            bvals.append(((acc % p if p else acc), dx * dy * self.gram_d))
 
-    # the sum of the monomials, kept as lifted entries over total_d; the
-    # scalar c of a monomial is its lifted coefficient times its brackets,
-    # over d
-    coeffs, coeff_d = field.integer_lift(f.terms.values())
-    total, total_d = [zero] * n, 1
-    for (brackets, body), c in zip(f.terms, coeffs):
-        if body is None:
-            raise MissingForm("monomial has no element-valued body")
-        d = coeff_d
-        for t1, t2 in brackets:
-            b, db = brval(t1, t2)
-            c, d = c * b, d * db
-            if not c:
-                break
-        if c:
-            bv, dv = ev(body)
-            d *= dv
-            m = math.lcm(total_d, d)
-            if m != total_d:
-                st = m // total_d
-                total = [a * st for a in total]
-                total_d = m
-            if m != d:
-                c = c * (m // d)
-            total = [a + b * c for a, b in zip(total, bv)]
-    return A.element([field.from_lift(a, total_d) for a in total])
+        # the sum of the monomials, kept as lifted entries over total_d; the
+        # scalar c of a monomial is its lifted coefficient times its
+        # brackets, over d
+        total, total_d = [zero] * n, 1
+        for c, brs, body in self.monos:
+            d = self.coeff_d
+            for b in brs:
+                bv, db = bvals[b]
+                c, d = c * bv, d * db
+                if not c:
+                    break
+            if c:
+                bv, dv = vals[body]
+                d *= dv
+                m = math.lcm(total_d, d)
+                if m != total_d:
+                    st = m // total_d
+                    total = [a * st for a in total]
+                    total_d = m
+                if m != d:
+                    c = c * (m // d)
+                for k, b in bv:
+                    total[k] += b * c
+        return total, total_d
+
+    def vanishes(self, lifts):
+        """Whether f is zero at the leaf lifts."""
+        total, _d = self.run(lifts)
+        if self.p:
+            return not any(a % self.p for a in total)
+        return not any(total)
 
 
 EXHAUSTIVE_BUDGET = 200000  # assignments the small-field exhaustion may enumerate
@@ -594,7 +632,7 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
 
     basis = A.basis()
     for terms in components.values():
-        g = GenPoly(field, terms)
+        g = GenPoly(f.field, terms)
         for j in xvars:
             if g.degree_in_x(j) > 1:
                 g, _ = full_linearize(g, j)
@@ -657,30 +695,50 @@ def _first_nonzero(f, A, form, e_options, values, blocks=None):
     which f does not vanish, as a witness dict; None when there is none.
 
     With blocks from ``_symmetry_blocks(f)`` each block takes only sorted
-    tuples of values, one per orbit; by default every tuple is tried.
+    tuples of values, one per orbit; by default every tuple is tried.  Each
+    value and E assignment is lifted once, f is compiled on the first
+    tuple, and a witness is the only assignment built as elements.
     """
     if blocks is None:
         blocks = [[j] for j in f.x_indices()]
     xvars = [j for block in blocks for j in block]
+    field = A.field
+    lifts = [lift_sparse(field, v.coeffs) for v in values]
+    program = None
     for amap in e_options:
-        choices = (itertools.combinations_with_replacement(values, len(b)) for b in blocks)
+        e_lifts = [lift_sparse(field, amap[i].coeffs) for i in f.e_indices()]
+        choices = (itertools.combinations_with_replacement(range(len(values)), len(b)) for b in blocks)
         for parts in itertools.product(*choices):
-            xmap = dict(zip(xvars, itertools.chain.from_iterable(parts)))
-            if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
-                return {"x": xmap, "e": amap}
+            if program is None:
+                program = _Program(f, A, form, xvars)
+            picks = list(itertools.chain.from_iterable(parts))
+            if not program.vanishes([lifts[k] for k in picks] + e_lifts):
+                return {"x": {j: values[k] for j, k in zip(xvars, picks)}, "e": amap}
     return None
 
 
-def _random_assignment(A, rng, xvars, evars, e_options, bound):
-    """X values with integer coordinates in [-bound, bound], drawn in xvars
-    order, then one draw of an E assignment when there are E slots."""
+def _first_random_nonzero(f, A, form, e_options, rng, bounds):
+    """The first of len(bounds) random assignments at which f does not
+    vanish, as a witness dict; None when there is none.
+
+    Each assignment gives the X variables, in index order, integer
+    coordinates in [-bound, bound], and then draws one E assignment when
+    there are E slots.  f is compiled on the first draw, and a witness is
+    the only assignment built as elements.
+    """
     field = A.field
-    xmap = {
-        j: A.element([field.from_int(rng.randint(-bound, bound)) for _ in range(A.dim)])
-        for j in xvars
-    }
-    amap = e_options[rng.randrange(len(e_options))] if evars else {}
-    return xmap, amap
+    xvars, evars = f.x_indices(), f.e_indices()
+    program = e_lifts = None
+    for bound in bounds:
+        draws = [[rng.randint(-bound, bound) for _ in range(A.dim)] for _ in xvars]
+        e = rng.randrange(len(e_options)) if evars else 0
+        if program is None:
+            program = _Program(f, A, form)
+            e_lifts = [[lift_sparse(field, amap[i].coeffs) for i in evars] for amap in e_options]
+        xs = [[field.from_int(c) for c in draw] for draw in draws]
+        if not program.vanishes([lift_sparse(field, x) for x in xs] + e_lifts[e]):
+            return {"x": {j: A.element(x) for j, x in zip(xvars, xs)}, "e": e_options[e]}
+    return None
 
 
 def _find_witness(f, A, form, e_options, basis):
@@ -688,13 +746,8 @@ def _find_witness(f, A, form, e_options, basis):
     witness = _first_nonzero(f, A, form, e_options, basis)
     if witness is not None:
         return witness
-    xvars, evars = f.x_indices(), f.e_indices()
-    rng = random.Random(0)
-    for attempt in range(5000):
-        xmap, amap = _random_assignment(A, rng, xvars, evars, e_options, 3 + attempt // 500)
-        if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
-            return {"x": xmap, "e": amap}
-    return None
+    bounds = [3 + attempt // 500 for attempt in range(5000)]
+    return _first_random_nonzero(f, A, form, e_options, random.Random(0), bounds)
 
 
 def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, coeff_range=3,
@@ -706,13 +759,8 @@ def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, co
     """
     idempotent_pool, form = _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
-    xvars, evars = f.x_indices(), f.e_indices()
-    rng = random.Random(seed)
-    for _ in range(samples):
-        xmap, amap = _random_assignment(A, rng, xvars, evars, e_options, coeff_range)
-        if not evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False).is_zero():
-            return IdentityVerdict(holds=False, witness={"x": xmap, "e": amap}, method="sampled")
-    return IdentityVerdict(holds=True, witness=None, method="sampled")
+    witness = _first_random_nonzero(f, A, form, e_options, random.Random(seed), [coeff_range] * samples)
+    return IdentityVerdict(holds=witness is None, witness=witness, method="sampled")
 
 
 # ---------------------------------------------------------------------------

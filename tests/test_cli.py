@@ -260,6 +260,7 @@ USAGE_ERRORS = {
                            "--pool", '["1","0","0"]'], {}),
     "poly-bracket-plus-element": (["identity", "--algebra", "{alg}", "--poly", "B(x1,x2) + x1",
                                    "--pool", '["1","0","0"]'], {}),
+    "bracket-poly-needs-form": (["identity", "--algebra", "{alg}", "--poly", "B(x1,x2)*x1 - x1"], {}),
     "identity-needs-lambda": (["identity", "--algebra", "{alg}", "--name", "ax1"], {}),
     "identity-e-slots-need-pool": (["identity", "--algebra", "{alg}", "--name", "ax1",
                                     "--lambda", "1/2"], {}),

@@ -40,6 +40,7 @@ from axial.identities import (
     GenPoly,
     IdentityVerdict,
     _MUL,
+    _Program,
     _bracket_key,
     _first_nonzero,
     _mono_degree,
@@ -51,6 +52,7 @@ from axial.identities import (
     e_slot,
     x_var,
 )
+from axial.linalg import lift_sparse
 
 HALF = Fraction(1, 2)
 ONE_LINE = (["a", "b", "c"], [["a", "b", "c"]])  # the triple system of 3C
@@ -384,6 +386,66 @@ class TestEvaluate:
                 evaluate(f, {}, {1: a}, form=c3.form)
 
 
+    # bracket arguments that repeat subtrees of the body, and E_i*E_i, which
+    # the parser collapses to E_i at any depth
+    SHARED_TEXTS = (
+        "B(E1*x1,x2)*(E1*x1) - B(x1*x2,E1*x1)*((x1*x2)*E1)",
+        "B(x1*x1,x1)*(x1*x1) + B(E1*x1,E1*x1)*(E1*(E1*x1)) - B(x1*x1,x1*x1)*x1",
+        "(E1*E1)*(x1*E1) + B(E1*E1,x1)*(E1*(E1*E1)) - B(x1,E1*(x1*E1))*((E1*E1)*x1)",
+        "B(E1*x2,E2*x1)*((E1*x2)*(E2*x1)) + (E1*E1)*((E2*E2)*x1) - B(x1*x2,x2)*(E2*(x1*x2))",
+    )
+
+    def test_shared_subtrees_and_slot_collapses_match_element_products(self, mats3c):
+        # over Q, F_101 and Q(eps): evaluate against Element products, and
+        # the basis search against the first basis tuple at which the
+        # Element-product evaluation does not vanish
+        F101 = PrimeField(101)
+        c3_101 = matsuo_from_triple_system(ONE_LINE, F101.from_fraction(HALF), F101)
+        Qe = RationalFunctions("eps")
+        tor = toric_euf(Qe)
+        eps = Qe.variable()
+        cases = [
+            (mats3c.algebra, list(mats3c.axes), mats3c.form),
+            (c3_101.algebra, list(c3_101.axes), c3_101.form),
+            (tor.algebra, [tor.idempotent(eps), tor.idempotent(Qe.from_int(2))], tor.form),
+        ]
+        rng = random.Random(23)
+        nonzero = found = 0
+        for A, pool, form in cases:
+            K = A.field
+
+            def dense():
+                return A.element([K.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                                  + (eps * K.from_int(rng.randint(-2, 2)) if K is Qe else K.zero)
+                                  for _ in range(A.dim)])
+
+            for text in self.SHARED_TEXTS:
+                f = parse_poly(text, K)
+                assert f.has_brackets() and "E1*E1" not in format_poly(f) and "E2*E2" not in format_poly(f)
+                for checked in (True, False):
+                    xs = {j: dense() for j in f.x_indices()}
+                    es = {i: rng.choice(pool) if checked else dense() for i in f.e_indices()}
+                    val = evaluate(f, xs, es, form=form, algebra=A, check_idempotents=checked)
+                    ref = reference_evaluate(f, xs, es, form, A)
+                    assert val == ref and val.format() == ref.format(), text
+                    nonzero += not val.is_zero()
+                xvars, evars = f.x_indices(), f.e_indices()
+                e_options = _slot_assignments(f, pool, False)
+                expected = next(
+                    (
+                        {"x": xmap, "e": amap}
+                        for amap in e_options
+                        for tup in itertools.product(A.basis(), repeat=len(xvars))
+                        for xmap in [dict(zip(xvars, tup))]
+                        if not reference_evaluate(f, xmap, amap, form, A).is_zero()
+                    ),
+                    None,
+                )
+                assert _first_nonzero(f, A, form, e_options, A.basis()) == expected, text
+                found += expected is not None
+        assert nonzero >= 12 and found >= 6
+
+
 class TestHoldsAsIdentity:
     def test_jordan_on_two_gen(self):
         tg = universal_2gen(HALF, Fraction(1, 8))
@@ -449,6 +511,45 @@ class TestHoldsAsIdentity:
             with pytest.raises(UnboundVariable):
                 decide(f, mats3c.algebra)
 
+    def test_bracket_identity_needs_a_form(self, mats3c):
+        f = builtin_identity("primitivityFrobenius", QQ, HALF)
+        pool = list(mats3c.axes)
+        for decide in (holds_as_identity, sample_identity):
+            with pytest.raises(MissingForm):
+                decide(f, mats3c.algebra, idempotent_pool=pool)
+        # with no assignment to evaluate, nothing is compiled and nothing is
+        # raised
+        assert sample_identity(f, mats3c.algebra, idempotent_pool=pool, samples=0).holds
+
+    def test_prime_field_total_is_reduced_before_the_zero_test(self):
+        # on the field algebra b*b = b the two monomials of each polynomial
+        # agree, so their coefficients 1 and p - 1 sum to p: the lifted
+        # total is a nonzero multiple of p, which is zero in F_p
+        F7 = PrimeField(7)
+        line = make_algebra(F7, 1, ["b"], [[[F7.one]]])
+        b = line.basis_element(0)
+        assoc = parse_poly("(x1*x2)*x3 + 6*x1*(x2*x3)", F7)
+        total, _d = _Program(assoc, line, None).run([lift_sparse(F7, b.coeffs)] * 3)
+        assert total == [7]
+        verdict = holds_as_identity(assoc, line)
+        assert verdict.holds and verdict.method == "multilinear-basis"
+        # over F_3 the degree 4 forces exhaustion; at x1 = 1 the total is 6,
+        # and the first non-vanishing assignment is x1 = 2
+        F3 = PrimeField(3, allow_small=True)
+        line3 = make_algebra(F3, 1, ["b"], [[[F3.one]]])
+        powers = "((x1*x1)*x1)*x1 + 2*(x1*x1)*(x1*x1)"
+        for text, holds in ((powers, True), (powers + " + x1*x1 - x1", False)):
+            f = parse_poly(text, F3)
+            one = line3.basis_element(0)
+            total, _d = _Program(f, line3, None).run([lift_sparse(F3, one.coeffs)])
+            assert total[0] and total[0] % 3 == 0
+            verdict = holds_as_identity(f, line3)
+            assert verdict.method == "exhaustive-field" and verdict.holds == holds
+            expected = next(({"x": {1: v}, "e": {}} for v in (line3.element([c]) for c in F3.elements())
+                             if not reference_evaluate(f, {1: v}, {}, None, line3).is_zero()), None)
+            assert verdict.witness == expected
+        assert expected == {"x": {1: line3.element([F3.from_int(2)])}, "e": {}}
+
     def test_exhaustive_small_prime_field(self):
         # x1*x1 - x1 on the one-dimensional field algebra over F_7: x^2 = x
         # has degree 2 < 7, so multilinear applies; force exhaustion with F_5
@@ -479,6 +580,7 @@ class TestAlgebraMismatch:
     @pytest.mark.parametrize("case", [
         "x-assignment", "e-assignment", "algebra-argument", "form",
         "holds_as_identity-pool", "sample_identity-pool", "poly-over-Q-on-F7", "poly-over-F7-on-Q",
+        "holds_as_identity-poly-over-F7", "sample_identity-poly-over-F7",
     ])
     def test_inputs_of_another_algebra_or_field(self, mats3c, toric, case):
         # 3C and toric both have dimension 3, so only the checks tell them apart
@@ -498,6 +600,8 @@ class TestAlgebraMismatch:
             "sample_identity-pool": lambda: sample_identity(slot, A, idempotent_pool=[toric.idempotent(2)]),
             "poly-over-Q-on-F7": lambda: evaluate(product, {1: c3_7.axes[0], 2: c3_7.axes[1]}, {}),
             "poly-over-F7-on-Q": lambda: evaluate(parse_poly("x1*x2", F7), {1: a, 2: b}, {}),
+            "holds_as_identity-poly-over-F7": lambda: holds_as_identity(parse_poly("x1*x2", F7), A),
+            "sample_identity-poly-over-F7": lambda: sample_identity(parse_poly("x1*x2", F7), A),
         }
         with pytest.raises(AlgebraMismatch):
             calls[case]()
@@ -639,7 +743,7 @@ class TestSampledOracle:
 
 
 # ---------------------------------------------------------------------------
-# the witness search as it ran before _first_nonzero and _random_assignment:
+# the witness search as it ran before _first_nonzero and _first_random_nonzero:
 # the identity decision, the witness search and the sampled oracle, kept as
 # references for the differential test below
 # ---------------------------------------------------------------------------
