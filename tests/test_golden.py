@@ -21,8 +21,12 @@ the toric algebra over Q, F_7 and Q(t) and on the 2-generated algebra at
 lam = 1/2, pi = t over Q(t), ``check_axis`` of the generic toric idempotent
 over Q(eps) (spectrum, eigenspaces, Miyamoto matrix), and ``evaluate`` of
 every catalog identity over Q(eps) with four ``holds_as_identity`` verdicts
-and their witnesses.  ``_canon`` names types, so an int left where a Q(t)
-value belongs changes it.
+and their witnesses.  It also covers three dense matrices of entries
+(a + b t) / (1 + c t^2), 2x2 to 4x4 (rref, ``Coordinates.coords``, det and
+minimal polynomial), and the ``solid_audit`` of the toric algebra and of
+the 2-generated algebra at pi = 0, 1/8 and 2 (verdict, and the spectrum and
+Miyamoto matrix of the symbolic Q(m) axis).  ``_canon`` names types, so an
+int left where a Q(t) value belongs changes it.
 
 ``GOLDEN_PRODUCTS`` covers the layers that feed the kernels: algebra
 products, L_a, matrix products, ``Matrix.apply`` and minimal polynomials of
@@ -60,7 +64,7 @@ from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
 
 GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
-GOLDEN_QT_KERNEL = "6110bf9bd82e9d48726d6011bf8c0eafcd72e2ebc5d652d9a958e677f80240dc"
+GOLDEN_QT_KERNEL = "401fb2b385d5f81d2ceefc9f84999c18936abb96e8a719c7801e5089f03eb8cf"
 GOLDEN_PRODUCTS = "a06b03d4a32a32fc34bc6155bd9de6501cf5a0eadc1752ccda531d4aca1ccd33"
 GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
 
@@ -240,6 +244,27 @@ def _qt_kernel_records():
     for name in ("jordan", "fourPowerAssoc", "seress", "matsuoCriterion"):
         v = holds_as_identity(builtin_identity(name, Qe, half), A, idempotent_pool=[generic], form=tor.form)
         yield [v.holds, v.witness, v.method]
+    # dense matrices of (a + b t) / (1 + c t^2): the 4x4 minimal polynomial
+    # is the costliest elimination over Q(t) here
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        rows = [[(rng.randint(-3, 3) + rng.randint(-3, 3) * t) / (Qt.one + rng.randint(-3, 3) * t * t)
+                 for _ in range(n)] for _ in range(n)]
+        m = Matrix(Qt, rows)
+        coords = Coordinates(Qt, n, rows)
+        inside = [sum((rng.randint(-2, 2) * r[c] for r in rows), Qt.zero) for c in range(n)]
+        yield [m.rref(), coords.size, coords.coords(inside), coords.coords(rows[0][::-1]), m.det(),
+               minimal_polynomial(m)]
+    # the solid audits with a symbolic Q(m) family: toric, and two-gen at pi = 0, 1/8 and 2
+    tor = toric_euf()
+    audits = [(tor.algebra, tor.idempotent(1), tor.idempotent(2), tor.form)]
+    for pi in (Fraction(0), Fraction(1, 8), Fraction(2)):
+        tg = universal_2gen(Fraction(1, 2), pi)
+        audits.append((tg.algebra, *tg.axes, tg.form))
+    for A, a, b, form in audits:
+        rep = solid_audit(A, a, b, form, Fraction(1, 2), sample_eps=[1, 3])
+        sym = rep.symbolic_report
+        yield [rep.verdict, sym and list(sym.spectrum), sym and sym.miyamoto and sym.miyamoto.matrix]
 
 
 def _product_records():
