@@ -57,8 +57,8 @@ class Algebra:
         ``(table, d)`` where ``table[i][j]`` holds the pairs ``(k, d * c)``
         of the nonzero coefficients c of ``b_i * b_j``.  Over Q, d is the
         common denominator of the structure constants; over F_p the entries
-        are least residues and d = 1; over Q(t) they are the field values
-        themselves and d = 1."""
+        are least residues and d = 1; over Q(t) they are in Z[t] over the
+        least common denominator in Z[t]."""
         return self._integer_grid
 
     def product(self, x, y):

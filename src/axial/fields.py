@@ -635,6 +635,108 @@ def _cancel(x, y):
 
 
 # ---------------------------------------------------------------------------
+# Z[t] kernel entries
+# ---------------------------------------------------------------------------
+
+
+def _coeffs(x):
+    """The coefficient list of a ZPoly, or of an int read as a constant."""
+    if type(x) is ZPoly:
+        return x.c
+    return [x] if x else []
+
+
+class ZPoly:
+    """A polynomial in Z[t] as a kernel entry: ``RationalFunctions.integer_lift``
+    writes Q(t) values as ZPolys over one ZPoly denominator.
+
+    It has the operators the kernels use on the integers of a Q lift: +, -,
+    *, // by an exact divisor, ``bool``, ``==``, and < and > in the order of
+    Z[t] by sign as t -> +oo, so x < 0 when x leads negative.  An int
+    operand is read as a constant.  ``zpoly_gcd`` and ``zpoly_lcm`` stand
+    in for ``math.gcd`` and ``math.lcm``.  c is a list of ints, low degree
+    first, with no trailing 0, and is never changed in place.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        return ZPoly(_zadd(self.c, _coeffs(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return ZPoly(_zadd(self.c, [-x for x in _coeffs(other)]))
+
+    def __rsub__(self, other):
+        return ZPoly(_zadd([-x for x in self.c], _coeffs(other)))
+
+    def __neg__(self):
+        return ZPoly([-x for x in self.c])
+
+    def __mul__(self, other):
+        if type(other) is ZPoly:
+            return ZPoly(_zmul(self.c, other.c))
+        return ZPoly([other * x for x in self.c] if other else [])
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        d = _coeffs(other)
+        if len(d) == 1:
+            return ZPoly([x // d[0] for x in self.c])
+        return ZPoly(_zquo(self.c, d))
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        if type(other) is ZPoly or type(other) is int:
+            return self.c == _coeffs(other)
+        return NotImplemented
+
+    def __lt__(self, other):
+        c = (self - other).c
+        return bool(c) and c[-1] < 0
+
+    def __gt__(self, other):
+        c = (self - other).c
+        return bool(c) and c[-1] > 0
+
+    def __repr__(self):
+        return f"ZPoly({self.c!r})"
+
+
+def zpoly_gcd(*xs):
+    """The gcd in Z[t] of ZPolys and ints, leading positive, as ``math.gcd``
+    of ints: 0 when every argument is 0."""
+    g = []
+    for x in xs:
+        c = _coeffs(x)
+        if not c:
+            continue
+        if not g:
+            g = c if c[-1] > 0 else [-a for a in c]
+        else:
+            g = _zgcd(g, c)
+        if g == [1]:
+            break
+    return ZPoly(g)
+
+
+def zpoly_lcm(*xs):
+    """The lcm in Z[t] of nonzero ZPolys and ints, leading positive."""
+    m = [1]
+    for x in xs:
+        c = _coeffs(x)
+        m = _zmul(m, _zquo(c, _zgcd(m, c)))
+    return ZPoly(m if m[-1] > 0 else [-a for a in m])
+
+
+# ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
@@ -658,6 +760,9 @@ class Field:
     kind = None
     char = 0
     size = None  # None = infinite
+    # the gcd and lcm of the entries of ``integer_lift``, as a kernel binds them
+    lift_gcd = staticmethod(math.gcd)
+    lift_lcm = staticmethod(math.lcm)
 
     def parse(self, text):
         raise NotImplementedError
@@ -829,14 +934,10 @@ class PrimeField(Field):
 
 
 def integer_modulus(field):
-    """How the kernels compute on the entries of ``field.integer_lift``: 0
-    over Q (integers over a common denominator), p over F_p (integers mod
-    p), and None over Q(t), whose entries are field values."""
-    if isinstance(field, Rationals):
-        return 0
-    if isinstance(field, PrimeField):
-        return field.p
-    return None
+    """How the kernels compute on the entries of ``field.integer_lift``: p
+    over F_p (integers mod p), and 0 over Q and Q(t), whose entries are
+    exact over a common denominator, in Z and in Z[t]."""
+    return field.p if isinstance(field, PrimeField) else 0
 
 
 def _sqrt_mod(a, p):
@@ -905,6 +1006,8 @@ class RationalFunctions(Field):
 
     kind = "Qt"
     char = 0
+    lift_gcd = staticmethod(zpoly_gcd)
+    lift_lcm = staticmethod(zpoly_lcm)
 
     def __init__(self, var):
         if not _VAR_RE.match(var):
@@ -946,15 +1049,26 @@ class RationalFunctions(Field):
         return RatFunc.var()
 
     def integer_lift(self, values):
-        """As ``Rationals.integer_lift``, for the kernels that run on lifted
-        entries: here the entries are the field values themselves, with
-        d = 1, and the kernels compute on them with field arithmetic."""
-        return list(values), 1
+        """As ``Rationals.integer_lift``: ``ZPoly`` entries over their least
+        common denominator in Z[t], which leads positive.  Ints and
+        Fractions are read as constants."""
+        values = [v if type(v) is RatFunc else RatFunc.const(v) for v in values]
+        dens = {v._d for v in values}
+        lcm = [1]
+        for b in dens:
+            lcm = _zmul(lcm, _zquo(b, _zgcd(lcm, b)))
+        scale = {b: _zquo(lcm, b) for b in dens}
+        return [ZPoly(_zmul(v._n, scale[v._d])) for v in values], ZPoly(lcm)
 
     def from_lift(self, x, d):
-        """As ``Rationals.from_lift``, with d = 1: x itself, or the constant
-        x when x is an int, as a kernel's 0 or empty product arrives."""
-        return RatFunc.const(x) if type(x) is int else x
+        """As ``Rationals.from_lift``: the value x / d of the ZPolys x and d
+        != 0, cancelled by their gcd."""
+        if not x:
+            return _ratfunc([], [1])
+        n, d = _cancel(x.c, d.c)
+        if d[-1] < 0:
+            n, d = [-a for a in n], [-a for a in d]
+        return _ratfunc(n, d)
 
     def sqrt(self, a):
         """The root of x^2 - a whose numerator leads positive, or None."""
@@ -972,10 +1086,8 @@ class RationalFunctions(Field):
         roots of g(y, 2B + 1) in balanced base 2B + 1 hold them; the exact
         ones are kept, constants first in the order of ``Rationals.poly_roots``.
         """
-        lcm = [1]
-        for c in coeffs:
-            lcm = _zmul(lcm, _zquo(c._d, _zgcd(lcm, c._d)))
-        f = _trim([_zmul(c._n, _zquo(lcm, c._d)) for c in coeffs])
+        f, lcm = self.integer_lift(coeffs)
+        f, lcm = _trim([x.c for x in f]), lcm.c
         if not f:
             raise ValueError("zero polynomial has every root")
         # f / lc(lcm) is f over the monic lcm, and f / m that with its denominators cleared

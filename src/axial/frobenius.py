@@ -45,8 +45,8 @@ class BilinearForm:
     def integer_gram(self):
         """The Gram matrix lifted by ``field.integer_lift``: ``(rows, d)``
         with entry ``(i, j)`` equal to ``rows[i][j] / d``; over F_p the rows
-        hold least residues and d = 1, and over Q(t) the entries are the
-        field values themselves, with d = 1.  Built on first use."""
+        hold least residues and d = 1, and over Q(t) they hold Z[t] entries
+        over a Z[t] denominator.  Built on first use."""
         if self._integer_gram is None:
             n = self.algebra.dim
             flat, d = self.algebra.field.integer_lift([c for row in self.gram.rows for c in row])
@@ -137,7 +137,7 @@ def _associativity_rows(A, key):
 
     The rows are read from ``A.integer_grid()``: each is the equation times
     the grid's common denominator, in integers over Q, integers to be read
-    mod p over F_p, and field values over Q(t).
+    mod p over F_p, and in Z[t] over Q(t).
     """
     table = A.integer_grid()[0]
     n = A.dim

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .fields import integer_modulus
-from .linalg import lift_sparse, lifted_zero
+from .linalg import lift_sparse, lifted_one, lifted_zero
 
 __all__ = [
     "GenPoly",
@@ -470,12 +469,13 @@ class _Program:
     One body serves every field.  Each leaf, subtree value, bracket value
     and monomial coefficient is lifted by ``field.integer_lift``: entries
     over one common denominator, which are integer numerators over Q, least
-    residues with denominator 1 over F_p, and field values with denominator
-    1 over Q(t).  Leaves and subtree values keep their nonzero entries only,
-    as ``lift_sparse`` does.  The inner loops multiply and add the entries.
-    Only the reduction of each product (by the gcd over Q, mod p over F_p)
-    and of each bracket (mod p over F_p) depends on the field; the sum of
-    the monomials is not reduced, so over F_p ``vanishes`` reduces it.
+    residues with denominator 1 over F_p, and Z[t] numerators over a Z[t]
+    denominator over Q(t).  Leaves and subtree values keep their nonzero
+    entries only, as ``lift_sparse`` does.  The inner loops multiply and add
+    the entries.  Only the reduction of each product (by the gcd of its
+    entries over Q and Q(t), ``field.lift_gcd``, and mod p over F_p) and of
+    each bracket (mod p over F_p) depends on the field; the sum of the
+    monomials is not reduced, so over F_p ``vanishes`` reduces it.
 
     A program holds no values between runs: sharing subtree values across
     assignments gave no gain and cost memory.
@@ -489,7 +489,8 @@ class _Program:
         field = A.field
         self.n = A.dim
         self.p = integer_modulus(field)
-        self.zero = lifted_zero(field)
+        self.gcd, self.lcm = field.lift_gcd, field.lift_lcm
+        self.zero, self.one = lifted_zero(field), lifted_one(field)
         self.table, self.grid_d = A.integer_grid()
         if f.has_brackets():
             self.gram, self.gram_d = form.integer_gram()
@@ -536,7 +537,7 @@ class _Program:
                 out = [a % p for a in out]
             out = [(k, a) for k, a in enumerate(out) if a]
             if p == 0:
-                g = math.gcd(d, *[a for _k, a in out])
+                g = self.gcd(d, *[a for _k, a in out])
                 if g > 1:
                     out = [(k, a // g) for k, a in out]
                     d //= g
@@ -554,7 +555,7 @@ class _Program:
         # the sum of the monomials, kept as lifted entries over total_d; the
         # scalar c of a monomial is its lifted coefficient times its
         # brackets, over d
-        total, total_d = [zero] * n, 1
+        total, total_d = [zero] * n, self.one
         for c, brs, body in self.monos:
             d = self.coeff_d
             for b in brs:
@@ -565,7 +566,7 @@ class _Program:
             if c:
                 bv, dv = vals[body]
                 d *= dv
-                m = math.lcm(total_d, d)
+                m = self.lcm(total_d, d)
                 if m != total_d:
                     st = m // total_d
                     total = [a * st for a in total]

@@ -6,9 +6,11 @@ heuristics are needed, and the reduced basis depends only on the span of
 the rows added.  Rows enter as the entries of ``field.integer_lift`` and
 leave through ``field.from_lift``; one step r <- d*r - r[q]*P clears the
 pivot q of a basis row P whose pivot entry is d.  Over Q a row is an integer
-vector with d > 0 that stands for P/d, over F_p a vector of least residues
-with d = 1, and over Q(t) a vector of field values with d = 1.  Field values
-are built only when rows are read out.
+vector with d > 0 that stands for P/d, and over Q(t) a vector in Z[t]
+(``fields.ZPoly``) with d leading positive: both run one exact branch, with
+the gcd of their entries (``field.lift_gcd``) bound once per kernel.  Over
+F_p a row is a vector of least residues with d = 1.  Field values are built
+only when rows are read out.
 ``Matrix.rref`` reads the canonical reduced row-echelon form
 from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``rref``; ``det`` multiplies the pivots its rows meet on the way in.
@@ -31,8 +33,6 @@ algebra product and L_a (``algebra.py``) run on the same helpers.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import DimensionMismatch
 from .fields import integer_modulus
 
@@ -50,8 +50,14 @@ __all__ = [
 
 def lifted_zero(field):
     """The lift of ``field.zero``, where every sum of lifted entries starts:
-    the int 0 over Q and F_p, and the field's zero over Q(t)."""
+    the int 0 over Q and F_p, and the zero of Z[t] over Q(t)."""
     return field.integer_lift([field.zero])[0][0]
+
+
+def lifted_one(field):
+    """The lift of ``field.one`` over the denominator 1, where every product
+    of lifted entries starts."""
+    return field.integer_lift([field.one])[0][0]
 
 
 def lift_sparse(field, values):
@@ -94,15 +100,15 @@ def _multiply_lifted(a, b, ncols, zero):
     return out
 
 
-def _eliminate(r, s, rows, p):
+def _eliminate(r, s, rows, p, gcd):
     """Clear from the remainder (r, s), in place, every column of r that is
     a pivot of rows, and return the new scale s.
 
     One step is r <- d*r - f*P for the row P with pivot q, its pivot entry
-    d and f = r[q].  Over Q (p = 0) it runs on integers: d and f are first
-    divided by their gcd, and a step with d > 1 multiplies s by d and then
-    divides r and s by their gcd.  Over F_p it runs on least residues with
-    d = 1, mod p, and over Q(t) (p None) on field values with d = 1.  Pivot
+    d and f = r[q].  Over F_p it runs on least residues with d = 1, mod p.
+    Over Q and Q(t) (p = 0) it runs on integers and on Z[t] entries, with
+    gcd their gcd: d and f are first divided by their gcd, and a step with
+    d != 1 multiplies s by d and then divides r and s by their gcd.  Pivot
     rows vanish in each other's pivot columns, so clearing one pivot column
     leaves the entries in the others nonzero.
     """
@@ -117,10 +123,10 @@ def _eliminate(r, s, rows, p):
                 elif c in r:
                     del r[c]
             continue
-        d = 1
-        if p == 0 and row[q] != 1:
-            g = gcd(f, row[q])
-            f, d = f // g, row[q] // g
+        d = row[q]
+        if d != 1:
+            g = gcd(f, d)
+            f, d = f // g, d // g
             if d != 1:
                 for c in r:
                     r[c] *= d
@@ -154,23 +160,26 @@ class Echelon:
     every matrix whose rows were added, whatever their order.  Over Q a row
     is an integer vector whose pivot entry d is positive, and it stands for
     the row divided by d; it enters primitive, and each elimination step
-    that scales it divides out the gcd of its entries again.  Over F_p a
-    row holds least residues with d = 1, and over Q(t) field values with
-    d = 1: the entries of ``field.integer_lift``.  ``rows`` gives the basis
-    in field values, read by ``field.from_lift``.  Rows may be given dense
-    (a sequence) or sparse (a dict).
+    that scales it divides out the gcd of its entries again.  Over Q(t) a
+    row is the same in Z[t]: primitive, with a pivot entry that leads
+    positive.  Over F_p a row holds least residues with d = 1.  These are
+    the entries of ``field.integer_lift``; ``rows`` gives the basis in field
+    values, read by ``field.from_lift``.  Rows may be given dense (a
+    sequence) or sparse (a dict).
 
     A remainder is a pair ``(r, s)`` that stands for the row r / s, where s
-    is an integer: the denominator of the lift, and 1 off Q; over Q a step
-    that scales r by d scales s by d too.  With s = 0 the scale is not
-    kept, which is all that ``add`` and ``contains`` need.
+    is the denominator of the lift: an integer over Q, 1 over F_p, and in
+    Z[t] over Q(t); a step that scales r by d scales s by d too.  With
+    s = 0 the scale is not kept, which is all that ``add`` and ``contains``
+    need.
     """
 
-    __slots__ = ("field", "_p", "_rows")
+    __slots__ = ("field", "_p", "_gcd", "_rows")
 
     def __init__(self, field, rows=()):
         self.field = field
         self._p = integer_modulus(field)
+        self._gcd = field.lift_gcd
         self._rows = {}
         for row in rows:
             self.add(row)
@@ -201,7 +210,7 @@ class Echelon:
     def _remainder(self, row):
         """The remainder (r, s) of row after clearing every pivot column."""
         r, s = self._lift(row)
-        return r, _eliminate(r, s, self._rows, self._p)
+        return r, _eliminate(r, s, self._rows, self._p, self._gcd)
 
     def reduce(self, row):
         """Sparse remainder of row after clearing every pivot column, in
@@ -218,7 +227,7 @@ class Echelon:
         """``add`` for a row of lifted entries, such as the values of
         ``field.integer_lift`` without their denominator, which does not
         change the span: integers over Q, any integers over F_p, read mod p,
-        and field values over Q(t)."""
+        and Z[t] entries over Q(t)."""
         p = self._p
         items = row.items() if isinstance(row, dict) else enumerate(row)
         if p:
@@ -226,7 +235,7 @@ class Echelon:
         return self._extend({c: x for c, x in items if x})
 
     def _extend(self, r):
-        _eliminate(r, 0, self._rows, self._p)
+        _eliminate(r, 0, self._rows, self._p, self._gcd)
         if not r:
             return False
         self._insert(r)
@@ -240,24 +249,21 @@ class Echelon:
         if p:
             inv = pow(r[q], -1, p)
             r = {c: v * inv % p for c, v in r.items()}
-        elif p == 0:
-            g = gcd(*r.values())
+        else:
+            g = self._gcd(*r.values())
             if r[q] < 0:
                 g = -g
             if g != 1:
                 r = {c: v // g for c, v in r.items()}
-        else:
-            inv = self.field.one / r[q]
-            r = {c: inv * v for c, v in r.items()}
         new = {q: r}
         for other in self._rows.values():
             if q in other:
-                _eliminate(other, 0, new, p)
+                _eliminate(other, 0, new, p, self._gcd)
         self._rows[q] = r
 
     def contains(self, row):
         r = self._lift(row)[0]
-        _eliminate(r, 0, self._rows, self._p)
+        _eliminate(r, 0, self._rows, self._p, self._gcd)
         return not r
 
 
@@ -294,7 +300,7 @@ class Coordinates:
         the dict r of its nonzero entries over the denominator s, least
         residues over F_p.  r is reduced in place."""
         ech = self._ech
-        s = _eliminate(r, s, ech._rows, ech._p)
+        s = _eliminate(r, s, ech._rows, ech._p, ech._gcd)
         if not self._outside(r):
             return False
         r[self.n + self.size] = s
@@ -310,7 +316,7 @@ class Coordinates:
     def coords_lift(self, r, s):
         """``coords`` for a vector given as a lift, as in ``add_lift``."""
         ech = self._ech
-        s = _eliminate(r, s, ech._rows, ech._p)
+        s = _eliminate(r, s, ech._rows, ech._p, ech._gcd)
         if self._outside(r):
             return None
         field = ech.field
@@ -477,7 +483,7 @@ class Matrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         ech = Echelon(self.field)
         # the pivots multiply to det / scale, in the kernel's remainders
-        det = scale = 1
+        det = scale = lifted_one(self.field)
         order = []
         for row in self.rows:
             r, s = ech._remainder(row)
@@ -511,21 +517,21 @@ def minimal_polynomial(m):
     I, M, M^2, ...; the result annihilates M exactly.  The powers stay
     lifted: with M = A / d for the lifted rows A, the flattened M^k is P / s
     for a sparse vector P of entries and an integer scale s, and M^(k+1)
-    is P A over s d.  Over Q, P and s are then divided by their gcd, so s
-    is the least common denominator of M^k; over F_p the entries are
-    reduced mod p.  Each power enters ``Coordinates`` as a lift, and only
-    the coefficients of the dependence are read back as field values.
+    is P A over s d.  Over Q and Q(t), P and s are then divided by the gcd
+    of their entries, so s is the least common denominator of M^k; over F_p
+    the entries are reduced mod p.  Each power enters ``Coordinates`` as a
+    lift, and only the coefficients of the dependence are read back as
+    field values.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     field = m.field
     n = m.nrows
-    p = integer_modulus(field)
+    p, gcd = integer_modulus(field), field.lift_gcd
     a, d = lift_rows(field, m.rows)
-    zero = lifted_zero(field)
-    (one,), _ = field.integer_lift([field.one])
+    zero, one = lifted_zero(field), lifted_one(field)
     powers = Coordinates(field, n * n)
-    power, s = {i * (n + 1): one for i in range(n)}, 1
+    power, s = {i * (n + 1): one for i in range(n)}, one
     while powers.add_lift(dict(power), s):
         out = [zero] * (n * n)
         for c, x in power.items():  # entry (i, k) of M^k meets row k of A

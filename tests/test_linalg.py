@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from axial import matsuo_from_triple_system, solve_frobenius, toric_euf, universal_2gen
 from axial.errors import DimensionMismatch
-from axial.fields import QQ, PrimeField, RationalFunctions
+from axial.fields import QQ, PrimeField, RationalFunctions, zpoly_gcd
 from axial.linalg import Coordinates, Echelon, Matrix, kernel, minimal_polynomial, rref, span_contains
 from conftest import transpositions
 
@@ -743,9 +743,68 @@ class TestIntegerKernelAgainstFieldValues:
         assert _typed(Echelon(QQ, h.rows).rows) == _typed(reference_echelon(QQ, h.rows).rows)
 
 
+@st.composite
+def qt_kernel_cases(draw):
+    """Rows over Q(t) of entries (a + b t) / (1 + c t^2), many of them zero,
+    with a and b small or up to 10^12 and c small, some rows repeated or
+    summed so that ranks fall short, and a target row."""
+    t = QT.variable()
+
+    def value():
+        if draw(st.integers(0, 2)) == 0:
+            return QT.zero
+        bound = draw(st.sampled_from([3, BIG]))
+        a, b = (QT.from_int(draw(st.integers(-bound, bound))) for _ in range(2))
+        return (a + b * t) / (QT.one + QT.from_int(draw(st.integers(-3, 3))) * t * t)
+
+    n = draw(st.integers(1, 4))
+    rows = [[value() for _ in range(n)] for _ in range(draw(st.integers(1, 4)))]
+    if len(rows) >= 3 and draw(st.booleans()):
+        rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+    return rows, [value() for _ in range(n)]
+
+
+class TestRationalFunctionKernelAgainstFieldValues:
+    """Over Q(t) the kernel eliminates on Z[t] entries through its Q branch;
+    the reference is the field-value kernel above."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(qt_kernel_cases())
+    def test_echelon_coordinates_det_and_minimal_polynomial(self, case):
+        rows, target = case
+        ech, ref = Echelon(QT, rows), reference_echelon(QT, rows)
+        assert _typed(ech.rows) == _typed(ref.rows)
+        assert (ech.pivots, ech.rank) == (ref.pivots, ref.rank)
+        # a row enters primitive in Z[t], its pivot entry leading positive
+        for q, row in Echelon(QT, [target])._rows.items():
+            assert zpoly_gcd(*row.values()) == 1 and row[q] > 0
+        assert _typed(ech.reduce(target)) == _typed(ref.reduce(target))
+        assert ech.contains(target) is ref.contains(target)
+        n = len(target)
+        coords, ref_coords = Coordinates(QT, n), ReferenceCoordinates(QT, n)
+        for v in rows:
+            assert coords.add(v) is ref_coords.add(v)
+        assert _typed(coords.coords(target)) == _typed(ref_coords.coords(target))
+        inside = [sum((r[i] for r in rows), QT.zero) for i in range(n)]
+        assert _typed(coords.coords(inside)) == _typed(ref_coords.coords(inside))
+        n = min(len(rows), n, 3)
+        m = Matrix(QT, [r[:n] for r in rows[:n]])
+        assert _typed(m.det()) == _typed(reference_echelon_det(m))
+        assert _typed(minimal_polynomial(m)) == _typed(reference_echelon_minimal_polynomial(m))
+
+
 class TestInputsThatAreNotFieldValues:
     """Over F_p, rows and normalization targets may hold Python ints and
-    Fractions, read as Fp arithmetic reads them."""
+    Fractions, read as Fp arithmetic reads them; over Q(t) they are read as
+    constants."""
+
+    def test_rational_function_rows(self):
+        t = QT.variable()
+        rows = Echelon(QT, [[2, t, Fraction(1, 2)], [0, 1, 0]]).rows
+        quarter = QT.from_fraction(Fraction(1, 4))
+        assert _typed(rows) == _typed({0: {0: QT.one, 2: quarter}, 1: {1: QT.one}})
+        assert Matrix(QT, [[2, t], [1, Fraction(1, 3)]]).det() == QT.from_fraction(Fraction(2, 3)) - t
+        assert Coordinates(QT, 2, [[1, t]]).coords([3, 3 * t]) == [QT.from_int(3)]
 
     def test_echelon_rows(self):
         assert Echelon(F7, [[1, 2], [3, 4]]).rows == {0: {0: F7.one}, 1: {1: F7.one}}
