@@ -14,8 +14,9 @@ need to consult the field for arithmetic.  The field objects own parsing,
 formatting, square roots and polynomial root extraction.
 
 Polynomials are coefficient sequences, low degree first, with no trailing 0.
-One layer of integer polynomials does the arithmetic of Q(t) values and of
-the root finders over Q, F_p and Q(t).  The axes test minimal polynomials
+One layer of integer polynomials does the arithmetic of Q(t) values, of
+their kernel entries in Z[t] (``ZPoly``) and of the root finders over Q,
+F_p and Q(t).  The axes test minimal polynomials
 of field values by evaluation and a determinant, with no division.
 """
 
