@@ -31,8 +31,12 @@ int left where a Q(t) value belongs changes it.
 ``GOLDEN_PRODUCTS`` covers the layers that feed the kernels: algebra
 products, L_a, matrix products, ``Matrix.apply`` and minimal polynomials of
 seeded elements of the Matsuo algebras of S_4 and S_5, the toric algebra
-and the 2-generated algebra over Q, F_101 and Q(t).  Each of these is a
-field value, so a change to how they are computed must leave it as it is.
+and the 2-generated algebra over Q, F_101 and Q(t), and the subalgebras
+that ``generate_subalgebra`` builds on axis and idempotent pairs of S_4,
+H3, two-gen and toric over Q and F_7 and of 3C and toric over Q(t) (basis,
+words, induced structure, and the coordinates of each parent basis
+vector).  Each of these is a field value or a word, so a change to how they
+are computed must leave it as it is.
 
 ``GOLDEN_IDENTITIES`` covers the identity engine: the ``holds_as_identity``
 verdicts, methods and witnesses of every catalog identity and five parsed
@@ -54,9 +58,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from axial import (QQ, PrimeField, builtin_identity, check_axis, evaluate, holds_as_identity,
-                   jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly, sample_identity,
-                   solid_audit, solve_frobenius, toric_euf, trace_form, universal_2gen)
+from axial import (QQ, PrimeField, builtin_identity, check_axis, evaluate, generate_subalgebra,
+                   holds_as_identity, jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly,
+                   sample_identity, solid_audit, solve_frobenius, toric_euf, trace_form, universal_2gen)
 from axial.algebra import Element
 from axial.fields import Fp, RatFunc, RationalFunctions
 from axial.identities import BUILTIN_NAMES
@@ -65,7 +69,7 @@ from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
 GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
 GOLDEN_QT_KERNEL = "401fb2b385d5f81d2ceefc9f84999c18936abb96e8a719c7801e5089f03eb8cf"
-GOLDEN_PRODUCTS = "a06b03d4a32a32fc34bc6155bd9de6501cf5a0eadc1752ccda531d4aca1ccd33"
+GOLDEN_PRODUCTS = "dfd6c50e29f3d7e2e21ee7fde7d6c9faf123ec463eb143677ad0c7556f76aa1c"
 GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
@@ -271,7 +275,7 @@ def _product_records():
     """Products, L_a, matrix products, ``apply`` and minimal polynomials of
     seeded elements of Matsuo S_4 and S_5, toric and two-gen over Q, F_101
     and Q(t), with int coefficients over Q and F_101 and Fraction ones over
-    F_101 among them."""
+    F_101 among them; then generated subalgebras over Q, F_7 and Q(t)."""
     Qt = RationalFunctions("t")
     t = Qt.variable()
     rng = random.Random(19)
@@ -308,6 +312,25 @@ def _product_records():
                 [field.from_int(rng.randint(-3, 3)) for _ in range(A.dim)])
             yield [minimal_polynomial(a.left_multiplication_matrix()),
                    minimal_polynomial(z.left_multiplication_matrix())]
+    # subalgebras: collinear and non-collinear S_4 axes, three S_4 axes, the
+    # H3 pair, two-gen at pi = 1/8 and toric at eps = 1, 2 over Q and F_7; 3C
+    # and toric over Q(t)
+    pairs = []
+    for field in (QQ, PrimeField(7)):
+        s4 = matsuo_from_triple_system(_transpositions(4), field.from_fraction(half), field)
+        h3 = jordan_symmetric_matrices(3, field)
+        h3_b = h3.element([field.from_fraction(v) for v in (half, half, 0, half, 0, 0)])
+        tor = toric_euf(field)
+        pairs += [s4.axes[:2], [s4.axes[0], s4.axes[5]], [s4.axes[0], s4.axes[5], s4.axes[1]],
+                  [h3.basis_element(0), h3_b],
+                  universal_2gen(half, Fraction(1, 8), field).axes, [tor.idempotent(1), tor.idempotent(2)]]
+    c3 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), Qt.from_fraction(half), Qt)
+    tor = toric_euf(Qt)
+    pairs += [c3.axes[:2], [tor.idempotent(1), tor.idempotent(t)]]
+    for gens in pairs:
+        sub = generate_subalgebra(list(gens))
+        yield [[b.coeffs for b in sub.basis], sub.words, sub.induced.structure,
+               [sub.coords(b) for b in sub.parent.basis()]]
 
 
 # the parsed identities of the identity catalog, each on one corpus algebra
