@@ -7,9 +7,11 @@ structure constants lifted by ``field.integer_lift`` over one denominator.
 The product, L_a, the Frobenius equations and identity evaluation read it;
 the product and L_a lift each operand once, sum products of entries from
 the lifted zero and read each nonzero entry of the result back once
-(``linalg.lift_sparse`` and ``linalg.read_lifted``).  Elements are
-coefficient tuples over the field and support ``+``, ``-``, scalar ``*``
-and the (commutative, bilinear) algebra product.
+(``linalg.lift_sparse`` and ``linalg.read_lifted``).  ``lifted_product``
+is the product with no read-back, and ``generate_subalgebra`` hands it to
+``Coordinates.place``.  Elements are coefficient tuples over the field and
+support ``+``, ``-``, scalar ``*`` and the (commutative, bilinear) algebra
+product.
 """
 
 from __future__ import annotations
@@ -62,15 +64,19 @@ class Algebra:
         return self._integer_grid
 
     def product(self, x, y):
-        """The product of two coefficient tuples, as a coefficient tuple.
-
-        x and y are lifted once each, and out[k] sums x_i y_j c over the
-        cells (k, c) of ``integer_grid()[0][i][j]``, over the denominator
-        dx * dy * d."""
+        """The product of two coefficient tuples, as a coefficient tuple:
+        ``lifted_product`` of their lifts, read back once."""
         field = self.field
+        x_lift = lift_sparse(field, x)
+        y_lift = x_lift if y is x else lift_sparse(field, y)
+        return tuple(read_lifted(field, *self.lifted_product(x_lift, y_lift)))
+
+    def lifted_product(self, x_lift, y_lift):
+        """The product of the ``lift_sparse`` lifts (xs, dx) and (ys, dy):
+        ``(out, dx * dy * d)``, out[k] summing x_i y_j c over the cells (k, c)
+        of ``integer_grid()[0][i][j]``; dense, and unreduced even over F_p."""
         table, d = self._integer_grid
-        xs, dx = lift_sparse(field, x)
-        ys, dy = (xs, dx) if y is x else lift_sparse(field, y)
+        (xs, dx), (ys, dy) = x_lift, y_lift
         out = [self._lifted_zero] * self.dim
         for i, xi in xs:
             row = table[i]
@@ -78,7 +84,7 @@ class Algebra:
                 c = xi * yj
                 for k, s in row[j]:
                     out[k] += c * s
-        return tuple(read_lifted(field, out, dx * dy * d))
+        return out, dx * dy * d
 
     def element(self, coeffs):
         return Element(self, coeffs)
@@ -269,45 +275,49 @@ def generate_subalgebra(gens):
     Iterates span <- span + span*span to a fixed point.  Basis ordering is
     breadth-first by word length with ties broken by first discovery, so the
     output is deterministic.  Zero or duplicate generators are simply
-    absorbed by the span.
+    absorbed by the span.  Each pair i <= j of basis members is multiplied
+    once on their lifts and placed once in the span: a new basis member, or
+    its coordinates, which are the induced structure constants of b_i * b_j
+    padded with zeros, since coordinates in an independent list are unique.
     """
     if not gens:
         raise ValueError("empty generator list")
     parent = gens[0].algebra
-    span = Coordinates(parent.field, parent.dim)
-    basis = []
-    words = []
+    field = parent.field
+    span = Coordinates(field, parent.dim)
+    basis, words, lifts = [], [], []
 
-    def try_add(elem, word):
-        if span.add(elem.coeffs):
-            basis.append(elem)
-            words.append(word)
+    def keep(elem, word):
+        basis.append(elem)
+        words.append(word)
+        lifts.append(lift_sparse(field, elem.coeffs))
 
     for i, g in enumerate(gens):
         require_same_algebra(parent, g.algebra, "generators belong to different algebras")
-        try_add(g, i)
+        if span.add(g.coeffs):
+            keep(g, i)
 
-    # products of known basis members, breadth-first over word length
-    frontier = list(range(len(basis)))
+    # products of known basis members, breadth-first over word length; a
+    # pair with i <= j is made in the round after b_j was found
+    structure = {}
+    frontier = set(range(len(basis)))
     while frontier:
-        pairs = [
-            (i, j)
-            for i in range(len(basis))
-            for j in range(len(basis))
-            if i <= j and (i in frontier or j in frontier)
-        ]
-        pairs.sort(key=lambda ij: (_word_len(words[ij[0]]) + _word_len(words[ij[1]]), ij))
+        pairs = sorted(((i, j) for j in frontier for i in range(j + 1)),
+                       key=lambda ij: (_word_len(words[ij[0]]) + _word_len(words[ij[1]]), ij))
         start = len(basis)
         for i, j in pairs:
-            try_add(basis[i] * basis[j], (words[i], words[j]))
-        frontier = list(range(start, len(basis)))
+            out, s = parent.lifted_product(lifts[i], lifts[j])
+            c = span.place(out, s)
+            if c is None:
+                keep(Element(parent, read_lifted(field, out, s)), (words[i], words[j]))
+                c = [field.zero] * (span.size - 1) + [field.one]
+            structure[i, j] = c
+        frontier = set(range(start, len(basis)))
 
-    # order final basis by (word length, discovery index); discovery already
-    # respects it because products only grow word length
-    structure = induced_structure(basis, span)
-    if structure is None:
-        raise AsymmetricStructure("span is not multiplicatively closed")  # unreachable
-    induced = Algebra(parent.field, [_word_str(w) for w in words], structure)
+    n = len(basis)
+    cell = {ij: tuple(c) + (field.zero,) * (n - len(c)) for ij, c in structure.items()}
+    grid = [[cell[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    induced = Algebra(field, [_word_str(w) for w in words], grid)
     return Subalgebra(parent, basis, words, induced, span)
 
 

@@ -400,10 +400,10 @@ def seress_check(a, lam):
     z01 = eigen.space_01()
     z0s = [A.element(P0.apply(z.coeffs)) for z in z01]
     for j, y in enumerate(A.basis()):
-        y0 = A.element(P0.column(j))
+        y0, ay = A.element(P0.column(j)), a * y
         for z, z0 in zip(z01, z0s):
             lhs = a * (y * z)
-            rhs = (a * y) * z + a * (y0 * z0)
+            rhs = ay * z + a * (y0 * z0)
             if lhs != rhs:
                 return False
     return True

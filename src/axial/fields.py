@@ -759,7 +759,7 @@ class Field:
     """Common interface; concrete fields are singletons per parameter."""
 
     kind = None
-    char = 0
+    char = 0  # the characteristic: p over F_p, where the kernels read entries mod p
     size = None  # None = infinite
     # the gcd and lcm of the entries of ``integer_lift``, as a kernel binds them
     lift_gcd = staticmethod(math.gcd)
@@ -804,7 +804,6 @@ class Field:
 
 class Rationals(Field):
     kind = "Q"
-    char = 0
 
     def parse(self, text):
         text = text.strip()
@@ -934,13 +933,6 @@ class PrimeField(Field):
         return f"PrimeField({self.p})"
 
 
-def integer_modulus(field):
-    """How the kernels compute on the entries of ``field.integer_lift``: p
-    over F_p (integers mod p), and 0 over Q and Q(t), whose entries are
-    exact over a common denominator, in Z and in Z[t]."""
-    return field.p if isinstance(field, PrimeField) else 0
-
-
 def _sqrt_mod(a, p):
     """The least square root of a modulo the prime p, or None when a is a
     non-residue: Euler's criterion, then Tonelli-Shanks."""
@@ -1006,7 +998,6 @@ class RationalFunctions(Field):
     """Q(var): univariate rational functions over the rationals."""
 
     kind = "Qt"
-    char = 0
     lift_gcd = staticmethod(zpoly_gcd)
     lift_lcm = staticmethod(zpoly_lcm)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .algebra import require_same_algebra
 from .errors import DimensionMismatch, SelfCheckFailed
-from .fields import integer_modulus
 from .linalg import Echelon, Matrix
 
 __all__ = [
@@ -61,7 +60,7 @@ class BilinearForm:
                     raise SelfCheckFailed("Gram matrix is not symmetric")
 
     def _check_associative(self):
-        p = integer_modulus(self.algebra.field)
+        p = self.algebra.field.char
         g = self.integer_gram()[0]
         key, nunk = _upper_keys(self.algebra.dim)
         flat = [None] * nunk

@@ -13,7 +13,6 @@ product), but evaluation demands element-valued monomials throughout.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
-from .fields import integer_modulus
 from .linalg import lift_sparse, lifted_one, lifted_zero
 
 __all__ = [
@@ -488,7 +486,7 @@ class _Program:
             raise MissingForm("polynomial contains bracket factors but no form was given")
         field = A.field
         self.n = A.dim
-        self.p = integer_modulus(field)
+        self.p = field.char
         self.gcd, self.lcm = field.lift_gcd, field.lift_lcm
         self.zero, self.one = lifted_zero(field), lifted_one(field)
         self.table, self.grid_d = A.integer_grid()
@@ -610,7 +608,7 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     test is the one catalog entry that needs it).
     """
     field = A.field
-    idempotent_pool, form = _bind(A, idempotent_pool, form)
+    _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
     maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
@@ -646,10 +644,10 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
 
 
 def _bind(A, pool, form):
-    """The pool and the form on A itself.  Each is checked once against A,
-    whose equal copies count as A, and moved onto A, so that ``evaluate``
-    finds the same algebra object on every call and need not compare two
-    equal ones in full."""
+    """Check that the pool and the form belong to A, whose equal copies
+    count as A; each other algebra is compared with A at most once.  The
+    compiled program reads only A's structure table and the form's Gram
+    matrix, so the members and the form are kept as given."""
     equal = []  # the algebras other than A found equal to it
 
     def check(B, message):
@@ -659,12 +657,8 @@ def _bind(A, pool, form):
 
     for x in pool:
         check(x.algebra, "an assigned element belongs to a different algebra")
-    pool = [x if x.algebra is A else A.element(x.coeffs) for x in pool]
-    if form is not None and form.algebra is not A:
+    if form is not None:
         check(form.algebra, "the form belongs to a different algebra")
-        form = copy.copy(form)
-        form.algebra = A
-    return pool, form
 
 
 def _slot_assignments(f, pool, distinct):
@@ -758,7 +752,7 @@ def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, co
     Substitutes elements with integer coefficients in [-coeff_range,
     coeff_range] for the X variables and pool members for the E slots.
     """
-    idempotent_pool, form = _bind(A, idempotent_pool, form)
+    _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     witness = _first_random_nonzero(f, A, form, e_options, random.Random(seed), [coeff_range] * samples)
     return IdentityVerdict(holds=witness is None, witness=witness, method="sampled")

@@ -15,8 +15,10 @@ only when rows are read out.
 from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``rref``; ``det`` multiplies the pivots its rows meet on the way in.
 ``Coordinates`` writes vectors in a growing independent list through one
-``Echelon``, for ``minimal_polynomial``, subalgebra coordinates and induced
-structure constants.  ``span_contains``, ``span_rank``, the membership
+``Echelon``; its one step, ``place``, reduces a lifted vector once and
+appends it or reads its coordinates, for ``minimal_polynomial`` and the
+basis and induced structure constants of a generated subalgebra.
+``span_contains``, ``span_rank``, the membership
 tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of their own.
 ``Matrix`` is dense.
 
@@ -27,14 +29,14 @@ lift the nonzero entries of each operand once, ``Matrix.__matmul__`` and
 product of the operands' denominators; over F_p that is where an entry is
 reduced mod p.  ``minimal_polynomial`` keeps each power M^k as one
 flattened vector of entries over a scale that divides d^k, and hands it to
-``Coordinates`` as a lift, so no field value is built between powers.  The
-algebra product and L_a (``algebra.py``) run on the same helpers.
+``Coordinates.place`` as a lift, so no field value is built between powers.
+The algebra product, its lifted form and L_a (``algebra.py``) run on the
+same helpers.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .fields import integer_modulus
 
 __all__ = [
     "Coordinates",
@@ -178,7 +180,7 @@ class Echelon:
 
     def __init__(self, field, rows=()):
         self.field = field
-        self._p = integer_modulus(field)
+        self._p = field.char
         self._gcd = field.lift_gcd
         self._rows = {}
         for row in rows:
@@ -228,11 +230,16 @@ class Echelon:
         ``field.integer_lift`` without their denominator, which does not
         change the span: integers over Q, any integers over F_p, read mod p,
         and Z[t] entries over Q(t)."""
+        return self._extend(self._integers(row))
+
+    def _integers(self, row):
+        """The nonzero entries of a row of lifted entries, dense or a dict,
+        as a new dict: read mod p over F_p."""
         p = self._p
         items = row.items() if isinstance(row, dict) else enumerate(row)
         if p:
             items = ((c, x % p) for c, x in items)
-        return self._extend({c: x for c, x in items if x})
+        return {c: x for c, x in items if x}
 
     def _extend(self, r):
         _eliminate(r, 0, self._rows, self._p, self._gcd)
@@ -293,33 +300,33 @@ class Coordinates:
     def add(self, v):
         """Append v to the list; False, adding nothing, when v is already
         in the span."""
-        return self.add_lift(*self._ech._lift(v))
+        return self.place(*self._ech._lift(v)) is None
 
-    def add_lift(self, r, s):
-        """``add`` for a vector given as a lift, as ``Echelon`` lifts a row:
-        the dict r of its nonzero entries over the denominator s, least
-        residues over F_p.  r is reduced in place."""
+    def place(self, entries, s):
+        """Reduce a vector given as a lift once: its lifted entries, dense
+        or a dict, over the denominator s, read as ``Echelon.add_integers``
+        reads them.  Outside the span the vector is appended and the result
+        is None; inside it the result is its coordinates, as ``coords``."""
         ech = self._ech
+        r = ech._integers(entries)
         s = _eliminate(r, s, ech._rows, ech._p, ech._gcd)
         if not self._outside(r):
-            return False
+            return self._read(r, s)
         r[self.n + self.size] = s
         ech._insert(r)
         self.size += 1
-        return True
+        return None
 
     def coords(self, t):
         """[c_0, ..., c_{size-1}] with t = sum c_i v_i, or None when t is
         outside the span."""
-        return self.coords_lift(*self._ech._lift(t))
+        r, s = self._ech._remainder(t)
+        return None if self._outside(r) else self._read(r, s)
 
-    def coords_lift(self, r, s):
-        """``coords`` for a vector given as a lift, as in ``add_lift``."""
-        ech = self._ech
-        s = _eliminate(r, s, ech._rows, ech._p, ech._gcd)
-        if self._outside(r):
-            return None
-        field = ech.field
+    def _read(self, r, s):
+        """The coordinates in the tag columns of the reduced remainder
+        (r, s) of a vector in the span."""
+        field = self._ech.field
         zero, value = field.zero, field.from_lift
         return [value(-r[c], s) if c in r else zero for c in range(self.n, self.n + self.size)]
 
@@ -519,29 +526,27 @@ def minimal_polynomial(m):
     for a sparse vector P of entries and an integer scale s, and M^(k+1)
     is P A over s d.  Over Q and Q(t), P and s are then divided by the gcd
     of their entries, so s is the least common denominator of M^k; over F_p
-    the entries are reduced mod p.  Each power enters ``Coordinates`` as a
-    lift, and only the coefficients of the dependence are read back as
-    field values.
+    the entries are reduced mod p.  Each power enters ``Coordinates.place``
+    as a lift, and the step that finds the dependence reads its
+    coefficients back as field values.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     field = m.field
     n = m.nrows
-    p, gcd = integer_modulus(field), field.lift_gcd
+    p, gcd = field.char, field.lift_gcd
     a, d = lift_rows(field, m.rows)
     zero, one = lifted_zero(field), lifted_one(field)
     powers = Coordinates(field, n * n)
     power, s = {i * (n + 1): one for i in range(n)}, one
-    while powers.add_lift(dict(power), s):
+    while (coeffs := powers.place(power, s)) is None:
         out = [zero] * (n * n)
         for c, x in power.items():  # entry (i, k) of M^k meets row k of A
             k = c % n
             base = c - k
             for j, y in a[k]:
                 out[base + j] += x * y
-        if p:
-            out = [x % p for x in out]
-        power = {c: x for c, x in enumerate(out) if x}
+        power = powers._ech._integers(out)  # mod p over F_p
         s *= d
         if p == 0:
             g = gcd(s, *power.values())
@@ -549,7 +554,7 @@ def minimal_polynomial(m):
                 power = {c: x // g for c, x in power.items()}
                 s //= g
     # M^k = sum c_i M^i  =>  minpoly = x^k - sum c_i x^i
-    return tuple(-c for c in powers.coords_lift(power, s)) + (field.one,)
+    return tuple(-c for c in coeffs) + (field.one,)
 
 
 def span_contains(field, span_vectors, target):

@@ -144,6 +144,29 @@ class TestGenerateSubalgebra:
         with pytest.raises(ValueError):
             generate_subalgebra([])
 
+    def test_each_product_made_once(self, monkeypatch, mats3c, toric, s4):
+        # n(n+1)/2 lifted products for a subalgebra of dimension n, and no
+        # Element product, with zero and duplicate generators among the inputs
+        calls = {"lifted": 0, "product": 0}
+        lifted, product = Algebra.lifted_product, Algebra.product
+
+        def counting(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(Algebra, "lifted_product", counting("lifted", lifted))
+        monkeypatch.setattr(Algebra, "product", counting("product", product))
+        a, b, c = mats3c.axes
+        zero = mats3c.algebra.zero()
+        for gens in ([zero], [a], [zero, a, a], [a, b, a + b], [toric.idempotent(1), toric.idempotent(2)],
+                     [s4.axes[0], s4.axes[5], s4.axes[1]], [s4.algebra.zero(), *s4.axes, s4.axes[0]]):
+            calls["lifted"] = 0
+            n = generate_subalgebra(gens).dim
+            assert calls["lifted"] == n * (n + 1) // 2
+        assert calls["product"] == 0
+
 
 class TestUnit:
     def test_toric_unit(self, toric):

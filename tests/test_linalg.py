@@ -373,6 +373,16 @@ class TestDetAndMinimalPolynomial:
         assert minimal_polynomial(m) == reference_minimal_polynomial(m)
 
 
+def unreduced_lift(field, v):
+    """``field.integer_lift`` of v, moved off its normal form: each entry
+    plus p over F_p, whose denominator stays 1, and entries and
+    denominator times 3 over Q and Q(t)."""
+    ints, d = field.integer_lift(v)
+    if field.char:
+        return [x + field.char for x in ints], d
+    return [3 * x for x in ints], 3 * d
+
+
 class TestCoordinates:
     @settings(max_examples=60, deadline=None)
     @given(matrices(with_rhs=True), st.data())
@@ -387,18 +397,28 @@ class TestCoordinates:
                 return None if any(t) else []
             return reference_solve(Matrix.from_columns(field, kept), t)
 
+        # the same list built by one place step per vector, on lifts that
+        # are not in normal form
+        placed = Coordinates(field, n)
         for v in (m.column(j) for j in range(m.ncols)):
             new = ref(v) is None
             assert coords.add(v) is new
             if new:
                 kept.append(v)
-        assert coords.size == len(kept)
+            # add then coords reads v's coordinates from the list v is now in
+            got = placed.place(*unreduced_lift(field, v))
+            assert (got is None) is new
+            last = [field.zero] * (len(kept) - 1) + [field.one]
+            assert coords.coords(v) == (last if new else got)
+        assert coords.size == placed.size == len(kept)
         # a random target is mostly outside the span
         assert coords.coords(target) == ref(target)
         kind = next(k for k, f in FIELDS.items() if f == field)
         c = data.draw(st.lists(FIELD_VALUES[kind], min_size=len(kept), max_size=len(kept)))
         inside = [sum((ci * v[r] for ci, v in zip(c, kept)), field.zero) for r in range(n)]
-        assert coords.coords(inside) == c
+        assert coords.coords(inside) == placed.place(*unreduced_lift(field, inside)) == c
+        assert placed.place(*unreduced_lift(field, target)) == ref(target)
+        assert placed.size == len(kept) + (ref(target) is None)
 
     def test_empty_and_zero(self):
         coords = Coordinates(QQ, 2)
