@@ -18,9 +18,8 @@ from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``Echelon``; its one step, ``place``, reduces a lifted vector once and
 appends it or reads its coordinates, for ``minimal_polynomial`` and the
 basis and induced structure constants of a generated subalgebra.
-``span_contains``, ``span_rank``, the membership
-tests elsewhere and ``solve_frobenius`` keep an ``Echelon`` of their own.
-``Matrix`` is dense.
+``span_contains``, ``span_rank``, the membership tests elsewhere and
+``solve_frobenius`` keep an ``Echelon`` of their own.  ``Matrix`` is dense.
 
 Products run on lifted entries too.  ``lift_sparse`` and ``lift_rows``
 lift the nonzero entries of each operand once, ``Matrix.__matmul__`` and
