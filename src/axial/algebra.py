@@ -320,17 +320,3 @@ def generate_subalgebra(gens):
     induced = Algebra(field, [_word_str(w) for w in words], grid)
     return Subalgebra(parent, basis, words, induced, span)
 
-
-def induced_structure(basis, coordinates):
-    """Structure grid that the elements in basis carry by restriction, read
-    from the ``Coordinates`` of their coefficient vectors; None when a
-    product leaves their span."""
-    n = len(basis)
-    structure = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            c = coordinates.coords((basis[i] * basis[j]).coeffs)
-            if c is None:
-                return None
-            structure[i][j] = structure[j][i] = tuple(c)
-    return structure

@@ -148,15 +148,22 @@ def _mono_str(key, coeff, field):
 
 
 class GenPoly:
-    """Formal sum of generalized monomials over one scalar field."""
+    """Formal sum of generalized monomials over one scalar field.
 
-    __slots__ = ("field", "terms", "_xidx", "_eidx")
+    A polynomial is immutable once built: every operation returns a new one
+    and leaves the terms of its operands as they were.  Three values that
+    depend on the terms only are cached on the instance when first asked
+    for: the X indices, the E indices and the plan of ``holds_as_identity``.
+    """
+
+    __slots__ = ("field", "terms", "_xidx", "_eidx", "_plan")
 
     def __init__(self, field, terms=None):
         self.field = field
         self.terms = {}
         self._xidx = None
         self._eidx = None
+        self._plan = None
         if terms:
             for key, coeff in terms.items():
                 if coeff:
@@ -382,6 +389,17 @@ def specialize_idempotent_slot(f, i, fresh_x):
     return _substitute_choices(f, ("E", i), [(f.field.one, ("X", fresh_x))])
 
 
+def _swap_leaves(t, u, v):
+    """Copy of t with the leaves u and v exchanged, in canonical order."""
+    if t == u:
+        return v
+    if t == v:
+        return u
+    if t[0] in ("E", "X"):
+        return t
+    return _node(_swap_leaves(t[1], u, v), _swap_leaves(t[2], u, v))
+
+
 def _symmetry_blocks(g):
     """The X variables of g, split into blocks on which g is symmetric.
 
@@ -390,21 +408,60 @@ def _symmetry_blocks(g):
     and each block's swaps generate its whole symmetric group: g takes one
     value on a tuple and on every permutation of it within blocks.  Blocks
     are sorted lists, in order of their least variable.
+
+    A transposition maps monomial keys one to one, so no two terms merge
+    under it: g is symmetric in i and j exactly when each swapped key is a
+    key of g with the same coefficient.
     """
-    one = g.field.one
-    spare = max(g.x_indices(), default=0) + 1
+    terms = g.terms
     blocks = []
     for j in g.x_indices():
+        v = ("X", j)
         for block in blocks:
-            swapped = g
-            for old, new in ((block[0], spare), (j, block[0]), (spare, j)):
-                swapped = _substitute_choices(swapped, ("X", old), [(one, ("X", new))])
-            if swapped == g:
+            u = ("X", block[0])
+            for (brackets, body), c in terms.items():
+                key = (_sorted_brackets(_bracket_key(_swap_leaves(a, u, v), _swap_leaves(b, u, v))
+                                        for a, b in brackets),
+                       None if body is None else _swap_leaves(body, u, v))
+                if key not in terms or terms[key] != c:
+                    break
+            else:
                 block.append(j)
                 break
         else:
             blocks.append([j])
     return blocks
+
+
+def _identity_plan(f):
+    """What ``holds_as_identity`` needs of f alone, built on first use and
+    cached on f: ``(maxdeg, components)``, with maxdeg the highest degree
+    of f in one X variable.  components lists ``(g, blocks)`` for each
+    multihomogeneous component of f in the X variables, g fully linearized
+    and blocks its ``_symmetry_blocks``; it is None when the field of f has
+    at most maxdeg elements, where linearization is not exact and f is
+    decided by enumeration.
+
+    The plan is built whole before it is stored, so threads that race to
+    build it store equal plans.
+    """
+    if f._plan is None:
+        xvars = f.x_indices()
+        parts = {}
+        for key, coeff in f.terms.items():
+            parts.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
+        maxdeg = max((max(degrees, default=0) for degrees in parts), default=0)
+        components = None
+        if f.field.size is None or f.field.size > maxdeg:
+            components = []
+            for degrees, terms in parts.items():
+                g = GenPoly(f.field, terms)
+                for j, d in zip(xvars, degrees):
+                    if d > 1:
+                        g, _ = full_linearize(g, j)
+                components.append((g, _symmetry_blocks(g)))
+        f._plan = (maxdeg, components)
+    return f._plan
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +658,24 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     component fully linearized, and the resulting multilinear polynomials
     evaluated on one basis tuple per orbit of their variable symmetry; that
     is exact.  Over too-small prime fields it falls back to exhaustive
-    enumeration of at most EXHAUSTIVE_BUDGET assignments.
+    enumeration of at most EXHAUSTIVE_BUDGET assignments.  The components,
+    their linearizations and their blocks depend on f alone, so they are
+    built on the first call and kept on f (``_identity_plan``); f must be
+    over the field of A.
 
     distinct_slots restricts the E-assignments to pairwise distinct pool
     members, for criteria stated only for distinct axes (the Matsuo pair
     test is the one catalog entry that needs it).
     """
     field = A.field
+    if f.field != field:
+        raise AlgebraMismatch(f"polynomial over {f.field!r} on an algebra over {field!r}")
     _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
-    maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
+    maxdeg, components = _identity_plan(f)
 
-    if field.size is not None and field.size <= maxdeg:
+    if components is None:
         n_assign = len(xvars) * A.dim
         cost = (field.size ** n_assign) * max(1, len(idempotent_pool)) ** len(evars)
         if cost > EXHAUSTIVE_BUDGET:
@@ -624,20 +686,11 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
         witness = _first_nonzero(f, A, form, e_options, vectors)
         return IdentityVerdict(holds=witness is None, witness=witness, method="exhaustive-field")
 
-    # split into multihomogeneous components in the X variables
-    components = {}
-    for key, coeff in f.terms.items():
-        components.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
-
     basis = A.basis()
-    for terms in components.values():
-        g = GenPoly(f.field, terms)
-        for j in xvars:
-            if g.degree_in_x(j) > 1:
-                g, _ = full_linearize(g, j)
+    for g, blocks in components:
         # g is only a yes/no test, so one basis tuple per orbit of its
         # variable symmetry decides it
-        if _first_nonzero(g, A, form, e_options, basis, _symmetry_blocks(g)) is not None:
+        if _first_nonzero(g, A, form, e_options, basis, blocks) is not None:
             witness = _find_witness(f, A, form, e_options, basis)
             return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")

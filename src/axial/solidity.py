@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, generate_subalgebra, induced_structure
+from .algebra import Algebra, generate_subalgebra
 from .axes import AxisReport, check_axis, is_idempotent
 from .errors import NotAxes, SelfCheckFailed, UnsupportedShape
 from .fields import QQ, RationalFunctions
 from .frobenius import BilinearForm
-from .linalg import Coordinates, span_rank
+from .linalg import span_rank
 
 __all__ = [
     "PairClass",
@@ -148,6 +148,8 @@ def _sigma_presentation(B, lam):
 
     The induced basis must be (a, b, ab) with both generators idempotent;
     sigma = ab - lam a - lam b must scale a, b and itself by one constant.
+    These facts are the whole (a, b, sigma) structure: ab = lam a + lam b +
+    sigma, and (a, b, sigma) is a basis, a triangular change of (a, b, ab).
     """
     ind = B.induced
     field = ind.field
@@ -159,20 +161,16 @@ def _sigma_presentation(B, lam):
     if a * b != ab:
         raise UnsupportedShape("third basis member is not the generator product")
     sigma = ab - lam * a - lam * b
+    # a is the first unit vector, so gamma from sigma*a = gamma*a is the
+    # first coordinate of sigma*a, and lam as a field value is -sigma[0]
     sa = sigma * a
-    # gamma from sigma*a = gamma*a
-    gamma = None
-    for i in range(3):
-        if a.coeffs[i]:
-            gamma = sa.coeffs[i] / a.coeffs[i]
-            break
-    if gamma is None or sigma * a != gamma * a or sigma * b != gamma * b or sigma * sigma != gamma * sigma:
+    gamma, lam = sa.coeffs[0], -sigma.coeffs[0]
+    if sa != gamma * a or sigma * b != gamma * b or sigma * sigma != gamma * sigma:
         raise UnsupportedShape("sigma does not act as one scalar on a, b and itself")
-    # change to the (a, b, sigma) basis
-    new_basis = [a, b, sigma]
-    st = induced_structure(new_basis, Coordinates(field, 3, [x.coeffs for x in new_basis]))
-    if st is None:
-        raise UnsupportedShape("(a, b, sigma) do not span the subalgebra")
+    zero, one = field.zero, field.one
+    st = [[(one, zero, zero), (lam, lam, one), (gamma, zero, zero)],
+          [(lam, lam, one), (zero, one, zero), (zero, gamma, zero)],
+          [(gamma, zero, zero), (zero, gamma, zero), (zero, zero, gamma)]]
     return Algebra(field, ["a", "b", "s"], st), gamma
 
 

@@ -47,6 +47,7 @@ from axial.identities import (
     _node,
     _slot_assignments,
     _sorted_brackets,
+    _substitute_choices,
     _symmetry_blocks,
     bracket,
     e_slot,
@@ -996,6 +997,131 @@ def test_symmetry_reduced_decision_against_full_sweep(mats3c, toric, h3_pair, s4
             assert vanishes == swept[key], format_poly(g)
             decided.append(vanishes)
     assert decided.count(False) >= 20 and decided.count(True) >= 60
+
+
+# ---------------------------------------------------------------------------
+# the symmetry test as it ran before the one-pass swap: three full renames
+# through a spare index, kept as the reference for the differential test
+# ---------------------------------------------------------------------------
+
+
+def reference_symmetry_blocks(g):
+    """The X variables of g, split into blocks on which g is symmetric.
+
+    i and j share a block when swapping them leaves g.terms exactly equal.
+    Such swaps compose, (i k) = (i j)(j k)(i j), so this is an equivalence
+    and each block's swaps generate its whole symmetric group: g takes one
+    value on a tuple and on every permutation of it within blocks.  Blocks
+    are sorted lists, in order of their least variable.
+    """
+    one = g.field.one
+    spare = max(g.x_indices(), default=0) + 1
+    blocks = []
+    for j in g.x_indices():
+        for block in blocks:
+            swapped = g
+            for old, new in ((block[0], spare), (j, block[0]), (spare, j)):
+                swapped = _substitute_choices(swapped, ("X", old), [(one, ("X", new))])
+            if swapped == g:
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return blocks
+
+
+def random_tree(rng, leaves, size):
+    if size == 1:
+        return rng.choice(leaves)
+    k = rng.randint(1, size - 1)
+    return _node(random_tree(rng, leaves, k), random_tree(rng, leaves, size - k))
+
+
+def random_bracket_poly(rng):
+    """A sum of up to four monomials on up to 4 X variables and 2 E slots,
+    each with up to two B(s, t) factors, symmetrized or antisymmetrized
+    over a random set of X variables half of the time."""
+    n = rng.randint(1, 4)
+    leaves = [("X", j) for j in range(1, n + 1)] + [("E", i) for i in range(1, rng.randint(1, 3))]
+    f = GenPoly.zero(QQ)
+    for _ in range(rng.randint(1, 4)):
+        args = [random_tree(rng, leaves, rng.randint(1, 3)) for _ in range(2 * rng.randint(0, 2))]
+        brackets = [_bracket_key(s, t) for s, t in zip(args[::2], args[1::2])]
+        f = f + GenPoly.monomial(QQ, QQ.from_int(rng.choice((-3, -2, -1, 1, 2, 3))), brackets,
+                                 random_tree(rng, leaves, rng.randint(1, 4)))
+    if n > 1 and rng.random() < 0.5:
+        moved = rng.sample(range(1, n + 1), rng.randint(2, n))
+        sign = rng.choice((1, -1))
+        total = GenPoly.zero(QQ)
+        for perm in itertools.permutations(moved):
+            image = f
+            for j in moved:  # through spare indices, so the renames do not collide
+                image = _substitute_choices(image, ("X", j), [(QQ.one, ("X", 10 + j))])
+            for j, k in zip(moved, perm):
+                image = _substitute_choices(image, ("X", 10 + j), [(QQ.one, ("X", k))])
+            parity = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            total = total + (QQ.from_int(sign ** parity) * image)
+        f = total
+    return f
+
+
+def test_symmetry_blocks_against_reference():
+    """The one-pass swap test gives the blocks of the three-rename test on
+    every linearized component of the catalog and on seeded random
+    polynomials with E slots and brackets, whose swapped arguments re-sort."""
+    polys = [g for name in BUILTIN_NAMES for g in linearized_components(builtin_identity(name, QQ, HALF))]
+    rng = random.Random(23)
+    polys += [random_bracket_poly(rng) for _ in range(300)]
+    shared = bracketed = 0
+    for g in polys:
+        blocks = _symmetry_blocks(g)
+        assert blocks == reference_symmetry_blocks(g), format_poly(g)
+        if any(len(block) > 1 for block in blocks):
+            shared += 1
+            bracketed += g.has_brackets()
+    assert shared >= 60 and bracketed >= 40
+
+
+def test_plan_is_built_once_per_polynomial(monkeypatch, mats3c, s4):
+    """A polynomial decided on 3C, then S_4, then 3C again is split,
+    linearized and blocked on the first call only, with verdicts equal to
+    the reference decision each time."""
+    import axial.identities as identities
+
+    calls = {"full_linearize": 0, "_symmetry_blocks": 0}
+    for name in calls:
+        def counted(*args, real=getattr(identities, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    cases = [(mats3c.algebra, list(mats3c.axes), mats3c.form), (s4.algebra, list(s4.axes), s4.form)]
+    for name in ("fourPowerAssoc", "jordan", "miyamotoClosure"):
+        f = builtin_identity(name, QQ, HALF)
+        degrees = {reference_multideg(key, f.x_indices()) for key in f.terms}
+        expected = {"full_linearize": sum(d > 1 for ds in degrees for d in ds), "_symmetry_blocks": len(degrees)}
+        before = dict(calls)
+        for A, pool, form in cases + cases[:1]:
+            verdict = holds_as_identity(f, A, idempotent_pool=pool, form=form)
+            assert verdict == reference_holds_as_identity(f, A, pool, form)
+            assert {k: calls[k] - before[k] for k in calls} == expected, name
+
+
+def test_operations_leave_operands_unchanged(mats3c):
+    """A GenPoly is immutable once built: no operation changes the terms of
+    its operands, including the decision that caches a plan on f."""
+    f = builtin_identity("miyamotoClosure", QQ, HALF)
+    g = builtin_identity("jordan", QQ, HALF)
+    slot = builtin_identity("primitivityFrobenius", QQ, HALF)
+    polys = (f, g, slot)
+    before = [dict(p.terms) for p in polys]
+    A, a = mats3c.algebra, mats3c.axes[0]
+    _ = (f + g, f - g, -f, HALF * f, f * HALF, f * g, bracket(f, g),
+         linearize_step(g, 1, 5), full_linearize(g, 1), specialize_idempotent_slot(slot, 1, 3),
+         holds_as_identity(f, A, idempotent_pool=list(mats3c.axes), form=mats3c.form),
+         holds_as_identity(g, A),
+         evaluate(slot, {1: mats3c.axes[1]}, {1: a}, form=mats3c.form))
+    assert [p.terms for p in polys] == before
 
 
 # ---------------------------------------------------------------------------

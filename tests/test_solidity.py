@@ -17,6 +17,7 @@ from axial import (
     toric_euf,
     universal_2gen,
 )
+from axial.algebra import Algebra
 from axial.errors import NotAxes, UnsupportedShape
 from axial.solidity import _sigma_presentation
 
@@ -266,12 +267,23 @@ def _sigma_cases():
     return cases
 
 
-def test_sigma_presentation_against_reference():
+def test_sigma_presentation_against_reference(monkeypatch):
     """The (a, b, sigma) structure matches the k^2 solves it was built from
-    before Coordinates."""
+    before Coordinates, and is read from six products: a a, b b, a b and
+    sigma times a, b and sigma."""
+    products = []
+    real = Algebra.product
+
+    def counted(A, x, y):
+        products.append((x, y))
+        return real(A, x, y)
+
+    monkeypatch.setattr(Algebra, "product", counted)
     for gens, lam in _sigma_cases():
         B = generate_subalgebra(list(gens))
+        products.clear()
         P, gamma = _sigma_presentation(B, lam)
+        assert len(products) == 6
         a, b, ab = B.induced.basis()
         sigma = ab - lam * a - lam * b
         assert P.structure == reference_induced_structure(B.induced.field, [a, b, sigma])
