@@ -151,19 +151,18 @@ class GenPoly:
     """Formal sum of generalized monomials over one scalar field.
 
     A polynomial is immutable once built: every operation returns a new one
-    and leaves the terms of its operands as they were.  Three values that
+    and leaves the terms of its operands as they were.  Two values that
     depend on the terms only are cached on the instance when first asked
-    for: the X indices, the E indices and the plan of ``holds_as_identity``.
+    for: the X indices and the E indices.
     """
 
-    __slots__ = ("field", "terms", "_xidx", "_eidx", "_plan")
+    __slots__ = ("field", "terms", "_xidx", "_eidx")
 
     def __init__(self, field, terms=None):
         self.field = field
         self.terms = {}
         self._xidx = None
         self._eidx = None
-        self._plan = None
         if terms:
             for key, coeff in terms.items():
                 if coeff:
@@ -319,6 +318,17 @@ def format_poly(f):
 # ---------------------------------------------------------------------------
 
 
+def _rebuild_key(key, leaf, feed):
+    """Monomial key with each occurrence of leaf replaced by next(feed), in
+    the order of ``_mono_trees``, and re-sorted."""
+    brackets, body = key
+    new_brs = tuple(
+        _bracket_key(_rebuild_with(a, leaf, feed), _rebuild_with(b, leaf, feed))
+        for a, b in brackets
+    )
+    return _sorted_brackets(new_brs), None if body is None else _rebuild_with(body, leaf, feed)
+
+
 def _substitute_choices(poly, leaf, alternatives):
     """Replace each occurrence of leaf independently by every alternative.
 
@@ -331,18 +341,12 @@ def _substitute_choices(poly, leaf, alternatives):
         if d == 0:
             _accumulate(acc, key, coeff)
             continue
-        brackets, body = key
         for choice in itertools.product(range(len(alternatives)), repeat=d):
             feed = iter([alternatives[c][1] for c in choice])
-            new_brs = tuple(
-                _bracket_key(_rebuild_with(a, leaf, feed), _rebuild_with(b, leaf, feed))
-                for a, b in brackets
-            )
-            new_body = None if body is None else _rebuild_with(body, leaf, feed)
             c = coeff
             for ci in choice:
                 c = alternatives[ci][0] * c
-            _accumulate(acc, (_sorted_brackets(new_brs), new_body), c)
+            _accumulate(acc, _rebuild_key(key, leaf, feed), c)
     return GenPoly(poly.field, acc)
 
 
@@ -366,18 +370,41 @@ def full_linearize(f, j):
 
     Intended for polynomials homogeneous in X_j (each catalog identity is);
     the fresh indices used are returned alongside the result.
+
+    The steps are not run one by one.  With d > 1 the highest degree of f
+    in X_j, they take d - 1 fresh indices, the next above those of f, and
+    leave: each monomial of degree d once for every way to give its d
+    occurrences of X_j the d variables X_j and X_fresh, one each; each
+    monomial free of X_j times (-1)^(d-1), since a step negates it; and
+    nothing of the others, which the steps make linear in X_j and cancel.
+    The fresh variables are placed one at a time, on each remaining
+    occurrence in turn, and equal monomials merge after each.
     """
-    nxt = max(f.x_indices(), default=0) + 1
-    introduced = []
-    cur = f
     leaf = ("X", j)
-    while any(_mono_degree(k, leaf) > 1 for k in cur.terms):
-        while nxt in cur.x_indices():
-            nxt += 1
-        cur = linearize_step(cur, j, nxt)
-        introduced.append(nxt)
-        nxt += 1
-    return cur, introduced
+    degrees = [_mono_degree(key, leaf) for key in f.terms]
+    d = max(degrees, default=0)
+    if d <= 1:
+        return f, []
+    nxt = max(f.x_indices()) + 1
+    introduced = list(range(nxt, nxt + d - 1))
+    acc = {}
+    top = {}
+    for (key, coeff), k in zip(f.terms.items(), degrees):
+        if k == 0:
+            _accumulate(acc, key, coeff if d % 2 else -coeff)
+        elif k == d:
+            top[key] = coeff
+    for k, fresh in zip(range(d, 1, -1), introduced):
+        placed = {}
+        for key, coeff in top.items():
+            for p in range(k):
+                choices = [leaf] * k
+                choices[p] = ("X", fresh)
+                _accumulate(placed, _rebuild_key(key, leaf, iter(choices)), coeff)
+        top = placed
+    for key, coeff in top.items():
+        _accumulate(acc, key, coeff)
+    return GenPoly(f.field, acc), introduced
 
 
 def specialize_idempotent_slot(f, i, fresh_x):
@@ -431,37 +458,6 @@ def _symmetry_blocks(g):
         else:
             blocks.append([j])
     return blocks
-
-
-def _identity_plan(f):
-    """What ``holds_as_identity`` needs of f alone, built on first use and
-    cached on f: ``(maxdeg, components)``, with maxdeg the highest degree
-    of f in one X variable.  components lists ``(g, blocks)`` for each
-    multihomogeneous component of f in the X variables, g fully linearized
-    and blocks its ``_symmetry_blocks``; it is None when the field of f has
-    at most maxdeg elements, where linearization is not exact and f is
-    decided by enumeration.
-
-    The plan is built whole before it is stored, so threads that race to
-    build it store equal plans.
-    """
-    if f._plan is None:
-        xvars = f.x_indices()
-        parts = {}
-        for key, coeff in f.terms.items():
-            parts.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
-        maxdeg = max((max(degrees, default=0) for degrees in parts), default=0)
-        components = None
-        if f.field.size is None or f.field.size > maxdeg:
-            components = []
-            for degrees, terms in parts.items():
-                g = GenPoly(f.field, terms)
-                for j, d in zip(xvars, degrees):
-                    if d > 1:
-                        g, _ = full_linearize(g, j)
-                components.append((g, _symmetry_blocks(g)))
-        f._plan = (maxdeg, components)
-    return f._plan
 
 
 # ---------------------------------------------------------------------------
@@ -658,24 +654,19 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     component fully linearized, and the resulting multilinear polynomials
     evaluated on one basis tuple per orbit of their variable symmetry; that
     is exact.  Over too-small prime fields it falls back to exhaustive
-    enumeration of at most EXHAUSTIVE_BUDGET assignments.  The components,
-    their linearizations and their blocks depend on f alone, so they are
-    built on the first call and kept on f (``_identity_plan``); f must be
-    over the field of A.
+    enumeration of at most EXHAUSTIVE_BUDGET assignments.
 
     distinct_slots restricts the E-assignments to pairwise distinct pool
     members, for criteria stated only for distinct axes (the Matsuo pair
     test is the one catalog entry that needs it).
     """
     field = A.field
-    if f.field != field:
-        raise AlgebraMismatch(f"polynomial over {f.field!r} on an algebra over {field!r}")
     _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
-    maxdeg, components = _identity_plan(f)
+    maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
 
-    if components is None:
+    if field.size is not None and field.size <= maxdeg:
         n_assign = len(xvars) * A.dim
         cost = (field.size ** n_assign) * max(1, len(idempotent_pool)) ** len(evars)
         if cost > EXHAUSTIVE_BUDGET:
@@ -686,11 +677,20 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
         witness = _first_nonzero(f, A, form, e_options, vectors)
         return IdentityVerdict(holds=witness is None, witness=witness, method="exhaustive-field")
 
+    # split into multihomogeneous components in the X variables
+    components = {}
+    for key, coeff in f.terms.items():
+        components.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
+
     basis = A.basis()
-    for g, blocks in components:
+    for terms in components.values():
+        g = GenPoly(f.field, terms)
+        for j in xvars:
+            if g.degree_in_x(j) > 1:
+                g, _ = full_linearize(g, j)
         # g is only a yes/no test, so one basis tuple per orbit of its
         # variable symmetry decides it
-        if _first_nonzero(g, A, form, e_options, basis, blocks) is not None:
+        if _first_nonzero(g, A, form, e_options, basis, _symmetry_blocks(g)) is not None:
             witness = _find_witness(f, A, form, e_options, basis)
             return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")

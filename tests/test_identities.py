@@ -1082,34 +1082,54 @@ def test_symmetry_blocks_against_reference():
     assert shared >= 60 and bracketed >= 40
 
 
-def test_plan_is_built_once_per_polynomial(monkeypatch, mats3c, s4):
-    """A polynomial decided on 3C, then S_4, then 3C again is split,
-    linearized and blocked on the first call only, with verdicts equal to
-    the reference decision each time."""
-    import axial.identities as identities
+def reference_full_linearize(f, j):
+    """full_linearize as it ran before the one-pass expansion: the X_j
+    step, iterated while a monomial is more than linear in X_j."""
+    nxt = max(f.x_indices(), default=0) + 1
+    introduced = []
+    cur = f
+    leaf = ("X", j)
+    while any(_mono_degree(k, leaf) > 1 for k in cur.terms):
+        while nxt in cur.x_indices():
+            nxt += 1
+        cur = linearize_step(cur, j, nxt)
+        introduced.append(nxt)
+        nxt += 1
+    return cur, introduced
 
-    calls = {"full_linearize": 0, "_symmetry_blocks": 0}
-    for name in calls:
-        def counted(*args, real=getattr(identities, name), name=name):
-            calls[name] += 1
-            return real(*args)
 
-        monkeypatch.setattr(identities, name, counted)
-    cases = [(mats3c.algebra, list(mats3c.axes), mats3c.form), (s4.algebra, list(s4.axes), s4.form)]
-    for name in ("fourPowerAssoc", "jordan", "miyamotoClosure"):
-        f = builtin_identity(name, QQ, HALF)
-        degrees = {reference_multideg(key, f.x_indices()) for key in f.terms}
-        expected = {"full_linearize": sum(d > 1 for ds in degrees for d in ds), "_symmetry_blocks": len(degrees)}
-        before = dict(calls)
-        for A, pool, form in cases + cases[:1]:
-            verdict = holds_as_identity(f, A, idempotent_pool=pool, form=form)
-            assert verdict == reference_holds_as_identity(f, A, pool, form)
-            assert {k: calls[k] - before[k] for k in calls} == expected, name
+def test_full_linearize_against_reference():
+    """The one-pass expansion gives the iterated steps' polynomial and fresh
+    indices, with equal coefficient types, on the catalog over Q and F_7,
+    on polynomials mixing X_j-degrees 0 to 4 (one with no body), and on
+    seeded random polynomials with E slots and brackets of X_j-degree at
+    most 4."""
+    F7 = PrimeField(7)
+    polys = [builtin_identity(name, QQ, HALF) for name in BUILTIN_NAMES]
+    polys += [builtin_identity(name, F7, F7.from_fraction(HALF)) for name in BUILTIN_NAMES]
+    polys += [parse_poly(text, field) for field in (QQ, F7) for text in (
+        "x1*(x1*x1) + 3*(x1*x1) - x1*x2 + 2*(E1*x2)",
+        "(x1*x1)*(x1*x1) - B(x1,x1)*(x1*E1) + 5*B(x2,E1)*E1",
+    )]
+    polys.append(bracket(parse_poly("x1*x1 + x2", QQ), parse_poly("x1*E1 - x1", QQ)))
+    rng = random.Random(29)
+    polys += [random_bracket_poly(rng) for _ in range(200)]
+    compared = 0
+    for f in polys:
+        for j in f.x_indices():
+            if f.degree_in_x(j) > 4:
+                continue
+            g, introduced = full_linearize(f, j)
+            h, expected = reference_full_linearize(f, j)
+            assert (g, introduced) == (h, expected), (format_poly(f), j)
+            assert {k: type(c) for k, c in g.terms.items()} == {k: type(c) for k, c in h.terms.items()}
+            compared += f.degree_in_x(j) > 1
+    assert compared >= 250
 
 
 def test_operations_leave_operands_unchanged(mats3c):
     """A GenPoly is immutable once built: no operation changes the terms of
-    its operands, including the decision that caches a plan on f."""
+    its operands, the decision and the evaluation included."""
     f = builtin_identity("miyamotoClosure", QQ, HALF)
     g = builtin_identity("jordan", QQ, HALF)
     slot = builtin_identity("primitivityFrobenius", QQ, HALF)
