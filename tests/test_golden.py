@@ -46,10 +46,22 @@ F_65521, and the ``sample_identity`` verdicts and witnesses at seed 17 on
 the corpus of criterion C10.  Verdicts and witnesses are deterministic, so
 a change to how identities are evaluated must leave it as it is.
 
+``GOLDEN_AXES`` covers the axes layer: the ``check_axis`` record (spectrum,
+semisimple, axis, primitive, ax1, the four fusion verdicts, the eigenspace
+bases and the Miyamoto matrix), ``seress_check`` verdicts,
+``component_recovery`` parts and ``axis_orbit`` members of toric
+idempotents at several eps and of the points of the Matsuo algebra of S_4,
+over Q and F_101, of the sum 3C(1/2) + 3C(1/3), of the axes of the
+2-generated algebra at four values of pi and of the generic member of its
+idempotent family over Q(m), with the ``radical`` bases of degenerate forms.
+Eigenspace bases are the canonical kernel bases, so a change to how an axis
+is certified must leave it as it is.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
 digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT``,
-``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS`` and ``GOLDEN_IDENTITIES``.  A change to a constant
+``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS``, ``GOLDEN_IDENTITIES`` and
+``GOLDEN_AXES``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -58,10 +70,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from axial import (QQ, PrimeField, builtin_identity, check_axis, evaluate, generate_subalgebra,
-                   holds_as_identity, jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly,
-                   sample_identity, solid_audit, solve_frobenius, toric_euf, trace_form, universal_2gen)
-from axial.algebra import Element
+from axial import (QQ, PrimeField, axis_orbit, builtin_identity, check_axis, component_recovery,
+                   enumerate_idempotents_2gen, evaluate, generate_subalgebra, holds_as_identity,
+                   jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly, radical,
+                   sample_identity, seress_check, solid_audit, solve_frobenius, toric_euf, trace_form,
+                   universal_2gen)
+from axial.algebra import Algebra, Element
+from axial.errors import OrbitOverflow
 from axial.fields import Fp, RatFunc, RationalFunctions
 from axial.identities import BUILTIN_NAMES
 from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
@@ -71,6 +86,7 @@ GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
 GOLDEN_QT_KERNEL = "401fb2b385d5f81d2ceefc9f84999c18936abb96e8a719c7801e5089f03eb8cf"
 GOLDEN_PRODUCTS = "dfd6c50e29f3d7e2e21ee7fde7d6c9faf123ec463eb143677ad0c7556f76aa1c"
 GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
+GOLDEN_AXES = "f0615aeede7164f01b43cfe46afd7e7cd3a04a91ec2f742c6ab78841c1af9544"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -391,6 +407,88 @@ def _identity_records():
             yield [v.holds, v.method, v.witness]
 
 
+def _direct_sum(A, B):
+    """The block-diagonal sum of two algebras over one field."""
+    n, m, zero = A.dim, B.dim, A.field.zero
+
+    def cell(i, j):
+        if i < n and j < n:
+            return tuple(A.structure[i][j]) + (zero,) * m
+        if i >= n and j >= n:
+            return (zero,) * n + tuple(B.structure[i - n][j - n])
+        return (zero,) * (n + m)
+
+    return Algebra(A.field, [f"L.{s}" for s in A.basis_names] + [f"R.{s}" for s in B.basis_names],
+                   [[cell(i, j) for j in range(n + m)] for i in range(n + m)])
+
+
+def _axes_records():
+    """``check_axis``, ``seress_check``, ``component_recovery``,
+    ``axis_orbit`` and ``radical`` on toric, Matsuo S_4, 3C(1/2) + 3C(1/3),
+    two-gen and the Q(m) family member, over Q, F_101 and Q(m)."""
+    rng = random.Random(23)
+
+    def certify(a, lam, recover=None):
+        rep = check_axis(a, lam)
+        out = [rep.is_idempotent, rep.spectrum, rep.semisimple, rep.is_axis, rep.primitive, rep.ax1_holds]
+        if rep.eigen is not None:
+            out.append([[mu, rep.eigen.eigenspaces[mu]] for mu in rep.eigen.eigenvalues])
+        if rep.fusion is not None:
+            f = rep.fusion
+            out += [[f.a01_subalgebra, f.module_rule, f.pre_jordan, f.jordan_a0], rep.miyamoto.matrix]
+        if rep.is_axis:
+            out.append(seress_check(a, lam))
+        if recover is not None:
+            A, field = a.algebra, a.algebra.field
+            ys = A.basis() + [A.element([field.from_int(rng.randint(-4, 4)) for _ in range(A.dim)])]
+            for y in ys:
+                comp = component_recovery(a, y, recover)
+                out.append([comp.y1, comp.y0, comp.by_eigenvalue])
+        return out
+
+    def orbit(axes, lam):
+        try:
+            return ["closed", axis_orbit(axes, lam, max_size=12)]
+        except OrbitOverflow as exc:
+            return ["overflow", exc.partial]
+
+    for field in (QQ, PrimeField(101)):
+        half = field.from_fraction(Fraction(1, 2))
+        tor = toric_euf(field)
+        xs = [tor.idempotent(field.from_fraction(e)) for e in (1, 2, Fraction(-3, 7), 5, Fraction(1, 3))]
+        for x in xs:
+            yield certify(x, half, [half])
+        yield [certify(tor.u, half), certify(tor.e, half), orbit(xs[:2], half)]
+        s4 = matsuo_from_triple_system(_transpositions(4), half, field)
+        for k, a in enumerate(s4.axes):
+            yield certify(a, half, [half] if k < 2 else None)
+        yield [orbit(s4.axes[:1], half), orbit([s4.axes[0], s4.axes[5]], half), orbit(s4.axes[:2], half)]
+        degenerate = matsuo_from_triple_system(_transpositions(4), field.from_fraction(Fraction(-1, 2)), field)
+        yield radical(degenerate.form)
+        tg = universal_2gen(half, field.from_fraction(Fraction(1, 8)), field)
+        yield [certify(a, half, [half]) for a in tg.axes]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    c3 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), half)
+    c3_third = matsuo_from_triple_system((["p", "q", "r"], [["p", "q", "r"]]), third)
+    D = _direct_sum(c3.algebra, c3_third.algebra)
+    for coeffs in ([1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]):
+        a = D.element([Fraction(c) for c in coeffs])
+        yield certify(a, half)
+        yield certify(a, third)
+    a = D.element([Fraction(c) for c in (1, 0, 0, 1, 0, 0)])
+    yield [[c.y1, c.y0, c.by_eigenvalue] for S in ([half, third], [third, half])
+           for c in (component_recovery(a, y, S) for y in D.basis())]
+    yield radical(matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), Fraction(-1)).form)
+    for pi in (Fraction(0), Fraction(1, 8), Fraction(2), Fraction(1, 3)):
+        tg = universal_2gen(half, pi)
+        yield [certify(a, half, [half]) for a in tg.axes]
+        yield [orbit(list(tg.axes), half), tg.form and radical(tg.form)]
+    tg = universal_2gen(half, Fraction(1, 8))
+    enum = enumerate_idempotents_2gen(generate_subalgebra(list(tg.axes)), half)
+    _lifted, generic = enum.family.symbolic()
+    yield certify(generic, generic.algebra.field.from_fraction(half), [generic.algebra.field.from_fraction(half)])
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -419,9 +517,14 @@ def test_golden_identity_outputs():
     assert digest(_identity_records) == GOLDEN_IDENTITIES
 
 
+def test_golden_axes_outputs():
+    assert digest(_axes_records) == GOLDEN_AXES
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
     print(digest(_qt_kernel_records))
     print(digest(_product_records))
     print(digest(_identity_records))
+    print(digest(_axes_records))
