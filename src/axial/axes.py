@@ -6,6 +6,13 @@ by x(x-1)(x-lam), equivalently whose eigenspaces for {0, 1, lam} decompose
 the algebra.  Beside the fusion verdicts, one rule on the certified spectrum
 {0, 1} + S gives the annihilator prod (x - mu), the components l_mu(L_a) y for
 the Lagrange basis polynomials l_mu, and tau_a = 1 - 2*l_lam(L_a).
+
+One certification builds L_a once: ``EigenData`` carries it to the
+spectrum tests, the Miyamoto map and the fusion verdicts.  Polynomials in
+L_a are evaluated by Horner's rule on its lifted entries (``linalg``'s
+``lift_rows``), and the annihilator, tau_a and the products of the fusion
+and Seress checks are tested on lifted entries too; only tau_a is read back
+into field values.
 """
 
 from __future__ import annotations
@@ -16,13 +23,15 @@ from dataclasses import dataclass, field as dfield
 from .algebra import Algebra, Element
 from .errors import (
     BadLambda,
+    DimensionMismatch,
     IncompleteDecomposition,
     NotAnAxis,
     NotIdempotent,
     OrbitOverflow,
     SingularVandermonde,
 )
-from .linalg import Echelon, Matrix, minimal_polynomial
+from .linalg import (Echelon, Matrix, _multiply_lifted, apply_lifted, lift_rows, lift_sparse,
+                     lifted_one, lifted_zero, minimal_polynomial, read_lifted)
 from .fields import _horner
 
 __all__ = [
@@ -52,6 +61,7 @@ class EigenData:
     eigenvalues: list
     eigenspaces: dict
     complete: bool
+    operator: Matrix = dfield(repr=False)  # L_a
 
     def space(self, mu):
         return self.eigenspaces.get(mu, [])
@@ -72,16 +82,19 @@ def eigen_decompose(a):
     """
     if not is_idempotent(a):
         raise NotIdempotent("eigen decomposition requires an idempotent")
+    return _decompose(a, a.left_multiplication_matrix())
+
+
+def _decompose(a, L):
+    """``eigen_decompose`` of the idempotent a with L = L_a."""
     A = a.algebra
-    field = A.field
-    L = a.left_multiplication_matrix()
-    mp = minimal_polynomial(L)
-    roots = field.poly_roots(list(mp))
+    roots = A.field.poly_roots(list(minimal_polynomial(L)))
     spaces = {}
-    for mu in roots:  # A_mu is the kernel of x - mu at L
-        spaces[mu] = [A.element(v) for v in _poly_at(_root_poly(field, [mu]), L).kernel()]
+    for mu in roots:  # A_mu is the kernel of L - mu
+        shifted = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(L.rows)]
+        spaces[mu] = [A.element(v) for v in Matrix._wrap(A.field, shifted).kernel()]
     total = sum(len(basis) for basis in spaces.values())
-    return EigenData(axis=a, eigenvalues=roots, eigenspaces=spaces, complete=(total == A.dim))
+    return EigenData(axis=a, eigenvalues=roots, eigenspaces=spaces, complete=(total == A.dim), operator=L)
 
 
 @dataclass
@@ -137,22 +150,21 @@ def check_axis(a, lam):
     otherwise it is exactly when its Sylvester matrix with its derivative is
     nonsingular.
     """
-    A = a.algebra
-    field = A.field
+    field = a.algebra.field
     if lam == field.zero or lam == field.one:
         raise BadLambda("the axis eigenvalue must avoid 0 and 1")
     if not is_idempotent(a):
         return AxisReport(element=a, lam=lam, is_idempotent=False)
     L = a.left_multiplication_matrix()
+    eigen = _decompose(a, L)
     mp = minimal_polynomial(L)
-    annihilator = _root_poly(field, [field.zero, field.one, lam])
-    divides = _divides_root_poly(mp, [field.zero, field.one, lam])
+    nodes = [field.zero, field.one, lam]
+    divides = _divides_root_poly(mp, nodes)
     # a divisor of a product of distinct linear factors is squarefree
     semisimple = divides or _is_squarefree(field, mp)
-    ax1 = _poly_at(annihilator, L).is_zero()
+    ax1 = not any(any(row) for row in _poly_at(_root_poly(field, nodes), L)[0])
     assert ax1 == divides, "annihilator and minimal-polynomial routes disagree"
 
-    eigen = eigen_decompose(a)
     is_axis = divides and eigen.complete
     primitive = is_axis and eigen.dim_of(field.one) == 1
     tau = miyamoto(a, lam, _eigen=eigen) if is_axis else None
@@ -171,6 +183,8 @@ def check_fusion(a, lam, eigen=None):
     (d) A0 * A0 in A0.  Membership is exact reduction against one echelon
     basis per target eigenspace.  a*u = mu*u for u in A_mu, so when A_1 is
     spanned by a alone, products with it obey every rule and are skipped.
+    Each basis member is lifted once, and each product enters its echelon
+    as lifted entries.
     """
     A = a.algebra
     field = A.field
@@ -181,30 +195,37 @@ def check_fusion(a, lam, eigen=None):
         raise IncompleteDecomposition(
             "fusion check requires a complete decomposition with spectrum in {0, 1, lam}"
         )
-    a0, a1, alam = eigen.space(field.zero), eigen.space(field.one), eigen.space(lam)
+    spaces = [[v.coeffs for v in eigen.space(mu)] for mu in (field.zero, field.one, lam)]
+    in01, in_lam, in0 = (Echelon(field, span) for span in (spaces[0] + spaces[1], spaces[2], spaces[0]))
+    a0, a1, alam = ([lift_sparse(field, v) for v in span] for span in spaces)
     a1_checked = a1 if len(a1) > 1 else []
-    in01, in_lam, in0 = (Echelon(field, [v.coeffs for v in span]) for span in (a0 + a1, alam, a0))
 
-    def contained(products, ech):
-        return all(ech.contains(p.coeffs) for p in products)
+    def contained(pairs, ech):
+        return all(ech.contains_integers(A.lifted_product(u, v)[0]) for u, v in pairs)
 
-    sq0 = [u * v for i, u in enumerate(a0) for v in a0[i:]]
+    sq0 = [(u, v) for i, u in enumerate(a0) for v in a0[i:]]
     closed_01 = contained(
-        sq0 + [u * v for i, u in enumerate(a1_checked) for v in a0 + a1_checked[i:]], in01)
-    module_rule = contained([u * w for u in a0 + a1_checked for w in alam], in_lam)
-    pre_jordan = contained([w * x for i, w in enumerate(alam) for x in alam[i:]], in01)
+        sq0 + [(u, v) for i, u in enumerate(a1_checked) for v in a0 + a1_checked[i:]], in01)
+    module_rule = contained([(u, w) for u in a0 + a1_checked for w in alam], in_lam)
+    pre_jordan = contained([(w, x) for i, w in enumerate(alam) for x in alam[i:]], in01)
     jordan_a0 = contained(sq0, in0)
     return FusionVerdicts(closed_01, module_rule, pre_jordan, jordan_a0)
 
 
-def _require_axis(a, eigenvalues_s):
-    """a must be idempotent with minimal polynomial dividing x(x-1)*prod(x-mu)."""
-    if not is_idempotent(a):
-        raise NotAnAxis("not an idempotent")
+def _require_axis(a, eigenvalues_s, eigen=None):
+    """a must be idempotent with minimal polynomial dividing x(x-1)*prod(x-mu);
+    returns L_a.  A decomposition eigen of a stands for the idempotency test
+    and brings L_a."""
+    if eigen is None:
+        if not is_idempotent(a):
+            raise NotAnAxis("not an idempotent")
+        L = a.left_multiplication_matrix()
+    else:
+        L = eigen.operator
     field = a.algebra.field
-    mp = minimal_polynomial(a.left_multiplication_matrix())
-    if not _divides_root_poly(mp, [field.zero, field.one, *eigenvalues_s]):
+    if not _divides_root_poly(minimal_polynomial(L), [field.zero, field.one, *eigenvalues_s]):
         raise NotAnAxis("operator is not annihilated by the expected spectrum polynomial")
+    return L
 
 
 def _divides_root_poly(mp, nodes):
@@ -246,14 +267,48 @@ def _lagrange(field, nodes, mu):
 
 
 def _poly_at(poly, L):
-    """poly(L) by Horner's rule, with deg(poly) - 1 matrix products."""
-    acc = L.scaled(poly[-1])
-    for j, c in enumerate(reversed(poly[:-1])):
-        if j:
-            acc = acc @ L
-        for i, row in enumerate(acc.rows):  # acc is freshly built: add c*I in place
-            row[i] = row[i] + c
-    return acc
+    """poly(L) of degree >= 1 by Horner's rule on lifted entries, with
+    deg(poly) - 1 matrix products: ``(rows, s)``, the dense rows of entries
+    of s * poly(L), least residues over F_p.
+
+    With L = A / d for the lifted rows A and poly = e / s for the lifted
+    coefficients e, the accumulator after k products stands for the
+    partial sum times s * d^(k+1), so each coefficient enters the diagonal
+    as e_j * d^(k+1).
+    """
+    field = L.field
+    p, n, zero = field.char, L.nrows, lifted_zero(field)
+    a, d = lift_rows(field, L.rows)
+    e, s = field.integer_lift(poly)
+    acc = [[zero] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        for j, x in row:
+            acc[i][j] = e[-1] * x
+    scale = d
+    for k, c in enumerate(reversed(e[:-1])):
+        if k:
+            acc = _multiply_lifted(_sparse(acc, p), a, n, zero)
+            scale *= d
+        if c:
+            c *= scale
+            for i, row in enumerate(acc):
+                row[i] += c
+    if p:
+        acc = [[x % p for x in row] for row in acc]
+    return acc, s * scale
+
+
+def _as_sparse(entries, p):
+    """Dense lifted entries as the pairs of ``lift_sparse``, least residues
+    over F_p."""
+    if p:
+        entries = [x % p for x in entries]
+    return [(k, x) for k, x in enumerate(entries) if x]
+
+
+def _sparse(rows, p):
+    """Dense rows of lifted entries as the sparse rows of ``lift_rows``."""
+    return [_as_sparse(row, p) for row in rows]
 
 
 @dataclass
@@ -307,13 +362,20 @@ class MiyamotoMap:
     axis: Element
     lam: object
     fusion: FusionVerdicts
+    _lifted: tuple = dfield(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # apply multiplies the ``lift_rows`` lift of matrix, made once here
+        self._lifted = lift_rows(self.matrix.field, self.matrix.rows)
 
     @property
     def is_automorphism(self):
         return self.fusion.all_pre_jordan
 
     def apply(self, y):
-        return y.algebra.element(self.matrix.apply(list(y.coeffs)))
+        if len(y.coeffs) != self.matrix.ncols:
+            raise DimensionMismatch("vector length differs from column count")
+        return y.algebra.element(apply_lifted(y.algebra.field, *self._lifted, list(y.coeffs)))
 
 
 def miyamoto(a, lam, _eigen=None):
@@ -325,21 +387,48 @@ def miyamoto(a, lam, _eigen=None):
     is invertible in every supported field.  So tau(xy) = tau(x)tau(y) for
     all x, y exactly when that splitting is a Z/2-grading: fusion rules (a)
     A01*A01 <= A01, (b) A01*Alam <= Alam and (c) Alam*Alam <= A01, read from
-    the verdicts of check_fusion.
+    the verdicts of check_fusion.  With e * l_lam(L_a) = Q on lifted
+    entries, tau = (e - 2Q) / e; tau^2 = 1 is asserted on those entries,
+    and tau is read back once.
     """
     A = a.algebra
     field = A.field
     if lam == field.zero or lam == field.one:
         raise BadLambda("the flipped eigenvalue must avoid 0 and 1")
-    _require_axis(a, [lam])
-    eigen = _eigen if _eigen is not None else eigen_decompose(a)
+    L = _require_axis(a, [lam], _eigen)
+    eigen = _eigen if _eigen is not None else _decompose(a, L)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
-    eye = Matrix.identity(field, A.dim)
-    ell = _lagrange(field, [field.zero, field.one, lam], lam)
-    T = eye - _poly_at(ell, a.left_multiplication_matrix()).scaled(field.from_int(2))
-    assert (T @ T) == eye, "Miyamoto map is not an involution"
-    return MiyamotoMap(matrix=T, axis=a, lam=lam, fusion=check_fusion(a, lam, eigen))
+    T, e = _involution(L, lam)
+    assert _is_involution(_sparse(T, field.char), e, field), "Miyamoto map is not an involution"
+    matrix = Matrix._wrap(field, [read_lifted(field, row, e) for row in T])
+    return MiyamotoMap(matrix=matrix, axis=a, lam=lam, fusion=check_fusion(a, lam, eigen))
+
+
+def _involution(L, lam):
+    """tau = 1 - 2*l_lam(L) for l_lam on {0, 1, lam}, on lifted entries:
+    ``(rows, e)``, the dense rows of e * tau, least residues over F_p."""
+    field = L.field
+    Q, e = _poly_at(_lagrange(field, [field.zero, field.one, lam], lam), L)
+    T = [[-2 * x for x in row] for row in Q]
+    for i, row in enumerate(T):
+        row[i] += e
+    if field.char:
+        T = [[x % field.char for x in row] for row in T]
+    return T, e
+
+
+def _is_involution(lifted, e, field):
+    """Is tau = T / e its own inverse, for the sparse lifted rows of T:
+    is T T = e^2 times the identity, mod p over F_p?"""
+    p, e2 = field.char, e * e
+    for i, row in enumerate(_multiply_lifted(lifted, lifted, len(lifted), lifted_zero(field))):
+        for j, x in enumerate(row):
+            if i == j:
+                x = x - e2
+            if x % p if p else x:
+                return False
+    return True
 
 
 def axis_orbit(axes, lam, max_size=1000):
@@ -387,26 +476,54 @@ def axis_orbit(axes, lam, max_size=1000):
 
 
 def seress_check(a, lam):
-    """a(yz) = (ay)z + a(y0 z0) for all basis y and z in A_{0,1}(a), y0 = l_0(L_a) y."""
+    """a(yz) = (ay)z + a(y0 z0) for all basis y and z in A_{0,1}(a), y0 = l_0(L_a) y.
+
+    z runs over the bases of A_0, where z0 = z, and of A_1, where z0 = 0.
+    The products run on lifts, and the two sides are compared over the
+    product of their denominators.
+    """
     A = a.algebra
     field = A.field
-    _require_axis(a, [lam])
-    eigen = eigen_decompose(a)
+    L = _require_axis(a, [lam])
+    eigen = _decompose(a, L)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
     _check_recovery_spectrum(field, [lam])
-    P0 = _poly_at(_lagrange(field, [field.zero, field.one, lam], field.zero),
-                  a.left_multiplication_matrix())
-    z01 = eigen.space_01()
-    z0s = [A.element(P0.apply(z.coeffs)) for z in z01]
-    for j, y in enumerate(A.basis()):
-        y0, ay = A.element(P0.column(j)), a * y
-        for z, z0 in zip(z01, z0s):
-            lhs = a * (y * z)
-            rhs = ay * z + a * (y0 * z0)
-            if lhs != rhs:
+    P0, e = _poly_at(_lagrange(field, [field.zero, field.one, lam], field.zero), L)
+    p, n, zero, one = field.char, A.dim, lifted_zero(field), lifted_one(field)
+
+    def times(x, y):
+        out, s = A.lifted_product(x, y)
+        return _as_sparse(out, p), s
+
+    a_lift = lift_sparse(field, a.coeffs)
+    z01 = [(lift_sparse(field, z.coeffs), mu == field.zero)
+           for mu in (field.zero, field.one) for z in eigen.space(mu)]
+    for j in range(n):
+        y = ([(j, one)], one)
+        y0 = ([(i, row[j]) for i, row in enumerate(P0) if row[j]], e)
+        ay = times(a_lift, y)
+        for z, in_a0 in z01:
+            rhs = [times(ay, z)]
+            if in_a0:
+                rhs.append(times(a_lift, times(y0, z)))
+            if not _is_sum(times(a_lift, times(y, z)), rhs, n, p, zero):
                 return False
     return True
+
+
+def _is_sum(lhs, terms, n, p, zero):
+    """Does the sparse lift lhs stand for the sum of the sparse lifts terms?
+    Each lift (pairs, s) is brought over the product of all denominators."""
+    lifts = [lhs] + terms
+    diff = [zero] * n
+    for i, (pairs, _) in enumerate(lifts):
+        c = math.prod((s for k, (_, s) in enumerate(lifts) if k != i), start=1)
+        if i:
+            c = -c
+        for k, x in pairs:
+            diff[k] += c * x
+    return not any(x % p if p else x for x in diff)
 
 
 def infer_lambda(a):

@@ -804,6 +804,9 @@ class Field:
 
 class Rationals(Field):
     kind = "Q"
+    # a Fraction is immutable, so one zero and one one serve every read
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def parse(self, text):
         text = text.strip()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import require_same_algebra
 from .errors import DimensionMismatch, SelfCheckFailed
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, lift_sparse
 
 __all__ = [
     "BilinearForm",
@@ -217,13 +217,13 @@ def radical(form):
     """Kernel of the Gram matrix, verified to be an ideal of the algebra."""
     A = form.algebra
     vecs = form.gram.kernel()
-    rad = [A.element(v) for v in vecs]
     span = Echelon(A.field, vecs)
-    for r in rad:
-        for b in A.basis():
-            if not span.contains((r * b).coeffs):
+    basis = [lift_sparse(A.field, b.coeffs) for b in A.basis()]
+    for r in (lift_sparse(A.field, v) for v in vecs):
+        for b in basis:
+            if not span.contains_integers(A.lifted_product(r, b)[0]):
                 raise SelfCheckFailed("form kernel is not an ideal")  # impossible for associative forms
-    return rad
+    return [A.element(v) for v in vecs]
 
 
 def axial_radical(A, axes, lam):

@@ -19,14 +19,15 @@ from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 appends it or reads its coordinates, for ``minimal_polynomial`` and the
 basis and induced structure constants of a generated subalgebra.
 ``span_contains``, ``span_rank``, the membership tests elsewhere and
-``solve_frobenius`` keep an ``Echelon`` of their own.  ``Matrix`` is dense.
+``solve_frobenius`` keep an ``Echelon`` of their own; the tests of lifted
+products use ``contains_integers``.  ``Matrix`` is dense.
 
 Products run on lifted entries too.  ``lift_sparse`` and ``lift_rows``
 lift the nonzero entries of each operand once, ``Matrix.__matmul__`` and
-``Matrix.apply`` accumulate products of entries from the lifted zero, and
-``read_lifted`` builds one field value per nonzero entry of a sum, over the
-product of the operands' denominators; over F_p that is where an entry is
-reduced mod p.  ``minimal_polynomial`` keeps each power M^k as one
+``Matrix.apply`` (``apply_lifted``) accumulate products of entries from the
+lifted zero, and ``read_lifted`` builds one field value per nonzero entry
+of a sum, over the product of the operands' denominators; over F_p that is
+where an entry is reduced mod p.  ``minimal_polynomial`` keeps each power M^k as one
 flattened vector of entries over a scale that divides d^k, and hands it to
 ``Coordinates.place`` as a lift, so no field value is built between powers.
 The algebra product, its lifted form and L_a (``algebra.py``) run on the
@@ -85,6 +86,17 @@ def read_lifted(field, entries, d):
     for the others."""
     zero, value = field.zero, field.from_lift
     return [value(x, d) if x else zero for x in entries]
+
+
+def apply_lifted(field, a, d, vec):
+    """The product of the lifted sparse rows a over d with the vector vec of
+    field values, read back once: ``Matrix.apply`` of the matrix a / d."""
+    column = [[] for _ in vec]  # vec as a one-column matrix
+    v, dv = lift_sparse(field, vec)
+    for c, x in v:
+        column[c] = [(0, x)]
+    out = _multiply_lifted(a, column, 1, lifted_zero(field))
+    return read_lifted(field, [row[0] for row in out], d * dv)
 
 
 def _multiply_lifted(a, b, ncols, zero):
@@ -272,6 +284,13 @@ class Echelon:
         _eliminate(r, 0, self._rows, self._p, self._gcd)
         return not r
 
+    def contains_integers(self, row):
+        """``contains`` for a row of lifted entries, read as ``add_integers``
+        reads them."""
+        r = self._integers(row)
+        _eliminate(r, 0, self._rows, self._p, self._gcd)
+        return not r
+
 
 class Coordinates:
     """Coordinates in a growing independent list of vectors of length n.
@@ -428,14 +447,7 @@ class Matrix:
         """Matrix-vector product; vec is a sequence of field values."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length differs from column count")
-        field = self.field
-        a, da = lift_rows(field, self.rows)
-        column = [[] for _ in vec]  # vec as a one-column matrix
-        v, dv = lift_sparse(field, vec)
-        for c, x in v:
-            column[c] = [(0, x)]
-        out = _multiply_lifted(a, column, 1, lifted_zero(field))
-        return read_lifted(field, [row[0] for row in out], da * dv)
+        return apply_lifted(self.field, *lift_rows(self.field, self.rows), vec)
 
     # -- elimination ------------------------------------------------------
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,11 @@ from axial import (
     toric_euf,
     universal_2gen,
 )
-from axial.axes import _divides_root_poly, _is_squarefree, _root_poly
+import axial.axes
+from axial import PrimeField
+from axial.algebra import Element
+from axial.axes import (_divides_root_poly, _involution, _is_involution, _is_squarefree, _lagrange, _poly_at,
+                        _root_poly, _sparse)
 from axial.cli import main
 from axial.io import save_algebra
 from axial.errors import (
@@ -30,11 +35,11 @@ from axial.errors import (
     OrbitOverflow,
     SingularVandermonde,
 )
-from axial.linalg import Matrix, minimal_polynomial, span_contains
+from axial.linalg import Matrix, minimal_polynomial, read_lifted, span_contains
 
 from conftest import direct_sum
 from test_fields import poly_divides, poly_is_squarefree
-from test_linalg import F7, FIELDS, FIELD_VALUES, QT, reference_solve
+from test_linalg import F7, FIELDS, FIELD_VALUES, QT, _typed, reference_solve
 
 HALF = Fraction(1, 2)
 
@@ -763,3 +768,85 @@ def test_squarefree_when_p_divides_the_degree(k):
     mp, twice = tuple(_root_poly(F7, roots)), tuple(_root_poly(F7, roots + [F7.one]))
     assert _is_squarefree(F7, mp) == poly_is_squarefree(mp) is (k <= 7)
     assert _is_squarefree(F7, twice) == poly_is_squarefree(twice) is False
+
+
+# ---------------------------------------------------------------------------
+# differential tests of Horner's rule and of tau on lifted entries against
+# the field-value code they replaced, kept verbatim as the reference
+# ---------------------------------------------------------------------------
+
+
+def reference_poly_at(poly, L):
+    """poly(L) by Horner's rule, with deg(poly) - 1 matrix products."""
+    acc = L.scaled(poly[-1])
+    for j, c in enumerate(reversed(poly[:-1])):
+        if j:
+            acc = acc @ L
+        for i, row in enumerate(acc.rows):  # acc is freshly built: add c*I in place
+            row[i] = row[i] + c
+    return acc
+
+
+def reference_involution(L, lam):
+    """tau = 1 - 2*l_lam(L) as miyamoto built it, and whether tau^2 = 1."""
+    field = L.field
+    eye = Matrix.identity(field, L.nrows)
+    ell = _lagrange(field, [field.zero, field.one, lam], lam)
+    T = eye - reference_poly_at(ell, L).scaled(field.from_int(2))
+    return T, (T @ T) == eye
+
+
+F101 = PrimeField(101)
+OPERATOR_FIELDS = dict(FIELDS, F101=F101)
+OPERATOR_VALUES = dict(FIELD_VALUES, F101=st.builds(F101.from_int, st.sampled_from([0, 0, 1, -1, 2, 50, 100])))
+
+
+@st.composite
+def operator_cases(draw):
+    """A square matrix L with n <= 4, a polynomial of degree <= 3 and lam
+    outside {0, 1}; half the matrices are diagonal with entries in
+    {0, 1, lam}, so that tau is an involution."""
+    kind = draw(st.sampled_from(sorted(OPERATOR_FIELDS)))
+    field, values = OPERATOR_FIELDS[kind], OPERATOR_VALUES[kind]
+    n = draw(st.integers(1, 4))
+    lam = draw(values.filter(lambda x: x != field.zero and x != field.one))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        diag = draw(st.lists(st.sampled_from([field.zero, field.one, lam]), min_size=n, max_size=n))
+        rows = [[diag[i] if i == j else field.zero for j in range(n)] for i in range(n)]
+    return Matrix(field, rows), draw(st.lists(values, min_size=2, max_size=4)), lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(operator_cases())
+def test_lifted_horner_and_involution_against_field_values(case):
+    L, poly, lam = case
+    field = L.field
+    rows, s = _poly_at(poly, L)
+    assert _typed([read_lifted(field, row, s) for row in rows]) == _typed(reference_poly_at(poly, L).rows)
+    T, e = _involution(L, lam)
+    ref_T, ref_involutive = reference_involution(L, lam)
+    assert _typed([read_lifted(field, row, e) for row in T]) == _typed(ref_T.rows)
+    assert _is_involution(_sparse(T, field.char), e, field) is ref_involutive
+
+
+def test_one_operator_and_three_minimal_polynomials_per_check(monkeypatch, toric):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(axial.axes, "minimal_polynomial", counted("minpoly", minimal_polynomial))
+    monkeypatch.setattr(Element, "left_multiplication_matrix",
+                        counted("L_a", Element.left_multiplication_matrix))
+    s4 = matsuo_from_triple_system((S4_POINTS, S4_LINES), HALF)
+    _tor_eps, generic = toric.symbolic_family()
+    for a, lam in [(toric.idempotent(2), HALF), (s4.axes[3], HALF),
+                   (generic, generic.algebra.field.from_fraction(HALF))]:
+        counts.clear()
+        assert check_axis(a, lam).is_primitive_jordan_axis
+        assert counts == {"L_a": 1, "minpoly": 3}

@@ -735,12 +735,15 @@ class TestIntegerKernelAgainstFieldValues:
         assert _typed(ech.reduce(target)) == _typed(ref.reduce(target))
         assert ech.contains(target) is ref.contains(target)
         n = len(target)
+        # lifted rows off their normal form: entries plus p over F_p
+        inside = [sum((r[i] for r in rows), field.zero) for i in range(n)]
+        for v in (target, inside):
+            assert ech.contains_integers(unreduced_lift(field, v)[0]) is ech.contains(v)
         coords, ref_coords = Coordinates(field, n), ReferenceCoordinates(field, n)
         for v in rows:
             assert coords.add(v) is ref_coords.add(v)
         assert coords.size == ref_coords.size
         assert _typed(coords.coords(target)) == _typed(ref_coords.coords(target))
-        inside = [sum((r[i] for r in rows), field.zero) for i in range(n)]
         assert _typed(coords.coords(inside)) == _typed(ref_coords.coords(inside))
 
     @settings(max_examples=100, deadline=None)
@@ -801,11 +804,14 @@ class TestRationalFunctionKernelAgainstFieldValues:
         assert _typed(ech.reduce(target)) == _typed(ref.reduce(target))
         assert ech.contains(target) is ref.contains(target)
         n = len(target)
+        # Z[t] entries, times 3 off their primitive form
+        inside = [sum((r[i] for r in rows), QT.zero) for i in range(n)]
+        for v in (target, inside):
+            assert ech.contains_integers(unreduced_lift(QT, v)[0]) is ech.contains(v)
         coords, ref_coords = Coordinates(QT, n), ReferenceCoordinates(QT, n)
         for v in rows:
             assert coords.add(v) is ref_coords.add(v)
         assert _typed(coords.coords(target)) == _typed(ref_coords.coords(target))
-        inside = [sum((r[i] for r in rows), QT.zero) for i in range(n)]
         assert _typed(coords.coords(inside)) == _typed(ref_coords.coords(inside))
         n = min(len(rows), n, 3)
         m = Matrix(QT, [r[:n] for r in rows[:n]])
