@@ -478,9 +478,9 @@ def axis_orbit(axes, lam, max_size=1000):
 def seress_check(a, lam):
     """a(yz) = (ay)z + a(y0 z0) for all basis y and z in A_{0,1}(a), y0 = l_0(L_a) y.
 
-    z runs over the bases of A_0, where z0 = z, and of A_1, where z0 = 0.
-    The products run on lifts, and the two sides are compared over the
-    product of their denominators.
+    z runs over the bases of A_0, where z0 = z and the rule reads
+    a((y - y0) z) = (ay)z, and of A_1, where z0 = 0 and it reads
+    a(yz) = (ay)z.  The products run on lifts.
     """
     A = a.algebra
     field = A.field
@@ -490,7 +490,7 @@ def seress_check(a, lam):
         raise NotAnAxis("decomposition is not complete")
     _check_recovery_spectrum(field, [lam])
     P0, e = _poly_at(_lagrange(field, [field.zero, field.one, lam], field.zero), L)
-    p, n, zero, one = field.char, A.dim, lifted_zero(field), lifted_one(field)
+    p, zero, one = field.char, lifted_zero(field), lifted_one(field)
 
     def times(x, y):
         out, s = A.lifted_product(x, y)
@@ -499,31 +499,24 @@ def seress_check(a, lam):
     a_lift = lift_sparse(field, a.coeffs)
     z01 = [(lift_sparse(field, z.coeffs), mu == field.zero)
            for mu in (field.zero, field.one) for z in eigen.space(mu)]
-    for j in range(n):
+    for j in range(A.dim):
         y = ([(j, one)], one)
-        y0 = ([(i, row[j]) for i, row in enumerate(P0) if row[j]], e)
+        y_less_y0 = (_as_sparse([(e if i == j else zero) - row[j] for i, row in enumerate(P0)], p), e)
         ay = times(a_lift, y)
         for z, in_a0 in z01:
-            rhs = [times(ay, z)]
-            if in_a0:
-                rhs.append(times(a_lift, times(y0, z)))
-            if not _is_sum(times(a_lift, times(y, z)), rhs, n, p, zero):
+            if not _same(times(a_lift, times(y_less_y0 if in_a0 else y, z)), times(ay, z), p):
                 return False
     return True
 
 
-def _is_sum(lhs, terms, n, p, zero):
-    """Does the sparse lift lhs stand for the sum of the sparse lifts terms?
-    Each lift (pairs, s) is brought over the product of all denominators."""
-    lifts = [lhs] + terms
-    diff = [zero] * n
-    for i, (pairs, _) in enumerate(lifts):
-        c = math.prod((s for k, (_, s) in enumerate(lifts) if k != i), start=1)
-        if i:
-            c = -c
-        for k, x in pairs:
-            diff[k] += c * x
-    return not any(x % p if p else x for x in diff)
+def _same(x, y, p):
+    """Do the sparse lifts x = (pairs, s) and y = (pairs, t) stand for one
+    vector: is x t = y s, mod p over F_p?"""
+    (xs, s), (ys, t) = x, y
+    diff = {k: v * t for k, v in xs}
+    for k, v in ys:
+        diff[k] = diff.get(k, 0) - v * s
+    return not any(v % p if p else v for v in diff.values())
 
 
 def infer_lambda(a):
