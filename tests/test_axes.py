@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from axial import (
     QQ,
+    PrimeField,
     RationalFunctions,
     axis_orbit,
     check_axis,
@@ -22,7 +23,6 @@ from axial import (
     universal_2gen,
 )
 import axial.axes
-from axial import PrimeField
 from axial.algebra import Element
 from axial.axes import (_divides_root_poly, _involution, _is_involution, _is_squarefree, _lagrange, _poly_at,
                         _root_poly, _sparse)

@@ -75,11 +75,13 @@ from axial import (QQ, PrimeField, axis_orbit, builtin_identity, check_axis, com
                    jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly, radical,
                    sample_identity, seress_check, solid_audit, solve_frobenius, toric_euf, trace_form,
                    universal_2gen)
-from axial.algebra import Algebra, Element
+from axial.algebra import Element
 from axial.errors import OrbitOverflow
 from axial.fields import Fp, RatFunc, RationalFunctions
 from axial.identities import BUILTIN_NAMES
 from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
+
+from conftest import direct_sum
 
 GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
@@ -407,21 +409,6 @@ def _identity_records():
             yield [v.holds, v.method, v.witness]
 
 
-def _direct_sum(A, B):
-    """The block-diagonal sum of two algebras over one field."""
-    n, m, zero = A.dim, B.dim, A.field.zero
-
-    def cell(i, j):
-        if i < n and j < n:
-            return tuple(A.structure[i][j]) + (zero,) * m
-        if i >= n and j >= n:
-            return (zero,) * n + tuple(B.structure[i - n][j - n])
-        return (zero,) * (n + m)
-
-    return Algebra(A.field, [f"L.{s}" for s in A.basis_names] + [f"R.{s}" for s in B.basis_names],
-                   [[cell(i, j) for j in range(n + m)] for i in range(n + m)])
-
-
 def _axes_records():
     """``check_axis``, ``seress_check``, ``component_recovery``,
     ``axis_orbit`` and ``radical`` on toric, Matsuo S_4, 3C(1/2) + 3C(1/3),
@@ -470,7 +457,7 @@ def _axes_records():
     half, third = Fraction(1, 2), Fraction(1, 3)
     c3 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), half)
     c3_third = matsuo_from_triple_system((["p", "q", "r"], [["p", "q", "r"]]), third)
-    D = _direct_sum(c3.algebra, c3_third.algebra)
+    D = direct_sum(c3.algebra, c3_third.algebra)
     for coeffs in ([1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]):
         a = D.element([Fraction(c) for c in coeffs])
         yield certify(a, half)
