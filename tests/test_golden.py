@@ -57,11 +57,18 @@ idempotent family over Q(m), with the ``radical`` bases of degenerate forms.
 Eigenspace bases are the canonical kernel bases, so a change to how an axis
 is certified must leave it as it is.
 
+``GOLDEN_CATALOG`` covers the identity catalog itself: the ``format_poly``
+text and the coefficient type names of every ``builtin_identity`` over Q at
+lam = 1/2, 1/4, -3/7 and 5, over F_7 at 3 and 4, F_101 at 1/2, F_3 at 2 and
+Q(t) at 1/2, t and (t+1)/(t^2+3), and the error type and message, or the
+polynomial, at lam None, 0 and 1 and for an unknown name.  The text is
+canonical, so a change to how the catalog is written must leave it as it is.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
 digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT``,
-``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS``, ``GOLDEN_IDENTITIES`` and
-``GOLDEN_AXES``.  A change to a constant
+``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS``, ``GOLDEN_IDENTITIES``,
+``GOLDEN_AXES`` and ``GOLDEN_CATALOG``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -76,9 +83,9 @@ from axial import (QQ, PrimeField, axis_orbit, builtin_identity, check_axis, com
                    sample_identity, seress_check, solid_audit, solve_frobenius, toric_euf, trace_form,
                    universal_2gen)
 from axial.algebra import Element
-from axial.errors import OrbitOverflow
+from axial.errors import OrbitOverflow, UnknownIdentity
 from axial.fields import Fp, RatFunc, RationalFunctions
-from axial.identities import BUILTIN_NAMES
+from axial.identities import BUILTIN_NAMES, format_poly
 from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
 
 from conftest import direct_sum
@@ -89,6 +96,7 @@ GOLDEN_QT_KERNEL = "401fb2b385d5f81d2ceefc9f84999c18936abb96e8a719c7801e5089f03e
 GOLDEN_PRODUCTS = "dfd6c50e29f3d7e2e21ee7fde7d6c9faf123ec463eb143677ad0c7556f76aa1c"
 GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
 GOLDEN_AXES = "f0615aeede7164f01b43cfe46afd7e7cd3a04a91ec2f742c6ab78841c1af9544"
+GOLDEN_CATALOG = "4b57a26a831238f3daab4f90ac56d8eec8750b103e806cea0bce25628585c31b"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -476,6 +484,27 @@ def _axes_records():
     yield certify(generic, generic.algebra.field.from_fraction(half), [generic.algebra.field.from_fraction(half)])
 
 
+def _catalog_records():
+    """Text and coefficient types of every catalog identity over Q, F_7,
+    F_101, F_3 and Q(t), and the refusals at lam None, 0 and 1."""
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    F3, F7, F101 = PrimeField(3, allow_small=True), PrimeField(7), PrimeField(101)
+    half = Fraction(1, 2)
+    cases = [(QQ, QQ.from_fraction(Fraction(v))) for v in (half, Fraction(1, 4), Fraction(-3, 7), 5)]
+    cases += [(F7, F7.from_int(3)), (F7, F7.from_int(4)), (F101, F101.from_fraction(half)),
+              (F3, F3.from_int(2)), (Qt, Qt.from_fraction(half)), (Qt, t), (Qt, (t + 1) / (t * t + 3))]
+    cases += [(field, lam) for field in (QQ, F7, Qt) for lam in (None, field.zero, field.one)]
+    for field, lam in cases:
+        for name in BUILTIN_NAMES + ("noSuchIdentity",):
+            try:
+                f = builtin_identity(name, field, lam)
+            except UnknownIdentity as exc:
+                yield [name, type(exc).__name__, str(exc)]
+                continue
+            yield [name, format_poly(f), [type(c).__name__ for _key, c in f.sorted_terms()]]
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -508,6 +537,10 @@ def test_golden_axes_outputs():
     assert digest(_axes_records) == GOLDEN_AXES
 
 
+def test_golden_catalog_outputs():
+    assert digest(_catalog_records) == GOLDEN_CATALOG
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
@@ -515,3 +548,4 @@ if __name__ == "__main__":
     print(digest(_product_records))
     print(digest(_identity_records))
     print(digest(_axes_records))
+    print(digest(_catalog_records))
