@@ -46,6 +46,7 @@ _INPUT_ERRORS = (_Usage, SchemaError, ScalarParseError, PolyParseError, UnknownI
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
         report = args.handler(args)
     except _INPUT_ERRORS as exc:
@@ -54,6 +55,7 @@ def main(argv=None):
     except AxialError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    report["elapsed_s"] = round(time.perf_counter() - t0, 6)
     _emit(report, args)
     return 0 if report["passed"] else 1
 
@@ -82,16 +84,6 @@ def _report(command, checks, extra=None):
     if extra:
         rep.update(extra)
     return rep
-
-
-def _timed(fn):
-    def wrapper(args):
-        t0 = time.perf_counter()
-        rep = fn(args)
-        rep["elapsed_s"] = round(time.perf_counter() - t0, 6)
-        return rep
-
-    return wrapper
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -136,7 +128,6 @@ def _solved_normal_form(A, axes):
 # -- subcommands -------------------------------------------------------------
 
 
-@_timed
 def _cmd_construct(args):
     field = field_from_json(_parse_json(args.field, "--field is not JSON")) if args.field else QQ
     if args.kind == "toric":
@@ -185,7 +176,6 @@ def _parse_lines(text):
     return list(dict.fromkeys(p for line in lines for p in line)), lines
 
 
-@_timed
 def _cmd_check_axis(args):
     A = io.load_algebra(args.algebra)
     x = _parse_element(A, args.element)
@@ -217,7 +207,6 @@ def _cmd_check_axis(args):
     return _report("check-axis", checks)
 
 
-@_timed
 def _cmd_fusion(args):
     A = io.load_algebra(args.algebra)
     x = _parse_element(A, args.element)
@@ -232,7 +221,6 @@ def _cmd_fusion(args):
     return _report("fusion", checks, extra={"eigenspace_dims": dims})
 
 
-@_timed
 def _cmd_frobenius(args):
     A = io.load_algebra(args.algebra)
     normalize = []
@@ -258,7 +246,6 @@ def _cmd_frobenius(args):
     return _report("frobenius", checks, extra=extra)
 
 
-@_timed
 def _cmd_radical(args):
     A = io.load_algebra(args.algebra)
     form = _load_form(args, A)
@@ -276,7 +263,6 @@ def _cmd_radical(args):
     })
 
 
-@_timed
 def _cmd_identity(args):
     A = io.load_algebra(args.algebra)
     lam = _parse_lambda(A, args.lam) if args.lam else None
@@ -309,7 +295,6 @@ def _cmd_identity(args):
     return _report("identity", checks)
 
 
-@_timed
 def _cmd_miyamoto(args):
     A = io.load_algebra(args.algebra)
     x = _parse_element(A, args.element)
@@ -325,7 +310,6 @@ def _cmd_miyamoto(args):
     })
 
 
-@_timed
 def _cmd_solid(args):
     A = io.load_algebra(args.algebra)
     a = _parse_element(A, args.a)
@@ -364,7 +348,6 @@ def _cmd_solid(args):
     return _report("solid", checks, extra=extra)
 
 
-@_timed
 def _cmd_orbit(args):
     A = io.load_algebra(args.algebra)
     lam = _parse_lambda(A, args.lam)
@@ -393,7 +376,6 @@ def _cmd_orbit(args):
     })
 
 
-@_timed
 def _cmd_audit_trace(args):
     A = io.load_algebra(args.algebra)
     form = _load_form(args, A)

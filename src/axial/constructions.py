@@ -52,6 +52,16 @@ class TwoGen:
         return self.algebra.basis_element(2)
 
 
+def sigma_algebra(field, lam, gamma):
+    """The algebra on (a, b, sigma) with a^2 = a, b^2 = b, ab = lam a + lam b
+    + sigma, and sigma scaling a, b and itself by gamma."""
+    zero, one = field.zero, field.one
+    st = [[(one, zero, zero), (lam, lam, one), (gamma, zero, zero)],
+          [(lam, lam, one), (zero, one, zero), (zero, gamma, zero)],
+          [(gamma, zero, zero), (zero, gamma, zero), (zero, zero, gamma)]]
+    return Algebra(field, ["a", "b", "s"], st)
+
+
 def universal_2gen(lam, pi, field=QQ, flat_annihilating=False):
     """The 3-dimensional algebra on a, b and sigma = ab - lam a - lam b.
 
@@ -82,14 +92,7 @@ def universal_2gen(lam, pi, field=QQ, flat_annihilating=False):
     else:
         gamma = (one - lam) * pi - lam
 
-    st = [[None] * 3 for _ in range(3)]
-    st[0][0] = (one, zero, zero)
-    st[1][1] = (zero, one, zero)
-    st[0][1] = st[1][0] = (lam, lam, one)
-    st[0][2] = st[2][0] = (gamma, zero, zero)
-    st[1][2] = st[2][1] = (zero, gamma, zero)
-    st[2][2] = (zero, zero, gamma)
-    A = Algebra(field, ["a", "b", "s"], st)
+    A = sigma_algebra(field, lam, gamma)
     a, b = A.basis_element(0), A.basis_element(1)
 
     if flat_annihilating:

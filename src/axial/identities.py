@@ -88,13 +88,12 @@ def _tree_str(t):
     return f"({_tree_str(t[1])}*{_tree_str(t[2])})"
 
 
-def _rebuild_with(t, leaf, feed):
-    """Copy of t with each occurrence of leaf replaced by next(feed)."""
-    if t == leaf:
-        return next(feed)
+def _map_leaves(t, fn):
+    """Copy of t with each leaf lv replaced by fn(lv), left to right, in
+    canonical order."""
     if t[0] in ("E", "X"):
-        return t
-    return _node(_rebuild_with(t[1], leaf, feed), _rebuild_with(t[2], leaf, feed))
+        return fn(t)
+    return _node(_map_leaves(t[1], fn), _map_leaves(t[2], fn))
 
 
 def _bracket_key(t1, t2):
@@ -318,15 +317,19 @@ def format_poly(f):
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_key(key, leaf, feed):
-    """Monomial key with each occurrence of leaf replaced by next(feed), in
-    the order of ``_mono_trees``, and re-sorted."""
+def _map_key(key, fn):
+    """Monomial key with ``_map_leaves(., fn)`` applied to its trees, in the
+    order of ``_mono_trees``, and re-sorted."""
     brackets, body = key
-    new_brs = tuple(
-        _bracket_key(_rebuild_with(a, leaf, feed), _rebuild_with(b, leaf, feed))
-        for a, b in brackets
-    )
-    return _sorted_brackets(new_brs), None if body is None else _rebuild_with(body, leaf, feed)
+    return (_sorted_brackets(_bracket_key(_map_leaves(a, fn), _map_leaves(b, fn)) for a, b in brackets),
+            None if body is None else _map_leaves(body, fn))
+
+
+def _feeder(leaf, replacements):
+    """The leaf map that gives each occurrence of leaf the next of
+    replacements, in turn."""
+    feed = iter(replacements)
+    return lambda lv: next(feed) if lv == leaf else lv
 
 
 def _substitute_choices(poly, leaf, alternatives):
@@ -342,11 +345,10 @@ def _substitute_choices(poly, leaf, alternatives):
             _accumulate(acc, key, coeff)
             continue
         for choice in itertools.product(range(len(alternatives)), repeat=d):
-            feed = iter([alternatives[c][1] for c in choice])
             c = coeff
             for ci in choice:
                 c = alternatives[ci][0] * c
-            _accumulate(acc, _rebuild_key(key, leaf, feed), c)
+            _accumulate(acc, _map_key(key, _feeder(leaf, [alternatives[ci][1] for ci in choice])), c)
     return GenPoly(poly.field, acc)
 
 
@@ -400,7 +402,7 @@ def full_linearize(f, j):
             for p in range(k):
                 choices = [leaf] * k
                 choices[p] = ("X", fresh)
-                _accumulate(placed, _rebuild_key(key, leaf, iter(choices)), coeff)
+                _accumulate(placed, _map_key(key, _feeder(leaf, choices)), coeff)
         top = placed
     for key, coeff in top.items():
         _accumulate(acc, key, coeff)
@@ -414,17 +416,6 @@ def specialize_idempotent_slot(f, i, fresh_x):
     if i not in f.e_indices():
         raise ValueError(f"E{i} does not occur")
     return _substitute_choices(f, ("E", i), [(f.field.one, ("X", fresh_x))])
-
-
-def _swap_leaves(t, u, v):
-    """Copy of t with the leaves u and v exchanged, in canonical order."""
-    if t == u:
-        return v
-    if t == v:
-        return u
-    if t[0] in ("E", "X"):
-        return t
-    return _node(_swap_leaves(t[1], u, v), _swap_leaves(t[2], u, v))
 
 
 def _symmetry_blocks(g):
@@ -446,10 +437,12 @@ def _symmetry_blocks(g):
         v = ("X", j)
         for block in blocks:
             u = ("X", block[0])
-            for (brackets, body), c in terms.items():
-                key = (_sorted_brackets(_bracket_key(_swap_leaves(a, u, v), _swap_leaves(b, u, v))
-                                        for a, b in brackets),
-                       None if body is None else _swap_leaves(body, u, v))
+
+            def swap(lv):
+                return v if lv == u else u if lv == v else lv
+
+            for key, c in terms.items():
+                key = _map_key(key, swap)
                 if key not in terms or terms[key] != c:
                     break
             else:
@@ -823,12 +816,14 @@ def parse_poly(text, field, lam=None):
 
     Variables x1.., slots E1.., product * with explicit parentheses for
     nested products, bracket factors B(s,t), rational coefficients, and
-    ``lam`` for the bound eigenvalue symbol (required to be supplied).
+    ``lam`` for the bound eigenvalue symbol (required to be supplied).  / in
+    a term divides by a nonzero scalar: a number, lam or a parenthesized
+    scalar expression.
     """
     try:
         toks = _lex(text)
         val, pos = _parse_sum(toks, 0, field, lam)
-    except (ValueError, ZeroDivisionError) as exc:  # a numeral int() or the field refuses
+    except ValueError as exc:  # int() refuses a numeral past its digit limit
         raise PolyParseError(str(exc)) from exc
     except RecursionError as exc:  # the parser recurses per '(' and per unary sign
         raise PolyParseError("polynomial text is nested too deeply") from exc
@@ -851,7 +846,7 @@ def _lex(text):
         if ch.isspace():
             i += 1
             continue
-        if ch in "+-*(),":
+        if ch in "+-*/(),":
             toks.append((ch, None, i))
             i += 1
             continue
@@ -859,14 +854,6 @@ def _lex(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k > j + 1:
-                    toks.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i))
-                    i = k
-                    continue
             toks.append(("num", Fraction(int(text[i:j])), i))
             i = j
             continue
@@ -892,8 +879,15 @@ def _parse_sum(toks, pos, field, lam):
 
 def _parse_term(toks, pos, field, lam):
     val, pos = _parse_factor(toks, pos, field, lam)
-    while pos < len(toks) and toks[pos][0] == "*":
+    while pos < len(toks) and toks[pos][0] in "*/":
+        op, at = toks[pos][0], toks[pos][2]
         rhs, pos = _parse_factor(toks, pos + 1, field, lam)
+        if op == "/":
+            if not (isinstance(rhs, tuple) and rhs[0] == _SCALAR):
+                raise PolyParseError("can only divide by a scalar: a number, lam or a parenthesized scalar", at)
+            if not rhs[1]:
+                raise PolyParseError("division by zero", at)
+            rhs = (_SCALAR, field.one / rhs[1])
         val = _combine_mul(val, rhs, field)
     return val, pos
 
@@ -975,162 +969,74 @@ def _combine_mul(a, b, field):
 # builtin catalog
 # ---------------------------------------------------------------------------
 
-BUILTIN_NAMES = (
-    "jordan",
-    "almostJordan",
-    "fourPowerAssoc",
-    "linearizedPA",
-    "linearizedPA-partial",
-    "ax1",
-    "semisimpleSpectrum",
-    "primitivityFrobenius",
-    "fusionLambdaLambda",
-    "miyamotoClosure",
-    "matsuoPairA",
-    "matsuoPairB",
-    "matsuoCriterion",
-    "seress",
-)
+# Every entry is written as lhs - rhs of its source equation, so "holds"
+# always means "evaluates to zero"; an entry that names lam needs it bound
+# outside {0, 1}.
+_CATALOG = {
+    # ((x1 x1) x2) x1 = (x1 x1)(x2 x1)
+    "jordan": "((x1*x1)*x2)*x1 - (x1*x1)*(x2*x1)",
+    # 2((x2 x1)x1)x1 + x2((x1 x1)x1) = 3(x2(x1 x1))x1
+    "almostJordan": "2*(((x2*x1)*x1)*x1) + x2*((x1*x1)*x1) - 3*((x2*(x1*x1))*x1)",
+    "fourPowerAssoc": "((x1*x1)*x1)*x1 - (x1*x1)*(x1*x1)",
+    # h(x,y,z,w): the full multilinearization shape of 4-power associativity,
+    # -4 (pq)(rs) over the three pairings plus p(q(rs)) over each leading
+    # variable and the three cyclic orders of the others
+    "linearizedPA": (
+        "-4*((x1*x2)*(x3*x4)) - 4*((x1*x3)*(x2*x4)) - 4*((x1*x4)*(x2*x3))"
+        " + x1*(x2*(x3*x4)) + x1*(x3*(x4*x2)) + x1*(x4*(x2*x3))"
+        " + x2*(x1*(x3*x4)) + x2*(x3*(x4*x1)) + x2*(x4*(x1*x3))"
+        " + x3*(x1*(x2*x4)) + x3*(x2*(x4*x1)) + x3*(x4*(x1*x2))"
+        " + x4*(x1*(x2*x3)) + x4*(x2*(x3*x1)) + x4*(x3*(x1*x2))"
+    ),
+    # 4(x1 x2)x1^2 = 2((x1 x2)x1)x1 + (x1^2 x2)x1 + x1^3 x2, with x1^3 = (x1 x1)x1
+    "linearizedPA-partial": "4*((x1*x2)*(x1*x1)) - 2*(((x1*x2)*x1)*x1) - ((x1*x1)*x2)*x1 - ((x1*x1)*x1)*x2",
+    # E1(E1(E1 x1)) = (lam+1) E1(E1 x1) - lam E1 x1, the composed recovery
+    # form, is L(L-1)(L-lam) x1 = 0 expanded
+    "ax1": "E1*(E1*(E1*x1)) - (lam+1)*(E1*(E1*x1)) + lam*(E1*x1)",
+    "semisimpleSpectrum": "E1*(E1*(E1*x1)) - (lam+1)*(E1*(E1*x1)) + lam*(E1*x1)",
+    # lam E1 x1 + (1-lam) B(E1,x1) E1 = E1(E1 x1)
+    "primitivityFrobenius": "lam*(E1*x1) + (1-lam)*B(E1,x1)*E1 - E1*(E1*x1)",
+    "fusionLambdaLambda": (
+        "E1*((E1*x1)*(E1*x2)) - lam*lam*B(E1,x2)*(E1*x1) - lam*lam*B(E1,x1)*(E1*x2)"
+        " - lam*lam*B(E1*x1,x2)*E1 - (1-3*lam*lam)*B(E1,x1)*B(E1,x2)*E1"
+    ),
+    # tau_a multiplicativity as a bracket identity: (x1 x2)^tau - x1^tau x2^tau
+    # expanded with y^tau = y + (2/lam) B(E1,y) E1 - (2/lam) E1 y, kept in its
+    # two-level form (coefficients 2/lam and 4/lam^2)
+    "miyamotoClosure": (
+        "2/lam*B(E1,x1*x2)*E1 - 2/lam*E1*(x1*x2) - 2/lam*B(E1,x1)*(E1*x2) - 2/lam*B(E1,x2)*(E1*x1)"
+        " + 2/lam*(E1*x1)*x2 + 2/lam*(E1*x2)*x1"
+        " - 4/(lam*lam)*B(E1,x1)*B(E1,x2)*E1 - 4/(lam*lam)*(E1*x1)*(E1*x2)"
+        " + 4/(lam*lam)*B(E1,x1)*(E1*(E1*x2)) + 4/(lam*lam)*B(E1,x2)*(E1*(E1*x1))"
+    ),
+    # with ab = E1 E2 and h = lam(1-lam)/2: (a ab - b ab - h a + h b) ab = 0,
+    # (a ab - lam ab - h a)(ab - b) = 0 and (a ab - lam ab - h a) ab = 0
+    "matsuoPairA": "(E1*(E1*E2) - E2*(E1*E2) - lam*(1-lam)/2*E1 + lam*(1-lam)/2*E2)*(E1*E2)",
+    "matsuoPairB": "(E1*(E1*E2) - lam*(E1*E2) - lam*(1-lam)/2*E1)*(E1*E2 - E2)",
+    "matsuoCriterion": "(E1*(E1*E2) - lam*(E1*E2) - lam*(1-lam)/2*E1)*(E1*E2)",
+    # E1(x1 p01(x2)) - (E1 x1) p01(x2) - E1(p0(x1) p0(x2)), where
+    # p01(y) = y - E1 y/lam + B(E1,y) E1/lam projects onto the 0/1
+    # eigenspaces and p0(y) = y - E1 y/lam + (1-lam)/lam B(E1,y) E1 onto the
+    # 0-eigenspace of a primitive axis under a normal form, so this vanishes
+    # identically for primitive axes of Jordan type
+    "seress": (
+        "E1*(x1*(x2 - E1*x2/lam + B(E1,x2)*E1/lam)) - (E1*x1)*(x2 - E1*x2/lam + B(E1,x2)*E1/lam)"
+        " - E1*((x1 - E1*x1/lam + (1-lam)/lam*B(E1,x1)*E1)*(x2 - E1*x2/lam + (1-lam)/lam*B(E1,x2)*E1))"
+    ),
+}
 
-_LAM_FREE = {"jordan", "almostJordan", "fourPowerAssoc", "linearizedPA", "linearizedPA-partial"}
+BUILTIN_NAMES = tuple(_CATALOG)
 
 
 def builtin_identity(name, field, lam=None):
-    """A catalog polynomial with the eigenvalue symbol bound to lam.
-
-    Every entry is written as lhs - rhs of the source equation, so "holds"
-    always means "evaluates to zero".
-    """
-    if name not in BUILTIN_NAMES:
+    """The catalog polynomial ``name``, parsed with the eigenvalue symbol
+    bound to lam."""
+    text = _CATALOG.get(name)
+    if text is None:
         raise UnknownIdentity(f"no catalog identity named {name!r}")
-    if name not in _LAM_FREE:
+    if "lam" in text:
         if lam is None:
             raise UnknownIdentity(f"{name!r} requires a lambda binding")
         if lam == field.zero or lam == field.one:
             raise UnknownIdentity(f"{name!r} requires lambda outside {{0, 1}}")
-    one = field.one
-    x1, x2 = x_var(field, 1), x_var(field, 2)
-    E1, E2 = e_slot(field, 1), e_slot(field, 2)
-
-    if name == "jordan":
-        # ((x1*x1)*x2)*x1 = (x1*x1)*(x2*x1)
-        return ((x1 * x1) * x2) * x1 - (x1 * x1) * (x2 * x1)
-    if name == "almostJordan":
-        # 2((x2 x1)x1)x1 + x2((x1 x1)x1) = 3(x2(x1 x1))x1
-        two, three = field.from_int(2), field.from_int(3)
-        return two * (((x2 * x1) * x1) * x1) + x2 * ((x1 * x1) * x1) - three * ((x2 * (x1 * x1)) * x1)
-    if name == "fourPowerAssoc":
-        return ((x1 * x1) * x1) * x1 - (x1 * x1) * (x1 * x1)
-    if name == "linearizedPA":
-        return _linearized_pa(field)
-    if name == "linearizedPA-partial":
-        # 4(x1 x2)x1^2 = 2((x1 x2)x1)x1 + (x1^2 x2)x1 + x1^3 x2, with x1^3 = (x1 x1)x1
-        four, two = field.from_int(4), field.from_int(2)
-        sq = x1 * x1
-        cube = sq * x1
-        return (
-            four * ((x1 * x2) * sq)
-            - two * (((x1 * x2) * x1) * x1)
-            - (sq * x2) * x1
-            - cube * x2
-        )
-    if name in ("ax1", "semisimpleSpectrum"):
-        # E1(E1(E1 x1)) = (lam+1) E1(E1 x1) - lam E1 x1, the composed recovery
-        # form, is L(L-1)(L-lam) x1 = 0 expanded
-        return E1 * (E1 * (E1 * x1)) - (lam + one) * (E1 * (E1 * x1)) + lam * (E1 * x1)
-    if name == "primitivityFrobenius":
-        # lam E1 x1 + (1-lam) B(E1,x1) E1 - E1(E1 x1)
-        return lam * (E1 * x1) + (one - lam) * (bracket(E1, x1) * E1) - E1 * (E1 * x1)
-    if name == "fusionLambdaLambda":
-        l2 = lam * lam
-        return (
-            E1 * ((E1 * x1) * (E1 * x2))
-            - l2 * (bracket(E1, x2) * (E1 * x1))
-            - l2 * (bracket(E1, x1) * (E1 * x2))
-            - l2 * (bracket(E1 * x1, x2) * E1)
-            - (one - field.from_int(3) * l2) * (bracket(E1, x1) * bracket(E1, x2) * E1)
-        )
-    if name == "miyamotoClosure":
-        return _miyamoto_closure(field, lam)
-    if name in ("matsuoPairA", "matsuoPairB", "matsuoCriterion"):
-        half = lam * (one - lam) / field.from_int(2)
-        ab = E1 * E2
-        if name == "matsuoPairA":
-            inner = E1 * ab - E2 * ab - half * E1 + half * E2
-            return inner * ab
-        inner = E1 * ab - lam * ab - half * E1
-        if name == "matsuoPairB":
-            return inner * (ab - E2)
-        return inner * ab
-    if name == "seress":
-        return _seress_identity(field, lam)
-    raise AssertionError("unreachable")
-
-
-def _linearized_pa(field):
-    """h(x,y,z,w): the full multilinearization shape of 4-power associativity."""
-    four = field.from_int(4)
-    x, y, z, w = (x_var(field, j) for j in (1, 2, 3, 4))
-    pairings = [(x, y, z, w), (x, z, y, w), (x, w, y, z)]
-    acc = GenPoly.zero(field)
-    for p, q, r, s in pairings:
-        acc = acc - four * ((p * q) * (r * s))
-    groups = [
-        (x, [(y, z, w), (z, w, y), (w, y, z)]),
-        (y, [(x, z, w), (z, w, x), (w, x, z)]),
-        (z, [(x, y, w), (y, w, x), (w, x, y)]),
-        (w, [(x, y, z), (y, z, x), (z, x, y)]),
-    ]
-    for lead, triples in groups:
-        for p, q, r in triples:
-            acc = acc + lead * (p * (q * r))
-    return acc
-
-
-def _miyamoto_closure(field, lam):
-    """tau_a multiplicativity as a bracket identity.
-
-    Derived by expanding (x1 x2)^tau - x1^tau x2^tau with
-    y^tau = y + (2/lam) B(E1,y) E1 - (2/lam) E1 y; the expansion is kept in
-    its two-level form (coefficients 2/lam and 4/lam^2).
-    """
-    one = field.one
-    c2 = field.from_int(2) / lam
-    c4 = field.from_int(4) / (lam * lam)
-    E1 = e_slot(field, 1)
-    x1, x2 = x_var(field, 1), x_var(field, 2)
-    e1x1 = E1 * x1
-    e1x2 = E1 * x2
-    return (
-        c2 * (bracket(E1, x1 * x2) * E1)
-        - c2 * (E1 * (x1 * x2))
-        - c2 * (bracket(E1, x1) * e1x2)
-        - c2 * (bracket(E1, x2) * e1x1)
-        + c2 * (e1x1 * x2)
-        + c2 * (e1x2 * x1)
-        - c4 * (bracket(E1, x1) * bracket(E1, x2) * E1)
-        - c4 * (e1x1 * e1x2)
-        + c4 * (bracket(E1, x1) * (E1 * e1x2))
-        + c4 * (bracket(E1, x2) * (E1 * e1x1))
-    )
-
-
-def _seress_identity(field, lam):
-    """E1(x1 * p01(x2)) - (E1 x1) * p01(x2) - E1(p0(x1) * p0(x2)).
-
-    p01 projects onto the 0/1 eigenspaces and p0 onto the 0-eigenspace of a
-    primitive axis under a normal form, so this vanishes identically for
-    primitive axes of Jordan type.
-    """
-    one = field.one
-    E1 = e_slot(field, 1)
-
-    def p01(xp):
-        return xp - (one / lam) * (E1 * xp) + (one / lam) * (bracket(E1, xp) * E1)
-
-    def p0(xp):
-        return xp - (one / lam) * (E1 * xp) + ((one - lam) / lam) * (bracket(E1, xp) * E1)
-
-    x1, x2 = x_var(field, 1), x_var(field, 2)
-    z = p01(x2)
-    return E1 * (x1 * z) - (E1 * x1) * z - E1 * (p0(x1) * p0(x2))
+    return parse_poly(text, field, lam=lam)

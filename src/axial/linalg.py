@@ -277,6 +277,13 @@ class Echelon:
         for other in self._rows.values():
             if q in other:
                 _eliminate(other, 0, new, p, self._gcd)
+                # a step whose d reduces to 1 divides out no content, so
+                # the cleared row is made primitive again here
+                if not p:
+                    g = self._gcd(*other.values())
+                    if g != 1:
+                        for c in other:
+                            other[c] //= g
         self._rows[q] = r
 
     def contains(self, row):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, generate_subalgebra
 from .axes import AxisReport, check_axis, is_idempotent
+from .constructions import sigma_algebra
 from .errors import NotAxes, SelfCheckFailed, UnsupportedShape
 from .fields import QQ, RationalFunctions
 from .frobenius import BilinearForm
@@ -167,11 +168,7 @@ def _sigma_presentation(B, lam):
     gamma, lam = sa.coeffs[0], -sigma.coeffs[0]
     if sa != gamma * a or sigma * b != gamma * b or sigma * sigma != gamma * sigma:
         raise UnsupportedShape("sigma does not act as one scalar on a, b and itself")
-    zero, one = field.zero, field.one
-    st = [[(one, zero, zero), (lam, lam, one), (gamma, zero, zero)],
-          [(lam, lam, one), (zero, one, zero), (zero, gamma, zero)],
-          [(gamma, zero, zero), (zero, gamma, zero), (zero, zero, gamma)]]
-    return Algebra(field, ["a", "b", "s"], st), gamma
+    return sigma_algebra(field, lam, gamma), gamma
 
 
 def enumerate_idempotents_2gen(B, lam):

@@ -23,6 +23,8 @@ from axial.io import (
 )
 
 HALF = Fraction(1, 2)
+SERESS_TEXT = ("E1*(x1*(x2 - E1*x2/lam + B(E1,x2)*E1/lam)) - (E1*x1)*(x2 - E1*x2/lam + B(E1,x2)*E1/lam)"
+               " - E1*((x1 - E1*x1/lam + (1-lam)/lam*B(E1,x1)*E1)*(x2 - E1*x2/lam + (1-lam)/lam*B(E1,x2)*E1))")
 
 
 class TestIoRoundTrip:
@@ -134,6 +136,24 @@ class TestCliPipeline:
         assert main(["identity", "--algebra", path, "--poly", "B(x1,x2)*x1 - x1", "--json", *pool]) == 1
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert not check["passed"] and set(check["detail"]["witness"]["x"]) == {"x1", "x2"}
+
+    @pytest.mark.parametrize("lines_lam", ["1/2", "1/4"])
+    def test_seress_text_and_name_agree(self, lines_lam, tmp_path, capsys):
+        """--poly with the catalog's seress text and --name seress print the
+        same verdict, method and witness; the axes of 3C(1/4) are not of
+        Jordan type 1/2, so there the identity fails with a witness."""
+        path = str(tmp_path / "3c.json")
+        assert main(["construct", "matsuo", "--lines", "a,b,c", "--lambda", lines_lam, "-o", path]) == 0
+        common = ["identity", "--algebra", path, "--lambda", "1/2", "--json",
+                  "--pool", '["1","0","0"]', "--pool", '["0","1","0"]']
+        capsys.readouterr()
+        reports = []
+        for how in (["--name", "seress"], ["--poly", SERESS_TEXT]):
+            code = main(common + how)
+            (check,) = json.loads(capsys.readouterr().out)["checks"]
+            reports.append((code, check["passed"], check["detail"]))
+        assert reports[0] == reports[1]
+        assert reports[0][1] is (lines_lam == "1/2")
 
     def test_fusion(self, alg3c_path):
         assert main(["fusion", "--algebra", alg3c_path,

@@ -95,6 +95,33 @@ class TestParse:
             with pytest.raises(PolyParseError):
                 parse_poly(deep, QQ)
 
+    def test_division_by_a_scalar(self):
+        third = Fraction(1, 3)
+        assert parse_poly("x1/2", QQ) == parse_poly("1/2*x1", QQ)
+        assert parse_poly("x1/2/3", QQ) == parse_poly("1/6*x1", QQ)  # left to right
+        assert parse_poly("x1*x2/3", QQ) == parse_poly("1/3*(x1*x2)", QQ)
+        assert parse_poly("2/lam*(E1*x1)", QQ, lam=third) == parse_poly("6*(E1*x1)", QQ)
+        assert parse_poly("x1*x2/lam", QQ, lam=third) == parse_poly("3*(x1*x2)", QQ)
+        assert parse_poly("(x1*x2)/(2*lam)", QQ, lam=third) == parse_poly("3/2*(x1*x2)", QQ)
+        assert parse_poly("2/lam*B(E1,x1)*E1", QQ, lam=third) == parse_poly("6*B(E1,x1)*E1", QQ)
+        Qt = RationalFunctions("t")
+        t = Qt.variable()
+        assert parse_poly("x1/(lam+1)", Qt, lam=t) == (Qt.one / (t + Qt.one)) * x_var(Qt, 1)
+
+    @pytest.mark.parametrize("text, p, position", [
+        ("x1/x2", 0, 2),  # an element divisor
+        ("x1/B(E1,x2)*E1", 0, 2),  # a scalar-valued bracket is not a scalar
+        ("x1/0", 0, 2),
+        ("x1/(lam-lam)", 0, 2),
+        ("x1/7", 7, 2),  # 7 is zero in F_7
+        ("1/0*x1", 0, 1),
+    ])
+    def test_division_refusals(self, text, p, position):
+        field = PrimeField(p) if p else QQ
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, field, lam=field.from_int(3))
+        assert exc.value.position == position
+
     def test_roundtrip(self):
         texts = [
             "((x1*x1)*x2)*x1 - (x1*x1)*(x2*x1)",

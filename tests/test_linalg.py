@@ -290,6 +290,23 @@ class TestEchelon:
         assert span_contains(m.field, vectors, target) is in_span
         assert ech.add(target) is not in_span
 
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_stored_rows_stay_primitive(self, m):
+        """After every add, each stored row is primitive with its pivot entry
+        leading positive, also a row that a new pivot with entry 1 clears."""
+        ech = Echelon(m.field)
+        for row in m.rows:
+            ech.add(row)
+            for q, stored in ech._rows.items():
+                assert ech._gcd(*stored.values()) == 1 and stored[q] > 0
+
+    def test_cleared_row_made_primitive(self):
+        assert Echelon(QQ, [[1, Fraction(1, 2)], [0, 1]])._rows == {0: {0: 1}, 1: {1: 1}}
+        t = QT.variable()
+        ech = Echelon(QT, [[t, t / (1 + t * t)], [0, 0], [0, 0], [0, t]])
+        assert ech._rows == {0: {0: 1}, 1: {1: 1}}
+
     def test_zero_rows(self):
         ech = Echelon(QQ, [[Fraction(0)] * 3, {}])
         assert ech.rank == 0 and ech.contains([Fraction(0)] * 3)
