@@ -9,9 +9,10 @@ the product and L_a lift each operand once, sum products of entries from
 the lifted zero and read each nonzero entry of the result back once
 (``linalg.lift_sparse`` and ``linalg.read_lifted``).  ``lifted_product``
 is the product with no read-back, and ``generate_subalgebra`` hands it to
-``Coordinates.place``.  Elements are coefficient tuples over the field and
-support ``+``, ``-``, scalar ``*`` and the (commutative, bilinear) algebra
-product.
+``Coordinates.place``; ``lifted_left_multiplication`` is L_a with none, and
+``frobenius.axial_radical`` hands its rows to an ``Echelon``.  Elements are
+coefficient tuples over the field and support ``+``, ``-``, scalar ``*`` and
+the (commutative, bilinear) algebra product.
 """
 
 from __future__ import annotations
@@ -85,6 +86,21 @@ class Algebra:
                 for k, s in row[j]:
                     out[k] += c * s
         return out, dx * dy * d
+
+    def lifted_left_multiplication(self, x_lift):
+        """L_x of the ``lift_sparse`` lift (xs, dx): ``(rows, dx * d)``,
+        rows[k][j] summing x_i c over the cells (k, c) of
+        ``integer_grid()[0][i][j]``, so that column j is x * b_j; dense, and
+        unreduced even over F_p."""
+        table, d = self._integer_grid
+        xs, dx = x_lift
+        n = self.dim
+        rows = [[self._lifted_zero] * n for _ in range(n)]
+        for i, xi in xs:
+            for j, cell in enumerate(table[i]):
+                for k, s in cell:
+                    rows[k][j] += xi * s
+        return rows, dx * d
 
     def element(self, coeffs):
         return Element(self, coeffs)
@@ -193,20 +209,11 @@ class Element:
         return not any(self.coeffs)
 
     def left_multiplication_matrix(self):
-        """Matrix M with M @ coords(y) = coords(self * y).
-
-        Column j is self * b_j, the sum over i of a_i times the cell (i, j)
-        of ``integer_grid()``, so entry (k, j) is read off the grid."""
+        """Matrix M with M @ coords(y) = coords(self * y):
+        ``Algebra.lifted_left_multiplication`` read back once."""
         A = self.algebra
-        field, n = A.field, A.dim
-        table, d = A.integer_grid()
-        xs, dx = lift_sparse(field, self.coeffs)
-        rows = [[A._lifted_zero] * n for _ in range(n)]
-        for i, xi in xs:
-            for j, cell in enumerate(table[i]):
-                for k, s in cell:
-                    rows[k][j] += xi * s
-        d *= dx
+        field = A.field
+        rows, d = A.lifted_left_multiplication(lift_sparse(field, self.coeffs))
         return Matrix._wrap(field, [read_lifted(field, row, d) for row in rows])
 
     def format(self):

@@ -4,11 +4,14 @@ A form is stored as its Gram matrix on the algebra basis.  Solving for a
 form is an exact linear system in the n(n+1)/2 upper-triangle entries:
 symmetry is built into the unknowns, associativity contributes one sparse
 equation per basis triple (i, j, k) with j < k, and each normalization
-(x, x) = c contributes one more.  The equations stream into one ``Echelon``
-whose extra column holds the right-hand side, so it never holds more than
-n(n+1)/2 + 1 rows; the particular form and the homogeneous basis are both
-read from it.  ``BilinearForm`` evaluates the same associativity rows on a
-given Gram matrix.
+(x, x) = c contributes one more.  The equations enter one ``Echelon`` whose
+extra column holds the right-hand side: the normalizations first, then the
+associativity rows as a stream that stops once every unknown is a pivot.
+From there the candidate form is unique and the homogeneous basis empty, so
+the rows not streamed only need the associativity evaluation that
+``BilinearForm`` runs on every form; a candidate that fails it means the
+system is inconsistent.  ``axial_radical`` likewise stops feeding L_a - lam
+rows once they reach full rank.
 """
 
 from __future__ import annotations
@@ -39,7 +42,18 @@ class BilinearForm:
             raise DimensionMismatch("Gram matrix does not match the algebra dimension")
         self._integer_gram = None
         self._check_symmetric()
-        self._check_associative()
+        triple = self._check_associative()
+        if triple is not None:
+            i, j, k = triple
+            raise SelfCheckFailed(f"(b{i}b{j}, b{k}) != (b{i}, b{j}b{k}): form is not associative")
+
+    @classmethod
+    def _unchecked(cls, algebra, gram):
+        """The form on a symmetric Gram matrix of the algebra's size, built
+        with no check: the caller runs ``_check_associative``."""
+        form = cls.__new__(cls)
+        form.algebra, form.gram, form._integer_gram = algebra, gram, None
+        return form
 
     def integer_gram(self):
         """The Gram matrix lifted by ``field.integer_lift``: ``(rows, d)``
@@ -60,6 +74,8 @@ class BilinearForm:
                     raise SelfCheckFailed("Gram matrix is not symmetric")
 
     def _check_associative(self):
+        """The first triple (i, j, k) with (b_i b_j, b_k) != (b_i, b_j b_k),
+        in the order of ``_associativity_rows``, or None."""
         p = self.algebra.field.char
         g = self.integer_gram()[0]
         key, nunk = _upper_keys(self.algebra.dim)
@@ -67,14 +83,13 @@ class BilinearForm:
         for key_row, gram_row in zip(key, g):
             for u, v in zip(key_row, gram_row):
                 flat[u] = v
-        for (i, j, k), row in _associativity_rows(self.algebra, key):
+        for triple, row in _associativity_rows(self.algebra, key):
             acc = 0
             for u, c in row.items():
                 acc = acc + c * flat[u]
             if acc % p if p else acc:
-                raise SelfCheckFailed(
-                    f"(b{i}b{j}, b{k}) != (b{i}, b{j}b{k}): form is not associative"
-                )
+                return triple
+        return None
 
     def pair(self, x, y):
         """The form on two coefficient tuples."""
@@ -161,16 +176,15 @@ def solve_frobenius(A, normalize_at=()):
 
     Returns the affine family: a particular form (None when the constraints
     are inconsistent) plus a basis of the homogeneous solution space, each
-    member packaged as a symmetric matrix.
+    member packaged as a symmetric matrix.  The reduced echelon form does
+    not depend on the order of its rows, so the output is the same as that
+    of streaming every row.
     """
     field = A.field
-    zero, one = field.zero, field.one
-    n = A.dim
-    key, nunk = _upper_keys(n)
+    zero = field.zero
+    key, nunk = _upper_keys(A.dim)
     # column nunk holds the right-hand side; a repeated row reduces to zero
     ech = Echelon(field)
-    for _, row in _associativity_rows(A, key):
-        ech.add_integers(row)
     for x, target in normalize_at:
         require_same_algebra(A, x.algebra, "normalization element belongs to a different algebra")
         row = {nunk: target}
@@ -182,34 +196,28 @@ def solve_frobenius(A, normalize_at=()):
                     u = key[i][j]
                     row[u] = row.get(u, zero) + xi * xj
         ech.add(row)
+    for _, row in _associativity_rows(A, key):
+        if ech.rank == nunk + ech.is_pivot(nunk):  # every unknown is a pivot
+            break
+        ech.add_integers(row)
 
     # restricted to the unknowns, the pivot rows are the reduced form of the
     # homogeneous system (a pivot in the right-hand side column only marks
     # the system inconsistent): free unknowns are 0 in the particular
-    # solution and each spans one homogeneous vector
-    pivot_rows = ech.rows
-    if nunk in pivot_rows:
-        particular_vec = None
-    else:
-        particular_vec = [zero] * nunk
-        for p, row in pivot_rows.items():
-            particular_vec[p] = row.get(nunk, zero)
-    hom_vecs = []
-    for free in range(nunk):
-        if free in pivot_rows:
-            continue
-        v = [zero] * nunk
-        v[free] = one
-        for p, row in pivot_rows.items():
-            if p < nunk:
-                v[p] = -row.get(free, zero)
-        hom_vecs.append(v)
-
+    # solution and each spans one homogeneous vector.  The candidate meets
+    # the rows streamed, and the form check decides the others.
     def unflatten(vec):
         return Matrix(field, [[vec[u] for u in row] for row in key])
 
-    particular = None if particular_vec is None else BilinearForm(A, unflatten(particular_vec))
-    homogeneous = [unflatten(v) for v in hom_vecs]
+    particular = None
+    if not ech.is_pivot(nunk):
+        vec = [zero] * nunk
+        for p, row in ech.rows.items():
+            vec[p] = row.get(nunk, zero)
+        form = BilinearForm._unchecked(A, unflatten(vec))
+        if form._check_associative() is None:
+            particular = form
+    homogeneous = [unflatten(v) for v in ech.kernel(nunk)]
     return FormSolution(particular=particular, homogeneous_basis=homogeneous)
 
 
@@ -231,19 +239,31 @@ def axial_radical(A, axes, lam):
 
     An empty basis certifies nonsingularity with respect to the axis set.
     With no axes at all the intersection convention yields the whole space;
-    a warning is emitted because that carries no information.
+    a warning is emitted because that carries no information.  The rows of
+    L_a - lam enter one ``Echelon`` on lifted entries, axis by axis, until
+    they reach full rank; the basis is the one ``Matrix.kernel`` gives of
+    the stacked rows.
     """
     field = A.field
+    n = A.dim
     if not axes:
         warnings.warn("axial radical of an empty axis set is the whole space", stacklevel=2)
         return A.basis()
-    rows = []
-    eye = Matrix.identity(field, A.dim)
     for a in axes:
-        L = a.left_multiplication_matrix()
-        rows.extend((L - eye.scaled(lam)).rows)
-    stacked = Matrix(field, rows)
-    return [A.element(v) for v in stacked.kernel()]
+        require_same_algebra(A, a.algebra, "axis belongs to a different algebra")
+    (lam_entry,), lam_den = field.integer_lift([lam])
+    ech = Echelon(field)
+    for a in axes:
+        # L_a - lam = (rows * lam_den - d * lam_entry * I) / (d * lam_den)
+        rows, d = A.lifted_left_multiplication(lift_sparse(field, a.coeffs))
+        shift = d * lam_entry
+        for k, row in enumerate(rows):
+            row = [x * lam_den for x in row]
+            row[k] -= shift
+            ech.add_integers(row)
+            if ech.rank == n:
+                return []
+    return [A.element(v) for v in ech.kernel(n)]
 
 
 def is_4_nilpotent(y):

@@ -18,9 +18,11 @@ from the kernel, and ``kernel``, ``solve`` and ``rank`` read theirs from
 ``Echelon``; its one step, ``place``, reduces a lifted vector once and
 appends it or reads its coordinates, for ``minimal_polynomial`` and the
 basis and induced structure constants of a generated subalgebra.
-``span_contains``, ``span_rank``, the membership tests elsewhere and
-``solve_frobenius`` keep an ``Echelon`` of their own; the tests of lifted
-products use ``contains_integers``.  ``Matrix`` is dense.
+``span_contains``, ``span_rank``, the membership tests elsewhere,
+``solve_frobenius`` and ``axial_radical`` keep an ``Echelon`` of their own;
+the tests of lifted products use ``contains_integers``, and the last two read
+their kernel bases from ``Echelon.kernel``, the basis ``Matrix.kernel`` reads
+from ``rref``.  ``Matrix`` is dense.
 
 Products run on lifted entries too.  ``lift_sparse`` and ``lift_rows``
 lift the nonzero entries of each operand once, ``Matrix.__matmul__`` and
@@ -285,6 +287,29 @@ class Echelon:
                         for c in other:
                             other[c] //= g
         self._rows[q] = r
+
+    def is_pivot(self, column):
+        return column in self._rows
+
+    def kernel(self, ncols):
+        """Basis of the right null space of the basis rows cut to their
+        first ncols columns, one vector per free column below ncols, in
+        field values: the basis that ``Matrix.kernel`` reads from the
+        reduced row-echelon form.  A pivot at ncols or past it, such as a
+        right-hand side column, adds nothing."""
+        free = [c for c in range(ncols) if c not in self._rows]
+        if not free:
+            return []
+        rows = [(q, row) for q, row in self.rows.items() if q < ncols]
+        zero, one = self.field.zero, self.field.one
+        basis = []
+        for fc in free:
+            v = [zero] * ncols
+            v[fc] = one
+            for q, row in rows:
+                v[q] = -row.get(fc, zero)
+            basis.append(v)
+        return basis
 
     def contains(self, row):
         r = self._lift(row)[0]

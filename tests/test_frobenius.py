@@ -7,6 +7,7 @@ import pytest
 from axial import (
     QQ,
     BilinearForm,
+    PrimeField,
     RationalFunctions,
     axial_radical,
     check_axis,
@@ -20,11 +21,33 @@ from axial import (
     solve_frobenius,
     toric_euf,
     trace_admissibility_audit,
+    universal_2gen,
 )
 from axial.errors import AlgebraMismatch, SelfCheckFailed
-from axial.linalg import Matrix, span_contains
+from axial.frobenius import _associativity_rows, _upper_keys
+from axial.linalg import Echelon, Matrix, span_contains
+
+from conftest import transpositions
+from form_cases import frobenius_cases, radical_cases, reference_axial_radical, reference_solve_frobenius
 
 HALF = Fraction(1, 2)
+
+
+def twogen_axes():
+    return universal_2gen(HALF, Fraction(1, 8)).axes
+
+
+def count_calls(monkeypatch, cls, name):
+    """Count the calls of the method cls.name from here on."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def zero_product_algebra(n=2):
@@ -89,15 +112,19 @@ class TestSolveFrobenius:
         with pytest.raises(SelfCheckFailed):
             BilinearForm(A, Matrix(QQ, bad))  # identity gram is not associative on 3C
 
-    @pytest.mark.parametrize("case", ["normalize_at", "value", "value-one-side", "classify_pair"])
+    @pytest.mark.parametrize("case", ["normalize_at", "value", "value-one-side", "classify_pair",
+                                      "axial_radical-toric", "axial_radical-two-gen"])
     def test_elements_of_another_algebra(self, mats3c, toric, case):
-        # both algebras have dimension 3, so only the algebra check tells them apart
+        # the algebras all have dimension 3, so only the algebra check tells them apart
         a, b, _ = mats3c.axes
         calls = {
             "normalize_at": lambda: solve_frobenius(mats3c.algebra, [(toric.u, QQ.one)]),
             "value": lambda: mats3c.form.value(toric.e, toric.f),
             "value-one-side": lambda: mats3c.form.value(a, toric.f),
             "classify_pair": lambda: classify_pair(a, b, toric.form, HALF),
+            # the foreign axis is last, past the point where 3C's axes reach full rank
+            "axial_radical-toric": lambda: axial_radical(mats3c.algebra, [a, b, toric.idempotent(2)], HALF),
+            "axial_radical-two-gen": lambda: axial_radical(mats3c.algebra, list(twogen_axes()), HALF),
         }
         with pytest.raises(AlgebraMismatch):
             calls[case]()
@@ -134,6 +161,69 @@ class TestSolveFrobenius:
         g[0][0] = Qt.variable()
         with pytest.raises(SelfCheckFailed, match=re.escape("(b0b0, b1) != (b0, b0b1)")):
             BilinearForm(tor.algebra, Matrix(Qt, g))
+
+
+class TestFullRankStop:
+    """The eliminations stop at full rank; their outputs are those of the
+    full-stream reference copies in ``form_cases.py``."""
+
+    def test_solve_matches_full_stream(self, monkeypatch):
+        verdicts = count_calls(monkeypatch, BilinearForm, "_check_associative")
+        fields, failed_after_full_rank, cases = set(), 0, 0
+        for A, normalize_at in frobenius_cases():
+            del verdicts[:]
+            sol = solve_frobenius(A, normalize_at)
+            ref = reference_solve_frobenius(A, normalize_at)
+            assert sol.particular == ref.particular
+            assert sol.homogeneous_basis == ref.homogeneous_basis
+            # a candidate built and then refused: the streamed rows were
+            # consistent, and the system is inconsistent only in rows the
+            # solver never streamed
+            if sol.particular is None and verdicts:
+                failed_after_full_rank += 1
+            fields.add(type(A.field).__name__)
+            cases += 1
+        assert fields == {"Rationals", "PrimeField", "RationalFunctions"}
+        assert cases > 400 and failed_after_full_rank >= 100
+
+    def test_radical_matches_full_stream(self):
+        nonzero = 0
+        for A, axes, lam in radical_cases():
+            rad = axial_radical(A, axes, lam)
+            assert rad == reference_axial_radical(A, axes, lam)
+            nonzero += bool(rad)
+        assert nonzero >= 40
+
+    def test_inconsistent_only_in_rows_not_streamed(self, mats3c, monkeypatch):
+        # six normalizations fix the identity Gram matrix, which 3C's
+        # associativity refuses: no associativity row is streamed, and the
+        # form check gives particular = None, not an error
+        a, b, c = mats3c.axes
+        norms = [(x, QQ.one) for x in (a, b, c)] + [(x + y, Fraction(2)) for x, y in ((a, b), (a, c), (b, c))]
+        streamed = count_calls(monkeypatch, Echelon, "add_integers")
+        sol = solve_frobenius(mats3c.algebra, norms)
+        assert not streamed
+        assert sol.particular is None and sol.homogeneous_basis == []
+        assert reference_solve_frobenius(mats3c.algebra, norms).particular is None
+
+    def test_s5_solve_streams_fewer_rows(self, monkeypatch):
+        M = matsuo_from_triple_system(transpositions(5), HALF)
+        A, n = M.algebra, M.algebra.dim
+        rows = sum(1 for _ in _associativity_rows(A, _upper_keys(n)[0]))
+        assert rows <= n * n * (n - 1) // 2
+        streamed = count_calls(monkeypatch, Echelon, "add_integers")
+        sol = solve_frobenius(A, [(x, QQ.one) for x in M.axes])
+        assert sol.unique and sol.particular == M.form
+        assert len(streamed) < rows  # 129 of 420 rows when written
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101), RationalFunctions("t")], ids=["Q", "F101", "Qt"])
+    def test_radical_stops_before_the_last_s4_axis(self, field, monkeypatch):
+        half = field.from_fraction(HALF)
+        M = matsuo_from_triple_system(transpositions(4), half, field)
+        n = M.algebra.dim
+        fed = count_calls(monkeypatch, Echelon, "add_integers")
+        assert axial_radical(M.algebra, list(M.axes), half) == []
+        assert 0 < len(fed) <= (len(M.axes) - 1) * n  # 8 rows of 36 when written
 
 
 class TestRadical:

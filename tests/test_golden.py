@@ -64,11 +64,21 @@ Q(t) at 1/2, t and (t+1)/(t^2+3), and the error type and message, or the
 polynomial, at lam None, 0 and 1 and for an unknown name.  The text is
 canonical, so a change to how the catalog is written must leave it as it is.
 
+``GOLDEN_FORMS`` covers the Frobenius solver and the axial radical on the
+cases of ``form_cases.py``: the ``axial_radical`` bases of single toric
+axes, axis subsets of 3C, the Matsuo algebra of S_4, two-gen and H3, and
+the ``solve_frobenius`` outputs (particular Gram matrix or None, and the
+homogeneous basis) on the toric algebra, 3C, two-gen, H3 and the Matsuo
+algebras of S_3 and S_4 with several normalizations, and on a seeded sweep
+of 400 random algebras of dimension 2 and 3, most of them over-determined,
+all over Q, F_101 and Q(t).  Both outputs are canonical, so a change to
+when the eliminations stop must leave it as it is.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
 digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT``,
 ``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS``, ``GOLDEN_IDENTITIES``,
-``GOLDEN_AXES`` and ``GOLDEN_CATALOG``.  A change to a constant
+``GOLDEN_AXES``, ``GOLDEN_CATALOG`` and ``GOLDEN_FORMS``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -77,7 +87,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from axial import (QQ, PrimeField, axis_orbit, builtin_identity, check_axis, component_recovery,
+from axial import (QQ, PrimeField, axial_radical, axis_orbit, builtin_identity, check_axis, component_recovery,
                    enumerate_idempotents_2gen, evaluate, generate_subalgebra, holds_as_identity,
                    jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly, radical,
                    sample_identity, seress_check, solid_audit, solve_frobenius, toric_euf, trace_form,
@@ -89,6 +99,7 @@ from axial.identities import BUILTIN_NAMES, format_poly
 from axial.linalg import Coordinates, Echelon, Matrix, minimal_polynomial
 
 from conftest import direct_sum
+from form_cases import frobenius_cases, radical_cases
 
 GOLDEN = "18f6114ba0cd57a39a3475184c671ab0b6993ab45a5aec9ace92082ae7e2d64c"
 GOLDEN_QT = "2778e5548912b21e94b420a8b333bd73f8d2a6b3fbda172735d0fe1ffb1be6bf"
@@ -97,6 +108,7 @@ GOLDEN_PRODUCTS = "dfd6c50e29f3d7e2e21ee7fde7d6c9faf123ec463eb143677ad0c7556f76a
 GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
 GOLDEN_AXES = "f0615aeede7164f01b43cfe46afd7e7cd3a04a91ec2f742c6ab78841c1af9544"
 GOLDEN_CATALOG = "4b57a26a831238f3daab4f90ac56d8eec8750b103e806cea0bce25628585c31b"
+GOLDEN_FORMS = "083ee04bd3893b5be4cef9193f3b28dac5f09862b4064830e4a7a51fc5a3303d"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -505,6 +517,16 @@ def _catalog_records():
             yield [name, format_poly(f), [type(c).__name__ for _key, c in f.sorted_terms()]]
 
 
+def _form_records():
+    """``axial_radical`` bases and ``solve_frobenius`` outputs on the cases
+    of ``form_cases.py``, over Q, F_101 and Q(t)."""
+    for A, axes, lam in radical_cases():
+        yield axial_radical(A, axes, lam)
+    for A, normalize_at in frobenius_cases():
+        sol = solve_frobenius(A, normalize_at)
+        yield [sol.particular and sol.particular.gram, sol.homogeneous_basis]
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -541,6 +563,10 @@ def test_golden_catalog_outputs():
     assert digest(_catalog_records) == GOLDEN_CATALOG
 
 
+def test_golden_form_outputs():
+    assert digest(_form_records) == GOLDEN_FORMS
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
@@ -549,3 +575,4 @@ if __name__ == "__main__":
     print(digest(_identity_records))
     print(digest(_axes_records))
     print(digest(_catalog_records))
+    print(digest(_form_records))
