@@ -5,18 +5,22 @@ class AxialError(Exception):
     """Base class for all library errors."""
 
 
-class ScalarParseError(AxialError):
+class _TextError(AxialError):
+    """Text that does not read; carries the offending position, if it has one."""
+
+    def __init__(self, message, position=None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.position = position
+
+
+class ScalarParseError(_TextError):
     """Scalar text does not match the exact-scalar grammar for the field, or
     a scalar is too long to read or write as text (Python's int-string
     digit limit)."""
 
 
-class PolyParseError(AxialError):
-    """Identity-polynomial text is malformed; carries the offending position."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message if position is None else f"{message} (at position {position})")
-        self.position = position
+class PolyParseError(_TextError):
+    """Identity-polynomial text is malformed."""
 
 
 class SchemaError(AxialError):

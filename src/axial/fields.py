@@ -11,7 +11,9 @@ equality is plain ``==``:
 All value types support the usual arithmetic operators, ``bool`` (nonzero
 test), ``==`` and ``hash``, so the linear algebra and algebra layers never
 need to consult the field for arithmetic.  The field objects own parsing,
-formatting, square roots and polynomial root extraction.
+formatting, square roots and polynomial root extraction.  Q and F_p read
+literals only; Q(t) text is read by one reader (``_Reader``), whose
+subclass in the identity layer reads identity text with the same grammar.
 
 Polynomials are coefficient sequences, low degree first, with no trailing 0.
 One layer of integer polynomials does the arithmetic of Q(t) values, of
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -1009,21 +1012,8 @@ class RationalFunctions(Field):
             raise ValueError(f"bad variable name {var!r}")
         self.var = var
 
-    # -- parsing: +, -, *, /, ^, parentheses, integer literals, the variable
     def parse(self, text):
-        toks = _tokenize(text, self.var)
-        token = _scalar_budget.set([MAX_SCALAR_WORK])
-        try:
-            val, pos = _parse_sum(toks, 0, self.var)
-        except ZeroDivisionError as exc:
-            raise ScalarParseError(f"{text!r} divides by zero") from exc
-        except RecursionError as exc:  # the parser recurses per '(' and per unary sign
-            raise ScalarParseError("scalar text is nested too deeply") from exc
-        finally:
-            _scalar_budget.reset(token)
-        if pos != len(toks):
-            raise ScalarParseError(f"trailing input in {text!r}")
-        return val
+        return _Reader(self).read(text)
 
     def format(self, a):
         try:
@@ -1122,7 +1112,7 @@ class RationalFunctions(Field):
         return f"RationalFunctions({self.var!r})"
 
 
-# -- tiny recursive-descent parser for the rational-function grammar
+# -- one reader for scalar text and identity text
 
 # Caps on scalar text: the degree of a power (the exponent, on a constant), and
 # one work budget that the polynomial primitives draw on as the text is
@@ -1133,87 +1123,141 @@ class RationalFunctions(Field):
 MAX_EXPONENT = 10**4
 MAX_SCALAR_WORK = 5 * 10**5
 
-
-def _tokenize(text, var):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            toks.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_literal(text[i:j], "decimal")[0])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name != var:
-                raise ScalarParseError(f"unknown symbol {name!r} (variable is {var!r})")
-            toks.append(name)
-            i = j
-        else:
-            raise ScalarParseError(f"bad character {ch!r} in scalar text")
-    return toks
+# a numeral, a name or one other character; whitespace between them is skipped
+_TOKEN_RE = re.compile(r"(\d+)|(\w+)|(\S)")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _parse_sum(toks, pos, var):
-    val, pos = _parse_product(toks, pos, var)
-    while pos < len(toks) and toks[pos] in ("+", "-"):
-        op = toks[pos]
-        rhs, pos = _parse_product(toks, pos + 1, var)
-        val = val + rhs if op == "+" else val - rhs
-    return val, pos
+class _Reader:
+    """Reads text over one field: sums of products and quotients, left to
+    right, unary signs, parentheses and decimal numerals, which read through
+    ``field.from_int``.  Over Q(t) it also reads the field's variable and a
+    power ``^`` with a numeral exponent, capped by MAX_EXPONENT.  Values
+    combine with the field's own operators, and the whole read draws on one
+    work budget of MAX_SCALAR_WORK.  Every refusal is an ``error`` at the
+    position of the offending token.
 
+    The identity layer subclasses it: ``_name`` reads names, and
+    ``_binary`` and ``_power`` apply an operator at a position."""
 
-def _parse_product(toks, pos, var):
-    val, pos = _parse_atom(toks, pos, var)
-    while pos < len(toks) and toks[pos] in ("*", "/"):
-        op = toks[pos]
-        rhs, pos = _parse_atom(toks, pos + 1, var)
-        val = val * rhs if op == "*" else val / rhs
-    return val, pos
+    error = ScalarParseError
 
+    def __init__(self, field):
+        self.field = field
+        self.var = field.var if field.kind == "Qt" else None
 
-def _parse_atom(toks, pos, var):
-    if pos >= len(toks):
-        raise ScalarParseError("unexpected end of scalar text")
-    tok = toks[pos]
-    if tok == "-":
-        val, pos = _parse_atom(toks, pos + 1, var)
-        return -val, pos
-    if tok == "+":
-        return _parse_atom(toks, pos + 1, var)
-    if tok == "(":
-        val, pos = _parse_sum(toks, pos + 1, var)
-        if pos >= len(toks) or toks[pos] != ")":
-            raise ScalarParseError("missing closing parenthesis")
-        pos += 1
-    elif isinstance(tok, int):
-        val = RatFunc.const(tok)
-        pos += 1
-    elif tok == var:
-        val = RatFunc.var()
-        pos += 1
-    else:
-        raise ScalarParseError(f"unexpected token {tok!r}")
-    if pos < len(toks) and toks[pos] == "^":
-        if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
-            raise ScalarParseError("exponent must be a nonnegative integer")
-        k = toks[pos + 1]
-        deg = max(len(val._n), len(val._d), 2) - 1  # a constant counts as degree 1
+    def read(self, text):
+        self.toks = self._lex(text)
+        self.pos = 0
+        token = _scalar_budget.set([MAX_SCALAR_WORK])
+        try:
+            val = self._expr(1)
+        except RecursionError as exc:  # the reader recurses per '(' and per unary sign
+            raise self.error("text is nested too deeply", self.toks[self.pos][2]) from exc
+        finally:
+            _scalar_budget.reset(token)
+        kind, _, at = self.toks[self.pos]
+        if kind != "end":
+            raise self.error("trailing input", at)
+        return val
+
+    def _lex(self, text):
+        """(kind, value, position) tokens: numerals, names and operators,
+        closed by an end token at the length of the text."""
+        toks = []
+        for m in _TOKEN_RE.finditer(text):
+            digits, name, char = m.groups()
+            at = m.start()
+            if digits:
+                try:
+                    toks.append(("num", int(digits), at))
+                except ValueError as exc:  # past Python's int-string digit limit
+                    raise self.error(str(exc), at) from exc
+            elif name:
+                toks.append(("name", name, at))
+            elif char in "+-*/^(),":
+                toks.append((char, None, at))
+            else:
+                raise self.error(f"bad character {char!r}", at)
+        toks.append(("end", None, len(text)))
+        return toks
+
+    def _expr(self, floor):
+        """The operators of precedence floor and above, by precedence
+        climbing: a sum at floor 1, a product or quotient at floor 2."""
+        val = self._unary()
+        while True:
+            kind, _, at = self.toks[self.pos]
+            prec = _PRECEDENCE.get(kind, 0)
+            if prec < floor:
+                return val
+            self.pos += 1
+            val = self._binary(kind, val, self._expr(prec + 1), at)
+
+    def _unary(self):
+        kind, value, at = self.toks[self.pos]
+        if kind == "end":
+            raise self.error("unexpected end of text", at)
+        self.pos += 1
+        if kind == "-":
+            return self._apply(at, operator.neg, self._unary())
+        if kind == "+":
+            return self._unary()
+        val = self._atom(kind, value, at)
+        kind, _, at = self.toks[self.pos]
+        if kind != "^":
+            return val
+        self.pos += 1
+        return self._power(val, at)
+
+    def _atom(self, kind, value, at):
+        if kind == "num":
+            return self.field.from_int(value)
+        if kind == "name":
+            return self._name(value, at)
+        if kind == "(":
+            val = self._expr(1)
+            self._expect(")", "missing ')'", at)
+            return val
+        raise self.error(f"unexpected token {kind!r}", at)
+
+    def _expect(self, kind, message, at):
+        if self.toks[self.pos][0] != kind:
+            raise self.error(message, at)
+        self.pos += 1
+
+    def _name(self, name, at):
+        if name == self.var:
+            return self.field.variable()
+        raise self.error(f"unknown name {name!r}", at)
+
+    def _binary(self, op, a, b, at):
+        return self._apply(at, _OPERATORS[op], a, b)
+
+    def _power(self, base, at):
+        """base ^ k, for the '^' at position at and the numeral k after it.
+        Only the Z[t] primitives are metered, so only Q(t) reads a power."""
+        if self.var is None:
+            raise self.error("'^' is read over Q(t) only", at)
+        kind, k, _ = self.toks[self.pos]
+        if kind != "num":
+            raise self.error("exponent must be a nonnegative integer", at)
+        self.pos += 1
+        deg = max(len(base._n), len(base._d), 2) - 1  # a constant counts as degree 1
         if deg * k > MAX_EXPONENT:
-            raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
-        val = val ** k
-        pos += 2
-    return val, pos
+            raise self.error(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base", at)
+        return self._apply(at, operator.pow, base, k)
+
+    def _apply(self, at, fn, *args):
+        """fn(*args), refused at position at when it divides by zero, meets
+        a value it cannot take or spends the work budget."""
+        try:
+            return fn(*args)
+        except ZeroDivisionError as exc:
+            raise self.error("division by zero", at) from exc
+        except (ValueError, ScalarParseError) as exc:
+            raise self.error(str(exc), at) from exc
 
 
 def _poly_str(p, var):

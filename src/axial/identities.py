@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import require_same_algebra
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
+from .fields import _Reader
 from .linalg import lift_sparse, lifted_one, lifted_zero
 
 __all__ = [
@@ -808,29 +808,23 @@ def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, co
 # parser
 # ---------------------------------------------------------------------------
 
-_SCALAR = "scalar"
-
 
 def parse_poly(text, field, lam=None):
     """Parse the identity grammar.
 
     Variables x1.., slots E1.., product * with explicit parentheses for
-    nested products, bracket factors B(s,t), rational coefficients, and
-    ``lam`` for the bound eigenvalue symbol (required to be supplied).  / in
-    a term divides by a nonzero scalar: a number, lam or a parenthesized
-    scalar expression.
+    nested products, bracket factors B(s,t), and scalar coefficients read
+    as ``field.parse`` reads Q(t) text: numerals, and over Q(t) the field's
+    variable and powers ^.  ``lam`` names the bound eigenvalue symbol
+    (required to be supplied).  x<k>, E<k>, B and lam come before the field
+    variable, so a variable named like one of them is not read.  / divides
+    by a nonzero scalar only, a nonzero scalar is not added to an element,
+    and ^ takes a scalar base.  Over Q(t) the text draws on one scalar work
+    budget, as ``field.parse`` does.
     """
-    try:
-        toks = _lex(text)
-        val, pos = _parse_sum(toks, 0, field, lam)
-    except ValueError as exc:  # int() refuses a numeral past its digit limit
-        raise PolyParseError(str(exc)) from exc
-    except RecursionError as exc:  # the parser recurses per '(' and per unary sign
-        raise PolyParseError("polynomial text is nested too deeply") from exc
-    if pos != len(toks):
-        raise PolyParseError("trailing input", toks[pos][2])
-    if isinstance(val, tuple) and val[0] == _SCALAR:
-        if val[1]:
+    val = _IdentityReader(field, lam).read(text)
+    if not isinstance(val, GenPoly):
+        if val:
             raise PolyParseError("polynomial must be element-valued, got a bare scalar", 0)
         return GenPoly.zero(field)
     if any(body is None for _brackets, body in val.terms):
@@ -838,131 +832,54 @@ def parse_poly(text, field, lam=None):
     return val
 
 
-def _lex(text):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/(),":
-            toks.append((ch, None, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("num", Fraction(int(text[i:j])), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise PolyParseError(f"bad character {ch!r}", i)
-    return toks
+class _IdentityReader(_Reader):
+    """The field's reader with the identity names added.  A value is a
+    field scalar or a GenPoly: an element, or a product of brackets."""
 
+    error = PolyParseError
 
-def _parse_sum(toks, pos, field, lam):
-    val, pos = _parse_term(toks, pos, field, lam)
-    while pos < len(toks) and toks[pos][0] in "+-":
-        op = toks[pos][0]
-        rhs, pos = _parse_term(toks, pos + 1, field, lam)
-        val = _combine_add(val, rhs, negate=(op == "-"), field=field, at=toks[pos - 1][2])
-    return val, pos
+    def __init__(self, field, lam):
+        super().__init__(field)
+        self.lam = lam
 
-
-def _parse_term(toks, pos, field, lam):
-    val, pos = _parse_factor(toks, pos, field, lam)
-    while pos < len(toks) and toks[pos][0] in "*/":
-        op, at = toks[pos][0], toks[pos][2]
-        rhs, pos = _parse_factor(toks, pos + 1, field, lam)
-        if op == "/":
-            if not (isinstance(rhs, tuple) and rhs[0] == _SCALAR):
-                raise PolyParseError("can only divide by a scalar: a number, lam or a parenthesized scalar", at)
-            if not rhs[1]:
-                raise PolyParseError("division by zero", at)
-            rhs = (_SCALAR, field.one / rhs[1])
-        val = _combine_mul(val, rhs, field)
-    return val, pos
-
-
-def _parse_factor(toks, pos, field, lam):
-    if pos >= len(toks):
-        raise PolyParseError("unexpected end of input", toks[-1][2] if toks else 0)
-    kind, payload, at = toks[pos]
-    if kind == "-":
-        val, pos = _parse_factor(toks, pos + 1, field, lam)
-        return _combine_mul((_SCALAR, -field.one), val, field), pos
-    if kind == "+":
-        return _parse_factor(toks, pos + 1, field, lam)
-    if kind == "(":
-        val, pos = _parse_sum(toks, pos + 1, field, lam)
-        if pos >= len(toks) or toks[pos][0] != ")":
-            raise PolyParseError("missing ')'", at)
-        return val, pos + 1
-    if kind == "num":
-        return (_SCALAR, field.from_fraction(payload)), pos + 1
-    if kind == "name":
-        name = payload
+    def _name(self, name, at):
         if name == "lam":
-            if lam is None:
+            if self.lam is None:
                 raise PolyParseError("'lam' used but no lambda binding supplied", at)
-            return (_SCALAR, lam), pos + 1
+            return self.lam
         if name == "B":
-            if pos + 1 >= len(toks) or toks[pos + 1][0] != "(":
-                raise PolyParseError("B requires '('", at)
-            arg1, pos = _parse_sum(toks, pos + 2, field, lam)
-            if pos >= len(toks) or toks[pos][0] != ",":
-                raise PolyParseError("B requires two arguments", at)
-            arg2, pos = _parse_sum(toks, pos + 1, field, lam)
-            if pos >= len(toks) or toks[pos][0] != ")":
-                raise PolyParseError("missing ')' after B arguments", at)
-            for a in (arg1, arg2):
-                if isinstance(a, tuple) and a[0] == _SCALAR:
-                    raise PolyParseError("bracket arguments must be element-valued", at)
-            try:
-                return bracket(arg1, arg2), pos + 1
-            except ValueError as exc:
-                raise PolyParseError(str(exc), at) from exc
-        if name.startswith("x") and name[1:].isdigit():
-            return x_var(field, int(name[1:])), pos + 1
-        if name.startswith("E") and name[1:].isdigit():
-            return e_slot(field, int(name[1:])), pos + 1
-        raise PolyParseError(f"unknown name {name!r}", at)
-    raise PolyParseError(f"unexpected token {kind!r}", at)
+            return self._bracket(at)
+        if name[0] in "xE" and name[1:].isdigit():
+            leaf = x_var if name[0] == "x" else e_slot
+            return self._apply(at, lambda: leaf(self.field, int(name[1:])))
+        return super()._name(name, at)
 
+    def _bracket(self, at):
+        self._expect("(", "B requires '('", at)
+        arg1 = self._expr(1)
+        self._expect(",", "B requires two arguments", at)
+        arg2 = self._expr(1)
+        self._expect(")", "missing ')' after B arguments", at)
+        if not (isinstance(arg1, GenPoly) and isinstance(arg2, GenPoly)):
+            raise PolyParseError("bracket arguments must be element-valued", at)
+        return self._apply(at, bracket, arg1, arg2)
 
-def _combine_add(a, b, negate, field, at):
-    a_sc = isinstance(a, tuple) and a[0] == _SCALAR
-    b_sc = isinstance(b, tuple) and b[0] == _SCALAR
-    if a_sc and b_sc:
-        return (_SCALAR, a[1] - b[1] if negate else a[1] + b[1])
-    if a_sc or b_sc:
-        sc, poly = (a, b) if a_sc else (b, a)
-        if sc[1]:
-            raise PolyParseError("cannot add a nonzero scalar to an element-valued term", at)
-        if a_sc:  # 0 +- poly
-            return (-field.one) * poly if negate else poly
-        return poly  # poly +- 0
-    return a - b if negate else a + b
+    def _binary(self, op, a, b, at):
+        a_el, b_el = isinstance(a, GenPoly), isinstance(b, GenPoly)
+        if op == "/" and b_el:
+            raise PolyParseError("can only divide by a scalar, not by an element-valued term", at)
+        if op in "+-" and a_el != b_el:
+            if b if a_el else a:
+                raise PolyParseError("cannot add a nonzero scalar to an element-valued term", at)
+            a, b = (a, GenPoly.zero(self.field)) if a_el else (GenPoly.zero(self.field), b)
+        if op == "/" and a_el:
+            op, b = "*", super()._binary("/", self.field.one, b, at)
+        return super()._binary(op, a, b, at)
 
-
-def _combine_mul(a, b, field):
-    a_sc = isinstance(a, tuple) and a[0] == _SCALAR
-    b_sc = isinstance(b, tuple) and b[0] == _SCALAR
-    if a_sc and b_sc:
-        return (_SCALAR, a[1] * b[1])
-    if a_sc:
-        return a[1] * b
-    if b_sc:
-        return b[1] * a
-    return a * b
+    def _power(self, base, at):
+        if isinstance(base, GenPoly):
+            raise PolyParseError("'^' needs a scalar base", at)
+        return super()._power(base, at)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axial import QQ, PrimeField, jordan_symmetric_matrices, toric_euf
+from axial import QQ, PrimeField, holds_as_identity, jordan_symmetric_matrices, parse_poly, toric_euf
 from axial.cli import main
 from axial.errors import SchemaError
 from axial.fields import _PRIME_TEST_BOUND, _is_prime
@@ -136,6 +136,18 @@ class TestCliPipeline:
         assert main(["identity", "--algebra", path, "--poly", "B(x1,x2)*x1 - x1", "--json", *pool]) == 1
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert not check["passed"] and set(check["detail"]["witness"]["x"]) == {"x1", "x2"}
+
+    def test_identity_poly_names_the_field_variable(self, tmp_path, capsys):
+        path = str(tmp_path / "toric-t.json")
+        assert main(["construct", "toric", "--field", '{"kind":"Qt","var":"t"}', "-o", path]) == 0
+        A = load_algebra(path)
+        for text, code in (("(t^2+1)*(((x1*x1)*x2)*x1) - (x1*x1)*(x2*x1)*(t^2+1)", 0), ("x1*x2/(t-1)", 1)):
+            capsys.readouterr()
+            assert main(["identity", "--algebra", path, "--poly", text, "--json"]) == code
+            (check,) = json.loads(capsys.readouterr().out)["checks"]
+            assert check["passed"] is holds_as_identity(parse_poly(text, A.field), A).holds is (code == 0)
+        assert main(["identity", "--algebra", path, "--poly", "x1^2"]) == 2
+        assert "'^' needs a scalar base (at position 2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines_lam", ["1/2", "1/4"])
     def test_seress_text_and_name_agree(self, lines_lam, tmp_path, capsys):

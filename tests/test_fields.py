@@ -13,6 +13,7 @@ import axial
 from axial.errors import ScalarParseError, SchemaError
 from axial.fields import (
     MAX_EXPONENT,
+    MAX_SCALAR_WORK,
     QQ,
     Fp,
     PrimeField,
@@ -22,6 +23,7 @@ from axial.fields import (
     _fraction_sqrt,
     _horner,
     _is_prime,
+    _literal,
     _pprem_int,
     _roots_mod,
     _scalar_budget,
@@ -973,3 +975,168 @@ def test_qt_roots_and_solid_audit_run_without_sympy(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "solid", "True"]
+
+
+# -- the Q(t) scalar parser as it ran before one reader served scalar and
+# identity text, verbatim; reference_parse_scalar is its RationalFunctions.parse
+
+
+def reference_parse_scalar(text, var):
+    toks = _tokenize(text, var)
+    token = _scalar_budget.set([MAX_SCALAR_WORK])
+    try:
+        val, pos = _parse_sum(toks, 0, var)
+    except ZeroDivisionError as exc:
+        raise ScalarParseError(f"{text!r} divides by zero") from exc
+    except RecursionError as exc:  # the parser recurses per '(' and per unary sign
+        raise ScalarParseError("scalar text is nested too deeply") from exc
+    finally:
+        _scalar_budget.reset(token)
+    if pos != len(toks):
+        raise ScalarParseError(f"trailing input in {text!r}")
+    return val
+
+
+def _tokenize(text, var):
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^()":
+            toks.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            toks.append(_literal(text[i:j], "decimal")[0])
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            if name != var:
+                raise ScalarParseError(f"unknown symbol {name!r} (variable is {var!r})")
+            toks.append(name)
+            i = j
+        else:
+            raise ScalarParseError(f"bad character {ch!r} in scalar text")
+    return toks
+
+
+def _parse_sum(toks, pos, var):
+    val, pos = _parse_product(toks, pos, var)
+    while pos < len(toks) and toks[pos] in ("+", "-"):
+        op = toks[pos]
+        rhs, pos = _parse_product(toks, pos + 1, var)
+        val = val + rhs if op == "+" else val - rhs
+    return val, pos
+
+
+def _parse_product(toks, pos, var):
+    val, pos = _parse_atom(toks, pos, var)
+    while pos < len(toks) and toks[pos] in ("*", "/"):
+        op = toks[pos]
+        rhs, pos = _parse_atom(toks, pos + 1, var)
+        val = val * rhs if op == "*" else val / rhs
+    return val, pos
+
+
+def _parse_atom(toks, pos, var):
+    if pos >= len(toks):
+        raise ScalarParseError("unexpected end of scalar text")
+    tok = toks[pos]
+    if tok == "-":
+        val, pos = _parse_atom(toks, pos + 1, var)
+        return -val, pos
+    if tok == "+":
+        return _parse_atom(toks, pos + 1, var)
+    if tok == "(":
+        val, pos = _parse_sum(toks, pos + 1, var)
+        if pos >= len(toks) or toks[pos] != ")":
+            raise ScalarParseError("missing closing parenthesis")
+        pos += 1
+    elif isinstance(tok, int):
+        val = RatFunc.const(tok)
+        pos += 1
+    elif tok == var:
+        val = RatFunc.var()
+        pos += 1
+    else:
+        raise ScalarParseError(f"unexpected token {tok!r}")
+    if pos < len(toks) and toks[pos] == "^":
+        if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
+            raise ScalarParseError("exponent must be a nonnegative integer")
+        k = toks[pos + 1]
+        deg = max(len(val._n), len(val._d), 2) - 1  # a constant counts as degree 1
+        if deg * k > MAX_EXPONENT:
+            raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base")
+        val = val ** k
+        pos += 2
+    return val, pos
+
+
+def outcome(read, text, *args, **kwargs):
+    """The value that read gives for text, or the class of what it raises."""
+    try:
+        return read(text, *args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+SCALAR_SOUP = st.lists(st.sampled_from(["t", "s", "0", "1", "2", "7", "12", "+", "-", "*", "/", "^", "(", ")",
+                                        " ", ",", "?", "\u00b2", "x1"]), max_size=10).map("".join)
+SCALAR_TEXTS = st.recursive(
+    st.sampled_from(["t", "0", "1", "2", "3", "12", "(t-1)", "(t+1)"]),
+    lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from("+-*/"), kids).map("".join),
+        kids.map("({})".format),
+        kids.map("-{}".format),
+        st.tuples(kids, st.integers(0, 4)).map("{0[0]}^{0[1]}".format),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(SCALAR_SOUP, SCALAR_TEXTS))
+def test_reader_matches_reference_scalar_parser(text):
+    """Q(t) scalar text reads to the value the old parser gave, and what it
+    refused is refused with the same class."""
+    assert outcome(RationalFunctions("t").parse, text) == outcome(reference_parse_scalar, text, "t")
+
+
+class TestReaderMessages:
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "division by zero (at position 1)"),
+        ("t/(t-t)", "division by zero (at position 1)"),
+        ("s + 1", "unknown name 's' (at position 0)"),
+        ("t ? 1", "bad character '?' (at position 2)"),
+        ("(t+1", "missing ')' (at position 0)"),
+        ("t +", "unexpected end of text (at position 3)"),
+        ("t*)", "unexpected token ')' (at position 2)"),
+        ("t 2", "trailing input (at position 2)"),
+        ("t^t", "exponent must be a nonnegative integer (at position 1)"),
+        ("(t^100)^1000", "exponent 1000 exceeds 100 for this base (at position 7)"),
+        ("(t+1)^10000", "scalar text exceeds its work budget (at position 5)"),
+    ])
+    def test_scalar_refusals_name_their_position(self, text, message):
+        with pytest.raises(ScalarParseError) as exc:
+            RationalFunctions("t").parse(text)
+        assert str(exc.value) == message
+
+    def test_nesting_is_refused_where_it_is_too_deep(self):
+        with pytest.raises(ScalarParseError, match="text is nested too deeply") as exc:
+            RationalFunctions("t").parse("(" * 3000 + "t" + ")" * 3000)
+        assert 0 < exc.value.position < 3000
+
+    def test_literal_fields_read_no_expressions(self):
+        # Q and F_p read literals only: a power is metered only on Z[t]
+        for field in (QQ, PrimeField(7)):
+            for text in ("2^3", "1+1", "(1)", "t"):
+                with pytest.raises(ScalarParseError):
+                    field.parse(text)
+        assert QQ.parse(" -3 / 4") == Fraction(-3, 4)
