@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 from .algebra import require_same_algebra
@@ -130,10 +131,17 @@ def _mono_degree(key, leaf):
     return sum(_count_leaf(t, leaf) for t in _mono_trees(key))
 
 
+# a signed literal, name or power, which a product takes as its left factor
+# without parentheses
+_SIGNED_ATOM_RE = re.compile(r"-?[\w/^]+")
+
+
 def _mono_str(key, coeff, field):
     brackets, body = key
     parts = []
     c = field.format(coeff)
+    if not _SIGNED_ATOM_RE.fullmatch(c):  # a Q(t) sum such as "-t - 1"
+        c = f"({c})"
     parts.extend(f"B({_tree_str(a)},{_tree_str(b)})" for a, b in brackets)
     if body is not None:
         parts.append(_tree_str(body))

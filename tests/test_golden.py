@@ -107,7 +107,7 @@ GOLDEN_QT_KERNEL = "401fb2b385d5f81d2ceefc9f84999c18936abb96e8a719c7801e5089f03e
 GOLDEN_PRODUCTS = "dfd6c50e29f3d7e2e21ee7fde7d6c9faf123ec463eb143677ad0c7556f76aa1c"
 GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb56c804"
 GOLDEN_AXES = "f0615aeede7164f01b43cfe46afd7e7cd3a04a91ec2f742c6ab78841c1af9544"
-GOLDEN_CATALOG = "4b57a26a831238f3daab4f90ac56d8eec8750b103e806cea0bce25628585c31b"
+GOLDEN_CATALOG = "5cc487955c8f633e9edbbafe0b970a7c318c239b2a3f0f937f10d482b8e8db2d"
 GOLDEN_FORMS = "083ee04bd3893b5be4cef9193f3b28dac5f09862b4064830e4a7a51fc5a3303d"
 
 # the texts that test_one_work_budget_per_text parses within one work budget

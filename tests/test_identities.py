@@ -192,6 +192,15 @@ class TestParse:
         for t in texts:
             f = parse_poly(t, QQ, lam=HALF)
             assert parse_poly(format_poly(f), QQ, lam=HALF) == f
+        # over Q(t) a compound coefficient is written in parentheses
+        Qt = RationalFunctions("t")
+        t = Qt.variable()
+        assert format_poly(builtin_identity("ax1", Qt, t)) == (
+            "t*(E1*x1) + (-t - 1)*(E1*(E1*x1)) + (E1*(E1*(E1*x1)))")
+        for lam in (t, (t + 1) / (t * t + 3)):
+            for name in BUILTIN_NAMES:
+                f = builtin_identity(name, Qt, lam)
+                assert parse_poly(format_poly(f), Qt) == f, name
 
 
 class TestLinearize:
