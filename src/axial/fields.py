@@ -1204,23 +1204,20 @@ class _Reader:
             return self._apply(at, operator.neg, self._unary())
         if kind == "+":
             return self._unary()
-        val = self._atom(kind, value, at)
+        if kind == "num":
+            val = self.field.from_int(value)
+        elif kind == "name":
+            val = self._name(value, at)
+        elif kind == "(":
+            val = self._expr(1)
+            self._expect(")", "missing ')'", at)
+        else:
+            raise self.error(f"unexpected token {kind!r}", at)
         kind, _, at = self.toks[self.pos]
         if kind != "^":
             return val
         self.pos += 1
         return self._power(val, at)
-
-    def _atom(self, kind, value, at):
-        if kind == "num":
-            return self.field.from_int(value)
-        if kind == "name":
-            return self._name(value, at)
-        if kind == "(":
-            val = self._expr(1)
-            self._expect(")", "missing ')'", at)
-            return val
-        raise self.error(f"unexpected token {kind!r}", at)
 
     def _expect(self, kind, message, at):
         if self.toks[self.pos][0] != kind:
@@ -1244,6 +1241,8 @@ class _Reader:
         if kind != "num":
             raise self.error("exponent must be a nonnegative integer", at)
         self.pos += 1
+        if not isinstance(base, RatFunc):  # an identity's lam, bound as a number
+            base = RatFunc.const(base)
         deg = max(len(base._n), len(base._d), 2) - 1  # a constant counts as degree 1
         if deg * k > MAX_EXPONENT:
             raise self.error(f"exponent {k} exceeds {MAX_EXPONENT // deg} for this base", at)

@@ -877,7 +877,7 @@ class _IdentityReader(_Reader):
         if op == "/" and b_el:
             raise PolyParseError("can only divide by a scalar, not by an element-valued term", at)
         if op in "+-" and a_el != b_el:
-            if b if a_el else a:
+            if b if a_el else a:  # the scalar operand
                 raise PolyParseError("cannot add a nonzero scalar to an element-valued term", at)
             a, b = (a, GenPoly.zero(self.field)) if a_el else (GenPoly.zero(self.field), b)
         if op == "/" and a_el:

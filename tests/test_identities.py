@@ -133,6 +133,7 @@ class TestParse:
         assert parse_poly("-t^2*x1", Qt) == -(t * t) * x1
         assert parse_poly("lam^2*(E1*x1) - t/lam*x1", Qt, lam=t + one) == (
             (t + one) ** 2 * (e_slot(Qt, 1) * x1) - (t / (t + one)) * x1)
+        assert parse_poly("lam^2*x1", Qt, lam=HALF) == parse_poly("1/4*x1", Qt)
 
     @pytest.mark.parametrize("text, field, position", [
         ("x1^2", "Qt", 2),
