@@ -821,8 +821,8 @@ def parse_poly(text, field, lam=None):
     """Parse the identity grammar.
 
     Variables x1.., slots E1.., product * with explicit parentheses for
-    nested products, bracket factors B(s,t), and scalar coefficients read
-    as ``field.parse`` reads Q(t) text: numerals, and over Q(t) the field's
+    nested products, bracket factors B(s,t), and scalar coefficients in the
+    grammar of Q(t) scalar text: numerals, and over Q(t) the field's
     variable and powers ^.  ``lam`` names the bound eigenvalue symbol
     (required to be supplied).  x<k>, E<k>, B and lam come before the field
     variable, so a variable named like one of them is not read.  / divides

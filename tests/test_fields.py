@@ -1139,4 +1139,3 @@ class TestReaderMessages:
             for text in ("2^3", "1+1", "(1)", "t"):
                 with pytest.raises(ScalarParseError):
                     field.parse(text)
-        assert QQ.parse(" -3 / 4") == Fraction(-3, 4)
