@@ -744,13 +744,19 @@ def zpoly_lcm(*xs):
 # fields
 # ---------------------------------------------------------------------------
 
-_LITERAL_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")
+# numerals take the ASCII digits 0-9 only, here and in _TOKEN_RE
+_LITERAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:\s*/\s*([+-]?[0-9]+))?\s*")
+_NOT_LITERAL_RE = re.compile(r"[^0-9+\-/\s]")
 
 
 def _literal(text, what):
-    """Numerator and denominator of an integer or fraction literal."""
-    m = _LITERAL_RE.match(text)
+    """Numerator and denominator of an integer or fraction literal; a
+    character that no literal holds is named with its position."""
+    m = _LITERAL_RE.fullmatch(text)
     if not m:
+        bad = _NOT_LITERAL_RE.search(text)
+        if bad:
+            raise ScalarParseError(f"bad character {bad.group()!r} in {what} literal {text!r}", bad.start())
         raise ScalarParseError(f"not a {what} literal: {text!r}")
     try:
         return int(m.group(1)), int(m.group(2) or 1)
@@ -812,7 +818,6 @@ class Rationals(Field):
     one = Fraction(1)
 
     def parse(self, text):
-        text = text.strip()
         num, den = _literal(text, "rational")
         if den == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
@@ -886,7 +891,6 @@ class PrimeField(Field):
         self.size = p
 
     def parse(self, text):
-        text = text.strip()
         num, den = _literal(text, "residue")
         if den % self.p == 0:
             raise ScalarParseError(f"denominator of {text!r} vanishes mod {self.p}")
@@ -1123,8 +1127,10 @@ class RationalFunctions(Field):
 MAX_EXPONENT = 10**4
 MAX_SCALAR_WORK = 5 * 10**5
 
-# a numeral, a name or one other character; whitespace between them is skipped
-_TOKEN_RE = re.compile(r"(\d+)|(\w+)|(\S)")
+# a numeral, a name or one other character; whitespace between them is
+# skipped.  Numerals and names are ASCII, so a digit of another script, or a
+# superscript, is a bad character
+_TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 

@@ -502,8 +502,8 @@ def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=T
     if f.has_brackets() and form is None:
         raise MissingForm("polynomial contains bracket factors but no form was given")
 
-    lifts = [lift_sparse(A.field, assign_x[j].coeffs) for j in f.x_indices()]
-    lifts += [lift_sparse(A.field, assign_e[i].coeffs) for i in f.e_indices()]
+    lifts = [lift_sparse(A.field, assign_e[i].coeffs) for i in f.e_indices()]
+    lifts += [lift_sparse(A.field, assign_x[j].coeffs) for j in f.x_indices()]
     total, d = _Program(f, A, form).run(lifts)
     return A.element([A.field.from_lift(a, d) for a in total])
 
@@ -512,11 +512,17 @@ class _Program:
     """f compiled against the algebra A and the form, to be run at many
     assignments.
 
-    The leaves are numbered first, the X variables in xvars order (by
-    default ``f.x_indices()``) and then the E slots by index; the distinct
+    The leaves are numbered first, the E slots by index and then the X
+    variables in xvars order (by default ``f.x_indices()``); the distinct
     product nodes of the bodies and bracket arguments of f follow, each
-    after its children.  ``run`` takes the lifts of the leaves in that order
-    and returns the lifted value of f.
+    after its children.  The depth of leaf k is k, and a product node or a
+    bracket has the depth of its deepest leaf: ``levels[k]`` lists the
+    nodes of depth k, children first, and ``bracket_levels[k]`` the
+    brackets.  ``step(k, lift)`` sets leaf k and computes the nodes and
+    brackets of depth k only, so a sweep that changes the leaves from depth
+    k on recomputes nothing of a lower depth; ``total`` sums the monomials.
+    The program keeps one slot per leaf and node in ``vals`` and one per
+    bracket in ``bvals``, which each assignment overwrites.
 
     One body serves every field.  Each leaf, subtree value, bracket value
     and monomial coefficient is lifted by ``field.integer_lift``: entries
@@ -524,13 +530,12 @@ class _Program:
     residues with denominator 1 over F_p, and Z[t] numerators over a Z[t]
     denominator over Q(t).  Leaves and subtree values keep their nonzero
     entries only, as ``lift_sparse`` does.  The inner loops multiply and add
-    the entries.  Only the reduction of each product (by the gcd of its
-    entries over Q and Q(t), ``field.lift_gcd``, and mod p over F_p) and of
-    each bracket (mod p over F_p) depends on the field; the sum of the
-    monomials is not reduced, so over F_p ``vanishes`` reduces it.
-
-    A program holds no values between runs: sharing subtree values across
-    assignments gave no gain and cost memory.
+    the entries.  Over Q and Q(t) nothing is reduced: a product node holds
+    its entries over dx * dy * d, the product of its children's
+    denominators and the structure table's.  A nonzero scale does not
+    change whether a value is zero, and ``evaluate`` reads its result back
+    once.  Over F_p each product and bracket is reduced mod p; the sum of
+    the monomials is not, so ``vanishes`` reduces it.
     """
 
     def __init__(self, f, A, form, xvars=None):
@@ -541,22 +546,25 @@ class _Program:
         field = A.field
         self.n = A.dim
         self.p = field.char
-        self.gcd, self.lcm = field.lift_gcd, field.lift_lcm
+        self.lcm = field.lift_lcm
         self.zero, self.one = lifted_zero(field), lifted_one(field)
         self.table, self.grid_d = A.integer_grid()
         if f.has_brackets():
             self.gram, self.gram_d = form.integer_gram()
-        leaves = [("X", j) for j in (f.x_indices() if xvars is None else xvars)]
-        leaves += [("E", i) for i in f.e_indices()]
+        leaves = [("E", i) for i in f.e_indices()]
+        leaves += [("X", j) for j in (f.x_indices() if xvars is None else xvars)]
         index = {t: k for k, t in enumerate(leaves)}
-        self.nodes = []  # the children of each product node
+        depth = list(range(len(leaves)))
+        levels = self.levels = [[] for _ in leaves]
 
         def number(t):
             k = index.get(t)
             if k is None:
                 l, r = number(t[1]), number(t[2])
                 k = index[t] = len(index)
-                self.nodes.append((l, r))
+                d = depth[l] if depth[l] > depth[r] else depth[r]
+                depth.append(d)
+                levels[d].append((k, l, r))
             return k
 
         brackets = {}
@@ -567,47 +575,58 @@ class _Program:
                 raise MissingForm("monomial has no element-valued body")
             self.monos.append((c, [brackets.setdefault((number(t1), number(t2)), len(brackets))
                                    for t1, t2 in brs], number(body)))
-        self.brackets = list(brackets)
+        self.bracket_levels = [[] for _ in leaves]
+        for (l, r), b in brackets.items():
+            self.bracket_levels[max(depth[l], depth[r])].append((b, l, r))
+        self.vals = [None] * len(index)
+        self.bvals = [None] * len(brackets)
 
-    def run(self, lifts):
-        """The value of f at the leaf lifts, each a ``lift_sparse`` of the
-        leaf's coefficients, as dense lifted entries over one denominator:
-        ``(entries, d)``.  Each product node and bracket is computed once."""
-        n, p, zero, table = self.n, self.p, self.zero, self.table
-        vals = list(lifts)
-        for l, r in self.nodes:
+    def step(self, k, lift):
+        """Set leaf k to lift, a ``lift_sparse`` lift of its coefficients,
+        and compute the product nodes and brackets of depth k from the slots
+        of their arguments."""
+        n, p, zero, table, grid_d, vals = self.n, self.p, self.zero, self.table, self.grid_d, self.vals
+        vals[k] = lift
+        for node, l, r in self.levels[k]:
             (xs, dx), (ys, dy) = vals[l], vals[r]
             out = [zero] * n
             for i, xi in xs:
                 row = table[i]
                 for j, yj in ys:
                     c = xi * yj
-                    for k, s in row[j]:
-                        out[k] += c * s
-            d = dx * dy * self.grid_d
+                    for kk, s in row[j]:
+                        out[kk] += c * s
             if p:
                 out = [a % p for a in out]
-            out = [(k, a) for k, a in enumerate(out) if a]
-            if p == 0:
-                g = self.gcd(d, *[a for _k, a in out])
-                if g > 1:
-                    out = [(k, a // g) for k, a in out]
-                    d //= g
-            vals.append((out, d))
-        bvals = []
-        for k1, k2 in self.brackets:
-            (xs, dx), (ys, dy) = vals[k1], vals[k2]
+            vals[node] = ([(kk, a) for kk, a in enumerate(out) if a], dx * dy * grid_d)
+        for b, l, r in self.bracket_levels[k]:
+            (xs, dx), (ys, dy) = vals[l], vals[r]
             acc = zero
             for i, xi in xs:
                 gi = self.gram[i]
                 for j, yj in ys:
                     acc += xi * yj * gi[j]
-            bvals.append(((acc % p if p else acc), dx * dy * self.gram_d))
+            self.bvals[b] = ((acc % p if p else acc), dx * dy * self.gram_d)
 
+    def load(self, lifts):
+        """Set every leaf, in order, to the lifts: one pass at every depth."""
+        for k, lift in enumerate(lifts):
+            self.step(k, lift)
+
+    def run(self, lifts):
+        """The value of f at the leaf lifts, each a ``lift_sparse`` of the
+        leaf's coefficients, as dense lifted entries over one denominator:
+        ``(entries, d)``.  Each product node and bracket is computed once."""
+        self.load(lifts)
+        return self.total()
+
+    def total(self):
+        """The value of f at the leaves as set, as ``run`` returns it."""
+        vals, bvals = self.vals, self.bvals
         # the sum of the monomials, kept as lifted entries over total_d; the
         # scalar c of a monomial is its lifted coefficient times its
         # brackets, over d
-        total, total_d = [zero] * n, self.one
+        total, total_d = [self.zero] * self.n, self.one
         for c, brs, body in self.monos:
             d = self.coeff_d
             for b in brs:
@@ -618,20 +637,21 @@ class _Program:
             if c:
                 bv, dv = vals[body]
                 d *= dv
-                m = self.lcm(total_d, d)
-                if m != total_d:
-                    st = m // total_d
-                    total = [a * st for a in total]
-                    total_d = m
-                if m != d:
-                    c = c * (m // d)
+                if d != total_d:
+                    m = self.lcm(total_d, d)
+                    if m != total_d:
+                        st = m // total_d
+                        total = [a * st for a in total]
+                        total_d = m
+                    if m != d:
+                        c = c * (m // d)
                 for k, b in bv:
                     total[k] += b * c
         return total, total_d
 
-    def vanishes(self, lifts):
-        """Whether f is zero at the leaf lifts."""
-        total, _d = self.run(lifts)
+    def vanishes(self):
+        """Whether f is zero at the leaves as set."""
+        total, _d = self.total()
         if self.p:
             return not any(a % self.p for a in total)
         return not any(total)
@@ -715,54 +735,105 @@ def _bind(A, pool, form):
         check(form.algebra, "the form belongs to a different algebra")
 
 
+class _SlotAssignments(list):
+    """The assignments of pool members to the E slots of f, in the order the
+    sweeps take them: a list of dicts {i: member}.  ``lifts[a]`` is the
+    dict {i: lift} of assignment a, on one lift per pool member."""
+
+
 def _slot_assignments(f, pool, distinct):
-    """Every assignment of pool members to the E slots of f, as a list of
-    dicts; the pool must hold idempotents only, and some if f has E slots.
-    With distinct, the slots take pairwise distinct members: the pool is
+    """Every assignment of pool members to the E slots of f, as a
+    ``_SlotAssignments``; the pool must hold idempotents only, and some if f
+    has E slots.  Each member is lifted once and tested on its lift.  With
+    distinct, the slots take pairwise distinct members: the pool is
     deduplicated by coefficients, in order, and must keep a member for each
     slot, since with fewer there is no assignment and f would hold
     vacuously."""
     evars = f.e_indices()
     if evars and not pool:
         raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
-    for p in pool:
-        if not (p * p == p):
-            raise NotIdempotent("pool contains a non-idempotent")
+    lifts = [_idempotent_lift(x) for x in pool]
+    members = range(len(pool))
     if distinct:
-        pool = list({p.coeffs: p for p in pool}.values())
-        if len(pool) < len(evars):
+        members = list({pool[m].coeffs: m for m in members}.values())
+        if len(members) < len(evars):
             raise UnboundVariable(f"{len(evars)} E-slots need distinct idempotents, "
-                                  f"but the pool has {len(pool)}")
-        choices = itertools.permutations(pool, len(evars))
+                                  f"but the pool has {len(members)}")
+        choices = itertools.permutations(members, len(evars))
     else:
-        choices = itertools.product(pool, repeat=len(evars))
-    return [dict(zip(evars, choice)) for choice in choices]
+        choices = itertools.product(members, repeat=len(evars))
+    options = _SlotAssignments()
+    options.lifts = []
+    for choice in choices:
+        options.append({i: pool[m] for i, m in zip(evars, choice)})
+        options.lifts.append({i: lifts[m] for i, m in zip(evars, choice)})
+    return options
+
+
+def _idempotent_lift(x):
+    """The ``lift_sparse`` lift of the pool member x, whose square is
+    compared with x on that lift: NotIdempotent when they differ."""
+    A = x.algebra
+    lift = lift_sparse(A.field, x.coeffs)
+    out, _d = A.lifted_product(lift, lift)
+    # x * x is out over dx * dx * g, with g the structure table's
+    # denominator, and x is xs over dx
+    xs, dx = lift
+    s = dx * A.integer_grid()[1]
+    for k, a in xs:
+        out[k] -= a * s
+    p = A.field.char
+    if any(a % p for a in out) if p else any(out):
+        raise NotIdempotent("pool contains a non-idempotent")
+    return lift
 
 
 def _first_nonzero(f, A, form, e_options, values, blocks=None):
     """The first assignment, E slots outermost and X values from values, at
     which f does not vanish, as a witness dict; None when there is none.
 
-    With blocks from ``_symmetry_blocks(f)`` each block takes only sorted
-    tuples of values, one per orbit; by default every tuple is tried.  Each
-    value and E assignment is lifted once, f is compiled on the first
-    tuple, and a witness is the only assignment built as elements.
+    e_options comes from ``_slot_assignments``.  With blocks from
+    ``_symmetry_blocks(f)`` each block takes only sorted tuples of values,
+    one per orbit; by default every tuple is tried.  The tuples are walked
+    depth first, in the order of ``itertools.product`` over the blocks'
+    ``combinations_with_replacement``: the variable at each depth takes the
+    values from the one its predecessor in the block took (from the first,
+    when it opens the block), and each value computes only the program's
+    nodes of that depth.  Each value is lifted once, f is compiled on the
+    first tuple, and a witness is the only assignment built as elements.
     """
     if blocks is None:
         blocks = [[j] for j in f.x_indices()]
     xvars = [j for block in blocks for j in block]
-    field = A.field
-    lifts = [lift_sparse(field, v.coeffs) for v in values]
-    program = None
-    for amap in e_options:
-        e_lifts = [lift_sparse(field, amap[i].coeffs) for i in f.e_indices()]
-        choices = (itertools.combinations_with_replacement(range(len(values)), len(b)) for b in blocks)
-        for parts in itertools.product(*choices):
-            if program is None:
-                program = _Program(f, A, form, xvars)
-            picks = list(itertools.chain.from_iterable(parts))
-            if not program.vanishes([lifts[k] for k in picks] + e_lifts):
-                return {"x": {j: values[k] for j, k in zip(xvars, picks)}, "e": amap}
+    if xvars and not values:  # no tuple to try, and nothing to compile
+        return None
+    opens = [q == 0 for block in blocks for q in range(len(block))]
+    evars = f.e_indices()
+    lifts = [lift_sparse(A.field, v.coeffs) for v in values]
+    program = _Program(f, A, form, xvars)
+    step, vanishes = program.step, program.vanishes
+    picks = [0] * len(xvars)
+    last = len(xvars) - 1
+
+    def walk(q, lo):
+        # the values from lo at the variable of position q, and under each
+        # the tuples of the later positions; True at a non-vanishing one
+        k = len(evars) + q
+        for v in range(lo, len(values)):
+            picks[q] = v
+            step(k, lifts[v])
+            if q == last:
+                if not vanishes():
+                    return True
+            elif walk(q + 1, 0 if opens[q + 1] else v):
+                return True
+        return False
+
+    for amap, e_lifts in zip(e_options, e_options.lifts):
+        for k, i in enumerate(evars):
+            step(k, e_lifts[i])
+        if walk(0, 0) if xvars else not vanishes():
+            return {"x": {j: values[v] for j, v in zip(xvars, picks)}, "e": amap}
     return None
 
 
@@ -772,20 +843,21 @@ def _first_random_nonzero(f, A, form, e_options, rng, bounds):
 
     Each assignment gives the X variables, in index order, integer
     coordinates in [-bound, bound], and then draws one E assignment when
-    there are E slots.  f is compiled on the first draw, and a witness is
-    the only assignment built as elements.
+    there are E slots.  f is compiled on the first draw and run in one pass
+    at every depth, and a witness is the only assignment built as elements.
     """
     field = A.field
     xvars, evars = f.x_indices(), f.e_indices()
-    program = e_lifts = None
+    program = None
     for bound in bounds:
         draws = [[rng.randint(-bound, bound) for _ in range(A.dim)] for _ in xvars]
         e = rng.randrange(len(e_options)) if evars else 0
         if program is None:
             program = _Program(f, A, form)
-            e_lifts = [[lift_sparse(field, amap[i].coeffs) for i in evars] for amap in e_options]
         xs = [[field.from_int(c) for c in draw] for draw in draws]
-        if not program.vanishes([lift_sparse(field, x) for x in xs] + e_lifts[e]):
+        e_lifts = e_options.lifts[e]
+        program.load([e_lifts[i] for i in evars] + [lift_sparse(field, x) for x in xs])
+        if not program.vanishes():
             return {"x": {j: A.element(x) for j, x in zip(xvars, xs)}, "e": e_options[e]}
     return None
 
@@ -840,6 +912,9 @@ def parse_poly(text, field, lam=None):
     return val
 
 
+_LEAF_RE = re.compile(r"([xE])([0-9]+)")
+
+
 class _IdentityReader(_Reader):
     """The field's reader with the identity names added.  A value is a
     field scalar or a GenPoly: an element, or a product of brackets."""
@@ -857,9 +932,10 @@ class _IdentityReader(_Reader):
             return self.lam
         if name == "B":
             return self._bracket(at)
-        if name[0] in "xE" and name[1:].isdigit():
-            leaf = x_var if name[0] == "x" else e_slot
-            return self._apply(at, lambda: leaf(self.field, int(name[1:])))
+        m = _LEAF_RE.fullmatch(name)
+        if m:
+            leaf = x_var if m[1] == "x" else e_slot
+            return self._apply(at, lambda: leaf(self.field, int(m[2])))
         return super()._name(name, at)
 
     def _bracket(self, at):

@@ -484,3 +484,23 @@ def test_costly_product_is_an_input_error(lam, capsys):
                      "--lambda", lam, "--pi", "0"])
     assert code == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", "--poly", "x1 + x١"],
+    ["identity", "--poly", "x² - x1"],
+    ["identity", "--name", "ax1", "--lambda", "٣/4", "--pool", '["1","0","0"]'],
+    ["identity", "--name", "jordan", "--pool", '["١","0","0"]'],
+])
+def test_non_ascii_digits_exit_2(alg3c_path, argv, capsys):
+    assert main(argv[:1] + ["--algebra", alg3c_path] + argv[1:]) == 2
+    assert "bad character" in capsys.readouterr().err
+
+
+def test_non_ascii_digit_in_an_algebra_file_exits_2(alg3c_path, tmp_path, capsys):
+    doc = json.loads(open(alg3c_path).read())
+    doc["structure"][0][0][0] = "١"
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    assert main(["identity", "--name", "jordan", "--algebra", str(path)]) == 2
+    assert "bad character '١'" in capsys.readouterr().err

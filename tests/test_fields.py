@@ -1139,3 +1139,17 @@ class TestReaderMessages:
             for text in ("2^3", "1+1", "(1)", "t"):
                 with pytest.raises(ScalarParseError):
                     field.parse(text)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctions("t")], ids=["Q", "F7", "Qt"])
+@pytest.mark.parametrize("text, char, position", [
+    ("٣/2", "٣", 0),  # ARABIC-INDIC DIGIT THREE
+    ("1/٢", "٢", 2),
+    (" ３", "３", 1),  # FULLWIDTH DIGIT THREE
+    ("2²", "²", 1),  # SUPERSCRIPT TWO
+])
+def test_numerals_take_ascii_digits_only(field, text, char, position):
+    with pytest.raises(ScalarParseError) as exc:
+        field.parse(text)
+    assert exc.value.position == position
+    assert f"bad character {char!r}" in str(exc.value)

@@ -1515,3 +1515,17 @@ def test_reader_matches_reference_identity_parser(text, field_name, bound):
         assert field_name == "Qt" and want is PolyParseError and ("t" in text or "^" in text), (got, want)
     elif isinstance(got, GenPoly):
         assert {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in want.terms.items()}
+
+
+@pytest.mark.parametrize("text, char, position", [
+    ("x1 + x١", "١", 6),  # x followed by ARABIC-INDIC DIGIT ONE
+    ("٣*x2", "٣", 0),
+    ("x²", "²", 1),  # SUPERSCRIPT TWO
+    ("E１*x1", "１", 1),  # FULLWIDTH DIGIT ONE
+    ("x1٢*x2", "٢", 2),
+])
+def test_identity_numerals_and_indices_take_ascii_digits_only(text, char, position):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, QQ)
+    assert exc.value.position == position
+    assert str(exc.value) == f"bad character {char!r} (at position {position})"
