@@ -74,11 +74,22 @@ of 400 random algebras of dimension 2 and 3, most of them over-determined,
 all over Q, F_101 and Q(t).  Both outputs are canonical, so a change to
 when the eliminations stop must leave it as it is.
 
+``GOLDEN_AUDITS`` covers the weak trace-admissibility audit and the
+self-checking constructions: the ``trace_admissibility_audit`` report
+(checked pairs, nilpotent products and violations) over all basis pairs and
+over seeded pairs, and the ``is_4_nilpotent`` verdicts of the basis, of the
+basis products and of seeded elements, on the toric algebra, 3C, the Matsuo
+algebra of S_4 at 1/2 and -1/2, H3 with its trace form, two-gen at pi = 0,
+1/8 and 2, and the zero-product plane with its violating pair, together
+with the structure of ``jordan_symmetric_matrices(k)`` for k = 2, 3, 4, all
+over Q, F_101 and Q(t).  Reports and verdicts are exact, so a change to how
+products are tested for 4-nilpotence must leave it as it is.
+
 To regenerate the constants, run this file as a script from the root of the
 checkout, ``PYTHONPATH=src python tests/test_golden.py``, and paste the
 digests it prints, in order, into ``GOLDEN``, ``GOLDEN_QT``,
 ``GOLDEN_QT_KERNEL``, ``GOLDEN_PRODUCTS``, ``GOLDEN_IDENTITIES``,
-``GOLDEN_AXES``, ``GOLDEN_CATALOG`` and ``GOLDEN_FORMS``.  A change to a constant
+``GOLDEN_AXES``, ``GOLDEN_CATALOG``, ``GOLDEN_FORMS`` and ``GOLDEN_AUDITS``.  A change to a constant
 says in CHANGES.md which output changed and why the new one is right.
 """
 
@@ -87,11 +98,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from axial import (QQ, PrimeField, axial_radical, axis_orbit, builtin_identity, check_axis, component_recovery,
+from axial import (QQ, BilinearForm, PrimeField, axial_radical, axis_orbit, builtin_identity, check_axis, component_recovery,
                    enumerate_idempotents_2gen, evaluate, generate_subalgebra, holds_as_identity,
-                   jordan_symmetric_matrices, matsuo_from_triple_system, parse_poly, radical,
-                   sample_identity, seress_check, solid_audit, solve_frobenius, toric_euf, trace_form,
-                   universal_2gen)
+                   is_4_nilpotent, jordan_symmetric_matrices, make_algebra, matsuo_from_triple_system, parse_poly, radical,
+                   sample_identity, seress_check, solid_audit, solve_frobenius, toric_euf, trace_admissibility_audit,
+                   trace_form, universal_2gen)
 from axial.algebra import Element
 from axial.errors import OrbitOverflow, UnknownIdentity
 from axial.fields import Fp, RatFunc, RationalFunctions
@@ -109,6 +120,7 @@ GOLDEN_IDENTITIES = "81baa15772eab9a1677cc038dea8a17a2aa921ef841633c2545b755ddb5
 GOLDEN_AXES = "f0615aeede7164f01b43cfe46afd7e7cd3a04a91ec2f742c6ab78841c1af9544"
 GOLDEN_CATALOG = "5cc487955c8f633e9edbbafe0b970a7c318c239b2a3f0f937f10d482b8e8db2d"
 GOLDEN_FORMS = "083ee04bd3893b5be4cef9193f3b28dac5f09862b4064830e4a7a51fc5a3303d"
+GOLDEN_AUDITS = "a5791d5b1aa51fab86b7127dfaa2694fb40a00f1788fd2c62acab9c07906da9c"
 
 # the texts that test_one_work_budget_per_text parses within one work budget
 BUDGET_TEXTS = ("*".join(["(t+1)^10"] * 10), "(t+1)^400", "(t^2-1)/(2*t)", "(t+1)^400+1",
@@ -527,6 +539,49 @@ def _form_records():
         yield [sol.particular and sol.particular.gram, sol.homogeneous_basis]
 
 
+def _audit_records():
+    """Trace-admissibility audits and 4-nilpotence verdicts on toric, 3C,
+    S_4 at 1/2 and -1/2, H3, two-gen at pi = 0, 1/8 and 2 and the
+    zero-product plane, and the structure of H_2 to H_4, over Q, F_101 and
+    Q(t)."""
+    rng = random.Random(29)
+    Qt = RationalFunctions("t")
+    t = Qt.variable()
+    half = Fraction(1, 2)
+    for field in (QQ, PrimeField(101), Qt):
+        def value():
+            c = field.from_int(rng.randint(-2, 2))
+            return c + field.from_int(rng.randint(-1, 1)) * t if field is Qt else c
+
+        tor = toric_euf(field)
+        c3 = matsuo_from_triple_system((["a", "b", "c"], [["a", "b", "c"]]), field.from_fraction(half), field)
+        cases = [(tor.algebra, tor.form), (c3.algebra, c3.form)]
+        for lam in (half, -half):
+            s4 = matsuo_from_triple_system(_transpositions(4), field.from_fraction(lam), field)
+            cases.append((s4.algebra, s4.form))
+        h3 = jordan_symmetric_matrices(3, field)
+        cases.append((h3, trace_form(h3)))
+        for pi in (Fraction(0), Fraction(1, 8), Fraction(2)):
+            tg = universal_2gen(half, pi, field)
+            cases.append((tg.algebra, tg.form))
+        z = field.zero
+        plane = make_algebra(field, 2, ["v0", "v1"], [[[z, z], [z, z]], [[z, z], [z, z]]])
+        cases.append((plane, BilinearForm(plane, Matrix(field, [[z, field.one], [field.one, z]]))))
+        for A, form in cases:
+            basis = A.basis()
+            # nilpotent seeds: multiples of basis members and of their products
+            xs = [A.element([value() for _ in range(A.dim)]) for _ in range(4)]
+            xs += [value() * rng.choice(basis) for _ in range(2)]
+            xs += [rng.choice(basis) * rng.choice(basis) for _ in range(2)]
+            pairs = [(rng.choice(xs), rng.choice(xs)) for _ in range(6)] + [(basis[-1], basis[0])]
+            for rep in (trace_admissibility_audit(A, form), trace_admissibility_audit(A, form, pairs)):
+                yield [rep.checked_pairs, rep.nilpotent_products, rep.violations, rep.passed]
+            yield [is_4_nilpotent(x) for x in basis + [x * y for x in basis for y in basis] + xs]
+        for k in (2, 3, 4):
+            B = jordan_symmetric_matrices(k, field)
+            yield [B.basis_names, B.structure]
+
+
 def digest(records=_records):
     h = hashlib.sha256()
     for record in records():
@@ -567,6 +622,10 @@ def test_golden_form_outputs():
     assert digest(_form_records) == GOLDEN_FORMS
 
 
+def test_golden_audit_outputs():
+    assert digest(_audit_records) == GOLDEN_AUDITS
+
+
 if __name__ == "__main__":
     print(digest())
     print(digest(_qt_records))
@@ -576,3 +635,4 @@ if __name__ == "__main__":
     print(digest(_axes_records))
     print(digest(_catalog_records))
     print(digest(_form_records))
+    print(digest(_audit_records))
