@@ -16,8 +16,8 @@ from .algebra import Algebra
 from .axes import check_axis
 from .errors import BadLambda, InvalidTripleSystem, SelfCheckFailed
 from .fields import QQ, RationalFunctions
-from .frobenius import BilinearForm, solve_frobenius
-from .linalg import Matrix
+from .frobenius import BilinearForm, _sparse_product, solve_frobenius
+from .linalg import Matrix, lifted_one
 
 __all__ = [
     "TwoGen",
@@ -291,12 +291,13 @@ def matsuo_from_triple_system(ts, lam, field=QQ):
     if sol.particular is None:
         raise SelfCheckFailed("no normal form on the Matsuo algebra")
     form = sol.particular
+    g = form.gram.rows  # the axes are the basis, so (p, q) is a Gram entry
     for i, p in enumerate(ts.points):
         for j, q in enumerate(ts.points):
             if i >= j:
                 continue
             expect = half_lam if ts.collinear(p, q) else zero
-            if form.value(axes[i], axes[j]) != expect:
+            if g[i][j] != expect:
                 raise SelfCheckFailed(f"form value ({p},{q}) != {'lam/2' if expect else '0'}")
 
     _miyamoto_permutations(ts, axes, lam)
@@ -412,13 +413,24 @@ def jordan_symmetric_matrices(k, field=QQ):
     unit = A.unit()
     if unit is None:
         raise SelfCheckFailed("matrix Jordan algebra lost its unit")
-    basis = A.basis()
-    for x in basis:
-        xx = x * x
-        for y in basis:
-            if ((xx * y) * x) != (xx * (y * x)):
-                raise SelfCheckFailed("Jordan identity fails on a basis pair")
+    if _check_jordan(A) is not None:
+        raise SelfCheckFailed("Jordan identity fails on a basis pair")
     return A
+
+
+def _check_jordan(A):
+    """The first basis pair (i, j), in row order, with ((b_i b_i) b_j) b_i
+    != (b_i b_i)(b_j b_i), or None.  Both sides are products of basis lifts
+    over the cube of the grid's denominator, so their lifted entries
+    compare directly."""
+    one = lifted_one(A.field)
+    basis = [[(i, one)] for i in range(A.dim)]
+    for i, x in enumerate(basis):
+        xx = _sparse_product(A, x, x)
+        for j, y in enumerate(basis):
+            if _sparse_product(A, _sparse_product(A, xx, y), x) != _sparse_product(A, xx, _sparse_product(A, y, x)):
+                return i, j
+    return None
 
 
 def trace_form(A):

@@ -9,9 +9,12 @@ extra column holds the right-hand side: the normalizations first, then the
 associativity rows as a stream that stops once every unknown is a pivot.
 From there the candidate form is unique and the homogeneous basis empty, so
 the rows not streamed only need the associativity evaluation that
-``BilinearForm`` runs on every form; a candidate that fails it means the
-system is inconsistent.  ``axial_radical`` likewise stops feeding L_a - lam
-rows once they reach full rank.
+``BilinearForm`` runs on every form, and the solver hands it the rest of its
+stream; a candidate that fails it means the system is inconsistent.
+``axial_radical`` likewise stops feeding L_a - lam rows once they reach full
+rank.  The trace-admissibility audit tests 4-nilpotence on lifted products
+(``Algebra.lifted_product``), with no field value built between a lift and
+a verdict.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ class BilinearForm:
                 if g[i][j] != g[j][i]:
                     raise SelfCheckFailed("Gram matrix is not symmetric")
 
-    def _check_associative(self):
-        """The first triple (i, j, k) with (b_i b_j, b_k) != (b_i, b_j b_k),
-        in the order of ``_associativity_rows``, or None."""
+    def _check_associative(self, rows=None):
+        """The first triple (i, j, k) with (b_i b_j, b_k) != (b_i, b_j b_k)
+        among rows, the rest of an ``_associativity_rows`` stream (every
+        row by default), or None."""
         p = self.algebra.field.char
         g = self.integer_gram()[0]
         key, nunk = _upper_keys(self.algebra.dim)
@@ -83,7 +87,9 @@ class BilinearForm:
         for key_row, gram_row in zip(key, g):
             for u, v in zip(key_row, gram_row):
                 flat[u] = v
-        for triple, row in _associativity_rows(self.algebra, key):
+        if rows is None:
+            rows = _associativity_rows(self.algebra, key)
+        for triple, row in rows:
             acc = 0
             for u, c in row.items():
                 acc = acc + c * flat[u]
@@ -196,16 +202,20 @@ def solve_frobenius(A, normalize_at=()):
                     u = key[i][j]
                     row[u] = row.get(u, zero) + xi * xj
         ech.add(row)
-    for _, row in _associativity_rows(A, key):
-        if ech.rank == nunk + ech.is_pivot(nunk):  # every unknown is a pivot
+    # the rank test comes before each pull, so every row is either streamed
+    # or left in rows for the form check
+    rows = _associativity_rows(A, key)
+    while ech.rank < nunk + ech.is_pivot(nunk):  # until every unknown is a pivot
+        streamed = next(rows, None)
+        if streamed is None:
             break
-        ech.add_integers(row)
+        ech.add_integers(streamed[1])
 
     # restricted to the unknowns, the pivot rows are the reduced form of the
     # homogeneous system (a pivot in the right-hand side column only marks
     # the system inconsistent): free unknowns are 0 in the particular
     # solution and each spans one homogeneous vector.  The candidate meets
-    # the rows streamed, and the form check decides the others.
+    # the rows streamed, and the form check decides the rows left in the stream.
     def unflatten(vec):
         return Matrix(field, [[vec[u] for u in row] for row in key])
 
@@ -215,7 +225,7 @@ def solve_frobenius(A, normalize_at=()):
         for p, row in ech.rows.items():
             vec[p] = row.get(nunk, zero)
         form = BilinearForm._unchecked(A, unflatten(vec))
-        if form._check_associative() is None:
+        if form._check_associative(rows) is None:
             particular = form
     homogeneous = [unflatten(v) for v in ech.kernel(nunk)]
     return FormSolution(particular=particular, homogeneous_basis=homogeneous)
@@ -266,11 +276,29 @@ def axial_radical(A, axes, lam):
     return [A.element(v) for v in ech.kernel(n)]
 
 
+def _sparse_product(A, x, y):
+    """The nonzero entries ``(k, e)`` of ``A.lifted_product`` of the entry
+    lists x and y of two lifts, each taken over the scale 1, and reduced mod
+    p over F_p.  The product's scale is dropped: a nonzero scale does not
+    change which entries vanish, and two products of lifts over the same
+    scales come out over the same scale, so their entries compare directly."""
+    out = A.lifted_product((x, 1), (y, 1))[0]
+    p = A.field.char
+    if p:
+        return [(k, r) for k, e in enumerate(out) if (r := e % p)]
+    return [(k, e) for k, e in enumerate(out) if e]
+
+
+def _is_4_nilpotent(A, y):
+    """``is_4_nilpotent`` of the element with the lifted entries y."""
+    y2 = _sparse_product(A, y, y)
+    return not _sparse_product(A, y2, y2) and not _sparse_product(A, _sparse_product(A, y2, y), y)
+
+
 def is_4_nilpotent(y):
     """y^3*y = 0 and y^2*y^2 = 0, with y^3 = y^2*y."""
-    y2 = y * y
-    y3 = y2 * y
-    return (y3 * y).is_zero() and (y2 * y2).is_zero()
+    A = y.algebra
+    return _is_4_nilpotent(A, lift_sparse(A.field, y.coeffs)[0])
 
 
 @dataclass
@@ -287,15 +315,23 @@ class TraceAuditReport:
 def trace_admissibility_audit(A, form, pairs=None):
     """Weak trace-admissibility: whenever x*y is 4-nilpotent, (x, y) must be 0.
 
-    With pairs omitted, audits all unordered basis pairs.
+    With pairs omitted, audits all unordered basis pairs.  Each pair member
+    is lifted once, and x*y and its powers are tested on lifted products.
     """
+    require_same_algebra(A, form.algebra, "form belongs to a different algebra")
     if pairs is None:
         basis = A.basis()
         pairs = [(basis[i], basis[j]) for i in range(A.dim) for j in range(i, A.dim)]
+    lifts = {}  # by id, so the basis members of the default pairs lift once
+    for pair in pairs:
+        for z in pair:
+            require_same_algebra(A, z.algebra, "audited element belongs to a different algebra")
+            if id(z) not in lifts:
+                lifts[id(z)] = lift_sparse(A.field, z.coeffs)[0]
     violations = []
     nil = 0
     for x, y in pairs:
-        if is_4_nilpotent(x * y):
+        if _is_4_nilpotent(A, _sparse_product(A, lifts[id(x)], lifts[id(y)])):
             nil += 1
             if form.value(x, y):
                 violations.append((x, y))
