@@ -8,7 +8,8 @@ The product, L_a, the Frobenius equations and identity evaluation read it;
 the product and L_a lift each operand once, sum products of entries from
 the lifted zero and read each nonzero entry of the result back once
 (``linalg.lift_sparse`` and ``linalg.read_lifted``).  ``lifted_product``
-is the product with no read-back, and ``generate_subalgebra`` hands it to
+is the product with no read-back, from lifts to a lift in the one format
+of ``lift_sparse``, which ``generate_subalgebra`` hands to
 ``Coordinates.place``; ``lifted_left_multiplication`` is L_a with none, and
 ``frobenius.axial_radical`` hands its rows to an ``Echelon``.  Elements are
 coefficient tuples over the field and support ``+``, ``-``, scalar ``*`` and
@@ -18,7 +19,7 @@ the (commutative, bilinear) algebra product.
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
-from .linalg import Coordinates, Matrix, lift_sparse, lifted_zero, read_lifted
+from .linalg import Coordinates, Matrix, lift_sparse, lifted_one, lifted_zero, read_lifted, sparse_entries
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
 
@@ -70,12 +71,19 @@ class Algebra:
         field = self.field
         x_lift = lift_sparse(field, x)
         y_lift = x_lift if y is x else lift_sparse(field, y)
-        return tuple(read_lifted(field, *self.lifted_product(x_lift, y_lift)))
+        return tuple(read_lifted(field, *self._product_entries(x_lift, y_lift)))
 
     def lifted_product(self, x_lift, y_lift):
-        """The product of the ``lift_sparse`` lifts (xs, dx) and (ys, dy):
-        ``(out, dx * dy * d)``, out[k] summing x_i y_j c over the cells (k, c)
-        of ``integer_grid()[0][i][j]``; dense, and unreduced even over F_p."""
+        """The product of the ``lift_sparse`` lifts (xs, dx) and (ys, dy) as a
+        lift in the same format, over dx * dy * d: an operand of the next
+        product, of ``Coordinates.place`` and of ``Echelon.contains_integers``."""
+        out, s = self._product_entries(x_lift, y_lift)
+        return sparse_entries(out, self.field.char), s
+
+    def _product_entries(self, x_lift, y_lift):
+        """``(out, dx * dy * d)``: out[k] sums x_i y_j c over the cells (k, c)
+        of ``integer_grid()[0][i][j]``, dense and unreduced, so that
+        ``product`` reduces each entry mod p once, as it reads it back."""
         table, d = self._integer_grid
         (xs, dx), (ys, dy) = x_lift, y_lift
         out = [self._lifted_zero] * self.dim
@@ -116,20 +124,19 @@ class Algebra:
         return Element(self, [self.field.zero] * self.dim)
 
     def unit(self):
-        """The identity element if one exists, else None (solved linearly)."""
-        cols = []
-        rhs = []
+        """The identity element if one exists, else None: the coordinates of
+        the flattened identity matrix in the flattened L_{b_j}, placed as
+        lifts in one ``Coordinates``.  L_c = 0 for some c != 0 leaves none,
+        since a unit u would give c = u c = 0."""
+        table, d = self._integer_grid
         n = self.dim
-        for j in range(n):
-            col = []
-            for i in range(n):
-                col.extend(self.structure[j][i])  # u = sum u_j b_j:  sum_j u_j (b_j b_i) = b_i
-            cols.append(col)
-        for i in range(n):
-            for k in range(n):
-                rhs.append(self.field.one if k == i else self.field.zero)
-        sol = Matrix.from_columns(self.field, cols).solve(rhs)
-        return None if sol is None else Element(self, sol)
+        one = lifted_one(self.field)
+        span = Coordinates(self.field, n * n)
+        for row in table:  # entry (i, k) of L_{b_j} is coefficient k of b_j b_i
+            if span.place([(i * n + k, s) for i, cell in enumerate(row) for k, s in cell], d) is not None:
+                return None
+        coeffs = span.place([(i * (n + 1), one) for i in range(n)], one)
+        return None if coeffs is None else Element(self, coeffs)
 
     def __eq__(self, other):
         return (
@@ -245,6 +252,7 @@ class Subalgebra:
 
     def coords(self, element):
         """Coordinates of a parent element in the subalgebra basis, or None."""
+        require_same_algebra(self.parent, element.algebra, "element belongs to a different algebra")
         c = self.coordinates.coords(element.coeffs)
         return None if c is None else self.induced.element(c)
 
@@ -257,7 +265,7 @@ class Subalgebra:
         return acc
 
     def contains(self, element):
-        return self.coordinates.coords(element.coeffs) is not None
+        return self.coords(element) is not None
 
     def __repr__(self):
         return f"Subalgebra(dim={self.dim}, words={[_word_str(w) for w in self.words]})"
@@ -316,7 +324,10 @@ def generate_subalgebra(gens):
             out, s = parent.lifted_product(lifts[i], lifts[j])
             c = span.place(out, s)
             if c is None:
-                keep(Element(parent, read_lifted(field, out, s)), (words[i], words[j]))
+                coeffs = [field.zero] * parent.dim
+                for k, x in out:
+                    coeffs[k] = field.from_lift(x, s)
+                keep(Element(parent, coeffs), (words[i], words[j]))
                 c = [field.zero] * (span.size - 1) + [field.one]
             structure[i, j] = c
         frontier = set(range(start, len(basis)))

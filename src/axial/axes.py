@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, require_same_algebra
 from .errors import (
     BadLambda,
     DimensionMismatch,
@@ -31,7 +31,7 @@ from .errors import (
     SingularVandermonde,
 )
 from .linalg import (Echelon, Matrix, _multiply_lifted, apply_lifted, lift_rows, lift_sparse,
-                     lifted_one, lifted_zero, minimal_polynomial, read_lifted)
+                     lifted_one, lifted_zero, minimal_polynomial, read_lifted, same_lift, sparse_entries)
 from .fields import _horner
 
 __all__ = [
@@ -190,6 +190,9 @@ def check_fusion(a, lam, eigen=None):
     field = A.field
     if eigen is None:
         eigen = eigen_decompose(a)
+    require_same_algebra(A, eigen.axis.algebra, "decomposition belongs to a different algebra")
+    if eigen.axis.coeffs != a.coeffs:
+        raise NotAnAxis("decomposition is of another element")
     allowed = {field.zero, field.one, lam}
     if not eigen.complete or any(mu not in allowed for mu in eigen.eigenvalues):
         raise IncompleteDecomposition(
@@ -298,17 +301,9 @@ def _poly_at(poly, L):
     return acc, s * scale
 
 
-def _as_sparse(entries, p):
-    """Dense lifted entries as the pairs of ``lift_sparse``, least residues
-    over F_p."""
-    if p:
-        entries = [x % p for x in entries]
-    return [(k, x) for k, x in enumerate(entries) if x]
-
-
 def _sparse(rows, p):
     """Dense rows of lifted entries as the sparse rows of ``lift_rows``."""
-    return [_as_sparse(row, p) for row in rows]
+    return [sparse_entries(row, p) for row in rows]
 
 
 @dataclass
@@ -373,9 +368,11 @@ class MiyamotoMap:
         return self.fusion.all_pre_jordan
 
     def apply(self, y):
+        A = self.axis.algebra
+        require_same_algebra(A, y.algebra, "element belongs to a different algebra")
         if len(y.coeffs) != self.matrix.ncols:
             raise DimensionMismatch("vector length differs from column count")
-        return y.algebra.element(apply_lifted(y.algebra.field, *self._lifted, list(y.coeffs)))
+        return A.element(apply_lifted(A.field, *self._lifted, list(y.coeffs)))
 
 
 def miyamoto(a, lam, _eigen=None):
@@ -491,32 +488,18 @@ def seress_check(a, lam):
     _check_recovery_spectrum(field, [lam])
     P0, e = _poly_at(_lagrange(field, [field.zero, field.one, lam], field.zero), L)
     p, zero, one = field.char, lifted_zero(field), lifted_one(field)
-
-    def times(x, y):
-        out, s = A.lifted_product(x, y)
-        return _as_sparse(out, p), s
-
     a_lift = lift_sparse(field, a.coeffs)
     z01 = [(lift_sparse(field, z.coeffs), mu == field.zero)
            for mu in (field.zero, field.one) for z in eigen.space(mu)]
     for j in range(A.dim):
         y = ([(j, one)], one)
-        y_less_y0 = (_as_sparse([(e if i == j else zero) - row[j] for i, row in enumerate(P0)], p), e)
-        ay = times(a_lift, y)
+        y_less_y0 = (sparse_entries([(e if i == j else zero) - row[j] for i, row in enumerate(P0)], p), e)
+        ay = A.lifted_product(a_lift, y)
         for z, in_a0 in z01:
-            if not _same(times(a_lift, times(y_less_y0 if in_a0 else y, z)), times(ay, z), p):
+            left = A.lifted_product(a_lift, A.lifted_product(y_less_y0 if in_a0 else y, z))
+            if not same_lift(left, A.lifted_product(ay, z), p):
                 return False
     return True
-
-
-def _same(x, y, p):
-    """Do the sparse lifts x = (pairs, s) and y = (pairs, t) stand for one
-    vector: is x t = y s, mod p over F_p?"""
-    (xs, s), (ys, t) = x, y
-    diff = {k: v * t for k, v in xs}
-    for k, v in ys:
-        diff[k] = diff.get(k, 0) - v * s
-    return not any(v % p if p else v for v in diff.values())
 
 
 def infer_lambda(a):

@@ -16,7 +16,7 @@ from .algebra import Algebra
 from .axes import check_axis
 from .errors import BadLambda, InvalidTripleSystem, SelfCheckFailed
 from .fields import QQ, RationalFunctions
-from .frobenius import BilinearForm, _sparse_product, solve_frobenius
+from .frobenius import BilinearForm, solve_frobenius
 from .linalg import Matrix, lifted_one
 
 __all__ = [
@@ -363,51 +363,36 @@ def _miyamoto_permutations(ts, axes, lam):
 
 def jordan_symmetric_matrices(k, field=QQ):
     """Symmetric k x k matrices under x o y = (xy + yx)/2, by structure
-    constants on the basis E11..Ekk, F12.., with Fij = Eij + Eji.
+    constants on the basis E11..Ekk, F12.., with Fij = Eij + Eji.  Each
+    product of basis members is the integer matrix xy + yx of their 0/1
+    matrices, whose entries 0, 1 and 2 are the coefficients 0, 1/2 and 1
+    of x o y.
 
     Construction-time check: unit present, Jordan identity on all basis
     pairs (the full multilinear verification lives in the test suite).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    half = field.one / field.from_int(2)
-    names = []
-    units = []  # basis member as dict {(r,c): scalar}
-    for i in range(k):
-        names.append(f"E{i + 1}{i + 1}")
-        units.append({(i, i): field.one})
-    for i in range(k):
-        for j in range(i + 1, k):
-            names.append(f"F{i + 1}{j + 1}")
-            units.append({(i, j): field.one, (j, i): field.one})
-    n = len(names)
-
-    def mat_mul(x, y):
-        out = {}
-        for (r, c), xv in x.items():
-            for (c2, c3), yv in y.items():
-                if c == c2:
-                    key = (r, c3)
-                    out[key] = out.get(key, field.zero) + xv * yv
-        return {key: v for key, v in out.items() if v}
-
-    def sym_product(x, y):
-        xy = mat_mul(x, y)
-        yx = mat_mul(y, x)
-        out = dict(xy)
-        for key, v in yx.items():
-            out[key] = out.get(key, field.zero) + v
-        return {key: half * v for key, v in out.items() if half * v}
-
-    def to_coeffs(m):
-        v = [field.zero] * n
-        for idx, u in enumerate(units):
-            (r, c), _val = next(iter(u.items()))
-            if (r, c) in m:
-                v[idx] = m[(r, c)]
-        return tuple(v)
-
-    structure = [[to_coeffs(sym_product(units[i], units[j])) for j in range(n)] for i in range(n)]
+    pairs = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+    names = [f"{'E' if i == j else 'F'}{i + 1}{j + 1}" for i, j in pairs]
+    cells = [{(i, j), (j, i)} for i, j in pairs]  # the 1s of each basis matrix
+    index = {ij: m for m, ij in enumerate(pairs)}
+    value = {1: field.one / field.from_int(2), 2: field.one}
+    n = len(pairs)
+    structure = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            count = {}  # xy + yx, read off its upper triangle since symmetric
+            for x, y in ((cells[a], cells[b]), (cells[b], cells[a])):
+                for r, c in x:
+                    for c2, c3 in y:
+                        if c == c2:
+                            count[r, c3] = count.get((r, c3), 0) + 1
+            coeffs = [field.zero] * n
+            for cell, m in count.items():
+                if cell in index:
+                    coeffs[index[cell]] = value[m]
+            structure[a][b] = structure[b][a] = tuple(coeffs)
     A = Algebra(field, names, structure)
 
     unit = A.unit()
@@ -420,15 +405,16 @@ def jordan_symmetric_matrices(k, field=QQ):
 
 def _check_jordan(A):
     """The first basis pair (i, j), in row order, with ((b_i b_i) b_j) b_i
-    != (b_i b_i)(b_j b_i), or None.  Both sides are products of basis lifts
-    over the cube of the grid's denominator, so their lifted entries
+    != (b_i b_i)(b_j b_i), or None.  Both sides are lifted products of
+    basis lifts over the cube of the grid's denominator, so the lifts
     compare directly."""
+    times = A.lifted_product
     one = lifted_one(A.field)
-    basis = [[(i, one)] for i in range(A.dim)]
+    basis = [([(i, one)], one) for i in range(A.dim)]
     for i, x in enumerate(basis):
-        xx = _sparse_product(A, x, x)
+        xx = times(x, x)
         for j, y in enumerate(basis):
-            if _sparse_product(A, _sparse_product(A, xx, y), x) != _sparse_product(A, xx, _sparse_product(A, y, x)):
+            if times(times(xx, y), x) != times(xx, times(y, x)):
                 return i, j
     return None
 

@@ -13,8 +13,8 @@ the rows not streamed only need the associativity evaluation that
 stream; a candidate that fails it means the system is inconsistent.
 ``axial_radical`` likewise stops feeding L_a - lam rows once they reach full
 rank.  The trace-admissibility audit tests 4-nilpotence on lifted products
-(``Algebra.lifted_product``), with no field value built between a lift and
-a verdict.
+(``Algebra.lifted_product``), each an operand of the next as it comes, with
+no field value built between a lift and a verdict.
 """
 
 from __future__ import annotations
@@ -270,35 +270,23 @@ def axial_radical(A, axes, lam):
         for k, row in enumerate(rows):
             row = [x * lam_den for x in row]
             row[k] -= shift
-            ech.add_integers(row)
+            ech.add_integers(enumerate(row))
             if ech.rank == n:
                 return []
     return [A.element(v) for v in ech.kernel(n)]
 
 
-def _sparse_product(A, x, y):
-    """The nonzero entries ``(k, e)`` of ``A.lifted_product`` of the entry
-    lists x and y of two lifts, each taken over the scale 1, and reduced mod
-    p over F_p.  The product's scale is dropped: a nonzero scale does not
-    change which entries vanish, and two products of lifts over the same
-    scales come out over the same scale, so their entries compare directly."""
-    out = A.lifted_product((x, 1), (y, 1))[0]
-    p = A.field.char
-    if p:
-        return [(k, r) for k, e in enumerate(out) if (r := e % p)]
-    return [(k, e) for k, e in enumerate(out) if e]
-
-
 def _is_4_nilpotent(A, y):
-    """``is_4_nilpotent`` of the element with the lifted entries y."""
-    y2 = _sparse_product(A, y, y)
-    return not _sparse_product(A, y2, y2) and not _sparse_product(A, _sparse_product(A, y2, y), y)
+    """``is_4_nilpotent`` of the element with the ``lift_sparse`` lift y."""
+    times = A.lifted_product
+    y2 = times(y, y)
+    return not times(y2, y2)[0] and not times(times(y2, y), y)[0]
 
 
 def is_4_nilpotent(y):
     """y^3*y = 0 and y^2*y^2 = 0, with y^3 = y^2*y."""
     A = y.algebra
-    return _is_4_nilpotent(A, lift_sparse(A.field, y.coeffs)[0])
+    return _is_4_nilpotent(A, lift_sparse(A.field, y.coeffs))
 
 
 @dataclass
@@ -327,11 +315,11 @@ def trace_admissibility_audit(A, form, pairs=None):
         for z in pair:
             require_same_algebra(A, z.algebra, "audited element belongs to a different algebra")
             if id(z) not in lifts:
-                lifts[id(z)] = lift_sparse(A.field, z.coeffs)[0]
+                lifts[id(z)] = lift_sparse(A.field, z.coeffs)
     violations = []
     nil = 0
     for x, y in pairs:
-        if _is_4_nilpotent(A, _sparse_product(A, lifts[id(x)], lifts[id(y)])):
+        if _is_4_nilpotent(A, A.lifted_product(lifts[id(x)], lifts[id(y)])):
             nil += 1
             if form.value(x, y):
                 violations.append((x, y))

@@ -30,7 +30,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .fields import _Reader
-from .linalg import lift_sparse, lifted_one, lifted_zero
+from .linalg import lift_sparse, lifted_one, lifted_zero, same_lift
 
 __all__ = [
     "GenPoly",
@@ -775,15 +775,7 @@ def _idempotent_lift(x):
     compared with x on that lift: NotIdempotent when they differ."""
     A = x.algebra
     lift = lift_sparse(A.field, x.coeffs)
-    out, _d = A.lifted_product(lift, lift)
-    # x * x is out over dx * dx * g, with g the structure table's
-    # denominator, and x is xs over dx
-    xs, dx = lift
-    s = dx * A.integer_grid()[1]
-    for k, a in xs:
-        out[k] -= a * s
-    p = A.field.char
-    if any(a % p for a in out) if p else any(out):
+    if not same_lift(A.lifted_product(lift, lift), lift, A.field.char):
         raise NotIdempotent("pool contains a non-idempotent")
     return lift
 

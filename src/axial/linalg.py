@@ -32,8 +32,9 @@ of a sum, over the product of the operands' denominators; over F_p that is
 where an entry is reduced mod p.  ``minimal_polynomial`` keeps each power M^k as one
 flattened vector of entries over a scale that divides d^k, and hands it to
 ``Coordinates.place`` as a lift, so no field value is built between powers.
-The algebra product, its lifted form and L_a (``algebra.py``) run on the
-same helpers.
+The algebra product and L_a (``algebra.py``) run on the same helpers.  A
+lifted vector has the one format of ``lift_sparse``, which
+``Algebra.lifted_product`` takes and returns and ``same_lift`` compares.
 """
 
 from __future__ import annotations
@@ -88,6 +89,28 @@ def read_lifted(field, entries, d):
     for the others."""
     zero, value = field.zero, field.from_lift
     return [value(x, d) if x else zero for x in entries]
+
+
+def sparse_entries(entries, p):
+    """Dense lifted entries as the pairs of ``lift_sparse``: the nonzero
+    entries with their indices, in index order, least residues over F_p."""
+    if p:
+        return [(k, r) for k, x in enumerate(entries) if (r := x % p)]
+    return [(k, x) for k, x in enumerate(entries) if x]
+
+
+def same_lift(x, y, p):
+    """Do the lifts x = (pairs, s) and y = (pairs, t) in the format of
+    ``lift_sparse`` stand for one vector: is x t = y s, mod p over F_p?
+    Neither has a zero entry, so both then have the same indices."""
+    (xs, s), (ys, t) = x, y
+    if len(xs) != len(ys):
+        return False
+    for (i, a), (j, b) in zip(xs, ys):
+        d = a * t - b * s
+        if i != j or (d % p if p else d):
+            return False
+    return True
 
 
 def apply_lifted(field, a, d, vec):
@@ -239,19 +262,20 @@ class Echelon:
         return self._extend(self._lift(row)[0])
 
     def add_integers(self, row):
-        """``add`` for a row of lifted entries, such as the values of
-        ``field.integer_lift`` without their denominator, which does not
-        change the span: integers over Q, any integers over F_p, read mod p,
-        and Z[t] entries over Q(t)."""
+        """``add`` for a row of lifted entries, a dict or pairs ``(column,
+        entry)``, such as the pairs of a ``lift_sparse`` lift without its
+        denominator, which does not change the span: integers over Q, any
+        integers over F_p, read mod p, and Z[t] entries over Q(t)."""
         return self._extend(self._integers(row))
 
     def _integers(self, row):
-        """The nonzero entries of a row of lifted entries, dense or a dict,
-        as a new dict: read mod p over F_p."""
+        """The nonzero entries of a row of lifted entries, a dict or pairs
+        ``(column, entry)`` as ``lift_sparse`` gives them, as a new dict:
+        read mod p over F_p."""
         p = self._p
-        items = row.items() if isinstance(row, dict) else enumerate(row)
+        items = row.items() if isinstance(row, dict) else row
         if p:
-            items = ((c, x % p) for c, x in items)
+            return {c: r for c, x in items if (r := x % p)}
         return {c: x for c, x in items if x}
 
     def _extend(self, r):
@@ -353,7 +377,7 @@ class Coordinates:
         return self.place(*self._ech._lift(v)) is None
 
     def place(self, entries, s):
-        """Reduce a vector given as a lift once: its lifted entries, dense
+        """Reduce a vector given as a lift once: its lifted entries, pairs
         or a dict, over the denominator s, read as ``Echelon.add_integers``
         reads them.  Outside the span the vector is appended and the result
         is None; inside it the result is its coordinates, as ``coords``."""
@@ -589,7 +613,7 @@ def minimal_polynomial(m):
             base = c - k
             for j, y in a[k]:
                 out[base + j] += x * y
-        power = powers._ech._integers(out)  # mod p over F_p
+        power = powers._ech._integers(enumerate(out))  # mod p over F_p
         s *= d
         if p == 0:
             g = gcd(s, *power.values())

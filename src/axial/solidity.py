@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, generate_subalgebra
+from .algebra import Algebra, generate_subalgebra, require_same_algebra
 from .axes import AxisReport, check_axis, is_idempotent
 from .constructions import sigma_algebra
 from .errors import NotAxes, SelfCheckFailed, UnsupportedShape
@@ -286,6 +286,9 @@ def solid_audit(A, a, b, form, lam, sample_eps=()):
     what makes the classical toric solidity statement come out true; the
     trivial ones are still listed, flagged.
     """
+    for x in (a, b):
+        require_same_algebra(A, x.algebra, "audited axis belongs to a different algebra")
+    require_same_algebra(A, form.algebra, "form belongs to a different algebra")
     pair = classify_pair(a, b, form, lam)
     B = generate_subalgebra([a, b])
     enum = enumerate_idempotents_2gen(B, lam=lam)

@@ -391,13 +391,14 @@ class TestDetAndMinimalPolynomial:
 
 
 def unreduced_lift(field, v):
-    """``field.integer_lift`` of v, moved off its normal form: each entry
-    plus p over F_p, whose denominator stays 1, and entries and
-    denominator times 3 over Q and Q(t)."""
+    """``field.integer_lift`` of v, moved off its normal form, as pairs
+    ``(index, entry)`` with the zero entries among them: each entry plus p
+    over F_p, whose denominator stays 1, and entries and denominator times
+    3 over Q and Q(t)."""
     ints, d = field.integer_lift(v)
     if field.char:
-        return [x + field.char for x in ints], d
-    return [3 * x for x in ints], 3 * d
+        return list(enumerate(x + field.char for x in ints)), d
+    return list(enumerate(3 * x for x in ints)), 3 * d
 
 
 class TestCoordinates:
