@@ -10,16 +10,18 @@ the lifted zero and read each nonzero entry of the result back once
 (``linalg.lift_sparse`` and ``linalg.read_lifted``).  ``lifted_product``
 is the product with no read-back, from lifts to a lift in the one format
 of ``lift_sparse``, which ``generate_subalgebra`` hands to
-``Coordinates.place``; ``lifted_left_multiplication`` is L_a with none, and
-``frobenius.axial_radical`` hands its rows to an ``Echelon``.  Elements are
-coefficient tuples over the field and support ``+``, ``-``, scalar ``*`` and
-the (commutative, bilinear) algebra product.
+``Coordinates.place`` and ``is_idempotent_lift``, the one idempotency test,
+compares with the lift it squares; ``lifted_left_multiplication`` is L_a
+with none, and ``frobenius.axial_radical`` hands its rows to an
+``Echelon``.  Elements are coefficient tuples over the field and support
+``+``, ``-``, scalar ``*`` and the (commutative, bilinear) algebra product.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, AsymmetricStructure, DimensionMismatch
-from .linalg import Coordinates, Matrix, lift_sparse, lifted_one, lifted_zero, read_lifted, sparse_entries
+from .linalg import (Coordinates, Matrix, lift_sparse, lifted_one, lifted_zero, read_lifted, same_lift,
+                     sparse_entries)
 
 __all__ = ["Algebra", "Element", "Subalgebra", "make_algebra", "generate_subalgebra"]
 
@@ -79,6 +81,11 @@ class Algebra:
         product, of ``Coordinates.place`` and of ``Echelon.contains_integers``."""
         out, s = self._product_entries(x_lift, y_lift)
         return sparse_entries(out, self.field.char), s
+
+    def is_idempotent_lift(self, lift):
+        """Is the element with the ``lift_sparse`` lift x idempotent: does
+        ``lifted_product(x, x)`` stand for x?  The one idempotency test."""
+        return same_lift(self.lifted_product(lift, lift), lift, self.field.char)
 
     def _product_entries(self, x_lift, y_lift):
         """``(out, dx * dy * d)``: out[k] sums x_i y_j c over the cells (k, c)
@@ -258,6 +265,7 @@ class Subalgebra:
 
     def embed(self, element):
         """Map an induced-algebra element back into the parent."""
+        require_same_algebra(self.induced, element.algebra, "element belongs to a different algebra")
         acc = self.parent.zero()
         for c, b in zip(element.coeffs, self.basis):
             if c:
@@ -302,15 +310,16 @@ def generate_subalgebra(gens):
     span = Coordinates(field, parent.dim)
     basis, words, lifts = [], [], []
 
-    def keep(elem, word):
+    def keep(elem, word, lift):
         basis.append(elem)
         words.append(word)
-        lifts.append(lift_sparse(field, elem.coeffs))
+        lifts.append(lift)
 
     for i, g in enumerate(gens):
         require_same_algebra(parent, g.algebra, "generators belong to different algebras")
-        if span.add(g.coeffs):
-            keep(g, i)
+        lift = lift_sparse(field, g.coeffs)
+        if span.place(*lift) is None:
+            keep(g, i, lift)
 
     # products of known basis members, breadth-first over word length; a
     # pair with i <= j is made in the round after b_j was found
@@ -327,7 +336,7 @@ def generate_subalgebra(gens):
                 coeffs = [field.zero] * parent.dim
                 for k, x in out:
                     coeffs[k] = field.from_lift(x, s)
-                keep(Element(parent, coeffs), (words[i], words[j]))
+                keep(Element(parent, coeffs), (words[i], words[j]), lift_sparse(field, coeffs))
                 c = [field.zero] * (span.size - 1) + [field.one]
             structure[i, j] = c
         frontier = set(range(start, len(basis)))

@@ -52,7 +52,9 @@ __all__ = [
 
 
 def is_idempotent(x):
-    return x * x == x
+    """x * x == x, tested on the lift of x by ``Algebra.is_idempotent_lift``."""
+    A = x.algebra
+    return A.is_idempotent_lift(lift_sparse(A.field, x.coeffs))
 
 
 @dataclass
@@ -151,8 +153,7 @@ def check_axis(a, lam):
     nonsingular.
     """
     field = a.algebra.field
-    if lam == field.zero or lam == field.one:
-        raise BadLambda("the axis eigenvalue must avoid 0 and 1")
+    _require_lambda(field, lam)
     if not is_idempotent(a):
         return AxisReport(element=a, lam=lam, is_idempotent=False)
     L = a.left_multiplication_matrix()
@@ -183,11 +184,12 @@ def check_fusion(a, lam, eigen=None):
     (d) A0 * A0 in A0.  Membership is exact reduction against one echelon
     basis per target eigenspace.  a*u = mu*u for u in A_mu, so when A_1 is
     spanned by a alone, products with it obey every rule and are skipped.
-    Each basis member is lifted once, and each product enters its echelon
-    as lifted entries.
+    Each basis member is lifted once, enters its echelons as that lift and
+    multiplies as it, and each product enters its echelon as lifted entries.
     """
     A = a.algebra
     field = A.field
+    _require_lambda(field, lam)
     if eigen is None:
         eigen = eigen_decompose(a)
     require_same_algebra(A, eigen.axis.algebra, "decomposition belongs to a different algebra")
@@ -198,9 +200,12 @@ def check_fusion(a, lam, eigen=None):
         raise IncompleteDecomposition(
             "fusion check requires a complete decomposition with spectrum in {0, 1, lam}"
         )
-    spaces = [[v.coeffs for v in eigen.space(mu)] for mu in (field.zero, field.one, lam)]
-    in01, in_lam, in0 = (Echelon(field, span) for span in (spaces[0] + spaces[1], spaces[2], spaces[0]))
-    a0, a1, alam = ([lift_sparse(field, v) for v in span] for span in spaces)
+    a0, a1, alam = ([lift_sparse(field, v.coeffs) for v in eigen.space(mu)]
+                    for mu in (field.zero, field.one, lam))
+    in01, in_lam, in0 = Echelon(field), Echelon(field), Echelon(field)
+    for ech, span in ((in01, a0 + a1), (in_lam, alam), (in0, a0)):
+        for v, _d in span:
+            ech.add_integers(v)
     a1_checked = a1 if len(a1) > 1 else []
 
     def contained(pairs, ech):
@@ -229,6 +234,11 @@ def _require_axis(a, eigenvalues_s, eigen=None):
     if not _divides_root_poly(minimal_polynomial(L), [field.zero, field.one, *eigenvalues_s]):
         raise NotAnAxis("operator is not annihilated by the expected spectrum polynomial")
     return L
+
+
+def _require_lambda(field, lam):
+    if lam == field.zero or lam == field.one:
+        raise BadLambda("the axis eigenvalue must avoid 0 and 1")
 
 
 def _divides_root_poly(mp, nodes):
@@ -390,8 +400,7 @@ def miyamoto(a, lam, _eigen=None):
     """
     A = a.algebra
     field = A.field
-    if lam == field.zero or lam == field.one:
-        raise BadLambda("the flipped eigenvalue must avoid 0 and 1")
+    _require_lambda(field, lam)
     L = _require_axis(a, [lam], _eigen)
     eigen = _eigen if _eigen is not None else _decompose(a, L)
     if not eigen.complete:
@@ -481,11 +490,11 @@ def seress_check(a, lam):
     """
     A = a.algebra
     field = A.field
+    _require_lambda(field, lam)
     L = _require_axis(a, [lam])
     eigen = _decompose(a, L)
     if not eigen.complete:
         raise NotAnAxis("decomposition is not complete")
-    _check_recovery_spectrum(field, [lam])
     P0, e = _poly_at(_lagrange(field, [field.zero, field.one, lam], field.zero), L)
     p, zero, one = field.char, lifted_zero(field), lifted_one(field)
     a_lift = lift_sparse(field, a.coeffs)

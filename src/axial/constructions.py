@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Algebra
-from .axes import check_axis
+from .axes import check_axis, is_idempotent
 from .errors import BadLambda, InvalidTripleSystem, SelfCheckFailed
 from .fields import QQ, RationalFunctions
 from .frobenius import BilinearForm, solve_frobenius
@@ -184,7 +184,7 @@ def toric_euf(field=QQ):
     A = Algebra(field, ["e", "u", "f"], st)
     gram = Matrix(field, [[z, z, quarter], [z, two, z], [quarter, z, z]])
     tor = ToricAlgebra(algebra=A, form=BilinearForm(A, gram))
-    if not (tor.idempotent(field.one) * tor.idempotent(field.one) == tor.idempotent(field.one)):
+    if not is_idempotent(tor.idempotent(field.one)):
         raise SelfCheckFailed("family member at eps = 1 is not idempotent")  # unreachable
     return tor
 

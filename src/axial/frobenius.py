@@ -235,9 +235,12 @@ def radical(form):
     """Kernel of the Gram matrix, verified to be an ideal of the algebra."""
     A = form.algebra
     vecs = form.gram.kernel()
-    span = Echelon(A.field, vecs)
+    lifts = [lift_sparse(A.field, v) for v in vecs]
+    span = Echelon(A.field)
+    for r, _d in lifts:
+        span.add_integers(r)
     basis = [lift_sparse(A.field, b.coeffs) for b in A.basis()]
-    for r in (lift_sparse(A.field, v) for v in vecs):
+    for r in lifts:
         for b in basis:
             if not span.contains_integers(A.lifted_product(r, b)[0]):
                 raise SelfCheckFailed("form kernel is not an ideal")  # impossible for associative forms

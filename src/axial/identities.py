@@ -30,7 +30,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .fields import _Reader
-from .linalg import lift_sparse, lifted_one, lifted_zero, same_lift
+from .linalg import lift_sparse, lifted_one, lifted_zero
 
 __all__ = [
     "GenPoly",
@@ -466,43 +466,32 @@ def _symmetry_blocks(g):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(f, assign_x, assign_e, form=None, algebra=None, check_idempotents=True):
+def evaluate(f, assign_x, assign_e, form=None, algebra=None):
     """Evaluate an element-valued polynomial at concrete elements.
 
     assign_x / assign_e map variable indices to elements; every E-slot value
-    must be idempotent; bracket factors require a bilinear form.  The
-    assigned elements, the form and the field of f must belong to one
-    algebra (algebra, when given): an equal algebra counts as the same, and
-    anything else raises AlgebraMismatch.
-
-    After these checks f runs as a ``_Program`` on the lifted assignment,
-    and ``field.from_lift`` reads the result back.
+    must be idempotent; bracket factors require a bilinear form.  ``_bind``
+    binds the assigned elements and the form to one algebra (algebra, when
+    given, else the first element's), as the searches bind theirs, and f
+    must be over its field.  Each E value is lifted and tested as a pool
+    member is; f runs as a ``_Program`` on the lifts, and
+    ``field.from_lift`` reads the result back.
     """
-    A = algebra
-    for v in itertools.chain(assign_x.values(), assign_e.values()):
-        if A is None:
-            A = v.algebra
-        require_same_algebra(A, v.algebra, "an assigned element belongs to a different algebra")
+    values = [*assign_x.values(), *assign_e.values()]
+    A = algebra if algebra is not None else next((v.algebra for v in values), None)
     if A is None:
         raise UnboundVariable("no assignments and no algebra supplied")
-    if form is not None:
-        require_same_algebra(A, form.algebra, "the form belongs to a different algebra")
+    _bind(A, values, form)
     if f.field != A.field:
         raise AlgebraMismatch(f"polynomial over {f.field!r} on an algebra over {A.field!r}")
-    if check_idempotents:
-        for i, v in assign_e.items():
-            if not (v * v == v):
-                raise NotIdempotent(f"E{i} assigned a non-idempotent")
+    e_lifts = {i: _idempotent_lift(v, f"E{i} assigned a non-idempotent") for i, v in assign_e.items()}
     for j in f.x_indices():
         if j not in assign_x:
             raise UnboundVariable(f"x{j} unassigned")
     for i in f.e_indices():
         if i not in assign_e:
             raise UnboundVariable(f"E{i} unassigned")
-    if f.has_brackets() and form is None:
-        raise MissingForm("polynomial contains bracket factors but no form was given")
-
-    lifts = [lift_sparse(A.field, assign_e[i].coeffs) for i in f.e_indices()]
+    lifts = [e_lifts[i] for i in f.e_indices()]
     lifts += [lift_sparse(A.field, assign_x[j].coeffs) for j in f.x_indices()]
     total, d = _Program(f, A, form).run(lifts)
     return A.element([A.field.from_lift(a, d) for a in total])
@@ -685,7 +674,11 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
     _bind(A, idempotent_pool, form)
     e_options = _slot_assignments(f, idempotent_pool, distinct_slots)
     xvars, evars = f.x_indices(), f.e_indices()
-    maxdeg = max((f.degree_in_x(j) for j in xvars), default=0)
+    # the multihomogeneous components in the X variables, by multidegree
+    components = {}
+    for key, coeff in f.terms.items():
+        components.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
+    maxdeg = max((max(deg, default=0) for deg in components), default=0)
 
     if field.size is not None and field.size <= maxdeg:
         n_assign = len(xvars) * A.dim
@@ -698,30 +691,29 @@ def holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_slots=False)
         witness = _first_nonzero(f, A, form, e_options, vectors)
         return IdentityVerdict(holds=witness is None, witness=witness, method="exhaustive-field")
 
-    # split into multihomogeneous components in the X variables
-    components = {}
-    for key, coeff in f.terms.items():
-        components.setdefault(tuple(_mono_degree(key, ("X", j)) for j in xvars), {})[key] = coeff
-
     basis = A.basis()
-    for terms in components.values():
+    for deg, terms in components.items():
         g = GenPoly(f.field, terms)
-        for j in xvars:
-            if g.degree_in_x(j) > 1:
+        for j, d in zip(xvars, deg):
+            if d > 1:
                 g, _ = full_linearize(g, j)
         # g is only a yes/no test, so one basis tuple per orbit of its
-        # variable symmetry decides it
+        # variable symmetry decides it; a witness is sought for f itself,
+        # on basis tuples and then on random ones
         if _first_nonzero(g, A, form, e_options, basis, _symmetry_blocks(g)) is not None:
-            witness = _find_witness(f, A, form, e_options, basis)
+            bounds = [3 + attempt // 500 for attempt in range(5000)]
+            witness = (_first_nonzero(f, A, form, e_options, basis)
+                       or _first_random_nonzero(f, A, form, e_options, random.Random(0), bounds))
             return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
     return IdentityVerdict(holds=True, witness=None, method="multilinear-basis")
 
 
-def _bind(A, pool, form):
-    """Check that the pool and the form belong to A, whose equal copies
-    count as A; each other algebra is compared with A at most once.  The
-    compiled program reads only A's structure table and the form's Gram
-    matrix, so the members and the form are kept as given."""
+def _bind(A, elements, form):
+    """Check that the elements (a pool or assigned values) and the form
+    belong to A, whose equal copies count as A, else AlgebraMismatch; each
+    other algebra is compared with A at most once.  The compiled program
+    reads only A's structure table and the form's Gram matrix, so all are
+    kept as given."""
     equal = []  # the algebras other than A found equal to it
 
     def check(B, message):
@@ -729,22 +721,18 @@ def _bind(A, pool, form):
             require_same_algebra(A, B, message)
             equal.append(B)
 
-    for x in pool:
+    for x in elements:
         check(x.algebra, "an assigned element belongs to a different algebra")
     if form is not None:
         check(form.algebra, "the form belongs to a different algebra")
 
 
-class _SlotAssignments(list):
-    """The assignments of pool members to the E slots of f, in the order the
-    sweeps take them: a list of dicts {i: member}.  ``lifts[a]`` is the
-    dict {i: lift} of assignment a, on one lift per pool member."""
-
-
 def _slot_assignments(f, pool, distinct):
-    """Every assignment of pool members to the E slots of f, as a
-    ``_SlotAssignments``; the pool must hold idempotents only, and some if f
-    has E slots.  Each member is lifted once and tested on its lift.  With
+    """Every assignment of pool members to the E slots of f, in the order
+    the sweeps take them, as pairs ``(members, lifts)`` of dicts {i: member}
+    and {i: lift}, which a component of f without some of its E slots reads
+    by index.  The pool must hold idempotents only, and some if f has E
+    slots.  Each member is lifted once and tested on its lift.  With
     distinct, the slots take pairwise distinct members: the pool is
     deduplicated by coefficients, in order, and must keep a member for each
     slot, since with fewer there is no assignment and f would hold
@@ -752,7 +740,7 @@ def _slot_assignments(f, pool, distinct):
     evars = f.e_indices()
     if evars and not pool:
         raise UnboundVariable("polynomial has E-slots but the idempotent pool is empty")
-    lifts = [_idempotent_lift(x) for x in pool]
+    lifts = [_idempotent_lift(x, "pool contains a non-idempotent") for x in pool]
     members = range(len(pool))
     if distinct:
         members = list({pool[m].coeffs: m for m in members}.values())
@@ -762,21 +750,17 @@ def _slot_assignments(f, pool, distinct):
         choices = itertools.permutations(members, len(evars))
     else:
         choices = itertools.product(members, repeat=len(evars))
-    options = _SlotAssignments()
-    options.lifts = []
-    for choice in choices:
-        options.append({i: pool[m] for i, m in zip(evars, choice)})
-        options.lifts.append({i: lifts[m] for i, m in zip(evars, choice)})
-    return options
+    return [({i: pool[m] for i, m in zip(evars, choice)}, {i: lifts[m] for i, m in zip(evars, choice)})
+            for choice in choices]
 
 
-def _idempotent_lift(x):
-    """The ``lift_sparse`` lift of the pool member x, whose square is
-    compared with x on that lift: NotIdempotent when they differ."""
+def _idempotent_lift(x, message):
+    """The ``lift_sparse`` lift of x, which ``Algebra.is_idempotent_lift``
+    tests: NotIdempotent with message when x is not idempotent."""
     A = x.algebra
     lift = lift_sparse(A.field, x.coeffs)
-    if not same_lift(A.lifted_product(lift, lift), lift, A.field.char):
-        raise NotIdempotent("pool contains a non-idempotent")
+    if not A.is_idempotent_lift(lift):
+        raise NotIdempotent(message)
     return lift
 
 
@@ -821,7 +805,7 @@ def _first_nonzero(f, A, form, e_options, values, blocks=None):
                 return True
         return False
 
-    for amap, e_lifts in zip(e_options, e_options.lifts):
+    for amap, e_lifts in e_options:
         for k, i in enumerate(evars):
             step(k, e_lifts[i])
         if walk(0, 0) if xvars else not vanishes():
@@ -847,20 +831,11 @@ def _first_random_nonzero(f, A, form, e_options, rng, bounds):
         if program is None:
             program = _Program(f, A, form)
         xs = [[field.from_int(c) for c in draw] for draw in draws]
-        e_lifts = e_options.lifts[e]
+        amap, e_lifts = e_options[e]
         program.load([e_lifts[i] for i in evars] + [lift_sparse(field, x) for x in xs])
         if not program.vanishes():
-            return {"x": {j: A.element(x) for j, x in zip(xvars, xs)}, "e": e_options[e]}
+            return {"x": {j: A.element(x) for j, x in zip(xvars, xs)}, "e": amap}
     return None
-
-
-def _find_witness(f, A, form, e_options, basis):
-    """A concrete falsifying assignment for f itself (not its components)."""
-    witness = _first_nonzero(f, A, form, e_options, basis)
-    if witness is not None:
-        return witness
-    bounds = [3 + attempt // 500 for attempt in range(5000)]
-    return _first_random_nonzero(f, A, form, e_options, random.Random(0), bounds)
 
 
 def sample_identity(f, A, idempotent_pool=(), form=None, samples=500, seed=0, coeff_range=3,

@@ -414,12 +414,13 @@ class TestSeress:
         assert not seress_check(A.basis_element(0), HALF)
 
     def test_rejections(self, mats3c, toric):
-        # lam in {0, 1}: an axis with a 1/2-eigenvector fails the spectrum
-        # test, one with spectrum in {0, 1} reaches the recovery system
+        # lam in {0, 1} is rejected before the spectrum test, as check_axis
+        # and miyamoto reject it, whether or not the axis has an eigenvalue
+        # outside {0, 1}
         for lam in (Fraction(0), Fraction(1)):
-            with pytest.raises(NotAnAxis):
+            with pytest.raises(BadLambda):
                 seress_check(mats3c.axes[0], lam)
-            with pytest.raises(SingularVandermonde):
+            with pytest.raises(BadLambda):
                 seress_check(toric.u, lam)
         with pytest.raises(NotAnAxis):
             seress_check(toric.e, HALF)
@@ -701,17 +702,33 @@ def test_check_axis_spectrum_corner_cases(case, fname):
 
 @pytest.mark.parametrize("fname", ["Q", "F7", "Qt"])
 def test_seress_lambda_in_01_over_every_field(fname):
-    # as TestSeress::test_rejections pins over Q: with lam in {0, 1} the
-    # nodes {0, 1, lam} repeat one, which must count once
+    # as TestSeress::test_rejections pins over Q: lam in {0, 1} is
+    # BadLambda before any spectrum test, whatever the spectrum of the axis
     field = FIELDS[fname]
     with_half = built_over(field, ["a", "v", "w"],
                            {("a", "a"): {"a": 1}, ("a", "w"): {"w": HALF}}, [1, 0, 0])
     spectrum_01 = built_over(field, ["a", "v"], {("a", "a"): {"a": 1}}, [1, 0])
     for lam in (field.zero, field.one):
-        with pytest.raises(NotAnAxis):
+        with pytest.raises(BadLambda):
             seress_check(with_half, lam)
-        with pytest.raises(SingularVandermonde):
+        with pytest.raises(BadLambda):
             seress_check(spectrum_01, lam)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+def test_seress_and_fusion_reject_lambda_in_01(field):
+    # on a toric idempotent, whose spectrum test and decomposition pass at
+    # lam = 1/2, lam in {0, 1} is BadLambda before either is reached
+    tor = toric_euf(field)
+    a = tor.idempotent(field.from_int(2))
+    for lam in (field.zero, field.one):
+        with pytest.raises(BadLambda, match="avoid 0 and 1"):
+            seress_check(a, lam)
+        with pytest.raises(BadLambda, match="avoid 0 and 1"):
+            check_fusion(a, lam)
+    # the same idempotent passes both at lam = 1/2
+    half = field.from_fraction(HALF)
+    assert seress_check(a, half) and check_fusion(a, half).all_jordan
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,16 @@ class TestSpecializeSlot:
             specialize_idempotent_slot(f, 2, 3)
 
 
+def program_value(f, xs, es, form, A):
+    """f at xs and es, run as a ``_Program`` on the lifted values and read
+    back: ``evaluate`` without its checks, so the E values may be any
+    elements."""
+    lifts = [lift_sparse(A.field, es[i].coeffs) for i in f.e_indices()]
+    lifts += [lift_sparse(A.field, xs[j].coeffs) for j in f.x_indices()]
+    total, d = _Program(f, A, form).run(lifts)
+    return A.element([A.field.from_lift(a, d) for a in total])
+
+
 def reference_evaluate(f, xs, es, form, A):
     """f at xs and es through Element products and BilinearForm.value,
     the generic evaluation without integer lifts."""
@@ -390,7 +400,7 @@ class TestEvaluate:
                 for checked in (True, False):
                     xs = {j: dense() for j in f.x_indices()}
                     es = {i: rng.choice(pool) if checked else dense() for i in f.e_indices()}
-                    val = evaluate(f, xs, es, form=form, algebra=A, check_idempotents=checked)
+                    val = evaluate(f, xs, es, form=form, algebra=A) if checked else program_value(f, xs, es, form, A)
                     ref = reference_evaluate(f, xs, es, form, A)
                     # format reads least residues, so unreduced ints fail here
                     assert val == ref and val.format() == ref.format(), name
@@ -421,7 +431,8 @@ class TestEvaluate:
             for checked in (True, False):
                 xs = {j: dense() for j in f.x_indices()}
                 es = {i: generic if checked else dense() for i in f.e_indices()}
-                val = evaluate(f, xs, es, form=tor.form, algebra=A, check_idempotents=checked)
+                val = (evaluate(f, xs, es, form=tor.form, algebra=A) if checked
+                       else program_value(f, xs, es, tor.form, A))
                 assert val == reference_evaluate(f, xs, es, tor.form, A), name
                 nonzero += not val.is_zero()
         assert nonzero >= 8  # 10 of the 28 values are nonzero
@@ -523,7 +534,7 @@ class TestEvaluate:
                 for checked in (True, False):
                     xs = {j: dense() for j in f.x_indices()}
                     es = {i: rng.choice(pool) if checked else dense() for i in f.e_indices()}
-                    val = evaluate(f, xs, es, form=form, algebra=A, check_idempotents=checked)
+                    val = evaluate(f, xs, es, form=form, algebra=A) if checked else program_value(f, xs, es, form, A)
                     ref = reference_evaluate(f, xs, es, form, A)
                     assert val == ref and val.format() == ref.format(), text
                     nonzero += not val.is_zero()
@@ -532,7 +543,7 @@ class TestEvaluate:
                 expected = next(
                     (
                         {"x": xmap, "e": amap}
-                        for amap in e_options
+                        for amap, _lifts in e_options
                         for tup in itertools.product(A.basis(), repeat=len(xvars))
                         for xmap in [dict(zip(xvars, tup))]
                         if not reference_evaluate(f, xmap, amap, form, A).is_zero()
@@ -873,7 +884,7 @@ def reference_holds_as_identity(f, A, idempotent_pool=(), form=None, distinct_sl
             amap = dict(zip(evars, e_assign))
             for tup in itertools.product(basis, repeat=len(gvars)):
                 xmap = dict(zip(gvars, tup))
-                val = evaluate(g, xmap, amap, form=form, algebra=A, check_idempotents=False)
+                val = evaluate(g, xmap, amap, form=form, algebra=A)
                 if not val.is_zero():
                     witness = reference_find_witness(f, A, idempotent_pool, form, 0, distinct_slots)
                     return IdentityVerdict(holds=False, witness=witness, method="multilinear-basis")
@@ -900,7 +911,7 @@ def reference_exhaustive_check(f, A, pool, form, distinct_slots=False):
         amap = dict(zip(evars, e_assign))
         for tup in itertools.product(vectors, repeat=len(xvars)):
             xmap = dict(zip(xvars, tup))
-            val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+            val = evaluate(f, xmap, amap, form=form, algebra=A)
             if not val.is_zero():
                 return IdentityVerdict(
                     holds=False,
@@ -920,7 +931,7 @@ def reference_find_witness(f, A, pool, form, seed, distinct_slots=False):
         amap = dict(zip(evars, e_assign))
         for tup in itertools.product(basis, repeat=len(xvars)):
             xmap = dict(zip(xvars, tup))
-            val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+            val = evaluate(f, xmap, amap, form=form, algebra=A)
             if not val.is_zero():
                 return {"x": xmap, "e": amap}
     rng = random.Random(seed)
@@ -932,7 +943,7 @@ def reference_find_witness(f, A, pool, form, seed, distinct_slots=False):
             for j in xvars
         }
         amap = dict(zip(evars, e_options[rng.randrange(len(e_options))])) if evars else {}
-        val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+        val = evaluate(f, xmap, amap, form=form, algebra=A)
         if not val.is_zero():
             return {"x": xmap, "e": amap}
     return None
@@ -951,7 +962,7 @@ def reference_sample_identity(f, A, idempotent_pool=(), form=None, samples=500, 
             for j in xvars
         }
         amap = dict(zip(evars, e_options[rng.randrange(len(e_options))])) if evars else {}
-        val = evaluate(f, xmap, amap, form=form, algebra=A, check_idempotents=False)
+        val = evaluate(f, xmap, amap, form=form, algebra=A)
         if not val.is_zero():
             return IdentityVerdict(holds=False, witness={"x": xmap, "e": amap}, method="sampled")
     return IdentityVerdict(holds=True, witness=None, method="sampled")
@@ -1020,11 +1031,12 @@ def linearized_components(f):
 
 
 def reference_sweep_vanishes(g, A, form, e_options):
-    """Whether g vanishes on every basis tuple, E slots outermost."""
+    """Whether g vanishes on every basis tuple, E slots outermost, for the
+    (members, lifts) pairs e_options of ``_slot_assignments``."""
     gvars = g.x_indices()
     return all(
-        evaluate(g, dict(zip(gvars, tup)), amap, form=form, algebra=A, check_idempotents=False).is_zero()
-        for amap in e_options
+        evaluate(g, dict(zip(gvars, tup)), amap, form=form, algebra=A).is_zero()
+        for amap, _lifts in e_options
         for tup in itertools.product(A.basis(), repeat=len(gvars))
     )
 

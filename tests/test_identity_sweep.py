@@ -37,11 +37,12 @@ HALF = Fraction(1, 2)
 def reference_first_nonzero(f, A, form, e_options, values, blocks=None):
     """The first (E assignment, tuple) at which f does not vanish, in the
     order of ``itertools.product`` over the blocks' sorted tuples, E
-    assignments outermost; every tuple when blocks is None."""
+    assignments outermost; every tuple when blocks is None.  e_options
+    holds the (members, lifts) pairs of ``_slot_assignments``."""
     if blocks is None:
         blocks = [[j] for j in f.x_indices()]
     xvars = [j for block in blocks for j in block]
-    for amap in e_options:
+    for amap, _lifts in e_options:
         sorted_tuples = (itertools.combinations_with_replacement(range(len(values)), len(b)) for b in blocks)
         for parts in itertools.product(*sorted_tuples):
             xmap = {j: values[k] for j, k in zip(xvars, itertools.chain.from_iterable(parts))}
@@ -59,7 +60,7 @@ def reference_random_witness(f, A, form, e_options):
     for attempt in range(5000):
         bound = 3 + attempt // 500
         xmap = {j: A.element([field.from_int(rng.randint(-bound, bound)) for _ in range(A.dim)]) for j in xvars}
-        amap = e_options[rng.randrange(len(e_options))] if evars else {}
+        amap = e_options[rng.randrange(len(e_options))][0] if evars else {}
         if not reference_evaluate(f, xmap, amap, form, A).is_zero():
             return {"x": xmap, "e": amap}
     return None
@@ -72,7 +73,8 @@ def check_against_reference(f, A, pool, form, distinct, small=False):
     swept even when it holds."""
     evars = f.e_indices()
     e_options = _slot_assignments(f, pool, distinct)
-    assert e_options == [dict(zip(evars, c)) for c in reference_slot_assignments(pool, len(evars), distinct)]
+    assert ([amap for amap, _lifts in e_options]
+            == [dict(zip(evars, c)) for c in reference_slot_assignments(pool, len(evars), distinct)])
     verdict = holds_as_identity(f, A, idempotent_pool=pool, form=form, distinct_slots=distinct)
     basis = A.basis()
     maxdeg = max((f.degree_in_x(j) for j in f.x_indices()), default=0)
@@ -151,6 +153,18 @@ def test_sweep_against_element_products_over_qt():
                                           name.startswith("matsuo"), small=True)
         held += verdict.holds
     assert 0 < held < len(BUILTIN_NAMES)
+
+
+def test_components_without_some_e_slots_read_their_own(mats3c):
+    # each X-degree of f carries one E slot, so each linearized component
+    # drops the others and must step its own slots' lifts; with 0 first in
+    # the pool the first assignments vanish, so a component that read
+    # another slot's member would report another witness
+    A = mats3c.algebra
+    f = parse_poly("E1*x1 + E2*(x1*x1) + E3*((x1*x1)*x1)", QQ)
+    pool = [A.zero(), mats3c.axes[0], mats3c.axes[1]]
+    for distinct in (False, True):
+        assert not check_against_reference(f, A, pool, None, distinct, small=True).holds
 
 
 def product_nodes(f):

@@ -267,6 +267,17 @@ class TestForeignInputs:
         with pytest.raises(AlgebraMismatch):
             B.contains(e)
 
+    def test_subalgebra_embedding_of_a_foreign_element(self):
+        # an element of another algebra of the same dimension (sigma of
+        # two-gen), of a larger one (H3) and of the parent are refused
+        tor = toric_euf()
+        B = generate_subalgebra([tor.idempotent(1), tor.idempotent(2)])
+        assert B.embed(B.induced.basis_element(1)) == tor.idempotent(2)
+        for x in (universal_2gen(HALF, Fraction(1, 8)).sigma, jordan_symmetric_matrices(3).basis_element(0),
+                  tor.idempotent(1)):
+            with pytest.raises(AlgebraMismatch):
+                B.embed(x)
+
     def test_solid_audit_of_a_foreign_algebra(self):
         tg = universal_2gen(HALF, Fraction(1, 8))
         with pytest.raises(AlgebraMismatch):
