@@ -8,6 +8,7 @@ stable schema when --json is passed.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,8 +45,7 @@ _INPUT_ERRORS = (_Usage, SchemaError, ScalarParseError, PolyParseError, UnknownI
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         report = args.handler(args)
@@ -56,21 +56,23 @@ def main(argv=None):
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     report["elapsed_s"] = round(time.perf_counter() - t0, 6)
-    _emit(report, args)
+    # construct without -o writes its document to stdout, so the report goes to stderr
+    out = sys.stderr if args.command == "construct" and not args.output else sys.stdout
+    _emit(report, args, out)
     return 0 if report["passed"] else 1
 
 
-def _emit(report, args):
+def _emit(report, args, out):
     if getattr(args, "json", False):
-        json.dump(report, sys.stdout, indent=1, default=str)
-        sys.stdout.write("\n")
+        json.dump(report, out, indent=1, default=str)
+        out.write("\n")
         return
     for chk in report["checks"]:
         mark = "ok " if chk["passed"] else "FAIL"
         detail = chk.get("detail")
         suffix = f"  {detail}" if detail not in (None, {}) else ""
-        print(f"[{mark}] {chk['name']}{suffix}")
-    print(f"=> {'PASS' if report['passed'] else 'FAIL'} ({report['elapsed_s']:.3f}s)")
+        print(f"[{mark}] {chk['name']}{suffix}", file=out)
+    print(f"=> {'PASS' if report['passed'] else 'FAIL'} ({report['elapsed_s']:.3f}s)", file=out)
 
 
 def _report(command, checks, extra=None):
@@ -104,6 +106,8 @@ def _parse_element(A, text):
 
 
 def _parse_lambda(A, text):
+    if text is None:
+        raise _Usage("--lambda is required")
     lam = A.field.parse(text)
     if lam == A.field.zero or lam == A.field.one:
         raise _Usage("lambda must avoid 0 and 1")
@@ -407,6 +411,10 @@ def _cmd_audit_trace(args):
 # -- parser ------------------------------------------------------------------
 
 
+# Built at the first main call, not at import, and shared by every later call:
+# parsing never writes to the parser (each parse gets a fresh namespace, and
+# append options a fresh list), and handlers read the environment themselves.
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="axial", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

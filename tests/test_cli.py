@@ -1,14 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
 import signal
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from axial import QQ, PrimeField, holds_as_identity, jordan_symmetric_matrices, parse_poly, toric_euf
-from axial.cli import main
+from axial.cli import _build_parser, main
 from axial.errors import SchemaError
 from axial.fields import _PRIME_TEST_BOUND, _is_prime
 from axial.io import (
@@ -232,11 +235,18 @@ class TestCliPipeline:
         # the matrix Jordan algebra satisfies the Jordan identity
         assert main(["identity", "--name", "jordan", "--algebra", str(out2)]) == 0
 
-    def test_orbit_env_cap(self, toric_path, monkeypatch):
+    def test_orbit_env_cap(self, alg3c_path, toric_path, monkeypatch, capsys):
+        # the cap is read at each call: the first call runs with the default
+        # cap, and the second, in the same process, sees the variable
+        monkeypatch.delenv("AXIAL_MAX_ORBIT", raising=False)
+        assert main(["orbit", "--algebra", alg3c_path, "--lambda", "1/2", "--axis", '["1","0","0"]']) == 0
         monkeypatch.setenv("AXIAL_MAX_ORBIT", "10")
-        code = main(["orbit", "--algebra", toric_path, "--lambda", "1/2",
+        capsys.readouterr()
+        code = main(["orbit", "--algebra", toric_path, "--lambda", "1/2", "--json",
                      "--axis", '["1","1/2","1"]', "--axis", '["2","1/2","1/2"]'])
         assert code == 1  # overflow at the small env cap
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["detail"] == {"cap": 10, "partial_size": 10}
 
     def test_construct_flat_annihilating(self, tmp_path, capsys):
         out = tmp_path / "fa.json"
@@ -253,6 +263,22 @@ class TestCliPipeline:
         field = json.dumps({"kind": "Fp", "p": p, "allow_small": True})
         assert main(["construct", "jordan-sym", "--k", "2", "--field", field, "-o", path]) == 0
         assert main(["check-axis", "--algebra", path, "--element", '["1","0","0"]', "--lambda", "1/2"]) == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_construct_without_output_writes_only_the_document(self, flags, capsys):
+        assert main(["construct", "toric", *flags]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        tor = toric_euf()
+        A = algebra_from_json(doc)
+        assert A == tor.algebra
+        assert form_from_json(doc["form"], A).gram == tor.form.gram
+        if flags:
+            report = json.loads(err)
+            assert (report["command"], report["passed"], report["checks"][0]["name"]) == (
+                "construct", True, "construct:toric")
+        else:
+            assert err.startswith("[ok ] construct:toric  {'dim': 3}\n=> PASS (")
 
     def test_construct_usage_errors(self):
         assert main(["construct", "two-gen"]) == 2
@@ -308,6 +334,11 @@ USAGE_ERRORS = {
     "lambda-past-digit-limit": (["check-axis", "--algebra", "{alg}", "--element", '["1","0","0"]',
                                  "--lambda", "9" * 5000], {}),
     "result-past-digit-limit": (["construct", "two-gen", "--lambda", "1/2", "--pi", "9" * 4300], {}),
+    "check-axis-needs-lambda": (["check-axis", "--algebra", "{alg}", "--element", '["1","0","0"]'], {}),
+    "fusion-needs-lambda": (["fusion", "--algebra", "{alg}", "--element", '["1","0","0"]'], {}),
+    "miyamoto-needs-lambda": (["miyamoto", "--algebra", "{alg}", "--element", '["1","0","0"]'], {}),
+    "orbit-needs-lambda": (["orbit", "--algebra", "{alg}", "--axis", '["1","0","0"]'], {}),
+    "solid-needs-lambda": (["solid", "--algebra", "{alg}", "--a", '["1","0","0"]', "--b", '["0","1","0"]'], {}),
 }
 
 
@@ -324,6 +355,110 @@ def test_usage_error_exit2_without_traceback(case, alg3c_path, tmp_path, monkeyp
     assert main([a.format(alg=alg3c_path, bad=bad, bin=binary, dir=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+# every subcommand, the repeatable options among them
+PARSE_ARGV = [
+    ["construct", "matsuo", "--lines", "a,b,c", "--lambda", "1/2", "-o", "3c.json"],
+    ["construct", "jordan-sym", "--k", "3", "--json"],
+    ["check-axis", "--algebra", "a.json", "--element", '["1","0","0"]', "--lambda", "1/2"],
+    ["fusion", "--algebra", "a.json", "--element", '["0","1","0"]', "--lambda", "1/4", "--json"],
+    ["frobenius", "--algebra", "a.json", "--normalize", '["1","0","0"]=1', "--normalize", '["0","1","0"]=1'],
+    ["frobenius", "--algebra", "a.json"],
+    ["radical", "--algebra", "a.json", "--form", "f.json"],
+    ["identity", "--algebra", "a.json", "--name", "jordan"],
+    ["identity", "--algebra", "a.json", "--poly", "E1*x1", "--pool", '["1","0","0"]',
+     "--pool", '["0","1","0"]', "--distinct-slots"],
+    ["miyamoto", "--algebra", "a.json", "--element", '["1","0","0"]', "--lambda", "1/2"],
+    ["solid", "--algebra", "a.json", "--lambda", "1/2", "--a", "[1]", "--b", "[2]", "--eps", "1,2"],
+    ["orbit", "--algebra", "a.json", "--lambda", "1/2", "--axis", "[1]", "--axis", "[2]", "--max-size", "5"],
+    ["orbit", "--algebra", "a.json", "--lambda", "1/2", "--axis", "[3]"],
+    ["audit-trace", "--algebra", "a.json", "--form", "f.json", "--pairs", "[1]|[2]"],
+]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_is_built_once_across_main_calls(alg3c_path, toric_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _build_parser.cache_clear()
+    e = '["1","0","0"]'
+    for argv in (["check-axis", "--algebra", alg3c_path, "--element", e, "--lambda", "1/2"],
+                 ["fusion", "--algebra", alg3c_path, "--element", e, "--lambda", "1/2"],
+                 ["miyamoto", "--algebra", alg3c_path, "--element", e, "--lambda", "1/2"],
+                 ["radical", "--algebra", toric_path],
+                 ["identity", "--name", "jordan", "--algebra", alg3c_path],
+                 ["construct", "toric", "--json"]):
+        assert main(argv) in (0, 2)
+    assert built.count("axial") == 1
+    assert len(built) == 1 + len(_subcommands(_build_parser()))
+
+
+def test_shared_parser_help_and_errors_match_a_fresh_build(capsys):
+    shared, fresh = _build_parser(), _build_parser.__wrapped__()
+    assert shared is _build_parser() is not fresh
+    for argv in PARSE_ARGV:  # parsing leaves nothing behind in the parser
+        shared.parse_args(argv)
+    assert shared.format_help() == fresh.format_help()
+    subs, fresh_subs = _subcommands(shared), _subcommands(fresh)
+    assert list(subs) == list(fresh_subs) and len(subs) == 10
+    for name, sub in fresh_subs.items():
+        assert subs[name].format_help() == sub.format_help()
+    for argv, help_text in ((["--help"], fresh.format_help()), (["fusion", "--help"], fresh_subs["fusion"].format_help())):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == help_text
+    bogus = ["fusion", "--algebra", "a.json", "--element", "[1]", "--bogus"]
+    errors = []
+    for parse in (main, fresh.parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(bogus)
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2 and errors[0][1].endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_parses_in_threads_match_sequential_ones():
+    parser = _build_parser()
+    want = [vars(parser.parse_args(argv)) for argv in PARSE_ARGV]
+    assert parser.parse_args(PARSE_ARGV[4]).normalize is not parser.parse_args(PARSE_ARGV[4]).normalize
+    rounds, n = 40, len(PARSE_ARGV)
+    got = [[] for _ in range(4)]
+
+    def parse(k):
+        for r in range(rounds):
+            for i in range(n):
+                j = (i + k + r) % n  # threads parse different commands at once
+                got[k].append((j, vars(parser.parse_args(PARSE_ARGV[j]))))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=parse, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for results in got:
+        assert len(results) == rounds * n
+        assert all(ns == want[j] for j, ns in results)
 
 
 # ---------------------------------------------------------------------------
